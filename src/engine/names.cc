@@ -24,13 +24,6 @@ bool ParsePredicateName(const std::string& name, PredicateClass* predicate) {
   return true;
 }
 
-bool ParseGraphLayoutName(const std::string& name, GraphLayout* layout) {
-  if (name == "csr") *layout = GraphLayout::kCsr;
-  else if (name == "legacy") *layout = GraphLayout::kLegacy;
-  else return false;
-  return true;
-}
-
 bool ParsePlannerName(const std::string& name, PlannerChoice* planner) {
   if (name == "ladder") *planner = PlannerChoice::kLadder;
   else if (name == "calibrated") *planner = PlannerChoice::kCalibrated;
@@ -44,8 +37,6 @@ const char* SolverNameList() {
 
 const char* PredicateNameList() { return "equijoin spatial sets general"; }
 
-const char* GraphLayoutNameList() { return "csr legacy"; }
-
 const char* PlannerNameList() { return "ladder calibrated"; }
 
 const char* PlannerChoiceName(PlannerChoice planner) {
@@ -54,16 +45,6 @@ const char* PlannerChoiceName(PlannerChoice planner) {
       return "ladder";
     case PlannerChoice::kCalibrated:
       return "calibrated";
-  }
-  return "?";
-}
-
-const char* GraphLayoutName(GraphLayout layout) {
-  switch (layout) {
-    case GraphLayout::kCsr:
-      return "csr";
-    case GraphLayout::kLegacy:
-      return "legacy";
   }
   return "?";
 }

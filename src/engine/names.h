@@ -23,10 +23,6 @@ bool ParseSolverName(const std::string& name, SolverChoice* choice);
 // spelling; *predicate is untouched on failure.
 bool ParsePredicateName(const std::string& name, PredicateClass* predicate);
 
-// "csr", "legacy". Returns false on any other spelling; *layout is
-// untouched on failure.
-bool ParseGraphLayoutName(const std::string& name, GraphLayout* layout);
-
 // "ladder", "calibrated". Returns false on any other spelling; *planner is
 // untouched on failure.
 bool ParsePlannerName(const std::string& name, PlannerChoice* planner);
@@ -34,14 +30,10 @@ bool ParsePlannerName(const std::string& name, PlannerChoice* planner);
 // The accepted spellings, space-separated, for error messages.
 const char* SolverNameList();
 const char* PredicateNameList();
-const char* GraphLayoutNameList();
 const char* PlannerNameList();
 
 // The inverse of ParseSolverName: the wire spelling of `choice`.
 const char* SolverChoiceName(SolverChoice choice);
-
-// The inverse of ParseGraphLayoutName: the wire spelling of `layout`.
-const char* GraphLayoutName(GraphLayout layout);
 
 // The inverse of ParsePlannerName: the wire spelling of `planner`.
 const char* PlannerChoiceName(PlannerChoice planner);

@@ -115,7 +115,6 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
   const AnalyzerOptions& defaults = options_.defaults;
   const SolverChoice solver = request.solver.value_or(defaults.solver);
   const PlannerChoice planner = request.planner.value_or(defaults.planner);
-  const GraphLayout layout = request.layout.value_or(defaults.layout);
   const SolveBudget budget = request.budget.value_or(defaults.budget);
   TraceSession* trace =
       request.trace != nullptr ? request.trace : defaults.trace;
@@ -186,11 +185,9 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
   // --- build: flatten the bipartite join graph ---------------------------
   Stopwatch stage;
   Graph flat = request.graph->ToGraph();
-  // Freezing the CSR view here is what flips every downstream stage onto
-  // the flat-array hot loops: the view travels into component subgraphs
-  // and line graphs (Graph copy semantics), so no other stage needs a
-  // layout parameter.
-  if (layout == GraphLayout::kCsr) flat.BuildCsr();
+  // Freeze the CSR view eagerly so its cost lands in this stage rather
+  // than in whichever stage first traverses the graph.
+  flat.BuildCsr();
   stats.stage_build_us = stage.ElapsedMicros();
   stage_perf.Flush(&stats.stage_build_cycles, &stats.stage_build_insns,
                    &stats.stage_build_cache_misses);
@@ -199,7 +196,7 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
   stage.Restart();
   analysis.classification = ClassifyJoinGraph(flat);
   // The structural feature vector is classify-stage output like the
-  // taxonomy above: extracted once per request, layout/thread invariant,
+  // taxonomy above: extracted once per request, thread-count invariant,
   // and handed to the solve stage through the BudgetContext so the
   // calibrated ladder can plan without re-scanning a single-component
   // graph.

@@ -76,24 +76,10 @@ enum class SolverChoice {
   kFallback,      // degradation ladder exact→ils→local-search→dfs-tree→greedy
 };
 
-// Which in-memory layout the pipeline solves on. The build stage always
-// flattens the bipartite join graph into a Graph; under kCsr it then
-// freezes that graph into the compressed-sparse-row view
-// (graph/csr_graph.h), which travels into every component subgraph and
-// line graph and switches the hot loops onto flat arrays and bitsets.
-// Output is byte-identical across layouts (the differential harness in
-// tests/layout_equivalence_test.cc pins this); the layouts differ only in
-// cache behavior and wall clock. kLegacy exists as the differential
-// baseline and an escape hatch.
-enum class GraphLayout {
-  kCsr,
-  kLegacy,
-};
-
 // How the fallback ladder orders its rungs when SolverChoice::kFallback
 // runs. kLadder — the default — is the blind top-down sequence, preserved
-// byte-identically (the contract layout_equivalence_test and the
-// batch/serve diffs pin). kCalibrated plans each descent from the
+// byte-identically (the contract solve_golden_test and the batch/serve
+// diffs pin). kCalibrated plans each descent from the
 // instance's GraphFeatures with the engine's cost model
 // (solver/ladder_planner.h): the starting rung may move down and the exact
 // rung may be wall-clock-capped, trading the proof-of-optimality gamble
@@ -114,9 +100,6 @@ struct AnalyzerOptions {
   // Coefficients behind kCalibrated: the compiled-in calibration run by
   // default, or a file loaded via `--cost-model` (LoadCostModelFile).
   CostModel cost_model = CostModel::BuiltIn();
-  // Graph layout the pipeline runs on; kCsr is the default everywhere and
-  // kLegacy the differential baseline (see GraphLayout).
-  GraphLayout layout = GraphLayout::kCsr;
   ExactPebbler::Options exact;
   // Worker threads for the per-component fan-out (Lemma 2.2 additivity
   // makes components independent). 1 = sequential on the calling thread.
@@ -168,7 +151,7 @@ struct JoinAnalysis {
   int64_t output_size = 0;  // m, number of joining pairs
   JoinGraphClassification classification;
   // Structural feature vector (graph/features.h), extracted once in the
-  // classify stage; the calibrated planner's input, and layout/thread
+  // classify stage; the calibrated planner's input, and thread-count
   // invariant like everything else in the analysis.
   GraphFeatures features;
   PebbleSolution solution;
@@ -193,7 +176,6 @@ struct SolveRequest {
 
   std::optional<SolverChoice> solver;
   std::optional<PlannerChoice> planner;
-  std::optional<GraphLayout> layout;
   std::optional<SolveBudget> budget;
   std::optional<int> threads;
   std::optional<bool> perf;

@@ -7,29 +7,28 @@
 
 namespace pebblejoin {
 
-namespace {
+ComponentDecomposition FindComponents(const Graph& g) {
+  ComponentDecomposition out;
+  out.component_of.assign(g.num_vertices(), -1);
 
-// The CSR hot loop: identical traversal (same stack discipline, same
-// insertion-ordered neighbor visits) over the flat arrays, so component
-// ids, vertex order, and edge order match the legacy path bit for bit.
-void FindComponentsCsr(const CsrGraph& csr, ComponentDecomposition* out) {
+  const CsrGraph& csr = g.csr();
   const uint32_t n = csr.num_vertices();
   std::vector<int> queue;
   for (uint32_t start = 0; start < n; ++start) {
-    if (csr.Degree(start) == 0 || out->component_of[start] != -1) continue;
-    const int c = out->num_components++;
-    out->vertices_of.emplace_back();
-    out->edges_of.emplace_back();
+    if (csr.Degree(start) == 0 || out.component_of[start] != -1) continue;
+    const int c = out.num_components++;
+    out.vertices_of.emplace_back();
+    out.edges_of.emplace_back();
     queue.clear();
     queue.push_back(static_cast<int>(start));
-    out->component_of[start] = c;
+    out.component_of[start] = c;
     while (!queue.empty()) {
       const uint32_t v = static_cast<uint32_t>(queue.back());
       queue.pop_back();
-      out->vertices_of[c].push_back(static_cast<int>(v));
+      out.vertices_of[c].push_back(static_cast<int>(v));
       for (uint32_t w : csr.Neighbors(v)) {
-        if (out->component_of[w] == -1) {
-          out->component_of[w] = c;
+        if (out.component_of[w] == -1) {
+          out.component_of[w] = c;
           queue.push_back(static_cast<int>(w));
         }
       }
@@ -37,50 +36,9 @@ void FindComponentsCsr(const CsrGraph& csr, ComponentDecomposition* out) {
   }
   const uint32_t m = csr.num_edges();
   for (uint32_t e = 0; e < m; ++e) {
-    const int c = out->component_of[csr.EdgeU(e)];
-    JP_CHECK(c >= 0 && c == out->component_of[csr.EdgeV(e)]);
-    out->edges_of[c].push_back(static_cast<int>(e));
-  }
-}
-
-}  // namespace
-
-ComponentDecomposition FindComponents(const Graph& g) {
-  ComponentDecomposition out;
-  out.component_of.assign(g.num_vertices(), -1);
-
-  if (const CsrGraph* csr = g.csr()) {
-    FindComponentsCsr(*csr, &out);
-    return out;
-  }
-
-  std::vector<int> queue;
-  for (int start = 0; start < g.num_vertices(); ++start) {
-    if (g.Degree(start) == 0 || out.component_of[start] != -1) continue;
-    const int c = out.num_components++;
-    out.vertices_of.emplace_back();
-    out.edges_of.emplace_back();
-    queue.clear();
-    queue.push_back(start);
-    out.component_of[start] = c;
-    while (!queue.empty()) {
-      const int v = queue.back();
-      queue.pop_back();
-      out.vertices_of[c].push_back(v);
-      for (int e : g.IncidentEdges(v)) {
-        const int w = g.edge(e).Other(v);
-        if (out.component_of[w] == -1) {
-          out.component_of[w] = c;
-          queue.push_back(w);
-        }
-      }
-    }
-  }
-
-  for (int e = 0; e < g.num_edges(); ++e) {
-    const int c = out.component_of[g.edge(e).u];
-    JP_CHECK(c >= 0 && c == out.component_of[g.edge(e).v]);
-    out.edges_of[c].push_back(e);
+    const int c = out.component_of[csr.EdgeU(e)];
+    JP_CHECK(c >= 0 && c == out.component_of[csr.EdgeV(e)]);
+    out.edges_of[c].push_back(static_cast<int>(e));
   }
   return out;
 }
@@ -103,21 +61,11 @@ Graph ExtractComponent(const Graph& g, const ComponentDecomposition& decomp,
   for (int i = 0; i < static_cast<int>(vertices.size()); ++i) {
     local_id[vertices[i]] = i;
   }
-  if (g.csr() != nullptr) {
-    // Edges of a simple graph stay distinct under relabeling, so the
-    // duplicate probe is provably dead — skip it. The layout travels with
-    // the graph: a CSR-frozen parent hands each component solver a
-    // CSR-frozen subgraph.
-    for (int e : edges) {
-      const Graph::Edge& edge = g.edge(e);
-      sub.AddEdgeUnchecked(local_id[edge.u], local_id[edge.v]);
-    }
-    sub.BuildCsr();
-  } else {
-    for (int e : edges) {
-      const Graph::Edge& edge = g.edge(e);
-      sub.AddEdge(local_id[edge.u], local_id[edge.v]);
-    }
+  // Edges of a simple graph stay distinct under relabeling, so the
+  // duplicate probe is provably dead — skip it.
+  for (int e : edges) {
+    const Graph::Edge& edge = g.edge(e);
+    sub.AddEdgeUnchecked(local_id[edge.u], local_id[edge.v]);
   }
   if (vertex_map != nullptr) *vertex_map = vertices;
   if (edge_map != nullptr) *edge_map = edges;

@@ -11,11 +11,16 @@ CsrGraph::CsrGraph(const Graph& g) {
   num_vertices_ = static_cast<uint32_t>(n);
   num_edges_ = static_cast<uint32_t>(m);
 
-  uint32_t* row = arena_.AllocateArray<uint32_t>(n + 1);
-  uint32_t* incident = arena_.AllocateArray<uint32_t>(2 * size_t{num_edges_});
-  uint32_t* neighbor = arena_.AllocateArray<uint32_t>(2 * size_t{num_edges_});
-  uint32_t* edge_u = arena_.AllocateArray<uint32_t>(num_edges_);
-  uint32_t* edge_v = arena_.AllocateArray<uint32_t>(num_edges_);
+  // One exact-size block: n + 1 offsets, then 2m incident ids, 2m far
+  // endpoints, and m + m edge endpoints. Every word is written below, so
+  // the block is left uninitialized.
+  const size_t words = size_t{num_vertices_} + 1 + 6 * size_t{num_edges_};
+  storage_.reset(new uint32_t[words]);
+  uint32_t* row = storage_.get();
+  uint32_t* incident = row + n + 1;
+  uint32_t* neighbor = incident + 2 * size_t{num_edges_};
+  uint32_t* edge_u = neighbor + 2 * size_t{num_edges_};
+  uint32_t* edge_v = edge_u + num_edges_;
 
   // Counting pass: degrees become row offsets.
   row[0] = 0;
@@ -25,7 +30,7 @@ CsrGraph::CsrGraph(const Graph& g) {
 
   // Fill pass in edge-id order. Appending edge e to both endpoint rows in
   // ascending e reproduces Graph's insertion-ordered incidence lists —
-  // the invariant every layout-equivalence guarantee rests on.
+  // the invariant every traversal's determinism rests on.
   std::vector<uint32_t> cursor(n, 0);
   for (int e = 0; e < m; ++e) {
     const Graph::Edge& edge = g.edge(e);

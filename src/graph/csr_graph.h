@@ -1,12 +1,12 @@
-// Compressed-sparse-row view of a Graph: the cache-conscious core the
-// solver hot paths walk.
+// Compressed-sparse-row view of a Graph: the one adjacency view every
+// traversal walks.
 //
 // The mutable Graph (graph/graph.h) stores adjacency as a vector of
 // per-vertex vectors — ideal for incremental construction, hostile to the
 // hardware: every IncidentEdges(v) is a pointer chase into a separately
 // allocated block, and a BFS touches allocations scattered across the
-// heap. CsrGraph freezes the same graph into four flat arrays carved out
-// of one arena (util/arena.h):
+// heap. CsrGraph freezes the same graph into five flat arrays laid out
+// back to back in one exact-size allocation:
 //
 //   row_begin[0..n]    per-vertex offsets into the adjacency arrays
 //   incident[0..2m)    edge ids incident to v, at [row_begin[v],
@@ -17,23 +17,22 @@
 //
 // Vertex and edge ids are dense uint32_t. Because the per-vertex ranges
 // preserve insertion order, every traversal (BFS, line-graph pair
-// enumeration, greedy scans) visits exactly the sequence the legacy
-// structure produces, which is what keeps solve output byte-identical
-// across the two layouts — pinned by tests/layout_equivalence_test.cc.
+// enumeration, greedy scans) visits exactly the sequence the incidence
+// lists define, which is what the committed solve goldens
+// (tests/solve_golden_test.cc) pin.
 //
 // A CsrGraph is immutable after construction and safe to read from many
-// threads. It is typically attached to its source Graph via
-// Graph::BuildCsr() and travels with it (copies rebuild, mutation
-// invalidates); see docs/architecture.md, "Cache-conscious graph core".
+// threads. Graph::csr() freezes one on first access and caches it until
+// the next mutation; see docs/architecture.md, "Graph layout".
 
 #ifndef PEBBLEJOIN_GRAPH_CSR_GRAPH_H_
 #define PEBBLEJOIN_GRAPH_CSR_GRAPH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "graph/graph.h"
-#include "util/arena.h"
 #include "util/check.h"
 
 namespace pebblejoin {
@@ -52,8 +51,8 @@ struct CsrSpan {
 
 class CsrGraph {
  public:
-  // Freezes `g` into CSR form. One counting pass plus one fill pass, no
-  // allocation beyond the arena blocks.
+  // Freezes `g` into CSR form. One counting pass plus one fill pass into
+  // a single allocation.
   explicit CsrGraph(const Graph& g);
 
   CsrGraph(const CsrGraph&) = delete;
@@ -100,9 +99,6 @@ class CsrGraph {
 
   bool HasEdge(uint32_t u, uint32_t v) const { return FindEdge(u, v) != -1; }
 
-  // Arena footprint of the frozen arrays — what bench_layout reports.
-  size_t arena_bytes() const { return arena_.allocated_bytes(); }
-
  private:
   uint32_t num_vertices_ = 0;
   uint32_t num_edges_ = 0;
@@ -111,7 +107,7 @@ class CsrGraph {
   const uint32_t* neighbor_ = nullptr;   // 2m far endpoints
   const uint32_t* edge_u_ = nullptr;     // m
   const uint32_t* edge_v_ = nullptr;     // m
-  Arena arena_;
+  std::unique_ptr<uint32_t[]> storage_;  // backs all five arrays
 };
 
 }  // namespace pebblejoin

@@ -59,15 +59,10 @@ GraphFeatures ExtractGraphFeatures(const Graph& g) {
   const int m = g.num_edges();
   f.num_edges = m;
 
-  // Degree scan — the CSR row widths when the layout is frozen, the legacy
-  // incident lists otherwise. Identical numbers either way (the CSR view
-  // mirrors the insertion-order adjacency exactly).
-  const CsrGraph* csr = g.csr();
+  // Degree scan over the CSR row widths.
+  const CsrGraph& csr = g.csr();
   for (int v = 0; v < n; ++v) {
-    const int64_t deg = csr != nullptr
-                            ? static_cast<int64_t>(
-                                  csr->Degree(static_cast<uint32_t>(v)))
-                            : g.Degree(v);
+    const int64_t deg = csr.Degree(static_cast<uint32_t>(v));
     if (deg == 0) continue;
     ++f.num_vertices;
     f.max_degree = std::max(f.max_degree, deg);

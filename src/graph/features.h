@@ -5,10 +5,9 @@
 // The features deliberately stay linear-time and allocation-light: the
 // whole point of a dispatch model is to spend microseconds deciding where
 // *not* to spend milliseconds. Everything here is derivable from one
-// degree scan plus one union-find pass, with a CSR fast path when the
-// graph carries a frozen layout (graph/csr_graph.h). Every field is a
-// pure function of the adjacency structure, so the vector is identical
-// across `--layout csr|legacy` and across thread counts — the invariance
+// degree scan over the CSR rows (graph/csr_graph.h) plus one union-find
+// pass. Every field is a pure function of the adjacency structure, so the
+// vector is identical across thread counts — the invariance
 // tests/features_test.cc pins.
 
 #ifndef PEBBLEJOIN_GRAPH_FEATURES_H_
@@ -52,8 +51,8 @@ struct GraphFeatures {
   bool bipartite = false;
 };
 
-// Extracts the feature vector of `g`. One degree scan (CSR fast path when
-// g.csr() != nullptr), one union-find pass for the component fields, and
+// Extracts the feature vector of `g`. One degree scan over g.csr(), one
+// union-find pass for the component fields, and
 // the bipartite/complete-bipartite probes from graph_properties.h.
 GraphFeatures ExtractGraphFeatures(const Graph& g);
 

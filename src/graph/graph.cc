@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <memory>
 #include <utility>
 
 #include "graph/csr_graph.h"
@@ -8,27 +9,50 @@
 namespace pebblejoin {
 
 Graph::Graph() = default;
-Graph::~Graph() = default;
+Graph::~Graph() { InvalidateCsr(); }
 
 Graph::Graph(const Graph& other)
-    : edges_(other.edges_), incident_(other.incident_) {
-  if (other.csr_ != nullptr) BuildCsr();
-}
+    : edges_(other.edges_), incident_(other.incident_) {}
 
 Graph& Graph::operator=(const Graph& other) {
   if (this == &other) return *this;
+  InvalidateCsr();
   edges_ = other.edges_;
   incident_ = other.incident_;
-  csr_.reset();
-  if (other.csr_ != nullptr) BuildCsr();
   return *this;
 }
 
-Graph::Graph(Graph&& other) noexcept = default;
-Graph& Graph::operator=(Graph&& other) noexcept = default;
+Graph::Graph(Graph&& other) noexcept
+    : edges_(std::move(other.edges_)),
+      incident_(std::move(other.incident_)),
+      csr_(other.csr_.exchange(nullptr)) {}
 
-void Graph::BuildCsr() {
-  if (csr_ == nullptr) csr_ = std::make_unique<CsrGraph>(*this);
+Graph& Graph::operator=(Graph&& other) noexcept {
+  if (this == &other) return *this;
+  InvalidateCsr();
+  edges_ = std::move(other.edges_);
+  incident_ = std::move(other.incident_);
+  csr_.store(other.csr_.exchange(nullptr));
+  return *this;
+}
+
+const CsrGraph& Graph::Freeze() const {
+  auto built = std::make_unique<const CsrGraph>(*this);
+  const CsrGraph* expected = nullptr;
+  if (csr_.compare_exchange_strong(expected, built.get())) {
+    return *built.release();
+  }
+  return *expected;  // another thread published first; ours is dropped
+}
+
+// Mutation is never concurrent with readers. Loading before exchanging
+// keeps the common case (nothing frozen yet) one untaken branch per
+// AddEdge instead of a locked exchange.
+void Graph::InvalidateCsr() {
+  if (const CsrGraph* view = csr_.load()) {
+    csr_.store(nullptr);
+    delete view;
+  }
 }
 
 int Graph::Edge::Other(int w) const {
@@ -47,7 +71,7 @@ Graph::Graph(int num_vertices) {
 
 int Graph::AddVertices(int count) {
   JP_CHECK(count >= 0);
-  csr_.reset();  // mutation invalidates the frozen view
+  InvalidateCsr();
   const int first = num_vertices();
   incident_.resize(incident_.size() + count);
   return first;
@@ -58,7 +82,7 @@ int Graph::AddEdge(int u, int v) {
   JP_CHECK(0 <= v && v < num_vertices());
   JP_CHECK_MSG(u != v, "self-loops are not allowed");
   JP_CHECK_MSG(!HasEdge(u, v), "parallel edges are not allowed");
-  csr_.reset();  // mutation invalidates the frozen view
+  InvalidateCsr();
   const int id = num_edges();
   edges_.push_back(Edge{u, v});
   incident_[u].push_back(id);
@@ -70,7 +94,7 @@ int Graph::AddEdgeUnchecked(int u, int v) {
   JP_CHECK(0 <= u && u < num_vertices());
   JP_CHECK(0 <= v && v < num_vertices());
   JP_CHECK_MSG(u != v, "self-loops are not allowed");
-  csr_.reset();
+  InvalidateCsr();
   const int id = num_edges();
   edges_.push_back(Edge{u, v});
   incident_[u].push_back(id);

@@ -8,7 +8,7 @@
 #ifndef PEBBLEJOIN_GRAPH_GRAPH_H_
 #define PEBBLEJOIN_GRAPH_GRAPH_H_
 
-#include <memory>
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -35,10 +35,8 @@ class Graph {
   explicit Graph(int num_vertices);
   ~Graph();
 
-  // Copying preserves "CSR-ness": a copy of a graph whose CSR view was
-  // built gets its own freshly built view, so the cache-conscious layout
-  // travels with the graph through ExtractComponent / BuildLineGraph
-  // without any options plumbing. Moves transfer the view as-is.
+  // Copies share no view: a copy freezes its own on first csr(). Moves
+  // transfer the view as-is.
   Graph(const Graph& other);
   Graph& operator=(const Graph& other);
   Graph(Graph&& other) noexcept;
@@ -52,8 +50,8 @@ class Graph {
   int AddEdge(int u, int v);
 
   // AddEdge without the O(deg) duplicate probe, for builders that prove
-  // uniqueness structurally (the line-graph pair enumeration, CSR-driven
-  // component extraction). Endpoints are still bounds-checked; inserting a
+  // uniqueness structurally (the line-graph pair enumeration, component
+  // extraction). Endpoints are still bounds-checked; inserting a
   // duplicate through this entry violates the simple-graph invariant.
   int AddEdgeUnchecked(int u, int v);
 
@@ -78,23 +76,33 @@ class Graph {
   // Human-readable dump, e.g. "Graph(5 vertices): 0-1 1-2 ...".
   std::string DebugString() const;
 
-  // Freezes the current adjacency into a compressed-sparse-row view
-  // (graph/csr_graph.h) that csr() then exposes. Hot paths branch on the
-  // view's presence: a graph with a CSR view takes the flat-array loops,
-  // one without takes the legacy vector-of-vectors loops — with
-  // byte-identical results (tests/layout_equivalence_test.cc). Idempotent;
-  // a later AddEdge/AddVertices invalidates the view (csr() reverts to
-  // nullptr until the next BuildCsr).
-  void BuildCsr();
+  // The compressed-sparse-row view of the current adjacency
+  // (graph/csr_graph.h) — the one view every traversal walks. Frozen on
+  // first access and cached; concurrent first calls on a shared const
+  // graph are safe and all return the same view. Stable address until the
+  // next AddEdge/AddVertices, which invalidates it (the next call freezes
+  // afresh).
+  const CsrGraph& csr() const {
+    if (const CsrGraph* view = csr_.load()) {
+      return *view;
+    }
+    return Freeze();
+  }
 
-  // The frozen CSR view, or nullptr when none was built (or the graph was
-  // mutated since). Stable address until the next mutation.
-  const CsrGraph* csr() const { return csr_.get(); }
+  // Eager csr(): freezes now, so the cost lands where the caller measures
+  // it (the engine's build stage) rather than in the first traversal.
+  void BuildCsr() const { csr(); }
 
  private:
+  const CsrGraph& Freeze() const;
+  void InvalidateCsr();
+
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> incident_;  // vertex -> incident edge ids
-  std::unique_ptr<CsrGraph> csr_;           // frozen view; see BuildCsr()
+  // Owned frozen view, or null until the first csr(). Publication is one
+  // compare-exchange: racing freezers build privately and the losers
+  // delete their copy.
+  mutable std::atomic<const CsrGraph*> csr_{nullptr};
 };
 
 }  // namespace pebblejoin

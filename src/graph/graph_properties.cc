@@ -10,42 +10,20 @@
 namespace pebblejoin {
 
 std::optional<std::vector<int>> TwoColor(const Graph& g) {
+  const CsrGraph& csr = g.csr();
   std::vector<int> color(g.num_vertices(), -1);
   std::vector<int> stack;
-  if (const CsrGraph* csr = g.csr()) {
-    // Flat-array DFS: same stack discipline and neighbor order as the
-    // legacy loop, so the returned coloring is identical.
-    for (uint32_t start = 0; start < csr->num_vertices(); ++start) {
-      if (color[start] != -1) continue;
-      color[start] = 0;
-      stack.push_back(static_cast<int>(start));
-      while (!stack.empty()) {
-        const uint32_t v = static_cast<uint32_t>(stack.back());
-        stack.pop_back();
-        for (uint32_t w : csr->Neighbors(v)) {
-          if (color[w] == -1) {
-            color[w] = 1 - color[v];
-            stack.push_back(static_cast<int>(w));
-          } else if (color[w] == color[v]) {
-            return std::nullopt;
-          }
-        }
-      }
-    }
-    return color;
-  }
-  for (int start = 0; start < g.num_vertices(); ++start) {
+  for (uint32_t start = 0; start < csr.num_vertices(); ++start) {
     if (color[start] != -1) continue;
     color[start] = 0;
-    stack.push_back(start);
+    stack.push_back(static_cast<int>(start));
     while (!stack.empty()) {
-      const int v = stack.back();
+      const uint32_t v = static_cast<uint32_t>(stack.back());
       stack.pop_back();
-      for (int e : g.IncidentEdges(v)) {
-        const int w = g.edge(e).Other(v);
+      for (uint32_t w : csr.Neighbors(v)) {
         if (color[w] == -1) {
           color[w] = 1 - color[v];
-          stack.push_back(w);
+          stack.push_back(static_cast<int>(w));
         } else if (color[w] == color[v]) {
           return std::nullopt;
         }
@@ -78,88 +56,57 @@ bool ComponentsAreCompleteBipartite(const Graph& g) {
 }
 
 std::optional<std::array<int, 4>> FindInducedClaw(const Graph& g) {
-  if (const CsrGraph* csr = g.csr()) {
-    // Same center/neighbor scan order as the legacy loop; adjacency probes
-    // go through a reusable neighborhood bitset instead of O(deg) list
-    // scans, turning each probe into one word load.
-    Bitset adjacent(csr->num_vertices());
-    for (uint32_t center = 0; center < csr->num_vertices(); ++center) {
-      const CsrSpan nbrs = csr->Neighbors(center);
-      const int d = static_cast<int>(nbrs.size);
-      if (d < 3) continue;
-      for (int i = 0; i < d; ++i) {
-        const CsrSpan row = csr->Neighbors(nbrs[i]);
-        for (uint32_t w : row) adjacent.Set(w);
-        for (int j = i + 1; j < d; ++j) {
-          if (adjacent.Test(nbrs[j])) continue;
-          for (int k = j + 1; k < d; ++k) {
-            if (!adjacent.Test(nbrs[k]) &&
-                !csr->HasEdge(nbrs[j], nbrs[k])) {
-              return std::array<int, 4>{
-                  static_cast<int>(center), static_cast<int>(nbrs[i]),
-                  static_cast<int>(nbrs[j]), static_cast<int>(nbrs[k])};
-            }
-          }
-        }
-        for (uint32_t w : row) adjacent.Reset(w);
-      }
-    }
-    return std::nullopt;
-  }
-  for (int center = 0; center < g.num_vertices(); ++center) {
-    const std::vector<int> nbrs = g.Neighbors(center);
-    const int d = static_cast<int>(nbrs.size());
+  const CsrGraph& csr = g.csr();
+  // Adjacency probes against nbrs[i] go through a reusable neighborhood
+  // bitset instead of O(deg) row scans, turning each probe into one word
+  // load.
+  Bitset adjacent(csr.num_vertices());
+  for (uint32_t center = 0; center < csr.num_vertices(); ++center) {
+    const CsrSpan nbrs = csr.Neighbors(center);
+    const int d = static_cast<int>(nbrs.size);
     if (d < 3) continue;
     for (int i = 0; i < d; ++i) {
+      const CsrSpan row = csr.Neighbors(nbrs[i]);
+      for (uint32_t w : row) adjacent.Set(w);
       for (int j = i + 1; j < d; ++j) {
-        if (g.HasEdge(nbrs[i], nbrs[j])) continue;
+        if (adjacent.Test(nbrs[j])) continue;
         for (int k = j + 1; k < d; ++k) {
-          if (!g.HasEdge(nbrs[i], nbrs[k]) && !g.HasEdge(nbrs[j], nbrs[k])) {
-            return std::array<int, 4>{center, nbrs[i], nbrs[j], nbrs[k]};
+          if (!adjacent.Test(nbrs[k]) && !csr.HasEdge(nbrs[j], nbrs[k])) {
+            return std::array<int, 4>{
+                static_cast<int>(center), static_cast<int>(nbrs[i]),
+                static_cast<int>(nbrs[j]), static_cast<int>(nbrs[k])};
           }
         }
       }
+      for (uint32_t w : row) adjacent.Reset(w);
     }
   }
   return std::nullopt;
 }
 
 int MaxDegree(const Graph& g) {
+  const CsrGraph& csr = g.csr();
   int max_degree = 0;
-  if (const CsrGraph* csr = g.csr()) {
-    for (uint32_t v = 0; v < csr->num_vertices(); ++v) {
-      max_degree = std::max(max_degree, static_cast<int>(csr->Degree(v)));
-    }
-    return max_degree;
-  }
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    max_degree = std::max(max_degree, g.Degree(v));
+  for (uint32_t v = 0; v < csr.num_vertices(); ++v) {
+    max_degree = std::max(max_degree, static_cast<int>(csr.Degree(v)));
   }
   return max_degree;
 }
 
 std::vector<int> DegreeHistogram(const Graph& g) {
+  const CsrGraph& csr = g.csr();
   std::vector<int> histogram(MaxDegree(g) + 1, 0);
-  if (const CsrGraph* csr = g.csr()) {
-    for (uint32_t v = 0; v < csr->num_vertices(); ++v) {
-      ++histogram[csr->Degree(v)];
-    }
-    return histogram;
+  for (uint32_t v = 0; v < csr.num_vertices(); ++v) {
+    ++histogram[csr.Degree(v)];
   }
-  for (int v = 0; v < g.num_vertices(); ++v) ++histogram[g.Degree(v)];
   return histogram;
 }
 
 int NumNonIsolatedVertices(const Graph& g) {
+  const CsrGraph& csr = g.csr();
   int count = 0;
-  if (const CsrGraph* csr = g.csr()) {
-    for (uint32_t v = 0; v < csr->num_vertices(); ++v) {
-      if (csr->Degree(v) > 0) ++count;
-    }
-    return count;
-  }
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    if (g.Degree(v) > 0) ++count;
+  for (uint32_t v = 0; v < csr.num_vertices(); ++v) {
+    if (csr.Degree(v) > 0) ++count;
   }
   return count;
 }

@@ -6,27 +6,18 @@
 namespace pebblejoin {
 
 BipartiteGraph BuildIncidenceGraph(const Graph& g) {
+  const CsrGraph& csr = g.csr();
   BipartiteGraph b(g.num_vertices(), g.num_edges());
-  if (const CsrGraph* csr = g.csr()) {
-    // The CSR endpoint arrays are already in edge-id order — stream them
-    // straight through; no per-edge struct load, no re-sorting of the
-    // neighbor ranges (they were frozen in insertion order).
-    const uint32_t m = csr->num_edges();
-    for (uint32_t e = 0; e < m; ++e) {
-      const int id_u = b.AddEdge(static_cast<int>(csr->EdgeU(e)),
-                                 static_cast<int>(e));
-      const int id_v = b.AddEdge(static_cast<int>(csr->EdgeV(e)),
-                                 static_cast<int>(e));
-      JP_CHECK(id_u == static_cast<int>(2 * e) &&
-               id_v == static_cast<int>(2 * e + 1));
-    }
-    return b;
-  }
-  for (int e = 0; e < g.num_edges(); ++e) {
-    const Graph::Edge& edge = g.edge(e);
-    const int id_u = b.AddEdge(edge.u, e);
-    const int id_v = b.AddEdge(edge.v, e);
-    JP_CHECK(id_u == 2 * e && id_v == 2 * e + 1);
+  // The CSR endpoint arrays are already in edge-id order — stream them
+  // straight through.
+  const uint32_t m = csr.num_edges();
+  for (uint32_t e = 0; e < m; ++e) {
+    const int id_u = b.AddEdge(static_cast<int>(csr.EdgeU(e)),
+                               static_cast<int>(e));
+    const int id_v = b.AddEdge(static_cast<int>(csr.EdgeV(e)),
+                               static_cast<int>(e));
+    JP_CHECK(id_u == static_cast<int>(2 * e) &&
+             id_v == static_cast<int>(2 * e + 1));
   }
   return b;
 }

@@ -8,50 +8,29 @@
 namespace pebblejoin {
 
 int64_t LineGraphEdgeCount(const Graph& g) {
+  const CsrGraph& csr = g.csr();
   int64_t total = 0;
-  if (const CsrGraph* csr = g.csr()) {
-    for (uint32_t v = 0; v < csr->num_vertices(); ++v) {
-      const int64_t d = csr->Degree(v);
-      total += d * (d - 1) / 2;
-    }
-    return total;
-  }
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    const int64_t d = g.Degree(v);
+  for (uint32_t v = 0; v < csr.num_vertices(); ++v) {
+    const int64_t d = csr.Degree(v);
     total += d * (d - 1) / 2;
   }
   return total;
 }
 
 Graph BuildLineGraph(const Graph& g) {
+  const CsrGraph& csr = g.csr();
   Graph line(g.num_edges());
   // Two edges of a simple graph share at most one endpoint, except that they
   // cannot share two (that would be a parallel edge), so enumerating pairs
   // within each vertex's incidence list enumerates each L(G) edge exactly
-  // once.
-  if (const CsrGraph* csr = g.csr()) {
-    // CSR rows are already in insertion order (the invariant the builder
-    // maintains), so the pair enumeration consumes them directly — no
-    // re-sorting, and the same L(G) edge ids as the legacy path. The new
-    // line graph inherits the frozen layout.
-    for (uint32_t v = 0; v < csr->num_vertices(); ++v) {
-      const CsrSpan inc = csr->IncidentEdges(v);
-      for (uint32_t i = 0; i < inc.size; ++i) {
-        for (uint32_t j = i + 1; j < inc.size; ++j) {
-          line.AddEdgeUnchecked(static_cast<int>(inc[i]),
-                                static_cast<int>(inc[j]));
-        }
-      }
-    }
-    JP_CHECK(line.num_edges() == LineGraphEdgeCount(g));
-    line.BuildCsr();
-    return line;
-  }
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    const std::vector<int>& inc = g.IncidentEdges(v);
-    for (size_t i = 0; i < inc.size(); ++i) {
-      for (size_t j = i + 1; j < inc.size(); ++j) {
-        line.AddEdge(inc[i], inc[j]);
+  // once — the unchecked insert is safe. CSR rows are already in insertion
+  // order, so the enumeration consumes them directly, with no re-sorting.
+  for (uint32_t v = 0; v < csr.num_vertices(); ++v) {
+    const CsrSpan inc = csr.IncidentEdges(v);
+    for (uint32_t i = 0; i < inc.size; ++i) {
+      for (uint32_t j = i + 1; j < inc.size; ++j) {
+        line.AddEdgeUnchecked(static_cast<int>(inc[i]),
+                              static_cast<int>(inc[j]));
       }
     }
   }

@@ -25,11 +25,9 @@ const char* EvictionPolicyName(EvictionPolicy policy) {
 namespace {
 
 // Scheduler state: buffer contents, per-vertex bookkeeping, edge status.
-// Buffer membership and edge liveness live in flat bitsets; when the graph
-// carries a CSR view the selection loop scans whole 64-edge words of the
-// liveness set, skipping deleted edges in bulk instead of testing them one
-// by one — the selection order (ascending edge id, same tie-breaks) is
-// unchanged, so schedules are identical across layouts.
+// Buffer membership and edge liveness live in flat bitsets; the selection
+// loop scans whole 64-edge words of the liveness set, skipping deleted
+// edges in bulk instead of testing them one by one.
 class Scheduler {
  public:
   Scheduler(const Graph& g, const KPebbleOptions& options)
@@ -54,7 +52,7 @@ class Scheduler {
     int64_t deleted = 0;
 
     while (deleted < g_.num_edges()) {
-      const int best_edge = csr_ != nullptr ? PickEdgeCsr() : PickEdgeLegacy();
+      const int best_edge = PickEdge();
       JP_CHECK(best_edge != -1);
       const Graph::Edge& edge = g_.edge(best_edge);
 
@@ -78,33 +76,11 @@ class Scheduler {
   // Pick the cheapest serviceable edge: fewest missing endpoints, ties by
   // LOWER total remaining degree — "cleanup first": finishing nearly-done
   // vertices before eviction pressure mounts is what lets a resident hub
-  // stay resident (see the Gₙ case in kpebble_test).
-  int PickEdgeLegacy() {
-    int best_edge = -1;
-    int best_missing = 3;
-    int64_t best_degree = 0;
-    for (int e = 0; e < g_.num_edges(); ++e) {
-      if (!edge_alive_.Test(e)) continue;
-      const Graph::Edge& edge = g_.edge(e);
-      const int missing = (in_buffer_.Test(edge.u) ? 0 : 1) +
-                          (in_buffer_.Test(edge.v) ? 0 : 1);
-      const int64_t degree =
-          remaining_degree_[edge.u] + remaining_degree_[edge.v];
-      if (missing < best_missing ||
-          (missing == best_missing && degree < best_degree)) {
-        best_edge = e;
-        best_missing = missing;
-        best_degree = degree;
-      }
-      if (best_missing == 0) break;
-    }
-    return best_edge;
-  }
-
-  // Same selection, driven by a word scan over the liveness bitset and the
-  // CSR endpoint arrays: late in the game most words are zero and whole
-  // 64-edge blocks are skipped with one load.
-  int PickEdgeCsr() {
+  // stay resident (see the Gₙ case in kpebble_test). Candidates come in
+  // ascending edge id from a word scan over the liveness bitset: late in
+  // the game most words are zero and whole 64-edge blocks are skipped with
+  // one load.
+  int PickEdge() {
     int best_edge = -1;
     int best_missing = 3;
     int64_t best_degree = 0;
@@ -116,8 +92,8 @@ class Scheduler {
         const int e = static_cast<int>(
             wi * 64 + static_cast<size_t>(__builtin_ctzll(word)));
         word &= word - 1;
-        const uint32_t u = csr_->EdgeU(e);
-        const uint32_t v = csr_->EdgeV(e);
+        const uint32_t u = csr_.EdgeU(e);
+        const uint32_t v = csr_.EdgeV(e);
         const int missing =
             (in_buffer_.Test(u) ? 0 : 1) + (in_buffer_.Test(v) ? 0 : 1);
         const int64_t degree = remaining_degree_[u] + remaining_degree_[v];
@@ -182,26 +158,12 @@ class Scheduler {
   int64_t DeleteCoveredEdges(int vertex) {
     if (!in_buffer_.Test(vertex)) return 0;
     int64_t deleted = 0;
-    if (csr_ != nullptr) {
-      const CsrSpan incident = csr_->IncidentEdges(vertex);
-      const CsrSpan nbrs = csr_->Neighbors(vertex);
-      for (uint32_t i = 0; i < incident.size; ++i) {
-        const uint32_t e = incident[i];
-        if (!edge_alive_.Test(e)) continue;
-        const uint32_t other = nbrs[i];
-        if (!in_buffer_.Test(other)) continue;
-        edge_alive_.Reset(e);
-        --remaining_degree_[vertex];
-        --remaining_degree_[other];
-        last_use_[vertex] = ++clock_;
-        last_use_[other] = clock_;
-        ++deleted;
-      }
-      return deleted;
-    }
-    for (int e : g_.IncidentEdges(vertex)) {
+    const CsrSpan incident = csr_.IncidentEdges(vertex);
+    const CsrSpan nbrs = csr_.Neighbors(vertex);
+    for (uint32_t i = 0; i < incident.size; ++i) {
+      const uint32_t e = incident[i];
       if (!edge_alive_.Test(e)) continue;
-      const int other = g_.edge(e).Other(vertex);
+      const uint32_t other = nbrs[i];
       if (!in_buffer_.Test(other)) continue;
       edge_alive_.Reset(e);
       --remaining_degree_[vertex];
@@ -214,7 +176,7 @@ class Scheduler {
   }
 
   const Graph& g_;
-  const CsrGraph* csr_;
+  const CsrGraph& csr_;
   const KPebbleOptions options_;
   Rng rng_;
   std::vector<int> buffer_;
@@ -247,7 +209,7 @@ bool VerifyKPebbleSchedule(const Graph& g, const KPebbleSchedule& schedule,
     return fail("fetch count does not match step count");
   }
 
-  const CsrGraph* csr = g.csr();
+  const CsrGraph& csr = g.csr();
   Bitset in_buffer(g.num_vertices());
   Bitset edge_deleted(g.num_edges());
   int buffered = 0;
@@ -270,24 +232,14 @@ bool VerifyKPebbleSchedule(const Graph& g, const KPebbleSchedule& schedule,
     ++buffered;
     if (buffered > schedule.k) return fail("buffer over capacity");
     // Edges covered by the new resident.
-    if (csr != nullptr) {
-      const CsrSpan incident = csr->IncidentEdges(step.vertex);
-      const CsrSpan nbrs = csr->Neighbors(step.vertex);
-      for (uint32_t i = 0; i < incident.size; ++i) {
-        const uint32_t e = incident[i];
-        if (edge_deleted.Test(e)) continue;
-        if (in_buffer.Test(nbrs[i])) {
-          edge_deleted.Set(e);
-          ++deleted;
-        }
-      }
-    } else {
-      for (int e : g.IncidentEdges(step.vertex)) {
-        if (edge_deleted.Test(e)) continue;
-        if (in_buffer.Test(g.edge(e).Other(step.vertex))) {
-          edge_deleted.Set(e);
-          ++deleted;
-        }
+    const CsrSpan incident = csr.IncidentEdges(step.vertex);
+    const CsrSpan nbrs = csr.Neighbors(step.vertex);
+    for (uint32_t i = 0; i < incident.size; ++i) {
+      const uint32_t e = incident[i];
+      if (edge_deleted.Test(e)) continue;
+      if (in_buffer.Test(nbrs[i])) {
+        edge_deleted.Set(e);
+        ++deleted;
       }
     }
   }

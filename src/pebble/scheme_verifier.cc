@@ -22,7 +22,7 @@ VerificationResult VerifyScheme(const Graph& g, const PebblingScheme& scheme) {
     return result;
   }
 
-  const CsrGraph* csr = g.csr();
+  const CsrGraph& csr = g.csr();
   Bitset deleted(g.num_edges());
   for (const PebbleConfig& c : scheme.configs) {
     if (c.a < 0 || c.a >= g.num_vertices() || c.b < 0 ||
@@ -34,10 +34,8 @@ VerificationResult VerifyScheme(const Graph& g, const PebblingScheme& scheme) {
       result.error = "both pebbles on the same vertex";
       return result;
     }
-    const int64_t e =
-        csr != nullptr ? csr->FindEdge(static_cast<uint32_t>(c.a),
-                                       static_cast<uint32_t>(c.b))
-                       : g.FindEdge(c.a, c.b);
+    const int64_t e = csr.FindEdge(static_cast<uint32_t>(c.a),
+                                   static_cast<uint32_t>(c.b));
     if (e != -1 && !deleted.Test(static_cast<size_t>(e))) {
       deleted.Set(static_cast<size_t>(e));
       ++result.edges_deleted;

@@ -147,45 +147,24 @@ class PeelableTree {
     // The graph is connected (the caller pebbles per component), so one DFS
     // from node 0 covers everything.
     visited.Set(0);
-    // Iterative DFS that assigns parents on first discovery. Both branches
-    // expand neighbors in incidence order, so the tree (and the pebbling
-    // derived from it) is identical across layouts; the CSR branch walks
-    // the contiguous neighbor row instead of chasing edge structs.
+    // Iterative DFS that assigns parents on first discovery, expanding
+    // neighbors in incidence order over the contiguous CSR rows.
     std::vector<std::pair<int, size_t>> frames;
     frames.emplace_back(0, 0);
-    if (csr_ != nullptr) {
-      while (!frames.empty()) {
-        auto& [v, idx] = frames.back();
-        const CsrSpan nbrs = csr_->Neighbors(static_cast<uint32_t>(v));
-        if (idx >= nbrs.size) {
-          frames.pop_back();
-          continue;
-        }
-        const int w = static_cast<int>(nbrs[idx]);
-        ++idx;
-        if (!visited.Test(w)) {
-          visited.Set(w);
-          parent_[w] = v;
-          children_[v].push_back(w);
-          frames.emplace_back(w, 0);
-        }
+    while (!frames.empty()) {
+      auto& [v, idx] = frames.back();
+      const CsrSpan nbrs = csr_.Neighbors(static_cast<uint32_t>(v));
+      if (idx >= nbrs.size) {
+        frames.pop_back();
+        continue;
       }
-    } else {
-      while (!frames.empty()) {
-        auto& [v, idx] = frames.back();
-        const std::vector<int>& inc = line_.IncidentEdges(v);
-        if (idx >= inc.size()) {
-          frames.pop_back();
-          continue;
-        }
-        const int w = line_.edge(inc[idx]).Other(v);
-        ++idx;
-        if (!visited.Test(w)) {
-          visited.Set(w);
-          parent_[w] = v;
-          children_[v].push_back(w);
-          frames.emplace_back(w, 0);
-        }
+      const int w = static_cast<int>(nbrs[idx]);
+      ++idx;
+      if (!visited.Test(w)) {
+        visited.Set(w);
+        parent_[w] = v;
+        children_[v].push_back(w);
+        frames.emplace_back(w, 0);
       }
     }
     for (int v = 0; v < line_.num_vertices(); ++v) {
@@ -196,9 +175,7 @@ class PeelableTree {
   }
 
   bool HasLineEdge(int a, int b) const {
-    return csr_ != nullptr ? csr_->HasEdge(static_cast<uint32_t>(a),
-                                           static_cast<uint32_t>(b))
-                           : line_.HasEdge(a, b);
+    return csr_.HasEdge(static_cast<uint32_t>(a), static_cast<uint32_t>(b));
   }
 
   // Makes `child` the new child of `new_parent`, detaching from old parent.
@@ -263,7 +240,7 @@ class PeelableTree {
   }
 
   const Graph& line_;
-  const CsrGraph* csr_;  // line_'s frozen view, or nullptr (legacy layout)
+  const CsrGraph& csr_;  // line_'s frozen view
   std::vector<int> parent_;
   std::vector<std::vector<int>> children_;
   Bitset alive_;

@@ -1,8 +1,6 @@
 #include "solver/fallback_pebbler.h"
 
 #include <algorithm>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "graph/features.h"
@@ -14,7 +12,6 @@
 #include "solver/ladder_planner.h"
 #include "solver/local_search_pebbler.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace pebblejoin {
 
@@ -27,89 +24,6 @@ bool IsBudgetCut(RungStatus status) {
   return status == RungStatus::kDeadlineExpired ||
          status == RungStatus::kBudgetExhausted ||
          status == RungStatus::kMemoryCapped;
-}
-
-// Speculative ladder: all budgeted rungs run concurrently, each on its own
-// budget slice sharing stop/node state, and the winner is the strongest
-// rung that produced an order — ladder order is a fixed priority, so the
-// pick is deterministic regardless of thread interleaving. Mirrors the
-// sequential semantics: a deadline noticed by any rung latches the shared
-// stop, which is exactly the sticky-stop behavior the sequential ladder
-// has once a rung runs the clock out.
-std::optional<std::vector<int>> RaceBudgetedRungs(
-    const Pebbler* const* rungs, int num_rungs, int threads,
-    ThreadPool* borrowed_pool, const Graph& g, BudgetContext* ctx,
-    SolveOutcome* outcome) {
-  SharedBudgetState shared;
-  std::vector<BudgetContext> slices;
-  slices.reserve(num_rungs);
-  std::vector<SolveStats> rung_stats(num_rungs);
-  std::vector<SolveOutcome> rung_outcomes(num_rungs);
-  std::vector<std::unique_ptr<TraceSession>> rung_traces(num_rungs);
-  std::vector<std::unique_ptr<EventLog>> rung_logs(num_rungs);
-  std::vector<std::optional<std::vector<int>>> orders(num_rungs);
-  std::vector<int> workers(num_rungs, -1);
-  for (int i = 0; i < num_rungs; ++i) {
-    slices.push_back(ctx->MakeWorkerSlice(&shared));
-    slices[i].set_stats(&rung_stats[i]);
-    if (TraceSession* parent_trace = ctx->trace()) {
-      rung_traces[i] = std::make_unique<TraceSession>(
-          [parent_trace] { return parent_trace->NowUs(); });
-      slices[i].set_trace(rung_traces[i].get());
-    }
-    if (EventLog* parent_log = ctx->log()) {
-      // Buffer-only child log per racing rung; merged in ladder order
-      // below, so the journal is deterministic despite the race.
-      rung_logs[i] = std::make_unique<EventLog>(
-          parent_log->capacity(), [parent_log] { return parent_log->NowUs(); });
-      slices[i].set_log(rung_logs[i].get());
-    }
-  }
-
-  {
-    const auto race_one = [&](int i) {
-      workers[i] = ThreadPool::CurrentWorkerId();
-      orders[i] =
-          rungs[i]->PebbleWithOutcome(g, &slices[i], &rung_outcomes[i]);
-    };
-    if (borrowed_pool != nullptr) {
-      borrowed_pool->ParallelFor(num_rungs, race_one);
-    } else {
-      ThreadPool pool(std::min(threads, num_rungs));
-      pool.ParallelFor(num_rungs, race_one);
-    }
-  }
-
-  // Deterministic merge in ladder order on the owning thread.
-  int winner = -1;
-  for (int i = 0; i < num_rungs; ++i) {
-    ctx->AbsorbSlice(slices[i].polls(), slices[i].stop_reason());
-    if (ctx->stats() != nullptr) ctx->stats()->Add(rung_stats[i]);
-    if (ctx->trace() != nullptr && rung_traces[i] != nullptr) {
-      ctx->trace()->MergeFrom(*rung_traces[i],
-                              TraceArg::Num("worker", workers[i]));
-    }
-    if (ctx->log() != nullptr && rung_logs[i] != nullptr) {
-      ctx->log()->MergeFrom(*rung_logs[i], workers[i]);
-    }
-    for (RungAttempt& attempt : rung_outcomes[i].attempts) {
-      outcome->attempts.push_back(std::move(attempt));
-    }
-    if (winner < 0 && orders[i].has_value()) winner = i;
-  }
-  ctx->AbsorbShared(shared);
-
-  if (winner < 0) {
-    if (!outcome->attempts.empty()) {
-      outcome->status = outcome->attempts.back().status;
-    }
-    return std::nullopt;
-  }
-  outcome->winner = rung_outcomes[winner].winner;
-  outcome->status = rung_outcomes[winner].status;
-  outcome->optimal = rung_outcomes[winner].optimal;
-  outcome->effective_cost = rung_outcomes[winner].effective_cost;
-  return std::move(orders[winner]);
 }
 
 // Plans one descent for the calibrated ladder: derive the component's
@@ -241,35 +155,14 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
   }
 
   std::optional<std::vector<int>> order;
-  // A borrowed pool is only usable from off-pool threads: a worker that
-  // waits on a ParallelFor of its own pool deadlocks. On-pool callers race
-  // on a private pool exactly as before the pool-reuse refactor.
-  ThreadPool* race_pool =
-      ThreadPool::CurrentWorkerId() == -1 ? options_.pool : nullptr;
-  if (options_.speculative_threads > 1 &&
-      plan.start_rung < kNumBudgetedRungs) {
-    outcome->lower_bound = g.num_edges();
-    // The race already slices the budget per rung, so the plan contributes
-    // only its starting-rung cut here (the exact cap is a sequential-path
-    // refinement).
-    order = RaceBudgetedRungs(budgeted_rungs + plan.start_rung,
-                              kNumBudgetedRungs - plan.start_rung,
-                              options_.speculative_threads, race_pool, g,
-                              ctx, outcome);
-  } else if (options_.speculative_threads <= 1) {
-    for (int r = plan.start_rung; r < kNumBudgetedRungs; ++r) {
-      const Pebbler* rung = budgeted_rungs[r];
-      if (r == kPlanExact && plan.exact_cap_ms >= 0) {
-        order = RunWithRungCap(*rung, g, ctx, plan.exact_cap_ms, outcome);
-      } else {
-        order = rung->PebbleWithOutcome(g, ctx, outcome);
-      }
-      if (order.has_value()) break;
+  for (int r = plan.start_rung; r < kNumBudgetedRungs; ++r) {
+    const Pebbler* rung = budgeted_rungs[r];
+    if (r == kPlanExact && plan.exact_cap_ms >= 0) {
+      order = RunWithRungCap(*rung, g, ctx, plan.exact_cap_ms, outcome);
+    } else {
+      order = rung->PebbleWithOutcome(g, ctx, outcome);
     }
-  } else {
-    // Speculative mode with every budgeted rung planned away: nothing to
-    // race; the terminator below answers.
-    outcome->lower_bound = g.num_edges();
+    if (order.has_value()) break;
   }
 
   if (!order.has_value()) {

@@ -17,17 +17,6 @@
 // PebbleWithOutcome reports the full provenance: every rung attempted, why
 // each stopped (SolveOutcome::attempts), which one won, and whether the
 // result is degraded relative to what an unbudgeted solve would have tried.
-//
-// With Options::speculative_threads > 1 the three budgeted rungs race on a
-// ThreadPool instead of running in sequence: each gets its own
-// BudgetContext slice sharing the deadline/node state, and the winner is
-// the *strongest* rung that produced an order (ladder order — a fixed
-// priority, so the pick is deterministic regardless of which thread
-// finished first). Latency drops from the sum of the rungs above the
-// winner to the slowest racing rung, at the cost of the extra cores; the
-// attempts list honestly records all racing rungs. Useful for one big
-// connected component; for many components prefer ComponentPebbler's
-// threads knob instead (racing inside every component would oversubscribe).
 
 #ifndef PEBBLEJOIN_SOLVER_FALLBACK_PEBBLER_H_
 #define PEBBLEJOIN_SOLVER_FALLBACK_PEBBLER_H_
@@ -42,7 +31,6 @@
 namespace pebblejoin {
 
 class LadderPlanner;
-class ThreadPool;
 
 class FallbackPebbler : public Pebbler {
  public:
@@ -63,18 +51,6 @@ class FallbackPebbler : public Pebbler {
     // `plan` provenance on the SolveOutcome, SolveStats and the journal
     // (`ladder.plan`). Borrowed; must outlive every solve.
     const LadderPlanner* planner = nullptr;
-    // > 1: race the budgeted rungs (exact, ils, local-search) concurrently
-    // on that many pool workers and keep the strongest producer. <= 1: the
-    // classic sequential ladder. The terminator rungs always run
-    // sequentially after the race — they are the success guarantee.
-    int speculative_threads = 1;
-    // Borrowed worker pool for the speculative race. When set, the race
-    // submits to this pool instead of constructing one per call (the
-    // pool-reuse mode of a long-lived engine session). Not owned; must
-    // outlive every solve. Ignored while speculative_threads <= 1, and
-    // when the calling thread is itself a pool worker the ladder runs
-    // sequentially instead of racing (nested fan-out would deadlock).
-    ThreadPool* pool = nullptr;
   };
 
   using Pebbler::PebbleConnected;

@@ -14,6 +14,7 @@ std::optional<std::vector<int>> GreedyWalkPebbler::PebbleConnected(
   // The walk is near-linear, but a cooperative solver still honors an
   // already-expired deadline instead of starting work.
   if (budget != nullptr && budget->Expired()) return std::nullopt;
+  const CsrGraph& csr = g.csr();
   const int m = g.num_edges();
 
   Bitset deleted(m);
@@ -22,7 +23,7 @@ std::optional<std::vector<int>> GreedyWalkPebbler::PebbleConnected(
   for (int v = 0; v < g.num_vertices(); ++v) {
     undeleted_degree[v] = g.Degree(v);
   }
-  // cursor[v]: scan position into v's incidence list, so that repeated
+  // cursor[v]: scan position into v's incidence row, so that repeated
   // adjacent-edge searches over the run stay O(total degree) amortized...
   // except that an edge skipped now (deleted) stays skipped, so a plain
   // monotone cursor is sound.
@@ -31,52 +32,11 @@ std::optional<std::vector<int>> GreedyWalkPebbler::PebbleConnected(
   std::vector<int> order;
   order.reserve(m);
 
-  if (const CsrGraph* csr = g.csr()) {
-    // Flat-array walk: the cursor scans run over contiguous CSR rows with
-    // the far endpoint loaded from the parallel neighbor array — same
-    // candidate order and tie-breaking as the legacy loop below.
-    auto delete_edge = [&](int e) {
-      deleted.Set(e);
-      order.push_back(e);
-      --undeleted_degree[csr->EdgeU(e)];
-      --undeleted_degree[csr->EdgeV(e)];
-    };
-
-    int scan_edge = 0;  // cursor for jumps
-    delete_edge(0);
-
-    while (static_cast<int>(order.size()) < m) {
-      if (budget != nullptr && budget->Expired()) return std::nullopt;
-      const int last = order.back();
-      int best = -1;
-      int best_score = 0;
-      for (uint32_t endpoint : {csr->EdgeU(last), csr->EdgeV(last)}) {
-        const CsrSpan inc = csr->IncidentEdges(endpoint);
-        const CsrSpan nbr = csr->Neighbors(endpoint);
-        size_t& cur = cursor[endpoint];
-        while (cur < inc.size && deleted.Test(inc[cur])) ++cur;
-        if (cur >= inc.size) continue;
-        const int e = static_cast<int>(inc[cur]);
-        const int score = undeleted_degree[nbr[cur]];
-        if (best == -1 || score < best_score) {
-          best = e;
-          best_score = score;
-        }
-      }
-      if (best == -1) {
-        while (deleted.Test(scan_edge)) ++scan_edge;
-        best = scan_edge;
-      }
-      delete_edge(best);
-    }
-    return order;
-  }
-
   auto delete_edge = [&](int e) {
     deleted.Set(e);
     order.push_back(e);
-    --undeleted_degree[g.edge(e).u];
-    --undeleted_degree[g.edge(e).v];
+    --undeleted_degree[csr.EdgeU(e)];
+    --undeleted_degree[csr.EdgeV(e)];
   };
 
   int scan_edge = 0;  // cursor for jumps
@@ -86,21 +46,20 @@ std::optional<std::vector<int>> GreedyWalkPebbler::PebbleConnected(
     // A partial order is not a pebbling, so a mid-walk expiry must discard
     // the walk; the amortized poll keeps the check nearly free.
     if (budget != nullptr && budget->Expired()) return std::nullopt;
-    const Graph::Edge& last = g.edge(order.back());
+    const int last = order.back();
     // Candidate adjacent edges from both endpoints; prefer the one whose
     // *far* endpoint has the lowest undeleted degree (finish constrained
     // corners of the graph before they require a dedicated jump).
     int best = -1;
     int best_score = 0;
-    for (int endpoint : {last.u, last.v}) {
-      while (cursor[endpoint] < g.IncidentEdges(endpoint).size() &&
-             deleted.Test(g.IncidentEdges(endpoint)[cursor[endpoint]])) {
-        ++cursor[endpoint];
-      }
-      if (cursor[endpoint] >= g.IncidentEdges(endpoint).size()) continue;
-      const int e = g.IncidentEdges(endpoint)[cursor[endpoint]];
-      const int far = g.edge(e).Other(endpoint);
-      const int score = undeleted_degree[far];
+    for (uint32_t endpoint : {csr.EdgeU(last), csr.EdgeV(last)}) {
+      const CsrSpan inc = csr.IncidentEdges(endpoint);
+      const CsrSpan nbr = csr.Neighbors(endpoint);
+      size_t& cur = cursor[endpoint];
+      while (cur < inc.size && deleted.Test(inc[cur])) ++cur;
+      if (cur >= inc.size) continue;
+      const int e = static_cast<int>(inc[cur]);
+      const int score = undeleted_degree[nbr[cur]];
       if (best == -1 || score < best_score) {
         best = e;
         best_score = score;

@@ -34,7 +34,7 @@
 //
 // The default plan (no planner configured) is inert: FallbackPebbler
 // iterates exactly the historical sequence, byte-identically — pinned by
-// fallback_test and layout_equivalence_test.
+// fallback_test and solve_golden_test.
 
 #ifndef PEBBLEJOIN_SOLVER_LADDER_PLANNER_H_
 #define PEBBLEJOIN_SOLVER_LADDER_PLANNER_H_

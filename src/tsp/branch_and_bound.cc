@@ -209,18 +209,10 @@ BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
   ctx.instance = &instance;
   ctx.n = n;
   ctx.adj.assign(n, 0);
-  if (const CsrGraph* csr = instance.good().csr()) {
-    const uint32_t m = csr->num_edges();
-    for (uint32_t e = 0; e < m; ++e) {
-      ctx.adj[csr->EdgeU(e)] |= uint64_t{1} << csr->EdgeV(e);
-      ctx.adj[csr->EdgeV(e)] |= uint64_t{1} << csr->EdgeU(e);
-    }
-  } else {
-    for (int e = 0; e < instance.good().num_edges(); ++e) {
-      const Graph::Edge& edge = instance.good().edge(e);
-      ctx.adj[edge.u] |= uint64_t{1} << edge.v;
-      ctx.adj[edge.v] |= uint64_t{1} << edge.u;
-    }
+  const CsrGraph& csr = instance.good().csr();
+  for (uint32_t e = 0; e < csr.num_edges(); ++e) {
+    ctx.adj[csr.EdgeU(e)] |= uint64_t{1} << csr.EdgeV(e);
+    ctx.adj[csr.EdgeV(e)] |= uint64_t{1} << csr.EdgeU(e);
   }
   ctx.node_budget = options.node_budget;
   ctx.budget = budget;

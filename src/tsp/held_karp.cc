@@ -42,20 +42,12 @@ std::optional<TspPathResult> HeldKarpSolve(const Tsp12Instance& instance,
   }
 
   // Adjacency bitmasks of the good graph, streamed from the flat CSR
-  // endpoint arrays when the graph carries the frozen view.
+  // endpoint arrays.
   std::vector<uint32_t> adj(n, 0);
-  if (const CsrGraph* csr = instance.good().csr()) {
-    const uint32_t m = csr->num_edges();
-    for (uint32_t e = 0; e < m; ++e) {
-      adj[csr->EdgeU(e)] |= uint32_t{1} << csr->EdgeV(e);
-      adj[csr->EdgeV(e)] |= uint32_t{1} << csr->EdgeU(e);
-    }
-  } else {
-    for (int e = 0; e < instance.good().num_edges(); ++e) {
-      const Graph::Edge& edge = instance.good().edge(e);
-      adj[edge.u] |= uint32_t{1} << edge.v;
-      adj[edge.v] |= uint32_t{1} << edge.u;
-    }
+  const CsrGraph& csr = instance.good().csr();
+  for (uint32_t e = 0; e < csr.num_edges(); ++e) {
+    adj[csr.EdgeU(e)] |= uint32_t{1} << csr.EdgeV(e);
+    adj[csr.EdgeV(e)] |= uint32_t{1} << csr.EdgeU(e);
   }
 
   constexpr uint8_t kInf = std::numeric_limits<uint8_t>::max();

@@ -13,7 +13,7 @@ Tour NearestNeighborTour(const Tsp12Instance& instance, int start) {
   const int n = instance.num_nodes();
   JP_CHECK(0 <= start && start < n);
   const Graph& good = instance.good();
-  const CsrGraph* csr = good.csr();
+  const CsrGraph& csr = good.csr();
 
   Bitset visited(n);
   // remaining_degree[v]: number of unvisited good neighbors of v.
@@ -22,17 +22,13 @@ Tour NearestNeighborTour(const Tsp12Instance& instance, int start) {
 
   Tour tour;
   tour.reserve(n);
-  // Both layouts visit neighbors in incidence order; the CSR branch reads
-  // the contiguous neighbor row instead of materializing a vector per call.
+  // Neighbors are visited in incidence order, read from the contiguous
+  // CSR row.
   auto visit = [&](int v) {
     visited.Set(v);
     tour.push_back(v);
-    if (csr != nullptr) {
-      for (uint32_t w : csr->Neighbors(static_cast<uint32_t>(v))) {
-        --remaining_degree[w];
-      }
-    } else {
-      for (int w : good.Neighbors(v)) --remaining_degree[w];
+    for (uint32_t w : csr.Neighbors(static_cast<uint32_t>(v))) {
+      --remaining_degree[w];
     }
   };
   visit(start);
@@ -41,19 +37,10 @@ Tour NearestNeighborTour(const Tsp12Instance& instance, int start) {
   while (static_cast<int>(tour.size()) < n) {
     const int cur = tour.back();
     int best = -1;
-    if (csr != nullptr) {
-      for (uint32_t w : csr->Neighbors(static_cast<uint32_t>(cur))) {
-        if (visited.Test(w)) continue;
-        if (best == -1 || remaining_degree[w] < remaining_degree[best]) {
-          best = static_cast<int>(w);
-        }
-      }
-    } else {
-      for (int w : good.Neighbors(cur)) {
-        if (visited.Test(w)) continue;
-        if (best == -1 || remaining_degree[w] < remaining_degree[best]) {
-          best = w;
-        }
+    for (uint32_t w : csr.Neighbors(static_cast<uint32_t>(cur))) {
+      if (visited.Test(w)) continue;
+      if (best == -1 || remaining_degree[w] < remaining_degree[best]) {
+        best = static_cast<int>(w);
       }
     }
     if (best == -1) {

@@ -23,8 +23,8 @@ namespace pebblejoin {
 // A TSP-(1,2) instance. Immutable after construction.
 class Tsp12Instance {
  public:
-  // Instances whose good graph carries a CSR view and has at most this many
-  // nodes get a dense adjacency matrix (one bit per ordered pair, ≤ 2 MiB),
+  // Instances whose good graph has at most this many nodes get a dense
+  // adjacency matrix (one bit per ordered pair, ≤ 2 MiB),
   // making IsGood() — the innermost predicate of local search and 2-opt —
   // a single word load instead of an O(deg) incidence scan.
   static constexpr int kAdjMatrixMaxNodes = 4096;
@@ -49,7 +49,7 @@ class Tsp12Instance {
  private:
   Graph good_;
   // Dense n×n good-edge matrix (row-major, stride matrix_stride_), built
-  // only when good_ is CSR-frozen and small enough; stride 0 means absent.
+  // only when good_ is small enough; stride 0 means absent.
   Bitset adj_matrix_;
   int matrix_stride_ = 0;
 };

@@ -1,4 +1,4 @@
-// util/bitset.h and util/arena.h: the flat primitives under the CSR core.
+// util/bitset.h: the flat word-scan sets the solver hot loops use.
 //
 // The Bitset checks are exhaustive over small widths, hit the 63/64/65
 // word-boundary widths explicitly, and cross-check every operation against
@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/arena.h"
 #include "util/bitset.h"
 
 namespace pebblejoin {
@@ -162,36 +161,6 @@ TEST(BitsetTest, MatchesStdSetUnderRandomOperations) {
     b.ForEachSetBit([&](size_t i) { scanned.push_back(i); });
     ASSERT_EQ(scanned, std::vector<size_t>(model.begin(), model.end()));
   }
-}
-
-TEST(ArenaTest, AllocationsAreCacheLineAlignedAndZeroed) {
-  Arena arena(/*initial_block_bytes=*/128);  // force several growths
-  for (int i = 0; i < 50; ++i) {
-    const size_t count = 1 + static_cast<size_t>(i) * 37 % 4000;
-    const uint32_t* p = arena.AllocateArray<uint32_t>(count);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % Arena::kAlignment, 0u);
-    for (size_t j = 0; j < count; ++j) ASSERT_EQ(p[j], 0u);
-  }
-  EXPECT_GT(arena.allocated_bytes(), 0u);
-}
-
-TEST(ArenaTest, DistinctAllocationsDoNotOverlap) {
-  Arena arena;
-  uint64_t* a = arena.AllocateArray<uint64_t>(100);
-  uint64_t* b = arena.AllocateArray<uint64_t>(100);
-  for (int i = 0; i < 100; ++i) a[i] = 1;
-  for (int i = 0; i < 100; ++i) b[i] = 2;
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(a[i], 1u);
-    EXPECT_EQ(b[i], 2u);
-  }
-}
-
-TEST(ArenaTest, ZeroCountReturnsNull) {
-  Arena arena;
-  EXPECT_EQ(arena.AllocateArray<uint32_t>(0), nullptr);
-  EXPECT_EQ(arena.allocated_bytes(), 0u);
 }
 
 }  // namespace

@@ -497,31 +497,14 @@ grep -q '"event":"batch.reject"' "$WORK_DIR/brj.jsonl" \
 grep -q '"reason":"batch-line-rejected"' "$WORK_DIR/brj.jsonl" \
   || note_failure "the first rejection must dump the flight recorder"
 
-# --- Graph layout: --layout flag, differential identity, stage counters ---
-expect_code "bad layout exits 2" 2 analyze --layout columnar
-expect_fail "solve bad layout" -- solve --layout rowwise
+# --- Graph layout: CSR is the only view; --layout is gone --------------
+expect_code "--layout is an unknown flag" 2 analyze --layout csr
 
-# The layout changes memory layout only: default (csr) and --layout legacy
-# output must be byte-identical, on both the order and JSON surfaces.
 DENSE=$("$BIN" gen complete 12 12)
 if [ $? -ne 0 ] || [ -z "$DENSE" ]; then
   note_failure "gen complete 12 12 should succeed"
 fi
-CSR_OUT=$(printf '%s' "$DENSE" | "$BIN" solve --layout csr)
-LEGACY_OUT=$(printf '%s' "$DENSE" | "$BIN" solve --layout legacy)
 DEFAULT_OUT=$(printf '%s' "$DENSE" | "$BIN" solve)
-if [ "$CSR_OUT" != "$LEGACY_OUT" ]; then
-  note_failure "solve output must be identical for --layout csr and legacy"
-fi
-if [ "$DEFAULT_OUT" != "$CSR_OUT" ]; then
-  note_failure "solve must default to the csr layout"
-fi
-printf '%s' "$DENSE" | "$BIN" analyze --json --layout csr \
-  | python3 "$TOOLS_DIR/json_normalize.py" > "$WORK_DIR/lay_csr.json"
-printf '%s' "$DENSE" | "$BIN" analyze --json --layout legacy \
-  | python3 "$TOOLS_DIR/json_normalize.py" > "$WORK_DIR/lay_leg.json"
-cmp -s "$WORK_DIR/lay_csr.json" "$WORK_DIR/lay_leg.json" \
-  || note_failure "analyze --json must be layout-invariant after normalization"
 
 # --perf-stats on the dense instance surfaces the per-stage counter table,
 # with a build row covering the CSR freeze; the stats.perf gate keeps the

@@ -1,13 +1,20 @@
 // The CSR graph core: the frozen view must mirror the mutable Graph
 // exactly (same degrees, same insertion-ordered incidence rows, same
-// FindEdge answers), travel correctly through copies / mutation /
-// ExtractComponent / BuildLineGraph, and — the determinism contract every
-// layout-equivalence guarantee rests on — produce line and incidence
-// graphs whose neighbor order is identical to the legacy build path,
-// without any re-sorting.
+// FindEdge answers), be published once under concurrent first access,
+// follow copies / moves / mutation correctly, and drive ExtractComponent,
+// BuildLineGraph, BuildIncidenceGraph and the graph properties to exactly
+// the results of small reference builders written here on
+// Graph::IncidentEdges — the determinism contract the solve goldens rest
+// on.
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,6 +48,111 @@ Graph RandomInstance(uint64_t seed) {
   const int m = static_cast<int>(rng() % (max_m + 1));
   return RandomBipartiteWithEdges(left, right, m, rng()).ToGraph();
 }
+
+// --- Reference builders over Graph::IncidentEdges -------------------------
+
+// Stack DFS from each unvisited non-isolated vertex, neighbors in
+// incidence order; edges bucketed by component in edge-id order.
+ComponentDecomposition ReferenceComponents(const Graph& g) {
+  ComponentDecomposition out;
+  out.component_of.assign(g.num_vertices(), -1);
+  std::vector<int> stack;
+  for (int start = 0; start < g.num_vertices(); ++start) {
+    if (g.Degree(start) == 0 || out.component_of[start] != -1) continue;
+    const int c = out.num_components++;
+    out.vertices_of.emplace_back();
+    out.edges_of.emplace_back();
+    stack.push_back(start);
+    out.component_of[start] = c;
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      out.vertices_of[c].push_back(v);
+      for (int e : g.IncidentEdges(v)) {
+        const int w = g.edge(e).Other(v);
+        if (out.component_of[w] == -1) {
+          out.component_of[w] = c;
+          stack.push_back(w);
+        }
+      }
+    }
+  }
+  for (int e = 0; e < g.num_edges(); ++e) {
+    out.edges_of[out.component_of[g.edge(e).u]].push_back(e);
+  }
+  return out;
+}
+
+// L(G) by pair enumeration within each incidence list, with the checked
+// AddEdge (a duplicate pair would abort).
+Graph ReferenceLineGraph(const Graph& g) {
+  Graph line(g.num_edges());
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    const std::vector<int>& inc = g.IncidentEdges(v);
+    for (size_t i = 0; i < inc.size(); ++i) {
+      for (size_t j = i + 1; j < inc.size(); ++j) {
+        line.AddEdge(inc[i], inc[j]);
+      }
+    }
+  }
+  return line;
+}
+
+BipartiteGraph ReferenceIncidenceGraph(const Graph& g) {
+  BipartiteGraph b(g.num_vertices(), g.num_edges());
+  for (int e = 0; e < g.num_edges(); ++e) {
+    b.AddEdge(g.edge(e).u, e);
+    b.AddEdge(g.edge(e).v, e);
+  }
+  return b;
+}
+
+// Stack DFS 2-coloring, neighbors in incidence order.
+std::optional<std::vector<int>> ReferenceTwoColor(const Graph& g) {
+  std::vector<int> color(g.num_vertices(), -1);
+  std::vector<int> stack;
+  for (int start = 0; start < g.num_vertices(); ++start) {
+    if (color[start] != -1) continue;
+    color[start] = 0;
+    stack.push_back(start);
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      for (int e : g.IncidentEdges(v)) {
+        const int w = g.edge(e).Other(v);
+        if (color[w] == -1) {
+          color[w] = 1 - color[v];
+          stack.push_back(w);
+        } else if (color[w] == color[v]) {
+          return std::nullopt;
+        }
+      }
+    }
+  }
+  return color;
+}
+
+// First (center, i < j < k) in scan order whose three neighbors are
+// pairwise non-adjacent.
+std::optional<std::array<int, 4>> ReferenceClaw(const Graph& g) {
+  for (int center = 0; center < g.num_vertices(); ++center) {
+    const std::vector<int> nbrs = g.Neighbors(center);
+    const int d = static_cast<int>(nbrs.size());
+    for (int i = 0; i < d; ++i) {
+      for (int j = i + 1; j < d; ++j) {
+        if (g.HasEdge(nbrs[i], nbrs[j])) continue;
+        for (int k = j + 1; k < d; ++k) {
+          if (!g.HasEdge(nbrs[i], nbrs[k]) && !g.HasEdge(nbrs[j], nbrs[k])) {
+            return std::array<int, 4>{center, nbrs[i], nbrs[j], nbrs[k]};
+          }
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// --- The view itself ------------------------------------------------------
 
 // The core invariant: every CSR accessor agrees with the Graph it froze.
 TEST(CsrGraphTest, MirrorsGraphExactly) {
@@ -82,115 +194,141 @@ TEST(CsrGraphTest, MirrorsGraphExactly) {
         EXPECT_EQ(csr.HasEdge(u, v), g.HasEdge(u, v));
       }
     }
-    EXPECT_GT(csr.arena_bytes(), 0u);
   }
 }
 
 TEST(CsrGraphTest, BuildCsrIsIdempotentAndMutationInvalidates) {
   Graph g = CompleteBipartite(3, 4).ToGraph();
-  EXPECT_EQ(g.csr(), nullptr);
+  const CsrGraph* view = &g.csr();
+  EXPECT_EQ(&g.csr(), view);  // cached: same frozen view
   g.BuildCsr();
-  const CsrGraph* view = g.csr();
-  ASSERT_NE(view, nullptr);
-  g.BuildCsr();
-  EXPECT_EQ(g.csr(), view);  // idempotent: same frozen view
+  EXPECT_EQ(&g.csr(), view);  // the eager form reuses it too
+  EXPECT_EQ(view->num_edges(), 12u);
 
+  // A mutation drops the view; the next access freezes the new adjacency.
   const int w = g.AddVertices(1);
-  EXPECT_EQ(g.csr(), nullptr);  // mutation invalidated the view
-  g.BuildCsr();
-  ASSERT_NE(g.csr(), nullptr);
+  EXPECT_EQ(g.csr().num_vertices(), static_cast<uint32_t>(g.num_vertices()));
   g.AddEdge(0, w);
-  EXPECT_EQ(g.csr(), nullptr);
-  g.BuildCsr();
-  EXPECT_EQ(g.csr()->num_edges(), static_cast<uint32_t>(g.num_edges()));
+  EXPECT_EQ(g.csr().num_edges(), 13u);
+  EXPECT_EQ(g.csr().Degree(w), 1u);
+  EXPECT_EQ(g.csr().FindEdge(0, w), 12);
+  g.AddEdgeUnchecked(1, w);
+  EXPECT_EQ(g.csr().num_edges(), 14u);
+  EXPECT_EQ(g.csr().Degree(w), 2u);
 }
 
 TEST(CsrGraphTest, CopyAndAssignmentPreserveCsrness) {
   Graph frozen = WorstCaseFamily(4).ToGraph();
-  frozen.BuildCsr();
-  Graph plain = WorstCaseFamily(4).ToGraph();
+  const CsrGraph* original = &frozen.csr();
 
-  // Copying a frozen graph yields a fresh frozen view; copying a plain
-  // graph yields none — the layout travels with the graph.
-  const Graph frozen_copy(frozen);
-  ASSERT_NE(frozen_copy.csr(), nullptr);
-  EXPECT_NE(frozen_copy.csr(), frozen.csr());
-  EXPECT_EQ(frozen_copy.csr()->num_edges(),
-            static_cast<uint32_t>(frozen.num_edges()));
-  const Graph plain_copy(plain);
-  EXPECT_EQ(plain_copy.csr(), nullptr);
+  // A copy shares nothing: it freezes its own view, mirroring the same
+  // adjacency.
+  const Graph copy(frozen);
+  EXPECT_NE(&copy.csr(), original);
+  EXPECT_EQ(copy.csr().num_edges(), original->num_edges());
+  EXPECT_EQ(copy.DebugString(), frozen.DebugString());
 
-  Graph target;
+  // Assignment over a graph with its own view replaces that view.
+  Graph target = CompleteBipartite(2, 2).ToGraph();
+  EXPECT_EQ(target.csr().num_edges(), 4u);
   target = frozen;
-  ASSERT_NE(target.csr(), nullptr);
-  target = plain;
-  EXPECT_EQ(target.csr(), nullptr);
+  EXPECT_NE(&target.csr(), original);
+  EXPECT_EQ(target.csr().num_edges(), original->num_edges());
 
   // Moves transfer the view as-is.
   Graph moved(std::move(frozen));
-  ASSERT_NE(moved.csr(), nullptr);
+  EXPECT_EQ(&moved.csr(), original);
+  Graph move_target;
+  move_target = std::move(moved);
+  EXPECT_EQ(&move_target.csr(), original);
 }
+
+// The thread-safe publication contract: concurrent first calls on one
+// unfrozen const graph all return the single published view. Runs under
+// ThreadSanitizer in CI (ctest -L tsan).
+TEST(CsrGraphTest, ConcurrentFirstAccessPublishesOneView) {
+  constexpr int kThreads = 8;
+  for (uint64_t round = 0; round < 20; ++round) {
+    SCOPED_TRACE(std::string("round=") + std::to_string(round));
+    const Graph g =
+        RandomConnectedBipartite(12, 12, 60, /*seed=*/round + 1).ToGraph();
+    std::atomic<int> ready{0};
+    std::vector<const CsrGraph*> seen(kThreads, nullptr);
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&g, &ready, &seen, t] {
+        // Spin until every thread is up, so the first accesses overlap.
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        seen[t] = &g.csr();
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(seen[t], seen[0]) << "thread " << t;
+    }
+    EXPECT_EQ(&g.csr(), seen[0]);
+    EXPECT_EQ(seen[0]->num_edges(), 60u);
+  }
+}
+
+// --- Consumers against the reference builders ----------------------------
 
 TEST(CsrGraphTest, ExtractComponentPropagatesLayoutAndOrder) {
   for (uint64_t seed = 0; seed < 100; ++seed) {
     SCOPED_TRACE(std::string("seed=") + std::to_string(seed));
     std::mt19937_64 rng(seed);
     // A union of two blocks guarantees >= 2 components.
-    const BipartiteGraph b =
-        DisjointUnion(RandomConnectedBlock(rng), RandomConnectedBlock(rng));
-    const Graph legacy = b.ToGraph();
-    Graph frozen = b.ToGraph();
-    frozen.BuildCsr();
+    const Graph g =
+        DisjointUnion(RandomConnectedBlock(rng), RandomConnectedBlock(rng))
+            .ToGraph();
 
-    const ComponentDecomposition decomp_legacy = FindComponents(legacy);
-    const ComponentDecomposition decomp_frozen = FindComponents(frozen);
-    ASSERT_EQ(decomp_legacy.num_components, decomp_frozen.num_components);
-    ASSERT_EQ(decomp_legacy.component_of, decomp_frozen.component_of);
-    ASSERT_EQ(decomp_legacy.vertices_of, decomp_frozen.vertices_of);
-    ASSERT_EQ(decomp_legacy.edges_of, decomp_frozen.edges_of);
+    const ComponentDecomposition decomp = FindComponents(g);
+    const ComponentDecomposition reference = ReferenceComponents(g);
+    ASSERT_GE(decomp.num_components, 2);
+    ASSERT_EQ(decomp.num_components, reference.num_components);
+    ASSERT_EQ(decomp.component_of, reference.component_of);
+    ASSERT_EQ(decomp.vertices_of, reference.vertices_of);
+    ASSERT_EQ(decomp.edges_of, reference.edges_of);
 
-    for (int c = 0; c < decomp_legacy.num_components; ++c) {
-      std::vector<int> vmap_l, emap_l, vmap_f, emap_f;
-      const Graph sub_l =
-          ExtractComponent(legacy, decomp_legacy, c, &vmap_l, &emap_l);
-      const Graph sub_f =
-          ExtractComponent(frozen, decomp_frozen, c, &vmap_f, &emap_f);
-      EXPECT_EQ(vmap_l, vmap_f);
-      EXPECT_EQ(emap_l, emap_f);
-      // The subgraph of a frozen parent is itself frozen; of a legacy
-      // parent, legacy. Structure is identical either way.
-      EXPECT_EQ(sub_l.csr(), nullptr);
-      ASSERT_NE(sub_f.csr(), nullptr);
-      EXPECT_EQ(sub_l.DebugString(), sub_f.DebugString());
+    for (int c = 0; c < decomp.num_components; ++c) {
+      std::vector<int> vmap, emap;
+      const Graph sub = ExtractComponent(g, decomp, c, &vmap, &emap);
+      EXPECT_EQ(vmap, decomp.vertices_of[c]);
+      EXPECT_EQ(emap, decomp.edges_of[c]);
+      // Local edge i is parent edge emap[i], endpoints relabeled through
+      // vmap, in the parent's edge-id order.
+      ASSERT_EQ(sub.num_edges(), static_cast<int>(emap.size()));
+      for (int e = 0; e < sub.num_edges(); ++e) {
+        const Graph::Edge& parent = g.edge(emap[e]);
+        EXPECT_EQ(vmap[sub.edge(e).u], parent.u);
+        EXPECT_EQ(vmap[sub.edge(e).v], parent.v);
+      }
+      EXPECT_EQ(sub.csr().num_edges(), static_cast<uint32_t>(emap.size()));
+      EXPECT_EQ(FindComponents(sub).num_components, 1);
     }
   }
 }
 
-// The regression this suite pins: line/incidence builds from CSR stream
-// the frozen rows directly, and the neighbor order they produce must be
-// identical to the legacy build path — no re-sorting on either side.
+// Line/incidence builds stream the frozen rows directly, and the order
+// they produce must be exactly the incidence-list order — no re-sorting.
 TEST(CsrGraphTest, LineGraphIdenticalAcrossBuildPaths) {
   for (uint64_t seed = 0; seed < 150; ++seed) {
     SCOPED_TRACE(std::string("seed=") + std::to_string(seed));
-    const Graph legacy = RandomInstance(seed);
-    Graph frozen = RandomInstance(seed);
-    frozen.BuildCsr();
+    const Graph g = RandomInstance(seed);
+    const Graph line = BuildLineGraph(g);
+    const Graph reference = ReferenceLineGraph(g);
 
-    ASSERT_EQ(LineGraphEdgeCount(legacy), LineGraphEdgeCount(frozen));
-    const Graph line_legacy = BuildLineGraph(legacy);
-    const Graph line_frozen = BuildLineGraph(frozen);
-    // Same vertices, same edges, same insertion order — byte-identical
-    // structure dump.
-    ASSERT_EQ(line_legacy.DebugString(), line_frozen.DebugString());
+    ASSERT_EQ(LineGraphEdgeCount(g), reference.num_edges());
+    // Same vertices, same edges, same insertion order.
+    ASSERT_EQ(line.DebugString(), reference.DebugString());
     // Per-vertex incidence order matches too (DebugString only covers
     // edge order).
-    for (int v = 0; v < line_legacy.num_vertices(); ++v) {
-      ASSERT_EQ(line_legacy.IncidentEdges(v), line_frozen.IncidentEdges(v));
+    for (int v = 0; v < line.num_vertices(); ++v) {
+      ASSERT_EQ(line.IncidentEdges(v), reference.IncidentEdges(v));
     }
-    // A line graph built from a frozen source inherits the layout, so the
-    // solvers that consume it (dfs-tree, exact) stay on the fast path.
-    EXPECT_EQ(line_legacy.csr(), nullptr);
-    EXPECT_NE(line_frozen.csr(), nullptr);
   }
 }
 
@@ -199,50 +337,55 @@ TEST(CsrGraphTest, IncidenceGraphIdenticalAcrossBuildPaths) {
     SCOPED_TRACE(std::string("seed=") + std::to_string(seed));
     std::mt19937_64 rng(seed);
     // BuildIncidenceGraph wants a general graph; keep every node covered.
-    const Graph legacy =
+    const Graph g =
         RandomConnectedBoundedDegree(2 + static_cast<int>(rng() % 6), 4,
                                      static_cast<int>(rng() % 5), rng());
-    Graph frozen = legacy;
-    frozen.BuildCsr();
-
-    const BipartiteGraph b_legacy = BuildIncidenceGraph(legacy);
-    const BipartiteGraph b_frozen = BuildIncidenceGraph(frozen);
-    ASSERT_EQ(b_legacy.DebugString(), b_frozen.DebugString());
+    ASSERT_EQ(BuildIncidenceGraph(g).DebugString(),
+              ReferenceIncidenceGraph(g).DebugString());
   }
 }
 
 TEST(CsrGraphTest, GraphPropertiesIdenticalAcrossLayouts) {
   for (uint64_t seed = 0; seed < 200; ++seed) {
     SCOPED_TRACE(std::string("seed=") + std::to_string(seed));
-    const Graph legacy = RandomInstance(seed);
-    Graph frozen = legacy;
-    frozen.BuildCsr();
+    const Graph g = RandomInstance(seed);
+    EXPECT_EQ(TwoColor(g), ReferenceTwoColor(g));
 
-    EXPECT_EQ(TwoColor(legacy), TwoColor(frozen));
-    EXPECT_EQ(ComponentsAreCompleteBipartite(legacy),
-              ComponentsAreCompleteBipartite(frozen));
-    EXPECT_EQ(MaxDegree(legacy), MaxDegree(frozen));
-    EXPECT_EQ(DegreeHistogram(legacy), DegreeHistogram(frozen));
-    EXPECT_EQ(NumNonIsolatedVertices(legacy), NumNonIsolatedVertices(frozen));
+    int max_degree = 0;
+    int non_isolated = 0;
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      max_degree = std::max(max_degree, g.Degree(v));
+      if (g.Degree(v) > 0) ++non_isolated;
+    }
+    EXPECT_EQ(MaxDegree(g), max_degree);
+    EXPECT_EQ(NumNonIsolatedVertices(g), non_isolated);
+    const std::vector<int> histogram = DegreeHistogram(g);
+    ASSERT_EQ(histogram.size(), static_cast<size_t>(max_degree + 1));
+    for (int d = 0; d <= max_degree; ++d) {
+      int count = 0;
+      for (int v = 0; v < g.num_vertices(); ++v) count += g.Degree(v) == d;
+      EXPECT_EQ(histogram[d], count) << "degree " << d;
+    }
   }
-  // Claw detection: stars have claws, cycles and completes do not; the
-  // witness (not just the verdict) must match across layouts.
+  // Claw detection: stars and the worst-case family have claws, cycles
+  // and completes do not; the witness (not just the verdict) must match.
   for (int m : {3, 4, 7}) {
     SCOPED_TRACE(std::string("star m=") + std::to_string(m));
-    const Graph legacy = StarGraph(m).ToGraph();
-    Graph frozen = legacy;
-    frozen.BuildCsr();
-    const auto claw_legacy = FindInducedClaw(legacy);
-    const auto claw_frozen = FindInducedClaw(frozen);
-    ASSERT_TRUE(claw_legacy.has_value());
-    ASSERT_TRUE(claw_frozen.has_value());
-    EXPECT_EQ(*claw_legacy, *claw_frozen);
+    const Graph g = StarGraph(m).ToGraph();
+    const auto claw = FindInducedClaw(g);
+    ASSERT_TRUE(claw.has_value());
+    EXPECT_EQ(claw, ReferenceClaw(g));
+  }
+  for (int n : {3, 5}) {
+    SCOPED_TRACE(std::string("worstcase n=") + std::to_string(n));
+    const Graph g = WorstCaseFamily(n).ToGraph();
+    EXPECT_EQ(FindInducedClaw(g), ReferenceClaw(g));
   }
   for (int n : {4, 5, 6}) {
     SCOPED_TRACE(std::string("K_n n=") + std::to_string(n));
-    Graph frozen = CompleteGraph(n);
-    frozen.BuildCsr();
-    EXPECT_FALSE(FindInducedClaw(frozen).has_value());
+    const Graph g = CompleteGraph(n);
+    EXPECT_FALSE(FindInducedClaw(g).has_value());
+    EXPECT_FALSE(ReferenceClaw(g).has_value());
   }
 }
 

@@ -43,21 +43,6 @@ std::vector<Graph> PropertyCorpus() {
   return corpus;
 }
 
-TEST(FeaturesPropertyTest, InvariantAcrossCsrAndLegacyLayouts) {
-  // The planner's dispatch must not depend on --layout: the CSR degree
-  // fast path and the legacy incident-list scan must produce identical
-  // feature vectors on every family.
-  for (const Graph& g : PropertyCorpus()) {
-    const GraphFeatures legacy = ExtractGraphFeatures(g);
-    Graph frozen = g;
-    frozen.BuildCsr();
-    ASSERT_NE(frozen.csr(), nullptr);
-    const GraphFeatures csr = ExtractGraphFeatures(frozen);
-    ExpectSameFeatures(legacy, csr);
-    EXPECT_EQ(LogFeatureVector(legacy), LogFeatureVector(csr));
-  }
-}
-
 TEST(FeaturesPropertyTest, InvariantAcrossThreads) {
   // Extraction is pure and lock-free; concurrent extraction from many
   // threads must agree bit-for-bit with the single-threaded result, so

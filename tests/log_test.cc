@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -36,9 +37,7 @@ struct TestJournal {
     Journal::Options options;
     options.min_level = min_level;
     options.clock_us = [this, step_us] {
-      const int64_t t = next_us;
-      next_us += step_us;
-      return t;
+      return next_us.fetch_add(step_us);
     };
     return options;
   }
@@ -51,7 +50,8 @@ struct TestJournal {
     return lines;
   }
 
-  int64_t next_us = 0;
+  // Atomic: concurrent writers read the clock outside the journal lock.
+  std::atomic<int64_t> next_us{0};
   std::ostringstream sink;
   Journal journal;
 };

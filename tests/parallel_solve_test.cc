@@ -1,8 +1,7 @@
 // Parallel per-component solving: the determinism contract (byte-identical
 // output for every thread count), cancellation propagation across worker
-// slices, deterministic stats merging, worker-tagged traces, and the
-// FallbackPebbler's speculative rung racing. Runs under ThreadSanitizer in
-// CI (ctest -L tsan).
+// slices, deterministic stats merging, and worker-tagged traces. Runs under
+// ThreadSanitizer in CI (ctest -L tsan).
 
 #include <algorithm>
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include "obs/trace.h"
 #include "pebble/scheme_verifier.h"
 #include "solver/component_pebbler.h"
-#include "solver/fallback_pebbler.h"
 #include "solver/greedy_walk_pebbler.h"
 #include "solver/ils_pebbler.h"
 #include "util/budget.h"
@@ -210,59 +208,6 @@ TEST(ParallelTraceTest, WorkerTagsOnComponentSpans) {
   // Every merged worker event carries the worker tag; under threads=4 at
   // least the component spans have it.
   EXPECT_NE(json.find("\"worker\""), std::string::npos);
-}
-
-TEST(SpeculativeLadderTest, RaceMatchesSequentialWinnerAndCost) {
-  // One small connected component: the exact rung wins both sequentially
-  // and in the race (ladder order is the racing priority), so the order,
-  // winner, and optimality claim must agree.
-  const Graph g = RandomConnectedBipartite(3, 3, 7, /*seed=*/5).ToGraph();
-
-  FallbackPebbler::Options sequential_options;
-  const FallbackPebbler sequential(sequential_options);
-  FallbackPebbler::Options racing_options;
-  racing_options.speculative_threads = 4;
-  const FallbackPebbler racing(racing_options);
-
-  BudgetContext seq_ctx{SolveBudget{}};
-  SolveOutcome seq_outcome;
-  const auto seq_order = sequential.PebbleWithOutcome(g, &seq_ctx, &seq_outcome);
-  ASSERT_TRUE(seq_order.has_value());
-
-  BudgetContext race_ctx{SolveBudget{}};
-  SolveOutcome race_outcome;
-  const auto race_order = racing.PebbleWithOutcome(g, &race_ctx, &race_outcome);
-  ASSERT_TRUE(race_order.has_value());
-
-  EXPECT_EQ(*race_order, *seq_order);
-  EXPECT_EQ(race_outcome.winner, seq_outcome.winner);
-  EXPECT_EQ(race_outcome.winner, "exact");
-  EXPECT_EQ(race_outcome.effective_cost, seq_outcome.effective_cost);
-  EXPECT_TRUE(race_outcome.optimal);
-  // The race honestly records every racing rung (the sequential ladder
-  // stops at the first producer, so it may record fewer).
-  EXPECT_EQ(race_outcome.attempts.size(), 3u);
-  EXPECT_TRUE(VerifyEdgeOrder(g, *race_order).valid);
-}
-
-TEST(SpeculativeLadderTest, RaceIsDeterministicAcrossRuns) {
-  const Graph g = RandomConnectedBipartite(4, 4, 11, /*seed=*/6).ToGraph();
-  FallbackPebbler::Options options;
-  options.speculative_threads = 3;
-  const FallbackPebbler racing(options);
-
-  std::vector<int> first;
-  for (int run = 0; run < 3; ++run) {
-    BudgetContext ctx{SolveBudget{}};
-    SolveOutcome outcome;
-    const auto order = racing.PebbleWithOutcome(g, &ctx, &outcome);
-    ASSERT_TRUE(order.has_value());
-    if (run == 0) {
-      first = *order;
-    } else {
-      EXPECT_EQ(*order, first) << "run " << run;
-    }
-  }
 }
 
 }  // namespace

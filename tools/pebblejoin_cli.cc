@@ -159,12 +159,11 @@ int Usage() {
       "  pebblejoin gen worstcase <n>\n"
       "  pebblejoin gen complete <k> <l>\n"
       "  pebblejoin gen random <left> <right> <m> <seed> [--connected]\n"
-      "  pebblejoin analyze [--solver NAME] [--predicate NAME] "
-      "[--layout NAME]\n"
+      "  pebblejoin analyze [--solver NAME] [--predicate NAME]\n"
       "                     [--planner NAME] [--cost-model FILE] "
       "[budget flags]\n"
       "                     [telemetry flags] < graph\n"
-      "  pebblejoin solve [--solver NAME] [--explain] [--layout NAME]\n"
+      "  pebblejoin solve [--solver NAME] [--explain]\n"
       "                   [--planner NAME] [--cost-model FILE] "
       "[budget flags]\n"
       "                   [telemetry flags] < graph\n"
@@ -204,12 +203,9 @@ int Usage() {
       "parallelism: --threads N (0 = one per hardware thread)\n"
       "solvers: %s\n"
       "predicates: %s\n"
-      "layouts: %s (csr is the default; output is identical, only cache\n"
-      "         behavior differs)\n"
       "planners: %s (ladder is the default blind descent; calibrated\n"
       "          plans the fallback ladder from the cost model)\n",
-      SolverNameList(), PredicateNameList(), GraphLayoutNameList(),
-      PlannerNameList());
+      SolverNameList(), PredicateNameList(), PlannerNameList());
   return kExitUsage;
 }
 
@@ -266,7 +262,6 @@ struct SolveFlags {
   SolverChoice solver = SolverChoice::kAuto;
   bool solver_set = false;
   PlannerChoice planner = PlannerChoice::kLadder;
-  GraphLayout layout = GraphLayout::kCsr;
   // --cost-model FILE: coefficients for the calibrated planner; empty
   // keeps the compiled-in calibration. Resolved by ResolveCostModel after
   // flag parsing (distinct exit codes for missing vs. malformed files).
@@ -374,12 +369,6 @@ bool ParseSolveFlags(int argc, char** argv, int start, bool allow_explain,
       if (value == nullptr ||
           !ParsePredicateName(value, &flags->predicate)) {
         Fail(std::string("--predicate needs one of: ") + PredicateNameList());
-        return false;
-      }
-      ++i;
-    } else if (flag == "--layout") {
-      if (value == nullptr || !ParseGraphLayoutName(value, &flags->layout)) {
-        Fail(std::string("--layout needs one of: ") + GraphLayoutNameList());
         return false;
       }
       ++i;
@@ -632,7 +621,6 @@ bool RunAnalysis(const SolveFlags& flags, const BipartiteGraph& g,
   options.solver = flags.solver;
   options.planner = flags.planner;
   options.cost_model = flags.cost_model;
-  options.layout = flags.layout;
   options.budget = flags.budget;
   options.threads = flags.threads;
   options.perf = flags.perf;
@@ -973,8 +961,7 @@ int CmdCalibrate(int argc, char** argv) {
         break;
       }
     }
-    Graph flat = g.ToGraph();
-    flat.BuildCsr();
+    const Graph flat = g.ToGraph();
     const GraphFeatures features = ExtractGraphFeatures(flat);
     const std::array<double, kNumLogFeatures> log_features =
         LogFeatureVector(features);
