@@ -58,9 +58,6 @@ BatchRunner::Summary BatchRunner::Run(std::istream& in, std::ostream& out) {
   // means the same thing in a file and on a socket.
   JsonlRequestRunner::Defaults defaults;
   defaults.predicate = options_.default_predicate;
-  defaults.solver = options_.default_solver;
-  defaults.planner = options_.default_planner;
-  defaults.budget = options_.default_budget;
   const JsonlRequestRunner runner(engine_, defaults);
   const DeadlineAdmission admission(options_.batch_deadline_ms,
                                     options_.admission, batch_start_ms_);

@@ -10,8 +10,9 @@
 // Only "graph" is required; every other key overrides the engine default
 // for that line, with the CLI's spellings (engine/names.h) and the CLI's
 // convention that a budget without an explicit solver selects the fallback
-// ladder. Blank lines are skipped. Unknown keys and malformed values are
-// line-level errors, never batch-level: the offending line yields
+// ladder (engine/jsonl_request.h has the exact rule). Blank lines are
+// skipped. Unknown keys and malformed values are line-level errors, never
+// batch-level: the offending line yields
 //
 //   {"line": N, "error": "<one-line reason>"}
 //
@@ -72,15 +73,9 @@ class BatchRunner {
     // Lines in flight at once. 1 = sequential on the calling thread;
     // more borrows the engine's shared pool.
     int threads = 1;
-    // Engine-default overrides applied to every line that does not set its
-    // own. `default_budget_set` mirrors the CLI's "budget flags given"
-    // bit: with it set and no solver named anywhere, the ladder runs.
+    // Predicate for every line that does not name its own. Solver,
+    // planner, and budget defaults are the engine's (SolveEngine::defaults).
     PredicateClass default_predicate = PredicateClass::kGeneral;
-    std::optional<SolverChoice> default_solver;
-    // Ladder dispatch default ("--planner" on batch); unset = the engine
-    // default. A line's "planner" key overrides it.
-    std::optional<PlannerChoice> default_planner;
-    std::optional<SolveBudget> default_budget;
     // Aggregate wall-clock pool for the whole batch, milliseconds;
     // negative = unlimited.
     int64_t batch_deadline_ms = -1;

@@ -112,13 +112,14 @@ std::string JsonlRequestRunner::Dispatch(const std::string& line,
                                 JsonValue::KindName(doc->kind()));
   }
 
-  // Per-line request state, seeded from the runner defaults.
+  // Per-line request state, seeded from the engine's request defaults; an
+  // unset solver/planner means the engine default.
   std::optional<BipartiteGraph> graph;
   PredicateClass predicate = defaults_.predicate;
-  std::optional<SolverChoice> solver = defaults_.solver;
-  std::optional<PlannerChoice> planner = defaults_.planner;
-  SolveBudget budget = defaults_.budget.value_or(SolveBudget{});
-  bool budget_set = defaults_.budget.has_value();
+  std::optional<SolverChoice> solver;
+  std::optional<PlannerChoice> planner;
+  SolveBudget budget = engine_->defaults().budget;
+  bool budget_keys = false;  // the line set its own budget
 
   for (const auto& [key, value] : doc->object_members()) {
     if (key == "graph") {
@@ -156,12 +157,12 @@ std::string JsonlRequestRunner::Dispatch(const std::string& line,
       if (!ReadNonNegative(value, key, &budget.deadline_ms, &error)) {
         return JsonlErrorRecord(line_number, error);
       }
-      budget_set = true;
+      budget_keys = true;
     } else if (key == "node_budget") {
       if (!ReadNonNegative(value, key, &budget.node_budget, &error)) {
         return JsonlErrorRecord(line_number, error);
       }
-      budget_set = true;
+      budget_keys = true;
     } else if (key == "memory_mb") {
       int64_t mb = 0;
       if (!ReadNonNegative(value, key, &mb, &error) ||
@@ -170,7 +171,7 @@ std::string JsonlRequestRunner::Dispatch(const std::string& line,
                                 "\"memory_mb\" needs a non-negative integer");
       }
       budget.memory_limit_bytes = mb << 20;
-      budget_set = true;
+      budget_keys = true;
     } else if (key == "id") {
       if (!value.is_string() || value.string_value().empty() ||
           value.string_value().size() > kMaxRequestIdBytes) {
@@ -186,9 +187,13 @@ std::string JsonlRequestRunner::Dispatch(const std::string& line,
   if (!graph.has_value()) {
     return JsonlErrorRecord(line_number, "missing required key \"graph\"");
   }
-  // The CLI convention: a budget without an explicit solver selects the
-  // ladder, which degrades instead of refusing.
-  if (budget_set && !solver.has_value()) solver = SolverChoice::kFallback;
+  // The CLI convention: a budget without a solver named anywhere selects
+  // the ladder, which degrades instead of refusing. A surface-level budget
+  // already chose the ladder when the engine defaults were built.
+  if (budget_keys && !solver.has_value() &&
+      engine_->defaults().solver == SolverChoice::kAuto) {
+    solver = SolverChoice::kFallback;
+  }
 
   // Admission against the aggregate pool, judged at the line's start time
   // — under fan-out that is the worker's start, which is exactly the
@@ -216,7 +221,7 @@ std::string JsonlRequestRunner::Dispatch(const std::string& line,
   request.request_id = outcome->request_id;
   request.echo_id = outcome->client_id;
   request.trace = context.trace;
-  if (budget_set || admission_clamped) request.budget = budget;
+  if (budget_keys || admission_clamped) request.budget = budget;
   const SolveResult result = engine_->Solve(request);
   outcome->disposition = Disposition::kSolved;
   outcome->wall_us = result.analysis.stats.solve_wall_us;

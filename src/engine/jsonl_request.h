@@ -7,10 +7,14 @@
 //    "solver": "fallback", "planner": "calibrated", "deadline_ms": 50,
 //    "node_budget": 100000, "memory_mb": 64, "id": "req-42"}
 //
-// Only "graph" is required; every other key overrides the runner default
-// for that line, with the CLI's spellings (engine/names.h) and the CLI's
-// convention that a budget without an explicit solver selects the fallback
-// ladder. Unknown keys and malformed values are line-level errors:
+// Only "graph" is required; every other key overrides, for that line, the
+// engine's request defaults (SolveEngine::defaults(), where the surface's
+// --solver/--planner/budget flags live), with the CLI's spellings
+// (engine/names.h). The CLI's convention that a budget without an explicit
+// solver selects the fallback ladder applies to the line's own budget keys
+// when neither the line nor the engine defaults name a solver (the engine
+// default is kAuto). Unknown keys and malformed values are line-level
+// errors:
 //
 //   {"line": N, "error": "<one-line reason>"}
 //
@@ -41,7 +45,6 @@
 #define PEBBLEJOIN_ENGINE_JSONL_REQUEST_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "engine/admission.h"
@@ -58,17 +61,11 @@ bool JsonlLineIsBlank(const std::string& line);
 
 class JsonlRequestRunner {
  public:
-  // Per-line defaults, the runner-level analogue of CLI flags. With
-  // `default_budget` set and no solver named anywhere, the fallback ladder
-  // runs (it degrades instead of refusing).
+  // The surface settings the engine's request defaults do not carry.
+  // Solver, planner, and budget defaults live in the engine's
+  // AnalyzerOptions only.
   struct Defaults {
     PredicateClass predicate = PredicateClass::kGeneral;
-    std::optional<SolverChoice> solver;
-    // Ladder dispatch policy ("planner" wire key); unset = the engine
-    // default (the blind ladder unless the engine was configured
-    // otherwise).
-    std::optional<PlannerChoice> planner;
-    std::optional<SolveBudget> budget;
     // Ceiling applied to every admitted line's deadline (see
     // ClampDeadline); negative = no cap.
     int64_t deadline_cap_ms = -1;

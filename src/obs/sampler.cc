@@ -243,13 +243,17 @@ void SamplingProfiler::Stop() {
         }
       }
     }
-    char** symbols = backtrace_symbols(unique.data(),
-                                       static_cast<int>(unique.size()));
-    for (size_t i = 0; i < unique.size(); ++i) {
-      names[unique[i]] =
-          symbols != nullptr ? FrameName(symbols[i]) : "?";
+    // No samples, nothing to name: backtrace_symbols must not see the
+    // empty vector's null data().
+    if (!unique.empty()) {
+      char** symbols = backtrace_symbols(unique.data(),
+                                         static_cast<int>(unique.size()));
+      for (size_t i = 0; i < unique.size(); ++i) {
+        names[unique[i]] =
+            symbols != nullptr ? FrameName(symbols[i]) : "?";
+      }
+      if (symbols != nullptr) std::free(symbols);
     }
-    if (symbols != nullptr) std::free(symbols);
   }
 
   // Handler-context frames (SigprofHandler + the kernel's signal

@@ -14,9 +14,6 @@ namespace {
 JsonlRequestRunner::Defaults DefaultsFrom(const ServeOptions& options) {
   JsonlRequestRunner::Defaults defaults;
   defaults.predicate = options.predicate;
-  defaults.solver = options.solver;
-  defaults.planner = options.planner;
-  defaults.budget = options.budget;
   defaults.deadline_cap_ms = options.request_deadline_cap_ms;
   defaults.max_line_bytes = options.max_line_bytes;
   return defaults;

@@ -23,12 +23,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 
-#include "engine/solve_engine.h"
 #include "join/predicates.h"
-#include "util/budget.h"
 
 namespace pebblejoin {
 
@@ -73,13 +70,9 @@ struct ServeOptions {
   // Worker threads for the solve fan-out (the engine's shared pool).
   // 1 = solves run inline on the connection threads.
   int threads = 1;
-  // Request defaults, the serve analogue of the batch CLI flags.
+  // Predicate for every request that does not name its own. Solver,
+  // planner, and budget defaults are the engine's (SolveEngine::defaults).
   PredicateClass predicate = PredicateClass::kGeneral;
-  std::optional<SolverChoice> solver;
-  // Ladder dispatch default for every request ("--planner" on serve);
-  // unset = the engine default. A line's "planner" key overrides it.
-  std::optional<PlannerChoice> planner;
-  std::optional<SolveBudget> budget;
 
   // --- Observability -------------------------------------------------------
   // SLO targets the /statusz burn rates are computed against: window p99

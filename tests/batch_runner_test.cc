@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/analyzer.h"
 #include "core/report.h"
 #include "engine/batch_runner.h"
 #include "engine/solve_engine.h"
@@ -38,10 +39,11 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-std::vector<std::string> RunBatch(const std::string& input,
-                                  BatchRunner::Options options,
-                                  BatchRunner::Summary* summary = nullptr) {
-  SolveEngine engine;
+std::vector<std::string> RunBatch(
+    const std::string& input, BatchRunner::Options options,
+    BatchRunner::Summary* summary = nullptr,
+    const AnalyzerOptions& engine_defaults = AnalyzerOptions()) {
+  SolveEngine engine(SolveEngine::Options{engine_defaults});
   BatchRunner runner(&engine, options);
   std::istringstream in(input);
   std::ostringstream out;
@@ -90,6 +92,65 @@ TEST(BatchRunnerTest, PerLineOverridesApply) {
   EXPECT_NE(lines[1].find("\"predicate\":\"set-containment\""),
             std::string::npos);
   EXPECT_NE(lines[2].find("\"winner\":"), std::string::npos);
+}
+
+// The single-shot answer a line must reproduce byte for byte.
+std::string AnalyzerJson(const BipartiteGraph& g,
+                         const AnalyzerOptions& options) {
+  return NormalizeTimings(AnalysisJson(
+      JoinAnalyzer(options).AnalyzeJoinGraph(g, PredicateClass::kGeneral)));
+}
+
+TEST(BatchRunnerTest, LinesAreSeededFromTheEngineRequestDefaults) {
+  // Solver and budget defaults live in the engine's AnalyzerOptions only;
+  // every line starts from them and overrides key by key.
+  AnalyzerOptions defaults;
+  defaults.solver = SolverChoice::kDfsTree;
+  defaults.budget.node_budget = 50;
+  // Sparse and tree-like: the exact rung cannot prove optimality inside
+  // 50 nodes here, so the default budget shows in the ladder's provenance.
+  const BipartiteGraph g = RandomConnectedBipartite(14, 14, 27, /*seed=*/1);
+  const std::string input =
+      Line(g) + "\n" + Line(g, ", \"solver\": \"greedy\"") + "\n" +
+      Line(g, ", \"deadline_ms\": 1000") + "\n" +
+      Line(g, ", \"solver\": \"fallback\", \"deadline_ms\": 1000") + "\n";
+  const std::vector<std::string> lines =
+      RunBatch(input, BatchRunner::Options(), nullptr, defaults);
+  ASSERT_EQ(lines.size(), 4u);
+
+  // A graph-only line answers exactly as JoinAnalyzer with the same options.
+  EXPECT_EQ(NormalizeTimings(lines[0]), AnalyzerJson(g, defaults));
+  EXPECT_NE(lines[0].find("\"dfs-tree\""), std::string::npos);
+
+  // The line's own "solver" overrides the engine default.
+  AnalyzerOptions greedy = defaults;
+  greedy.solver = SolverChoice::kGreedyWalk;
+  EXPECT_EQ(NormalizeTimings(lines[1]), AnalyzerJson(g, greedy));
+
+  // A line budget does not displace a solver the engine defaults name; it
+  // lands on top of the default budget.
+  AnalyzerOptions deadline = defaults;
+  deadline.budget.deadline_ms = 1000;
+  EXPECT_EQ(NormalizeTimings(lines[2]), AnalyzerJson(g, deadline));
+
+  // The default node budget still binds a line that names the ladder and
+  // a deadline of its own.
+  AnalyzerOptions ladder = deadline;
+  ladder.solver = SolverChoice::kFallback;
+  EXPECT_EQ(NormalizeTimings(lines[3]), AnalyzerJson(g, ladder));
+  EXPECT_NE(lines[3].find("budget-exhausted"), std::string::npos);
+}
+
+TEST(BatchRunnerTest, ALineBudgetOnADefaultEngineSelectsTheLadder) {
+  const BipartiteGraph g = WorstCaseFamily(5);
+  const std::vector<std::string> lines = RunBatch(
+      Line(g, ", \"deadline_ms\": 1000") + "\n", BatchRunner::Options());
+  ASSERT_EQ(lines.size(), 1u);
+  AnalyzerOptions ladder;
+  ladder.solver = SolverChoice::kFallback;
+  ladder.budget.deadline_ms = 1000;
+  EXPECT_EQ(NormalizeTimings(lines[0]), AnalyzerJson(g, ladder));
+  EXPECT_NE(lines[0].find("\"winner\":"), std::string::npos);
 }
 
 TEST(BatchRunnerTest, MalformedLinesYieldErrorRecordsAndTheRunContinues) {

@@ -184,10 +184,12 @@ fi
 
 # --- Exit-code discipline: one distinct code per failure class ------------
 # 64 = usage (no or unknown command), 66 = missing input file, 2 = bad
-# flags. Anything >= 128 is a signal, i.e. a crash.
+# flags. Anything >= 128 is a signal, i.e. a crash. The timeout turns a
+# command that wrongly starts working (say, a serve that binds) into a
+# failure instead of a hang.
 expect_code() {
   local desc="$1" want="$2"; shift; shift
-  "$BIN" "$@" >/dev/null 2>&1 </dev/null
+  timeout 60 "$BIN" "$@" >/dev/null 2>&1 </dev/null
   local got=$?
   if [ "$got" -ne "$want" ]; then
     note_failure "$desc: expected exit $want, got $got"
@@ -198,6 +200,22 @@ expect_code "unknown command exits 64" 64 frobnicate
 expect_code "batch missing input file exits 66" 66 batch --jsonl /nonexistent/in.jsonl
 expect_code "bad flag exits 2" 2 analyze --frobnicate
 expect_code "bad solver exits 2" 2 analyze --solver quantum
+
+# Bad serve and calibrate values: every serve case fails in flag parsing,
+# before any socket is bound.
+expect_code "serve port out of range exits 2" 2 serve --port 70000
+expect_code "serve zero SLO error rate exits 2" 2 serve --slo-error-rate 0
+expect_code "serve zero max-conns exits 2" 2 serve --max-conns 0
+expect_code "serve negative trace-sample exits 2" 2 serve --trace-sample -1
+expect_code "serve negative threads exits 2" 2 serve --threads -1
+expect_code "calibrate zero instances exits 2" 2 calibrate --instances 0
+expect_code "calibrate zero rung deadline exits 2" 2 \
+  calibrate --rung-deadline-ms 0
+# Each command accepts only the flags Usage() lists for it.
+expect_code "batch takes no --json" 2 batch --jsonl - --json
+expect_code "serve takes no --profile-out" 2 serve --profile-out x
+expect_code "analyze takes no --explain" 2 analyze --explain
+expect_code "calibrate takes no --solver" 2 calibrate --solver greedy
 
 # --- Batch JSONL: corpus round-trip, per-line errors, byte identity -------
 TOOLS_DIR="$(cd "$(dirname "$0")/../tools" && pwd)"

@@ -1,36 +1,8 @@
 // pebblejoin — command-line front end.
 //
-// Usage:
-//   pebblejoin --version                         # build provenance
-//   pebblejoin gen worstcase <n>                 > g.txt
-//   pebblejoin gen complete <k> <l>              > g.txt
-//   pebblejoin gen random <left> <right> <m> <seed> [--connected] > g.txt
-//   pebblejoin analyze [--solver NAME] [--predicate NAME] [budget]
-//                      [--planner NAME] [--cost-model FILE]
-//                      [--json] [--stats] [--trace-out FILE] < g.txt
-//   pebblejoin solve   [--solver NAME] [--explain] [budget]
-//                      [--planner NAME] [--cost-model FILE]
-//                      [--json] [--stats] [--trace-out FILE] < g.txt
-//   pebblejoin calibrate [--instances N] [--rung-deadline-ms N]
-//                        [--seed S] [--out FILE]    # cost-model labels
-//   pebblejoin realize sets < g.txt              # Lemma 3.3 instance
-//   pebblejoin bounds  < g.txt                   # Lemma 2.3 / Thm 3.1
-//   pebblejoin schedule [--k N] < g.txt          # k-buffer fetch schedule
-//   pebblejoin partition [--fragments N] < g.txt # Section-5 partitioning
-//   pebblejoin dot [--solve] < g.txt             # Graphviz rendering
-//   pebblejoin batch --jsonl IN.jsonl [--out OUT.jsonl] [--threads N]
-//                    [budget flags] [--batch-deadline-ms N]
-//                    [--admission queue|reject] [--solver NAME]
-//                    [--predicate NAME] [--progress-every-ms N]
-//                    [--slow-request-ms N] [telemetry flags]
-//   pebblejoin serve [--host H] [--port P] [--threads N]
-//                    [--max-conns N] [--max-inflight N]
-//                    [--per-conn-inflight N] [--idle-timeout-ms N]
-//                    [--max-line-bytes N] [--request-deadline-ms N]
-//                    [--drain-ms N] [--slo-p99-ms N] [--slo-error-rate R]
-//                    [--trace-sample N] [--trace-dir DIR]
-//                    [--slow-request-ms N] [budget flags] [--solver NAME]
-//                    [--predicate NAME] [telemetry flags]
+// `pebblejoin` with no arguments prints Usage(), the one list of commands
+// and flags. Every command that takes flags parses them through one table
+// (see Flag below); gen, realize and bounds take positional arguments.
 //
 // `serve` runs the long-lived JSONL solve service (serve/line_server.h):
 // the batch wire format over TCP, one request object per line in, one
@@ -48,7 +20,7 @@
 // port; the bound address is announced on stderr as "serving on
 // HOST:PORT". Protocol, flags, and failure modes: docs/serving.md.
 //
-// Budget flags (analyze/solve): --deadline-ms N, --memory-mb N,
+// Budget flags (analyze/solve/batch/serve): --deadline-ms N, --memory-mb N,
 // --node-budget N. Giving any of them without an explicit --solver selects
 // the fallback ladder, which degrades gracefully instead of refusing.
 //
@@ -112,10 +84,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -256,198 +231,191 @@ std::string ReadStdin() {
   return contents;
 }
 
-// Shared flags of the analyze/solve commands. Solver and predicate names
-// parse through engine/names.h, the same mapping `batch` lines use.
-struct SolveFlags {
-  SolverChoice solver = SolverChoice::kAuto;
-  bool solver_set = false;
-  PlannerChoice planner = PlannerChoice::kLadder;
-  // --cost-model FILE: coefficients for the calibrated planner; empty
-  // keeps the compiled-in calibration. Resolved by ResolveCostModel after
-  // flag parsing (distinct exit codes for missing vs. malformed files).
-  std::string cost_model_path;
-  CostModel cost_model = CostModel::BuiltIn();
-  PredicateClass predicate = PredicateClass::kGeneral;
-  SolveBudget budget;
-  bool budget_set = false;
-  int threads = 1;
-  bool explain = false;
-  bool json = false;
-  bool stats = false;
-  std::string trace_out;    // empty: no trace
-  std::string journal_out;  // empty: no journal; "-" = stderr
-  LogLevel log_level = LogLevel::kInfo;
-  int flight_recorder = EventLog::kDefaultCapacity;
-  std::string metrics_out;  // empty: no OpenMetrics exposition
-  bool perf = false;        // --perf-stats: hardware counters on
-  std::string profile_out;  // empty: no sampling profiler
+// --- The flag table ---------------------------------------------------------
+// Each command lists its flags in one table. A row names a flag, says
+// whether it consumes the next argument, and parses-and-stores that value
+// (false = rejected). ParseFlags walks argv left to right; an unknown flag,
+// a missing value, or a rejected one prints a one-line error — the row's,
+// or "unknown flag" — and the command exits kExitBadFlags.
+struct Flag {
+  std::string name;
+  bool takes_value = false;
+  std::function<bool(const char* value)> store;  // value is null for switches
+  std::string error;
 };
+using FlagTable = std::vector<Flag>;
 
-// Parses the journal/metrics flag cluster shared by analyze/solve/batch.
-// Returns 1 when `flag` consumed a value, 0 when it consumed none, and -1
-// (after printing the error) on bad input or when the flag is not one of
-// the cluster (`*known` tells those apart).
-int ParseJournalFlag(const std::string& flag, const char* value,
-                     bool* known, std::string* journal_out,
-                     LogLevel* log_level, int* flight_recorder,
-                     std::string* metrics_out) {
-  *known = true;
-  if (flag == "--journal") {
-    if (value == nullptr || *value == '\0') {
-      Fail("--journal needs a file path ('-' = stderr)");
-      return -1;
+bool ParseFlags(int argc, char** argv, const FlagTable& table) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string name = argv[i];
+    const auto row =
+        std::find_if(table.begin(), table.end(),
+                     [&name](const Flag& flag) { return flag.name == name; });
+    if (row == table.end()) {
+      Fail("unknown flag '" + name + "'");
+      return false;
     }
-    *journal_out = value;
-    return 1;
-  }
-  if (flag == "--log-level") {
-    if (value == nullptr || !ParseLogLevel(value, log_level)) {
-      Fail("--log-level needs one of: debug info warn error off");
-      return -1;
+    const char* value = nullptr;
+    if (row->takes_value) {
+      if (i + 1 == argc) {
+        Fail(row->error);
+        return false;
+      }
+      value = argv[++i];
     }
-    return 1;
-  }
-  if (flag == "--flight-recorder") {
-    int capacity = 0;
-    if (value == nullptr || !ParseInt32(value, &capacity) || capacity < 1 ||
-        capacity > 1 << 20) {
-      Fail("--flight-recorder needs an integer in [1, 1048576]");
-      return -1;
+    if (!row->store(value)) {
+      Fail(row->error);
+      return false;
     }
-    *flight_recorder = capacity;
-    return 1;
-  }
-  if (flag == "--metrics-out") {
-    if (value == nullptr || *value == '\0') {
-      Fail("--metrics-out needs a file path");
-      return -1;
-    }
-    *metrics_out = value;
-    return 1;
-  }
-  *known = false;
-  return 0;
-}
-
-// Parses argv[start..). On failure prints a one-line error and returns
-// false. `allow_explain` admits solve's --explain.
-bool ParseSolveFlags(int argc, char** argv, int start, bool allow_explain,
-                     SolveFlags* flags) {
-  for (int i = start; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--explain" && allow_explain) {
-      flags->explain = true;
-    } else if (flag == "--json") {
-      flags->json = true;
-    } else if (flag == "--stats") {
-      flags->stats = true;
-    } else if (flag == "--perf-stats") {
-      flags->perf = true;
-    } else if (flag == "--profile-out") {
-      if (value == nullptr || *value == '\0') {
-        Fail("--profile-out needs a file path");
-        return false;
-      }
-      flags->profile_out = value;
-      ++i;
-    } else if (flag == "--trace-out") {
-      if (value == nullptr || *value == '\0') {
-        Fail("--trace-out needs a file path");
-        return false;
-      }
-      flags->trace_out = value;
-      ++i;
-    } else if (flag == "--solver") {
-      if (value == nullptr || !ParseSolverName(value, &flags->solver)) {
-        Fail(std::string("--solver needs one of: ") + SolverNameList());
-        return false;
-      }
-      flags->solver_set = true;
-      ++i;
-    } else if (flag == "--predicate") {
-      if (value == nullptr ||
-          !ParsePredicateName(value, &flags->predicate)) {
-        Fail(std::string("--predicate needs one of: ") + PredicateNameList());
-        return false;
-      }
-      ++i;
-    } else if (flag == "--planner") {
-      if (value == nullptr || !ParsePlannerName(value, &flags->planner)) {
-        Fail(std::string("--planner needs one of: ") + PlannerNameList());
-        return false;
-      }
-      ++i;
-    } else if (flag == "--cost-model") {
-      if (value == nullptr || *value == '\0') {
-        Fail("--cost-model needs a file path");
-        return false;
-      }
-      flags->cost_model_path = value;
-      ++i;
-    } else if (flag == "--deadline-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 0) {
-        Fail("--deadline-ms needs a non-negative integer");
-        return false;
-      }
-      flags->budget.deadline_ms = ms;
-      flags->budget_set = true;
-      ++i;
-    } else if (flag == "--memory-mb") {
-      int64_t mb = 0;
-      if (value == nullptr || !ParseInt64(value, &mb) || mb < 0 ||
-          mb > (int64_t{1} << 40)) {
-        Fail("--memory-mb needs a non-negative integer");
-        return false;
-      }
-      flags->budget.memory_limit_bytes = mb << 20;
-      flags->budget_set = true;
-      ++i;
-    } else if (flag == "--threads") {
-      int threads = 0;
-      if (value == nullptr || !ParseInt32(value, &threads) || threads < 0 ||
-          threads > 4096) {
-        Fail("--threads needs an integer in [0, 4096] (0 = hardware)");
-        return false;
-      }
-      flags->threads = threads == 0 ? ThreadPool::DefaultThreads() : threads;
-      ++i;
-    } else if (flag == "--node-budget") {
-      int64_t nodes = 0;
-      if (value == nullptr || !ParseInt64(value, &nodes) || nodes < 0) {
-        Fail("--node-budget needs a non-negative integer");
-        return false;
-      }
-      flags->budget.node_budget = nodes;
-      flags->budget_set = true;
-      ++i;
-    } else {
-      bool known = false;
-      const int consumed = ParseJournalFlag(
-          flag, value, &known, &flags->journal_out, &flags->log_level,
-          &flags->flight_recorder, &flags->metrics_out);
-      if (consumed < 0) return false;
-      if (!known) {
-        Fail("unknown flag '" + flag + "'");
-        return false;
-      }
-      i += consumed;
-    }
-  }
-  // A budget without an explicit solver means "give me the best scheme you
-  // can inside these limits": the ladder, which never refuses.
-  if (flags->budget_set && !flags->solver_set) {
-    flags->solver = SolverChoice::kFallback;
   }
   return true;
 }
 
-// Resolves a --cost-model path into `*model`. Returns 0 on success (or an
-// empty path — the compiled-in calibration stands), kExitMissingInput when
-// the file cannot be read, and kExitBadFlags when its contents do not
-// parse — the same missing-vs-malformed split the graph inputs use.
-int ResolveCostModel(const std::string& path, CostModel* model) {
+Flag Switch(const char* name, bool* out) {
+  return {name, false, [out](const char*) { return *out = true; }, ""};
+}
+
+// A non-empty string: a path, a host, a directory.
+Flag Text(const char* name, std::string* out, std::string error) {
+  return {name, true,
+          [out](const char* value) {
+            if (*value == '\0') return false;
+            *out = value;
+            return true;
+          },
+          std::move(error)};
+}
+
+// A base-10 integer in [lo, hi].
+template <typename T>
+Flag Int(const char* name, T* out, std::string error,
+         int64_t lo = std::numeric_limits<T>::min(),
+         int64_t hi = std::numeric_limits<T>::max()) {
+  return {name, true,
+          [out, lo, hi](const char* value) {
+            int64_t parsed = 0;
+            if (!ParseInt64(value, &parsed) || parsed < lo || parsed > hi) {
+              return false;
+            }
+            *out = static_cast<T>(parsed);
+            return true;
+          },
+          std::move(error)};
+}
+
+template <typename T>
+Flag NonNegative(const char* name, T* out) {
+  return Int(name, out, std::string(name) + " needs a non-negative integer", 0);
+}
+
+template <typename T>
+Flag Positive(const char* name, T* out) {
+  return Int(name, out, std::string(name) + " needs a positive integer", 1);
+}
+
+// One of the spellings `parse` accepts (engine/names.h, obs/log.h).
+template <typename T>
+Flag Named(const char* name, T* out, bool (*parse)(const std::string&, T*),
+           const char* spellings) {
+  return {name, true,
+          [out, parse](const char* value) { return parse(value, out); },
+          std::string(name) + " needs one of: " + spellings};
+}
+
+Flag Threads(int* out) {
+  return {"--threads", true,
+          [out](const char* value) {
+            int threads = 0;
+            if (!ParseInt32(value, &threads) || threads < 0 || threads > 4096) {
+              return false;
+            }
+            *out = threads == 0 ? ThreadPool::DefaultThreads() : threads;
+            return true;
+          },
+          "--threads needs an integer in [0, 4096] (0 = hardware)"};
+}
+
+// What analyze/solve/batch/serve share. The solver, planner, and budget
+// flags write straight into the engine's request defaults; batch and serve
+// lines are seeded from the same AnalyzerOptions, so a flag means one thing
+// on every surface.
+struct RequestFlags {
+  AnalyzerOptions defaults;
+  bool solver_set = false;      // --solver given: a budget keeps that solver
+  std::string cost_model_path;  // empty: the compiled-in calibration
+  Journal::Options journal;     // --log-level
+  std::string journal_out;      // empty: no journal; "-" = stderr
+  std::string metrics_out;      // empty: no OpenMetrics file
+  std::string profile_out;      // empty: no sampling profiler
+};
+
+// --solver/--planner/--cost-model/--predicate and the budget flags.
+void AddRequestFlags(RequestFlags* flags, PredicateClass* predicate,
+                     FlagTable* table) {
+  AnalyzerOptions* defaults = &flags->defaults;
+  SolveBudget* budget = &defaults->budget;
+  table->insert(
+      table->end(),
+      {{"--solver", true,
+        [flags](const char* value) {
+          flags->solver_set = true;
+          return ParseSolverName(value, &flags->defaults.solver);
+        },
+        std::string("--solver needs one of: ") + SolverNameList()},
+       Named("--planner", &defaults->planner, ParsePlannerName,
+             PlannerNameList()),
+       Text("--cost-model", &flags->cost_model_path,
+            "--cost-model needs a file path"),
+       Named("--predicate", predicate, ParsePredicateName,
+             PredicateNameList()),
+       NonNegative("--deadline-ms", &budget->deadline_ms),
+       NonNegative("--node-budget", &budget->node_budget),
+       {"--memory-mb", true,
+        [budget](const char* value) {
+          int64_t mb = 0;
+          if (!ParseInt64(value, &mb) || mb < 0 || mb > (int64_t{1} << 40)) {
+            return false;
+          }
+          budget->memory_limit_bytes = mb << 20;
+          return true;
+        },
+        "--memory-mb needs a non-negative integer"}});
+}
+
+// --journal/--log-level/--flight-recorder/--metrics-out/--perf-stats, plus
+// --profile-out where the command runs the sampling profiler.
+void AddTelemetryFlags(RequestFlags* flags, bool profiler, FlagTable* table) {
+  table->insert(
+      table->end(),
+      {Text("--journal", &flags->journal_out,
+            "--journal needs a file path ('-' = stderr)"),
+       Named("--log-level", &flags->journal.min_level, ParseLogLevel,
+             "debug info warn error off"),
+       Int("--flight-recorder", &flags->defaults.flight_recorder,
+           "--flight-recorder needs an integer in [1, 1048576]", 1, 1 << 20),
+       Text("--metrics-out", &flags->metrics_out,
+            "--metrics-out needs a file path"),
+       Switch("--perf-stats", &flags->defaults.perf)});
+  if (profiler) {
+    table->push_back(Text("--profile-out", &flags->profile_out,
+                          "--profile-out needs a file path"));
+  }
+}
+
+// Completes the request flags once parsing is done: a budget without an
+// explicit --solver selects the fallback ladder ("give me the best scheme
+// you can inside these limits" — the ladder never refuses), and
+// --cost-model loads. Returns 0, kExitMissingInput when the cost-model file
+// cannot be read, or kExitBadFlags when it does not parse — the same
+// missing-vs-malformed split the graph inputs use.
+int FinishRequestFlags(RequestFlags* flags) {
+  const SolveBudget& budget = flags->defaults.budget;
+  if (!flags->solver_set && (budget.has_deadline() ||
+                             budget.has_node_budget() ||
+                             budget.has_memory_limit())) {
+    flags->defaults.solver = SolverChoice::kFallback;
+  }
+  const std::string& path = flags->cost_model_path;
   if (path.empty()) return 0;
   std::ifstream in(path);
   if (!in.is_open()) {
@@ -458,25 +426,26 @@ int ResolveCostModel(const std::string& path, CostModel* model) {
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   std::string error;
-  if (!ParseCostModelJson(contents, model, &error)) {
-    Fail("cost-model file '" + path + "': " + error);
-    return kExitBadFlags;
+  if (!ParseCostModelJson(contents, &flags->defaults.cost_model, &error)) {
+    return Fail("cost-model file '" + path + "': " + error);
   }
   return 0;
 }
 
-// Attaches the --journal sink: '-' borrows stderr, anything else opens a
-// file. Returns false (after printing the error) on an unwritable path.
-bool AttachJournalSink(const std::string& journal_out, Journal* journal) {
-  if (journal_out == "-") {
-    journal->AttachStream(&std::cerr);
-    return true;
-  }
+// Attaches the --journal sink, if one was given, to `journal` and points
+// `options` at it: '-' borrows stderr, anything else opens a file. Returns
+// false (after printing the error) on an unwritable path.
+bool AttachJournal(const RequestFlags& flags, Journal* journal,
+                   AnalyzerOptions* options) {
+  if (flags.journal_out.empty()) return true;
   std::string error;
-  if (!journal->AttachFile(journal_out, &error)) {
+  if (flags.journal_out == "-") {
+    journal->AttachStream(&std::cerr);
+  } else if (!journal->AttachFile(flags.journal_out, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return false;
   }
+  options->journal = journal;
   return true;
 }
 
@@ -606,31 +575,31 @@ int CmdGen(int argc, char** argv) {
   return Fail("unknown gen family '" + family + "'");
 }
 
+// The flags of analyze/solve: the shared request flags plus the output
+// switches of a one-shot analysis.
+struct AnalysisFlags {
+  RequestFlags request;
+  PredicateClass predicate = PredicateClass::kGeneral;
+  bool explain = false;  // solve only
+  bool json = false;
+  bool stats = false;
+  std::string trace_out;  // empty: no trace
+};
+
 // Telemetry plumbing shared by analyze/solve: enables the process registry
 // under --json/--stats/--metrics-out, attaches a TraceSession when
 // --trace-out was given and a Journal when --journal was, runs the
 // analysis, and writes the trace/metrics files. Returns false (after
 // printing the error) when any output file could not be written.
-bool RunAnalysis(const SolveFlags& flags, const BipartiteGraph& g,
+bool RunAnalysis(const AnalysisFlags& flags, const BipartiteGraph& g,
                  JoinAnalysis* analysis) {
+  AnalyzerOptions options = flags.request.defaults;
   TraceSession trace;
-  Journal::Options journal_options;
-  journal_options.min_level = flags.log_level;
-  Journal journal(journal_options);
-  AnalyzerOptions options;
-  options.solver = flags.solver;
-  options.planner = flags.planner;
-  options.cost_model = flags.cost_model;
-  options.budget = flags.budget;
-  options.threads = flags.threads;
-  options.perf = flags.perf;
   if (!flags.trace_out.empty()) options.trace = &trace;
-  if (!flags.journal_out.empty()) {
-    if (!AttachJournalSink(flags.journal_out, &journal)) return false;
-    options.journal = &journal;
-    options.flight_recorder = flags.flight_recorder;
-  }
-  if (flags.json || flags.stats || !flags.metrics_out.empty()) {
+  Journal journal(flags.request.journal);
+  if (!AttachJournal(flags.request, &journal, &options)) return false;
+  const std::string& metrics_out = flags.request.metrics_out;
+  if (flags.json || flags.stats || !metrics_out.empty()) {
     // The process-global registry is the CLI's explicit opt-in — library
     // code publishes only into the engine's session registry unless a
     // surface injects one.
@@ -638,10 +607,10 @@ bool RunAnalysis(const SolveFlags& flags, const BipartiteGraph& g,
     options.metrics = MetricsRegistry::Default();
   }
   SamplingProfiler profiler;
-  StartProfiler(flags.profile_out, &profiler);
+  StartProfiler(flags.request.profile_out, &profiler);
   const JoinAnalyzer analyzer(options);
   *analysis = analyzer.AnalyzeJoinGraph(g, flags.predicate);
-  if (!FinishProfiler(flags.profile_out, &profiler)) return false;
+  if (!FinishProfiler(flags.request.profile_out, &profiler)) return false;
   if (!flags.trace_out.empty()) {
     std::string error;
     if (!trace.WriteFile(flags.trace_out, &error)) {
@@ -649,52 +618,14 @@ bool RunAnalysis(const SolveFlags& flags, const BipartiteGraph& g,
       return false;
     }
   }
-  if (!flags.metrics_out.empty() &&
-      !WriteMetricsFile(flags.metrics_out, MetricsRegistry::Default())) {
-    return false;
-  }
-  return true;
+  return metrics_out.empty() ||
+         WriteMetricsFile(metrics_out, MetricsRegistry::Default());
 }
 
-int CmdAnalyze(int argc, char** argv) {
-  SolveFlags flags;
-  if (!ParseSolveFlags(argc, argv, 2, /*allow_explain=*/false, &flags)) {
-    return 2;
-  }
-  const int model_rc = ResolveCostModel(flags.cost_model_path,
-                                        &flags.cost_model);
-  if (model_rc != 0) return model_rc;
-  const std::optional<BipartiteGraph> g = GraphFromStdin();
-  if (!g.has_value()) return 1;
-  JoinAnalysis analysis;
-  if (!RunAnalysis(flags, *g, &analysis)) return 1;
-  if (flags.json) {
-    std::fputs((AnalysisJson(analysis) + "\n").c_str(), stdout);
-  } else {
-    std::fputs(FormatAnalysis(analysis, flags.stats).c_str(), stdout);
-    if (flags.perf) std::fputs(FormatPerfStats(analysis).c_str(), stdout);
-  }
-  return 0;
-}
-
-int CmdSolve(int argc, char** argv) {
-  SolveFlags flags;
-  flags.solver = SolverChoice::kLocalSearch;
-  if (!ParseSolveFlags(argc, argv, 2, /*allow_explain=*/true, &flags)) {
-    return 2;
-  }
-  const int model_rc = ResolveCostModel(flags.cost_model_path,
-                                        &flags.cost_model);
-  if (model_rc != 0) return model_rc;
-  const std::optional<BipartiteGraph> g = GraphFromStdin();
-  if (!g.has_value()) return 1;
-  JoinAnalysis analysis;
-  if (!RunAnalysis(flags, *g, &analysis)) return 1;
-  if (flags.json) {
-    // Machine mode: the whole solve (order included) as one JSON document.
-    std::fputs((AnalysisJson(analysis) + "\n").c_str(), stdout);
-    return 0;
-  }
+// Prints solve's human output: the provenance header in comments, then
+// one edge id per line (or, with --explain, the narrated schedule).
+void PrintSolve(const AnalysisFlags& flags, const BipartiteGraph& g,
+                const JoinAnalysis& analysis) {
   std::printf("# pi_hat=%lld pi=%lld jumps=%lld\n",
               static_cast<long long>(analysis.solution.hat_cost),
               static_cast<long long>(analysis.solution.effective_cost),
@@ -710,38 +641,66 @@ int CmdSolve(int argc, char** argv) {
     std::printf("# solver stats:\n");
     std::fputs(analysis.stats.FormatHuman("#   ").c_str(), stdout);
   }
-  if (flags.perf) {
+  if (flags.request.defaults.perf) {
     // Same contract: the perf table rides in comments too.
     PrintCommented(FormatPerfStats(analysis));
   }
   if (!flags.explain) {
     for (int e : analysis.solution.edge_order) std::printf("%d\n", e);
-    return 0;
+    return;
   }
   // Narrated schedule: one line per deletion, flagging jumps.
-  const Graph flat = g->ToGraph();
+  const Graph flat = g.ToGraph();
   const std::vector<int>& order = analysis.solution.edge_order;
   for (size_t i = 0; i < order.size(); ++i) {
-    const BipartiteGraph::Edge& e = g->edge(order[i]);
+    const BipartiteGraph::Edge& e = g.edge(order[i]);
     const bool jump =
         i > 0 && !flat.edge(order[i]).Touches(flat.edge(order[i - 1]));
     std::printf("step %3zu: delete edge %d (L%d, R%d)%s\n", i + 1,
                 order[i], e.left, e.right,
                 jump ? "  <- jump (both pebbles moved)" : "");
   }
+}
+
+// `analyze` and `solve`: one graph on stdin through JoinAnalyzer. They
+// differ in the default solver, solve's --explain, and the human output.
+int CmdAnalyzeOrSolve(int argc, char** argv, bool solve) {
+  AnalysisFlags flags;
+  if (solve) flags.request.defaults.solver = SolverChoice::kLocalSearch;
+  FlagTable table;
+  AddRequestFlags(&flags.request, &flags.predicate, &table);
+  AddTelemetryFlags(&flags.request, /*profiler=*/true, &table);
+  table.insert(table.end(), {Threads(&flags.request.defaults.threads),
+                             Switch("--json", &flags.json),
+                             Switch("--stats", &flags.stats),
+                             Text("--trace-out", &flags.trace_out,
+                                  "--trace-out needs a file path")});
+  if (solve) table.push_back(Switch("--explain", &flags.explain));
+  if (!ParseFlags(argc, argv, table)) return kExitBadFlags;
+  const int finish_rc = FinishRequestFlags(&flags.request);
+  if (finish_rc != 0) return finish_rc;
+  const std::optional<BipartiteGraph> g = GraphFromStdin();
+  if (!g.has_value()) return kExitRuntime;
+  JoinAnalysis analysis;
+  if (!RunAnalysis(flags, *g, &analysis)) return kExitRuntime;
+  if (flags.json) {
+    // Machine mode: the whole analysis (order included) as one document.
+    std::fputs((AnalysisJson(analysis) + "\n").c_str(), stdout);
+  } else if (solve) {
+    PrintSolve(flags, *g, analysis);
+  } else {
+    std::fputs(FormatAnalysis(analysis, flags.stats).c_str(), stdout);
+    if (flags.request.defaults.perf) {
+      std::fputs(FormatPerfStats(analysis).c_str(), stdout);
+    }
+  }
   return 0;
 }
 
 int CmdSchedule(int argc, char** argv) {
   int k = 4;
-  for (int i = 2; i < argc; ++i) {
-    if (std::string(argv[i]) == "--k" && i + 1 < argc) {
-      if (!ParseInt32(argv[++i], &k)) {
-        return Fail("--k needs an integer");
-      }
-    } else {
-      return Fail(std::string("unknown flag '") + argv[i] + "'");
-    }
+  if (!ParseFlags(argc, argv, {Int("--k", &k, "--k needs an integer")})) {
+    return kExitBadFlags;
   }
   if (k < 2) return Fail("--k needs k >= 2");
   const std::optional<BipartiteGraph> g = GraphFromStdin();
@@ -765,14 +724,9 @@ int CmdSchedule(int argc, char** argv) {
 
 int CmdPartition(int argc, char** argv) {
   int fragments = 4;
-  for (int i = 2; i < argc; ++i) {
-    if (std::string(argv[i]) == "--fragments" && i + 1 < argc) {
-      if (!ParseInt32(argv[++i], &fragments)) {
-        return Fail("--fragments needs an integer");
-      }
-    } else {
-      return Fail(std::string("unknown flag '") + argv[i] + "'");
-    }
+  if (!ParseFlags(argc, argv, {Int("--fragments", &fragments,
+                                   "--fragments needs an integer")})) {
+    return kExitBadFlags;
   }
   if (fragments < 1) return Fail("--fragments needs fragments >= 1");
   const std::optional<BipartiteGraph> g = GraphFromStdin();
@@ -840,12 +794,8 @@ int CmdBounds(int argc, char** argv) {
 
 int CmdDot(int argc, char** argv) {
   bool solve = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::string(argv[i]) == "--solve") {
-      solve = true;
-    } else {
-      return Fail(std::string("unknown flag '") + argv[i] + "'");
-    }
+  if (!ParseFlags(argc, argv, {Switch("--solve", &solve)})) {
+    return kExitBadFlags;
   }
   const std::optional<BipartiteGraph> g = GraphFromStdin();
   if (!g.has_value()) return 1;
@@ -873,36 +823,13 @@ int CmdCalibrate(int argc, char** argv) {
   int64_t rung_deadline_ms = 500;
   int64_t seed = 1;
   std::string out_path;  // empty or "-" = stdout
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--instances") {
-      if (value == nullptr || !ParseInt32(value, &instances) ||
-          instances < 1 || instances > 100000) {
-        return Fail("--instances needs an integer in [1, 100000]");
-      }
-      ++i;
-    } else if (flag == "--rung-deadline-ms") {
-      if (value == nullptr || !ParseInt64(value, &rung_deadline_ms) ||
-          rung_deadline_ms < 1) {
-        return Fail("--rung-deadline-ms needs a positive integer");
-      }
-      ++i;
-    } else if (flag == "--seed") {
-      if (value == nullptr || !ParseInt64(value, &seed)) {
-        return Fail("--seed needs an integer");
-      }
-      ++i;
-    } else if (flag == "--out") {
-      if (value == nullptr || *value == '\0') {
-        return Fail("--out needs a file path ('-' = stdout)");
-      }
-      out_path = value;
-      ++i;
-    } else {
-      return Fail("unknown flag '" + flag + "'");
-    }
-  }
+  const FlagTable table = {
+      Int("--instances", &instances,
+          "--instances needs an integer in [1, 100000]", 1, 100000),
+      Positive("--rung-deadline-ms", &rung_deadline_ms),
+      Int("--seed", &seed, "--seed needs an integer"),
+      Text("--out", &out_path, "--out needs a file path ('-' = stdout)")};
+  if (!ParseFlags(argc, argv, table)) return kExitBadFlags;
 
   std::ofstream out_file;
   if (!out_path.empty() && out_path != "-") {
@@ -1022,148 +949,32 @@ int CmdBatch(int argc, char** argv) {
   std::string in_path;   // required; "-" = stdin
   std::string out_path;  // empty or "-" = stdout
   BatchRunner::Options options;
-  SolveBudget budget;
-  bool budget_set = false;
-  std::string cost_model_path;
-  std::string journal_out;  // empty: no journal; "-" = stderr
-  LogLevel log_level = LogLevel::kInfo;
-  int flight_recorder = EventLog::kDefaultCapacity;
-  std::string metrics_out;
-  bool perf = false;
-  std::string profile_out;
-  int64_t slow_request_ms = -1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--perf-stats") {
-      perf = true;
-    } else if (flag == "--profile-out") {
-      if (value == nullptr || *value == '\0') {
-        return Fail("--profile-out needs a file path");
-      }
-      profile_out = value;
-      ++i;
-    } else if (flag == "--jsonl") {
-      if (value == nullptr || *value == '\0') {
-        return Fail("--jsonl needs a file path ('-' = stdin)");
-      }
-      in_path = value;
-      ++i;
-    } else if (flag == "--out") {
-      if (value == nullptr || *value == '\0') {
-        return Fail("--out needs a file path ('-' = stdout)");
-      }
-      out_path = value;
-      ++i;
-    } else if (flag == "--threads") {
-      int threads = 0;
-      if (value == nullptr || !ParseInt32(value, &threads) || threads < 0 ||
-          threads > 4096) {
-        return Fail("--threads needs an integer in [0, 4096] (0 = hardware)");
-      }
-      options.threads =
-          threads == 0 ? ThreadPool::DefaultThreads() : threads;
-      ++i;
-    } else if (flag == "--deadline-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 0) {
-        return Fail("--deadline-ms needs a non-negative integer");
-      }
-      budget.deadline_ms = ms;
-      budget_set = true;
-      ++i;
-    } else if (flag == "--node-budget") {
-      int64_t nodes = 0;
-      if (value == nullptr || !ParseInt64(value, &nodes) || nodes < 0) {
-        return Fail("--node-budget needs a non-negative integer");
-      }
-      budget.node_budget = nodes;
-      budget_set = true;
-      ++i;
-    } else if (flag == "--memory-mb") {
-      int64_t mb = 0;
-      if (value == nullptr || !ParseInt64(value, &mb) || mb < 0 ||
-          mb > (int64_t{1} << 40)) {
-        return Fail("--memory-mb needs a non-negative integer");
-      }
-      budget.memory_limit_bytes = mb << 20;
-      budget_set = true;
-      ++i;
-    } else if (flag == "--batch-deadline-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 0) {
-        return Fail("--batch-deadline-ms needs a non-negative integer");
-      }
-      options.batch_deadline_ms = ms;
-      ++i;
-    } else if (flag == "--admission") {
-      if (value != nullptr && std::string(value) == "queue") {
-        options.admission = BatchRunner::Admission::kQueue;
-      } else if (value != nullptr && std::string(value) == "reject") {
-        options.admission = BatchRunner::Admission::kReject;
-      } else {
-        return Fail("--admission needs 'queue' or 'reject'");
-      }
-      ++i;
-    } else if (flag == "--solver") {
-      SolverChoice choice = SolverChoice::kAuto;
-      if (value == nullptr || !ParseSolverName(value, &choice)) {
-        return Fail(std::string("--solver needs one of: ") + SolverNameList());
-      }
-      options.default_solver = choice;
-      ++i;
-    } else if (flag == "--planner") {
-      PlannerChoice choice = PlannerChoice::kLadder;
-      if (value == nullptr || !ParsePlannerName(value, &choice)) {
-        return Fail(std::string("--planner needs one of: ") +
-                    PlannerNameList());
-      }
-      options.default_planner = choice;
-      ++i;
-    } else if (flag == "--cost-model") {
-      if (value == nullptr || *value == '\0') {
-        return Fail("--cost-model needs a file path");
-      }
-      cost_model_path = value;
-      ++i;
-    } else if (flag == "--predicate") {
-      if (value == nullptr ||
-          !ParsePredicateName(value, &options.default_predicate)) {
-        return Fail(std::string("--predicate needs one of: ") +
-                    PredicateNameList());
-      }
-      ++i;
-    } else if (flag == "--progress-every-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 0) {
-        return Fail("--progress-every-ms needs a non-negative integer");
-      }
-      options.progress_every_ms = ms;
-      ++i;
-    } else if (flag == "--slow-request-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 0) {
-        return Fail("--slow-request-ms needs a non-negative integer");
-      }
-      slow_request_ms = ms;
-      ++i;
-    } else {
-      bool known = false;
-      const int consumed =
-          ParseJournalFlag(flag, value, &known, &journal_out, &log_level,
-                           &flight_recorder, &metrics_out);
-      if (consumed < 0) return kExitBadFlags;
-      if (!known) return Fail("unknown flag '" + flag + "'");
-      i += consumed;
-    }
-  }
+  RequestFlags flags;
+  FlagTable table;
+  AddRequestFlags(&flags, &options.default_predicate, &table);
+  AddTelemetryFlags(&flags, /*profiler=*/true, &table);
+  table.insert(
+      table.end(),
+      {Text("--jsonl", &in_path, "--jsonl needs a file path ('-' = stdin)"),
+       Text("--out", &out_path, "--out needs a file path ('-' = stdout)"),
+       Threads(&options.threads),
+       NonNegative("--batch-deadline-ms", &options.batch_deadline_ms),
+       {"--admission", true,
+        [&options](const char* value) {
+          const std::string policy = value;
+          options.admission = policy == "reject" ? AdmissionPolicy::kReject
+                                                 : AdmissionPolicy::kQueue;
+          return policy == "queue" || policy == "reject";
+        },
+        "--admission needs 'queue' or 'reject'"},
+       NonNegative("--progress-every-ms", &options.progress_every_ms),
+       NonNegative("--slow-request-ms", &flags.defaults.slow_request_ms)});
+  if (!ParseFlags(argc, argv, table)) return kExitBadFlags;
   if (in_path.empty()) {
     return Fail("batch needs --jsonl FILE ('-' = stdin)");
   }
-  if (budget_set) options.default_budget = budget;
-  CostModel cost_model = CostModel::BuiltIn();
-  const int model_rc = ResolveCostModel(cost_model_path, &cost_model);
-  if (model_rc != 0) return model_rc;
+  const int finish_rc = FinishRequestFlags(&flags);
+  if (finish_rc != 0) return finish_rc;
 
   std::ifstream in_file;
   if (in_path != "-") {
@@ -1204,24 +1015,17 @@ int CmdBatch(int argc, char** argv) {
   }
   std::ostream& out = out_file.is_open() ? out_file : std::cout;
 
-  Journal::Options journal_options;
-  journal_options.min_level = log_level;
-  Journal journal(journal_options);
-  SolveEngine::Options engine_options;
-  if (!journal_out.empty()) {
-    if (!AttachJournalSink(journal_out, &journal)) return kExitRuntime;
-    engine_options.defaults.journal = &journal;
-    engine_options.defaults.flight_recorder = flight_recorder;
+  SolveEngine::Options engine_options{flags.defaults};
+  Journal journal(flags.journal);
+  if (!AttachJournal(flags, &journal, &engine_options.defaults)) {
+    return kExitRuntime;
   }
-  engine_options.defaults.perf = perf;
-  engine_options.defaults.cost_model = cost_model;
-  engine_options.defaults.slow_request_ms = slow_request_ms;
   SolveEngine engine(engine_options);
   BatchRunner runner(&engine, options);
   SamplingProfiler profiler;
-  StartProfiler(profile_out, &profiler);
+  StartProfiler(flags.profile_out, &profiler);
   const BatchRunner::Summary summary = runner.Run(in, out);
-  if (!FinishProfiler(profile_out, &profiler)) return kExitRuntime;
+  if (!FinishProfiler(flags.profile_out, &profiler)) return kExitRuntime;
   // Stdout is pure JSONL; the tallies go to stderr.
   std::fprintf(stderr,
                "batch: %lld lines, %lld solved, %lld errors, %lld rejected, "
@@ -1234,8 +1038,8 @@ int CmdBatch(int argc, char** argv) {
                static_cast<long long>(summary.latency_p50_ms),
                static_cast<long long>(summary.latency_p95_ms),
                static_cast<long long>(summary.latency_p99_ms));
-  if (!metrics_out.empty() &&
-      !WriteMetricsFile(metrics_out, engine.metrics())) {
+  if (!flags.metrics_out.empty() &&
+      !WriteMetricsFile(flags.metrics_out, engine.metrics())) {
     return kExitRuntime;
   }
   if (out_file.is_open() && !out_file.good()) {
@@ -1259,213 +1063,50 @@ extern "C" void ServeSignalHandler(int /*signum*/) {
 
 int CmdServe(int argc, char** argv) {
   ServeOptions sopts;
-  SolveBudget budget;
-  bool budget_set = false;
-  bool solver_set = false;
-  std::string cost_model_path;
-  std::string journal_out;
-  LogLevel log_level = LogLevel::kInfo;
-  int flight_recorder = EventLog::kDefaultCapacity;
-  std::string metrics_out;
-  bool perf = false;
-  int64_t slow_request_ms = -1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (flag == "--perf-stats") {
-      perf = true;
-    } else if (flag == "--host") {
-      if (value == nullptr || *value == '\0') {
-        return Fail("--host needs an IPv4 address");
-      }
-      sopts.host = value;
-      ++i;
-    } else if (flag == "--port") {
-      int port = 0;
-      if (value == nullptr || !ParseInt32(value, &port) || port < 0 ||
-          port > 65535) {
-        return Fail("--port needs an integer in [0, 65535] (0 = ephemeral)");
-      }
-      sopts.port = port;
-      ++i;
-    } else if (flag == "--threads") {
-      int threads = 0;
-      if (value == nullptr || !ParseInt32(value, &threads) || threads < 0 ||
-          threads > 4096) {
-        return Fail("--threads needs an integer in [0, 4096] (0 = hardware)");
-      }
-      sopts.threads = threads == 0 ? ThreadPool::DefaultThreads() : threads;
-      ++i;
-    } else if (flag == "--max-conns") {
-      int n = 0;
-      if (value == nullptr || !ParseInt32(value, &n) || n < 1) {
-        return Fail("--max-conns needs a positive integer");
-      }
-      sopts.max_connections = n;
-      ++i;
-    } else if (flag == "--max-inflight") {
-      int n = 0;
-      if (value == nullptr || !ParseInt32(value, &n) || n < 1) {
-        return Fail("--max-inflight needs a positive integer");
-      }
-      sopts.max_inflight = n;
-      ++i;
-    } else if (flag == "--per-conn-inflight") {
-      int n = 0;
-      if (value == nullptr || !ParseInt32(value, &n) || n < 1) {
-        return Fail("--per-conn-inflight needs a positive integer");
-      }
-      sopts.per_conn_inflight = n;
-      ++i;
-    } else if (flag == "--idle-timeout-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms)) {
-        return Fail("--idle-timeout-ms needs an integer (<= 0 disables)");
-      }
-      sopts.idle_timeout_ms = ms;
-      ++i;
-    } else if (flag == "--max-line-bytes") {
-      int64_t bytes = 0;
-      if (value == nullptr || !ParseInt64(value, &bytes) || bytes < 1) {
-        return Fail("--max-line-bytes needs a positive integer");
-      }
-      sopts.max_line_bytes = bytes;
-      ++i;
-    } else if (flag == "--request-deadline-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms)) {
-        return Fail(
-            "--request-deadline-ms needs an integer (< 0 disables the cap)");
-      }
-      sopts.request_deadline_cap_ms = ms;
-      ++i;
-    } else if (flag == "--drain-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 0) {
-        return Fail("--drain-ms needs a non-negative integer");
-      }
-      sopts.drain_ms = ms;
-      ++i;
-    } else if (flag == "--slo-p99-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 1) {
-        return Fail("--slo-p99-ms needs a positive integer");
-      }
-      sopts.slo_p99_ms = ms;
-      ++i;
-    } else if (flag == "--slo-error-rate") {
-      double rate = 0.0;
-      if (value == nullptr || !ParseDouble(value, &rate) || rate <= 0.0 ||
-          rate > 1.0) {
-        return Fail("--slo-error-rate needs a number in (0, 1]");
-      }
-      sopts.slo_error_rate = rate;
-      ++i;
-    } else if (flag == "--trace-sample") {
-      int64_t n = 0;
-      if (value == nullptr || !ParseInt64(value, &n) || n < 0) {
-        return Fail("--trace-sample needs a non-negative integer (0 = off)");
-      }
-      sopts.trace_sample = n;
-      ++i;
-    } else if (flag == "--trace-dir") {
-      if (value == nullptr || *value == '\0') {
-        return Fail("--trace-dir needs a directory path");
-      }
-      sopts.trace_dir = value;
-      ++i;
-    } else if (flag == "--slow-request-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 0) {
-        return Fail("--slow-request-ms needs a non-negative integer");
-      }
-      slow_request_ms = ms;
-      ++i;
-    } else if (flag == "--deadline-ms") {
-      int64_t ms = 0;
-      if (value == nullptr || !ParseInt64(value, &ms) || ms < 0) {
-        return Fail("--deadline-ms needs a non-negative integer");
-      }
-      budget.deadline_ms = ms;
-      budget_set = true;
-      ++i;
-    } else if (flag == "--node-budget") {
-      int64_t nodes = 0;
-      if (value == nullptr || !ParseInt64(value, &nodes) || nodes < 0) {
-        return Fail("--node-budget needs a non-negative integer");
-      }
-      budget.node_budget = nodes;
-      budget_set = true;
-      ++i;
-    } else if (flag == "--memory-mb") {
-      int64_t mb = 0;
-      if (value == nullptr || !ParseInt64(value, &mb) || mb < 0 ||
-          mb > (int64_t{1} << 40)) {
-        return Fail("--memory-mb needs a non-negative integer");
-      }
-      budget.memory_limit_bytes = mb << 20;
-      budget_set = true;
-      ++i;
-    } else if (flag == "--solver") {
-      SolverChoice choice = SolverChoice::kAuto;
-      if (value == nullptr || !ParseSolverName(value, &choice)) {
-        return Fail(std::string("--solver needs one of: ") + SolverNameList());
-      }
-      sopts.solver = choice;
-      solver_set = true;
-      ++i;
-    } else if (flag == "--planner") {
-      PlannerChoice choice = PlannerChoice::kLadder;
-      if (value == nullptr || !ParsePlannerName(value, &choice)) {
-        return Fail(std::string("--planner needs one of: ") +
-                    PlannerNameList());
-      }
-      sopts.planner = choice;
-      ++i;
-    } else if (flag == "--cost-model") {
-      if (value == nullptr || *value == '\0') {
-        return Fail("--cost-model needs a file path");
-      }
-      cost_model_path = value;
-      ++i;
-    } else if (flag == "--predicate") {
-      if (value == nullptr || !ParsePredicateName(value, &sopts.predicate)) {
-        return Fail(std::string("--predicate needs one of: ") +
-                    PredicateNameList());
-      }
-      ++i;
-    } else {
-      bool known = false;
-      const int consumed =
-          ParseJournalFlag(flag, value, &known, &journal_out, &log_level,
-                           &flight_recorder, &metrics_out);
-      if (consumed < 0) return kExitBadFlags;
-      if (!known) return Fail("unknown flag '" + flag + "'");
-      i += consumed;
-    }
-  }
-  if (budget_set) {
-    sopts.budget = budget;
-    // The CLI convention: a budget with no explicit solver means the
-    // fallback ladder (degrade, never refuse) — same as analyze/batch.
-    if (!solver_set) sopts.solver = SolverChoice::kFallback;
-  }
-  CostModel cost_model = CostModel::BuiltIn();
-  const int model_rc = ResolveCostModel(cost_model_path, &cost_model);
-  if (model_rc != 0) return model_rc;
+  RequestFlags flags;
+  FlagTable table;
+  AddRequestFlags(&flags, &sopts.predicate, &table);
+  AddTelemetryFlags(&flags, /*profiler=*/false, &table);
+  table.insert(
+      table.end(),
+      {Text("--host", &sopts.host, "--host needs an IPv4 address"),
+       Int("--port", &sopts.port,
+           "--port needs an integer in [0, 65535] (0 = ephemeral)", 0, 65535),
+       Threads(&sopts.threads),
+       Positive("--max-conns", &sopts.max_connections),
+       Positive("--max-inflight", &sopts.max_inflight),
+       Positive("--per-conn-inflight", &sopts.per_conn_inflight),
+       Int("--idle-timeout-ms", &sopts.idle_timeout_ms,
+           "--idle-timeout-ms needs an integer (<= 0 disables)"),
+       Positive("--max-line-bytes", &sopts.max_line_bytes),
+       Int("--request-deadline-ms", &sopts.request_deadline_cap_ms,
+           "--request-deadline-ms needs an integer (< 0 disables the cap)"),
+       NonNegative("--drain-ms", &sopts.drain_ms),
+       Positive("--slo-p99-ms", &sopts.slo_p99_ms),
+       {"--slo-error-rate", true,
+        [&sopts](const char* value) {
+          double rate = 0.0;
+          if (!ParseDouble(value, &rate) || rate <= 0.0 || rate > 1.0) {
+            return false;
+          }
+          sopts.slo_error_rate = rate;
+          return true;
+        },
+        "--slo-error-rate needs a number in (0, 1]"},
+       Int("--trace-sample", &sopts.trace_sample,
+           "--trace-sample needs a non-negative integer (0 = off)", 0),
+       Text("--trace-dir", &sopts.trace_dir,
+            "--trace-dir needs a directory path"),
+       NonNegative("--slow-request-ms", &flags.defaults.slow_request_ms)});
+  if (!ParseFlags(argc, argv, table)) return kExitBadFlags;
+  const int finish_rc = FinishRequestFlags(&flags);
+  if (finish_rc != 0) return finish_rc;
 
-  Journal::Options journal_options;
-  journal_options.min_level = log_level;
-  Journal journal(journal_options);
-  SolveEngine::Options engine_options;
-  if (!journal_out.empty()) {
-    if (!AttachJournalSink(journal_out, &journal)) return kExitRuntime;
-    engine_options.defaults.journal = &journal;
-    engine_options.defaults.flight_recorder = flight_recorder;
+  SolveEngine::Options engine_options{flags.defaults};
+  Journal journal(flags.journal);
+  if (!AttachJournal(flags, &journal, &engine_options.defaults)) {
+    return kExitRuntime;
   }
-  engine_options.defaults.perf = perf;
-  engine_options.defaults.cost_model = cost_model;
-  engine_options.defaults.slow_request_ms = slow_request_ms;
   SolveEngine engine(engine_options);
   LineServer server(&engine, sopts);
   std::string error;
@@ -1527,8 +1168,8 @@ int CmdServe(int argc, char** argv) {
                static_cast<long long>(summary.responses),
                static_cast<long long>(summary.rejected_lines),
                summary.aborted ? ", aborted" : "");
-  if (!metrics_out.empty() &&
-      !WriteMetricsFile(metrics_out, engine.metrics())) {
+  if (!flags.metrics_out.empty() &&
+      !WriteMetricsFile(flags.metrics_out, engine.metrics())) {
     return kExitRuntime;
   }
   return summary.aborted ? kExitRuntime : 0;
@@ -1542,8 +1183,8 @@ int Main(int argc, char** argv) {
     return 0;
   }
   if (command == "gen") return CmdGen(argc, argv);
-  if (command == "analyze") return CmdAnalyze(argc, argv);
-  if (command == "solve") return CmdSolve(argc, argv);
+  if (command == "analyze") return CmdAnalyzeOrSolve(argc, argv, false);
+  if (command == "solve") return CmdAnalyzeOrSolve(argc, argv, true);
   if (command == "realize") return CmdRealize(argc, argv);
   if (command == "bounds") return CmdBounds(argc, argv);
   if (command == "schedule") return CmdSchedule(argc, argv);
