@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,10 @@
 #include "solver/exact_pebbler.h"
 #include "tsp/tsp12.h"
 #include "util/budget.h"
+
+#ifndef PEBBLEJOIN_STATS_GOLDEN_FILE
+#error "PEBBLEJOIN_STATS_GOLDEN_FILE must name tests/golden/solve_stats_golden.txt"
+#endif
 
 namespace pebblejoin {
 namespace {
@@ -78,17 +84,107 @@ TEST(SolveStatsTest, AddAccumulatesAndMaxesTimeToStop) {
   EXPECT_EQ(a.budget_time_to_stop_ms, 7);  // -1 loses to a real stop time
 }
 
-TEST(SolveStatsTest, JsonAndHumanRenderingsCarryEveryField) {
-  SolveStats stats;
-  stats.ils_iterations = 3;
+// Every rendered field gets its own value, so a field that moves, drops,
+// or reads another field's storage changes the bytes. Perf totals are set
+// to the sums of the per-stage counts, as the engine produces them.
+SolveStats DistinctStats(const std::string& perf) {
+  SolveStats s;
+  s.bnb_nodes_expanded = 101;
+  s.bnb_prunes_component = 102;
+  s.bnb_prunes_deficiency = 103;
+  s.bnb_incumbent_updates = 104;
+  s.hk_solves = 105;
+  s.hk_subsets_materialized = 106;
+  s.hk_table_bytes = 107;
+  s.ls_passes = 108;
+  s.ls_moves_accepted = 109;
+  s.ils_iterations = 110;
+  s.ils_kicks_accepted = 111;
+  s.rungs_attempted = 112;
+  s.rungs_declined = 113;
+  s.planner_plans = 114;
+  s.planner_predicted_rung = 115;
+  s.planner_actual_rung = 116;
+  s.planner_rungs_skipped = 117;
+  s.planner_budget_saved_ms = 118;
+  s.budget_polls = 119;
+  s.budget_time_to_stop_ms = 120;
+  s.solve_wall_us = 121;
+  s.stage_build_us = 201;
+  s.stage_classify_us = 202;
+  s.stage_partition_us = 203;
+  s.stage_solve_us = 204;
+  s.stage_verify_us = 205;
+  s.stage_report_us = 206;
+  s.stage_build_cycles = 3001;
+  s.stage_build_insns = 4001;
+  s.stage_build_cache_misses = 501;
+  s.stage_classify_cycles = 3002;
+  s.stage_classify_insns = 4002;
+  s.stage_classify_cache_misses = 502;
+  s.stage_partition_cycles = 3003;
+  s.stage_partition_insns = 4003;
+  s.stage_partition_cache_misses = 503;
+  s.stage_solve_cycles = 3004;
+  s.stage_solve_insns = 4004;
+  s.stage_solve_cache_misses = 504;
+  s.stage_verify_cycles = 3005;
+  s.stage_verify_insns = 4005;
+  s.stage_verify_cache_misses = 505;
+  s.stage_report_cycles = 3006;
+  s.stage_report_insns = 4006;
+  s.stage_report_cache_misses = 506;
+  s.perf_cycles = 18021;        // sum of the stage cycles
+  s.perf_instructions = 24021;  // sum of the stage instructions
+  s.perf_cache_references = 6001;
+  s.perf_cache_misses = 3021;  // sum of the stage cache misses
+  s.perf_branch_misses = 701;
+  s.bnb_cycles = 801;
+  s.bnb_cache_misses = 802;
+  s.hk_cycles = 803;
+  s.hk_cache_misses = 804;
+  s.ls_cycles = 805;
+  s.ls_cache_misses = 806;
+  s.perf = perf;
+  return s;
+}
+
+// The four stats surfaces of one request, in one document.
+std::string RenderStatsSurfaces(const SolveStats& stats) {
   JsonWriter json;
   stats.WriteJson(&json);
-  EXPECT_NE(json.str().find("\"ils_iterations\":3"), std::string::npos);
-  EXPECT_NE(json.str().find("\"budget_time_to_stop_ms\":-1"),
-            std::string::npos);
-  const std::string human = stats.FormatHuman("  ");
-  EXPECT_NE(human.find("ils_iterations"), std::string::npos);
-  EXPECT_NE(human.find("budget_time_to_stop_ms"), std::string::npos);
+  JoinAnalysis analysis;
+  analysis.stats = stats;
+  MetricsRegistry registry(/*enabled=*/true);
+  stats.PublishTo(&registry);
+  return "--- WriteJson\n" + json.str() + "\n--- FormatHuman\n" +
+         stats.FormatHuman("  ") + "--- FormatPerfStats\n" +
+         FormatPerfStats(analysis) + "--- OpenMetrics\n" +
+         registry.OpenMetricsText();
+}
+
+// Byte golden for every stats surface: WriteJson, FormatHuman("  "),
+// FormatPerfStats and the OpenMetrics text after PublishTo, with perf
+// counting and with perf off. On a mismatch the rendered document is
+// written next to the test's temp files; when an output change is
+// intended, copy it over the golden below the comment header.
+TEST(SolveStatsTest, JsonAndHumanRenderingsCarryEveryField) {
+  const std::string actual =
+      "=== perf=ok\n" + RenderStatsSurfaces(DistinctStats("ok")) +
+      "=== perf=off\n" + RenderStatsSurfaces(DistinctStats("off"));
+  std::ifstream in(PEBBLEJOIN_STATS_GOLDEN_FILE);
+  ASSERT_TRUE(in.good()) << PEBBLEJOIN_STATS_GOLDEN_FILE;
+  std::ostringstream file;
+  file << in.rdbuf();
+  const std::string golden = file.str();
+  const size_t begin = golden.find("=== perf=ok\n");
+  if (begin == std::string::npos ||
+      golden.compare(begin, std::string::npos, actual) != 0) {
+    const std::string path = testing::TempDir() + "/solve_stats_golden.txt";
+    std::ofstream(path) << actual;
+    ADD_FAILURE() << "stats surfaces differ from the golden; rendered: "
+                  << path;
+  }
 }
 
 // --- MetricsRegistry ------------------------------------------------------
