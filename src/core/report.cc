@@ -101,59 +101,41 @@ std::string FormatPerfStats(const JoinAnalysis& analysis) {
   std::snprintf(line, sizeof(line), "  %-10s %14s %14s %14s %10s\n", "stage",
                 "cycles", "instructions", "cache_misses", "wall_us");
   out += line;
-  struct StageRow {
-    const char* name;
-    int64_t cycles;
-    int64_t insns;
-    int64_t cache_misses;
-    int64_t us;
-  };
-  const StageRow rows[] = {
-      {"build", s.stage_build_cycles, s.stage_build_insns,
-       s.stage_build_cache_misses, s.stage_build_us},
-      {"classify", s.stage_classify_cycles, s.stage_classify_insns,
-       s.stage_classify_cache_misses, s.stage_classify_us},
-      {"partition", s.stage_partition_cycles, s.stage_partition_insns,
-       s.stage_partition_cache_misses, s.stage_partition_us},
-      {"solve", s.stage_solve_cycles, s.stage_solve_insns,
-       s.stage_solve_cache_misses, s.stage_solve_us},
-      {"verify", s.stage_verify_cycles, s.stage_verify_insns,
-       s.stage_verify_cache_misses, s.stage_verify_us},
-      {"report", s.stage_report_cycles, s.stage_report_insns,
-       s.stage_report_cache_misses, s.stage_report_us},
-  };
-  for (const StageRow& row : rows) {
+  for (int i = 0; i < kNumPipelineStages; ++i) {
+    const ProbeSample& stage = s.stages[i];
     std::snprintf(line, sizeof(line), "  %-10s %14lld %14lld %14lld %10lld\n",
-                  row.name, static_cast<long long>(row.cycles),
-                  static_cast<long long>(row.insns),
-                  static_cast<long long>(row.cache_misses),
-                  static_cast<long long>(row.us));
+                  kPipelineStageNames[i],
+                  static_cast<long long>(stage.perf.cycles),
+                  static_cast<long long>(stage.perf.instructions),
+                  static_cast<long long>(stage.perf.cache_misses),
+                  static_cast<long long>(stage.wall_us));
     out += line;
   }
   // IPC on the request thread: the single most readable "was this
   // memory-bound" number a stage table can summarize to.
-  const double ipc = s.perf_cycles > 0
-                         ? static_cast<double>(s.perf_instructions) /
-                               static_cast<double>(s.perf_cycles)
+  const PerfCounts total = s.perf_total();
+  const double ipc = total.cycles > 0
+                         ? static_cast<double>(total.instructions) /
+                               static_cast<double>(total.cycles)
                          : 0.0;
   std::snprintf(line, sizeof(line),
                 "  total: cycles=%lld insns=%lld ipc=%.2f cache_refs=%lld "
                 "cache_misses=%lld branch_misses=%lld\n",
-                static_cast<long long>(s.perf_cycles),
-                static_cast<long long>(s.perf_instructions), ipc,
-                static_cast<long long>(s.perf_cache_references),
-                static_cast<long long>(s.perf_cache_misses),
-                static_cast<long long>(s.perf_branch_misses));
+                static_cast<long long>(total.cycles),
+                static_cast<long long>(total.instructions), ipc,
+                static_cast<long long>(total.cache_references),
+                static_cast<long long>(total.cache_misses),
+                static_cast<long long>(total.branch_misses));
   out += line;
   std::snprintf(line, sizeof(line),
                 "  hot loops: bnb=%lld/%lld hk=%lld/%lld ls=%lld/%lld "
                 "(cycles/cache_misses, all worker threads)\n",
-                static_cast<long long>(s.bnb_cycles),
-                static_cast<long long>(s.bnb_cache_misses),
-                static_cast<long long>(s.hk_cycles),
-                static_cast<long long>(s.hk_cache_misses),
-                static_cast<long long>(s.ls_cycles),
-                static_cast<long long>(s.ls_cache_misses));
+                static_cast<long long>(s.bnb_perf.cycles),
+                static_cast<long long>(s.bnb_perf.cache_misses),
+                static_cast<long long>(s.hk_perf.cycles),
+                static_cast<long long>(s.hk_perf.cache_misses),
+                static_cast<long long>(s.ls_perf.cycles),
+                static_cast<long long>(s.ls_perf.cache_misses));
   out += line;
   return out;
 }

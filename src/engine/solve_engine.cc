@@ -6,10 +6,9 @@
 
 #include "engine/names.h"
 #include "graph/components.h"
-#include "obs/prof.h"
+#include "obs/probe.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace pebblejoin {
@@ -28,31 +27,6 @@ FallbackPebbler::Options CalibratedLadderOptions(
   ladder.planner = planner;
   return ladder;
 }
-
-// Stage-boundary counter attribution, the hardware twin of the pipeline's
-// Stopwatch/Restart idiom: Flush() writes the delta since the previous
-// Flush (or construction) into one stage's three fields. A null group —
-// perf off, or counters unavailable — makes every call a no-op.
-class StagePerf {
- public:
-  explicit StagePerf(PerfCounterGroup* group) : group_(group) {
-    if (group_ != nullptr) last_ = group_->Read();
-  }
-
-  void Flush(int64_t* cycles, int64_t* insns, int64_t* cache_misses) {
-    if (group_ == nullptr) return;
-    const PerfCounts now = group_->Read();
-    const PerfCounts delta = now - last_;
-    last_ = now;
-    *cycles = delta.cycles;
-    *insns = delta.instructions;
-    *cache_misses = delta.cache_misses;
-  }
-
- private:
-  PerfCounterGroup* group_;
-  PerfCounts last_;
-};
 
 }  // namespace
 
@@ -178,22 +152,24 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
       stats.perf = "unavailable:" + group->unavailable_reason();
     }
   }
-  StagePerf stage_perf(perf_group);
-  const PerfCounts pipeline_start =
-      perf_group != nullptr ? perf_group->Read() : PerfCounts();
+  // One probe per stage, in pipeline order. Each writes its wall clock and
+  // (perf on) its counter delta into the stage's record; none records a
+  // trace span, so traced requests keep exactly their solver spans.
+  const auto stage_probe = [perf_group](PipelineStage stage) {
+    return Probe::Timed(kPipelineStageNames[static_cast<int>(stage)],
+                        "stage", /*trace=*/nullptr, perf_group);
+  };
 
   // --- build: flatten the bipartite join graph ---------------------------
-  Stopwatch stage;
+  Probe build = stage_probe(PipelineStage::kBuild);
   Graph flat = request.graph->ToGraph();
   // Freeze the CSR view eagerly so its cost lands in this stage rather
   // than in whichever stage first traverses the graph.
   flat.BuildCsr();
-  stats.stage_build_us = stage.ElapsedMicros();
-  stage_perf.Flush(&stats.stage_build_cycles, &stats.stage_build_insns,
-                   &stats.stage_build_cache_misses);
+  stats.stage(PipelineStage::kBuild) = build.Stop();
 
   // --- classify: shape taxonomy + combinatorial bounds -------------------
-  stage.Restart();
+  Probe classify = stage_probe(PipelineStage::kClassify);
   analysis.classification = ClassifyJoinGraph(flat);
   // The structural feature vector is classify-stage output like the
   // taxonomy above: extracted once per request, thread-count invariant,
@@ -201,19 +177,15 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
   // calibrated ladder can plan without re-scanning a single-component
   // graph.
   analysis.features = ExtractGraphFeatures(flat);
-  stats.stage_classify_us = stage.ElapsedMicros();
-  stage_perf.Flush(&stats.stage_classify_cycles, &stats.stage_classify_insns,
-                   &stats.stage_classify_cache_misses);
+  stats.stage(PipelineStage::kClassify) = classify.Stop();
 
   // --- partition: connected components (Lemma 2.2 additivity) ------------
-  stage.Restart();
+  Probe partition = stage_probe(PipelineStage::kPartition);
   const ComponentDecomposition decomp = FindComponents(flat);
-  stats.stage_partition_us = stage.ElapsedMicros();
-  stage_perf.Flush(&stats.stage_partition_cycles, &stats.stage_partition_insns,
-                   &stats.stage_partition_cache_misses);
+  stats.stage(PipelineStage::kPartition) = partition.Stop();
 
   // --- solve: per-component fan-out over the shared pool -----------------
-  stage.Restart();
+  Probe solve = stage_probe(PipelineStage::kSolve);
   ComponentPebbler::Options driver_options;
   driver_options.threads = threads;
   if (threads > 1) driver_options.pool = EnsurePool(threads);
@@ -232,16 +204,13 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
   budget_ctx.set_log(log);
   budget_ctx.set_perf_enabled(perf_on);
   budget_ctx.set_features(&analysis.features);
-  Stopwatch solve_clock;
   analysis.solution = driver.SolveDecomposed(flat, decomp, &budget_ctx);
-  stats.stage_solve_us = stage.ElapsedMicros();
   // Request-thread attribution only: under threads > 1 the workers' cycles
   // land in the hot-loop counters (bnb/hk/ls) via their per-slice stats.
-  stage_perf.Flush(&stats.stage_solve_cycles, &stats.stage_solve_insns,
-                   &stats.stage_solve_cache_misses);
+  stats.stage(PipelineStage::kSolve) = solve.Stop();
 
   // --- verify: induced scheme + verifier-backed costs --------------------
-  stage.Restart();
+  Probe verify = stage_probe(PipelineStage::kVerify);
   std::string verify_error;
   const bool verified =
       ComponentPebbler::TryVerifyAndCost(flat, &analysis.solution,
@@ -255,13 +224,12 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
     log->DumpFlightRecorder("verifier-failure");
   }
   JP_CHECK_MSG(verified, verify_error.c_str());
-  stats.stage_verify_us = stage.ElapsedMicros();
-  stage_perf.Flush(&stats.stage_verify_cycles, &stats.stage_verify_insns,
-                   &stats.stage_verify_cache_misses);
+  stats.stage(PipelineStage::kVerify) = verify.Stop();
 
-  // --- report: derived fields, budget bookkeeping, metrics publish -------
-  stage.Restart();
-  stats.solve_wall_us = solve_clock.ElapsedMicros();
+  // --- report: derived fields and budget bookkeeping ---------------------
+  Probe report = stage_probe(PipelineStage::kReport);
+  stats.solve_wall_us = stats.stage(PipelineStage::kSolve).wall_us +
+                        stats.stage(PipelineStage::kVerify).wall_us;
   stats.budget_polls = budget_ctx.polls();
   stats.budget_time_to_stop_ms = budget_ctx.stopped_elapsed_ms();
   analysis.perfect =
@@ -271,18 +239,7 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
           ? 1.0
           : static_cast<double>(analysis.solution.effective_cost) /
                 static_cast<double>(analysis.output_size);
-  stats.stage_report_us = stage.ElapsedMicros();
-  stage_perf.Flush(&stats.stage_report_cycles, &stats.stage_report_insns,
-                   &stats.stage_report_cache_misses);
-  if (perf_group != nullptr) {
-    // Whole-pipeline totals on the request thread, all five events.
-    const PerfCounts total = perf_group->Read() - pipeline_start;
-    stats.perf_cycles = total.cycles;
-    stats.perf_instructions = total.instructions;
-    stats.perf_cache_references = total.cache_references;
-    stats.perf_cache_misses = total.cache_misses;
-    stats.perf_branch_misses = total.branch_misses;
-  }
+  stats.stage(PipelineStage::kReport) = report.Stop();
   // Fold the per-request counters into the session's registry (or the
   // injected one). Never the process-global default: that is the caller's
   // explicit opt-in.
@@ -307,9 +264,10 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
     // Tail capture: a request over the slow threshold journals what ran —
     // winning solvers plus the ladder plan when one was active — and
     // flushes its flight recorder if the degraded path above did not
-    // already.
+    // already. Compared in milliseconds: the threshold may be as large as
+    // INT64_MAX, so scaling it to microseconds could overflow.
     if (defaults.slow_request_ms >= 0 &&
-        stats.solve_wall_us >= defaults.slow_request_ms * 1000) {
+        stats.solve_wall_us / 1000 >= defaults.slow_request_ms) {
       std::string solvers;
       for (const std::string& name : analysis.solution.solver_used) {
         if (solvers.find(name) != std::string::npos) continue;

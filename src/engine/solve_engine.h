@@ -9,8 +9,9 @@
 //
 // Each stage is a seam: its inputs and outputs are public types
 // (Graph, JoinGraphClassification, ComponentDecomposition, PebbleSolution)
-// and its wall clock lands in SolveStats::stage_*_us, so stages can be
-// tested, cached, or sharded independently. A request enters as a
+// and one Probe (obs/probe.h) measures it into its SolveStats::stages
+// record (wall clock, rendered stage_<name>_us, plus counters under
+// perf), so stages can be tested, cached, or sharded independently. A request enters as a
 // SolveRequest (graph + predicate + per-request overrides of the engine
 // defaults) and leaves as a SolveResult carrying the familiar
 // JoinAnalysis.
@@ -194,8 +195,8 @@ struct SolveRequest {
 };
 
 // What one request produced. Thin on purpose: the analysis carries the
-// verified solution, the classification, and the stats (including
-// stage_*_us pipeline timings).
+// verified solution, the classification, and the stats (including the
+// per-stage pipeline records, SolveStats::stages).
 struct SolveResult {
   JoinAnalysis analysis;
 };

@@ -4,6 +4,8 @@
 #include <mutex>
 #include <utility>
 
+#include "util/budget.h"
+
 #if defined(__linux__)
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
@@ -173,6 +175,11 @@ PerfCounts PerfCounterGroup::Read() const {
 PerfCounterGroup* PerfCounterGroup::ThisThread() {
   thread_local PerfCounterGroup group;
   return &group;
+}
+
+PerfCounterGroup* BudgetContext::perf_group() const {
+  return perf_enabled_ && stats_ != nullptr ? PerfCounterGroup::ThisThread()
+                                            : nullptr;
 }
 
 void PerfCounterGroup::ForceUnavailableForTest(const std::string& reason) {

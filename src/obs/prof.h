@@ -1,14 +1,14 @@
 // Hardware performance counters: eyes below wall-clock.
 //
 // SolveStats (obs/solve_stats.h) records what the solvers *did* (nodes,
-// prunes, passes) and how long it *took* (stage_*_us). What it cannot say
-// is why a stage took that long — whether the time went to instructions,
-// to cache misses, or to branch mispredicts. The cache-conscious CSR/SIMD
-// refactor on the ROADMAP is only honest if cycles, IPC, and cache misses
-// per pipeline stage are measured before and after the layout change; this
-// header is that measurement layer.
+// prunes, passes) and how long each pipeline stage *took*. What it cannot
+// say is why a stage took that long — whether the time went to
+// instructions, to cache misses, or to branch mispredicts. This header is
+// that measurement layer: cycles, IPC and cache misses per pipeline stage,
+// per rung attempt and per solver hot loop, so a layout or algorithm
+// change can be argued with counters measured before and after it.
 //
-// Three pieces:
+// Two pieces:
 //
 //   - PerfCounts: one snapshot of the five counters worth arguing with
 //     (cycles, instructions, cache references, cache misses, branch
@@ -18,19 +18,18 @@
 //     PERF_FORMAT_TOTAL_TIME_{ENABLED,RUNNING}, and Read() scales each
 //     value by enabled/running, so a multiplexed counter (more events than
 //     PMU slots) reports an unbiased estimate instead of a silent
-//     undercount;
-//   - ScopedCounterProbe: RAII attribution of the delta across its
-//     lifetime into a PerfCounts sink. Probes nest freely — each one
-//     snapshots the monotone thread counters at construction and adds the
-//     difference at destruction, so an outer probe's delta includes its
-//     inner probes' by construction.
+//     undercount.
+//
+// Attribution is the Probe's job (obs/probe.h): a probe given a group
+// snapshots it on construction and takes the delta when it stops, so
+// probes nest and an outer probe's delta includes its inner probes'.
 //
 // Graceful degradation is a hard requirement: containers and CI runners
 // routinely deny perf_event_open (perf_event_paranoid, seccomp, missing
 // CAP_PERFMON, non-Linux hosts). A group that cannot open its counters is
 // *unavailable*: available() is false, unavailable_reason() says why
 // (e.g. "EACCES: perf_event_paranoid"), Read() returns zeros, and probes
-// are no-ops — callers surface the reason (the stats JSON records
+// count nothing — callers surface the reason (the stats JSON records
 // "perf":"unavailable:<reason>") and everything else proceeds identically.
 //
 // Threading model: a group counts the thread that opened it, and must be
@@ -137,69 +136,6 @@ class PerfCounterGroup {
   std::string reason_;
   int fds_[kNumEvents] = {-1, -1, -1, -1, -1};
   std::function<PerfCounts()> fake_reader_;  // test injection only
-};
-
-// RAII delta attribution: adds (Read-at-destruction − Read-at-construction)
-// of `group` into `*sink`. A null group or null sink makes the probe a
-// complete no-op (one branch each way), as does an unavailable group —
-// which is exactly the denied-container degradation: probes still nest and
-// destruct cleanly, the sink just stays zero.
-class ScopedCounterProbe {
- public:
-  ScopedCounterProbe(PerfCounterGroup* group, PerfCounts* sink)
-      : group_(group != nullptr && sink != nullptr && group->available()
-                   ? group
-                   : nullptr),
-        sink_(sink) {
-    if (group_ != nullptr) start_ = group_->Read();
-  }
-
-  ScopedCounterProbe(const ScopedCounterProbe&) = delete;
-  ScopedCounterProbe& operator=(const ScopedCounterProbe&) = delete;
-
-  ~ScopedCounterProbe() {
-    if (group_ != nullptr) *sink_ += group_->Read() - start_;
-  }
-
- private:
-  PerfCounterGroup* group_;
-  PerfCounts* sink_;
-  PerfCounts start_;
-};
-
-// The two-field variant the solver hot loops use: at destruction adds the
-// cycles and cache-miss deltas straight into a SolveStats field pair (e.g.
-// bnb_cycles / bnb_cache_misses), so a mid-loop early return — deadline
-// expiry, memory decline — still flushes via RAII. Null group, null fields,
-// or an unavailable group: complete no-op.
-class ScopedHotLoopProbe {
- public:
-  ScopedHotLoopProbe(PerfCounterGroup* group, int64_t* cycles,
-                     int64_t* cache_misses)
-      : group_(group != nullptr && cycles != nullptr &&
-                       cache_misses != nullptr && group->available()
-                   ? group
-                   : nullptr),
-        cycles_(cycles),
-        cache_misses_(cache_misses) {
-    if (group_ != nullptr) start_ = group_->Read();
-  }
-
-  ScopedHotLoopProbe(const ScopedHotLoopProbe&) = delete;
-  ScopedHotLoopProbe& operator=(const ScopedHotLoopProbe&) = delete;
-
-  ~ScopedHotLoopProbe() {
-    if (group_ == nullptr) return;
-    const PerfCounts delta = group_->Read() - start_;
-    *cycles_ += delta.cycles;
-    *cache_misses_ += delta.cache_misses;
-  }
-
- private:
-  PerfCounterGroup* group_;
-  int64_t* cycles_;
-  int64_t* cache_misses_;
-  PerfCounts start_;
 };
 
 }  // namespace pebblejoin

@@ -22,10 +22,23 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/probe.h"
+
 namespace pebblejoin {
 
+class BudgetContext;
 class JsonWriter;
 class MetricsRegistry;
+
+// The stages of the engine's request pipeline, in order. Their names live
+// once, in kPipelineStageNames, and spell the stage keys of every stats
+// surface: stage_<name>_us, stage_<name>_cycles, … and the --perf-stats
+// table rows.
+enum class PipelineStage { kBuild, kClassify, kPartition, kSolve, kVerify,
+                           kReport };
+inline constexpr int kNumPipelineStages = 6;
+inline constexpr const char* kPipelineStageNames[kNumPipelineStages] = {
+    "build", "classify", "partition", "solve", "verify", "report"};
 
 struct SolveStats {
   // Branch and bound (tsp/branch_and_bound.cc).
@@ -63,64 +76,38 @@ struct SolveStats {
   int64_t budget_polls = 0;
   int64_t budget_time_to_stop_ms = -1;  // -1: never stopped
 
-  // Wall clock of the whole solve, flushed by the analyzer.
+  // Wall clock of the solve and verify stages together, flushed by the
+  // engine.
   int64_t solve_wall_us = 0;
 
-  // Per-stage wall clocks of the engine's request pipeline
-  // (engine/solve_engine.h): build -> classify -> partition -> solve ->
-  // verify -> report. Filled by SolveEngine; zero when the analysis was
-  // produced outside the staged pipeline.
-  int64_t stage_build_us = 0;
-  int64_t stage_classify_us = 0;
-  int64_t stage_partition_us = 0;
-  int64_t stage_solve_us = 0;
-  int64_t stage_verify_us = 0;
-  int64_t stage_report_us = 0;
+  // The engine's request pipeline (engine/solve_engine.h), one record per
+  // stage in pipeline order: the stage's wall clock (stage_<name>_us) and,
+  // with perf counters on, its counter delta on the request thread
+  // (stage_<name>_{cycles,insns,cache_misses}). Filled by SolveEngine;
+  // zero when the analysis was produced outside the staged pipeline. Under
+  // --threads N the solve stage's counters cover the coordinating thread
+  // only; pool workers report through the hot-loop counters below.
+  ProbeSample stages[kNumPipelineStages];
 
-  // Hardware counters (obs/prof.h). All zero unless the request ran with
-  // perf counters enabled (`--perf-stats` / AnalyzerOptions::perf) on a
-  // host where perf_event_open succeeds; the `perf` string below says
-  // which of those it was.
-  //
-  // Whole-solve totals, measured on the request thread across the engine
-  // pipeline:
-  int64_t perf_cycles = 0;
-  int64_t perf_instructions = 0;
-  int64_t perf_cache_references = 0;
-  int64_t perf_cache_misses = 0;
-  int64_t perf_branch_misses = 0;
+  ProbeSample& stage(PipelineStage s) { return stages[static_cast<int>(s)]; }
+  const ProbeSample& stage(PipelineStage s) const {
+    return stages[static_cast<int>(s)];
+  }
 
-  // Per-stage attribution alongside stage_*_us. Counted on the request
-  // thread, so under --threads N the solve stage covers the coordinating
-  // thread only; pool workers report through the hot-loop counters below.
-  int64_t stage_build_cycles = 0;
-  int64_t stage_build_insns = 0;
-  int64_t stage_build_cache_misses = 0;
-  int64_t stage_classify_cycles = 0;
-  int64_t stage_classify_insns = 0;
-  int64_t stage_classify_cache_misses = 0;
-  int64_t stage_partition_cycles = 0;
-  int64_t stage_partition_insns = 0;
-  int64_t stage_partition_cache_misses = 0;
-  int64_t stage_solve_cycles = 0;
-  int64_t stage_solve_insns = 0;
-  int64_t stage_solve_cache_misses = 0;
-  int64_t stage_verify_cycles = 0;
-  int64_t stage_verify_insns = 0;
-  int64_t stage_verify_cache_misses = 0;
-  int64_t stage_report_cycles = 0;
-  int64_t stage_report_insns = 0;
-  int64_t stage_report_cache_misses = 0;
+  // Whole-pipeline hardware-counter totals (perf_*): the sum of the
+  // stage deltas.
+  PerfCounts perf_total() const;
 
-  // Hot-loop attribution: each solver flushes its own thread's counter
-  // deltas alongside its work counters, so these survive the per-slice
-  // deterministic merge and add up across pool workers.
-  int64_t bnb_cycles = 0;
-  int64_t bnb_cache_misses = 0;
-  int64_t hk_cycles = 0;
-  int64_t hk_cache_misses = 0;
-  int64_t ls_cycles = 0;
-  int64_t ls_cache_misses = 0;
+  // Hot-loop attribution (obs/prof.h): each solver meters its own thread
+  // and flushes alongside its work counters, so these survive the
+  // per-slice deterministic merge and add up across pool workers. Only
+  // cycles and cache misses are rendered (bnb_cycles, bnb_cache_misses…).
+  // All perf counts stay zero unless the request ran with perf counters
+  // enabled (`--perf-stats` / AnalyzerOptions::perf) on a host where
+  // perf_event_open succeeds; the `perf` string below says which it was.
+  PerfCounts bnb_perf;
+  PerfCounts hk_perf;
+  PerfCounts ls_perf;
 
   // Perf availability for this request: "off" (counters not requested),
   // "ok" (requested and counting), or "unavailable:<reason>" (requested
@@ -149,6 +136,12 @@ struct SolveStats {
   // disabled registry makes this a sequence of no-ops.
   void PublishTo(MetricsRegistry* registry) const;
 };
+
+// The counters-only probe of one solver hot loop: meters the calling
+// thread into (budget->stats()->*field) when the request has perf on and a
+// stats sink (BudgetContext::perf_group), and is a no-op otherwise.
+Probe HotLoopCounters(const BudgetContext* budget,
+                      PerfCounts SolveStats::*field);
 
 }  // namespace pebblejoin
 

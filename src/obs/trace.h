@@ -4,8 +4,8 @@
 // events (phase "i") on a single timeline and serializes them in the Chrome
 // trace-event format, loadable in chrome://tracing or https://ui.perfetto.dev.
 // The session is attached to a solve through BudgetContext (like the
-// SolveStats sink); instrumentation sites guard on the pointer, so a null
-// session costs one branch.
+// SolveStats sink); instrumentation sites record spans through a Probe
+// (obs/probe.h), so a null session costs one branch.
 //
 // Timestamps come from an injectable microsecond clock — pass a callable in
 // tests for byte-stable golden output; the default is the steady clock,
@@ -90,39 +90,6 @@ class TraceSession {
   std::function<int64_t()> clock_;
   int64_t epoch_us_ = 0;  // subtracted from real-clock reads
   std::vector<Event> events_;
-};
-
-// RAII span: records a complete event on the session from construction to
-// destruction. A null session makes every method a no-op, so call sites
-// need no guards. Args added before destruction are attached to the event.
-class TraceSpan {
- public:
-  TraceSpan(TraceSession* session, std::string name, std::string category)
-      : session_(session),
-        name_(std::move(name)),
-        category_(std::move(category)),
-        start_us_(session != nullptr ? session->NowUs() : 0) {}
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  void AddArg(TraceArg arg) {
-    if (session_ != nullptr) args_.push_back(std::move(arg));
-  }
-
-  ~TraceSpan() {
-    if (session_ != nullptr) {
-      session_->Complete(name_, category_, start_us_,
-                         session_->NowUs() - start_us_, std::move(args_));
-    }
-  }
-
- private:
-  TraceSession* session_;
-  std::string name_;
-  std::string category_;
-  int64_t start_us_;
-  TraceArgs args_;
 };
 
 }  // namespace pebblejoin

@@ -7,12 +7,12 @@
 
 #include "graph/components.h"
 #include "obs/log.h"
+#include "obs/probe.h"
 #include "obs/solve_stats.h"
 #include "obs/trace.h"
 #include "pebble/cost_model.h"
 #include "pebble/scheme_verifier.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace pebblejoin {
@@ -55,11 +55,10 @@ void ComponentPebbler::SolveComponent(const Graph& g,
       ExtractComponent(g, decomp, c, /*vertex_map=*/nullptr, &edge_map);
 
   result->worker = ThreadPool::CurrentWorkerId();
-  Stopwatch wall;
   {
-    TraceSpan component_span(slice->trace(), "component", "solver");
-    component_span.AddArg(TraceArg::Num("index", c));
-    component_span.AddArg(TraceArg::Num("edges", sub.num_edges()));
+    Probe probe = Probe::Timed("component", "solver", slice->trace());
+    probe.AddNum("index", c);
+    probe.AddNum("edges", sub.num_edges());
 
     std::optional<std::vector<int>> order =
         primary_->PebbleWithOutcome(sub, slice, &result->outcome);
@@ -87,8 +86,8 @@ void ComponentPebbler::SolveComponent(const Graph& g,
     for (int local_edge : *order) {
       result->edge_order.push_back(edge_map[local_edge]);
     }
+    result->wall_us = probe.Stop().wall_us;
   }
-  result->wall_us = wall.ElapsedMicros();
 
   if (EventLog* log = slice->log()) {
     log->Emit(LogLevel::kDebug, "component.done",

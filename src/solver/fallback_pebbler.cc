@@ -5,8 +5,8 @@
 
 #include "graph/features.h"
 #include "obs/log.h"
+#include "obs/probe.h"
 #include "obs/solve_stats.h"
-#include "obs/trace.h"
 #include "solver/dfs_tree_pebbler.h"
 #include "solver/greedy_walk_pebbler.h"
 #include "solver/ladder_planner.h"
@@ -135,7 +135,7 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
   BudgetContext local_ctx{SolveBudget{}};
   BudgetContext* ctx = budget != nullptr ? budget : &local_ctx;
 
-  TraceSpan ladder_span(ctx->trace(), "ladder", "solver");
+  Probe ladder_span = Probe::Span("ladder", "solver", ctx->trace());
 
   const ExactPebbler exact(options_.exact);
   const IlsPebbler ils(options_.ils);
@@ -213,14 +213,13 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
     if (SolveStats* stats = ctx->stats()) {
       stats->planner_actual_rung += outcome->plan.actual_rung;
     }
-    ladder_span.AddArg(
-        TraceArg::Str("plan_start", outcome->plan.predicted_solver));
+    ladder_span.AddStr("plan_start", outcome->plan.predicted_solver.c_str());
   }
 
-  ladder_span.AddArg(TraceArg::Str(
-      "winner", outcome->winner.empty() ? "none" : outcome->winner));
-  ladder_span.AddArg(
-      TraceArg::Str("degradation", RungStatusName(outcome->degradation)));
+  ladder_span.AddStr("winner", outcome->winner.empty()
+                                   ? "none"
+                                   : outcome->winner.c_str());
+  ladder_span.AddStr("degradation", RungStatusName(outcome->degradation));
 
   if (EventLog* log = ctx->log()) {
     // Degraded ladders surface at warn (past the default info filter);

@@ -3,12 +3,10 @@
 #include <utility>
 
 #include "obs/log.h"
-#include "obs/prof.h"
+#include "obs/probe.h"
 #include "obs/solve_stats.h"
-#include "obs/trace.h"
 #include "pebble/cost_model.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace pebblejoin {
 
@@ -17,25 +15,17 @@ std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
   JP_CHECK(outcome != nullptr);
   outcome->lower_bound = g.num_edges();
 
-  // Per-rung hardware counters, same attribution thread as the rung itself;
-  // the delta lands on the RungAttempt so ladder provenance can say not
-  // just how long a rung ran but what it burned.
-  PerfCounterGroup* perf_group =
-      budget != nullptr && budget->perf_enabled() ? PerfCounterGroup::ThisThread()
-                                                  : nullptr;
-  PerfCounts rung_perf;
-  Stopwatch rung_clock;
-  std::optional<std::vector<int>> order;
-  {
-    ScopedCounterProbe rung_probe(perf_group, &rung_perf);
-    order = PebbleConnected(g, budget);
-  }
-  const int64_t elapsed_us = rung_clock.ElapsedMicros();
-
+  // One probe per rung attempt: its wall clock and hardware counters land
+  // on the RungAttempt, so ladder provenance can say not just how long a
+  // rung ran but what it burned, and a traced request gets one "rung" span
+  // carrying the attempt's status and cost.
   RungAttempt attempt;
   attempt.solver = name();
-  attempt.cycles = rung_perf.cycles;
-  attempt.cache_misses = rung_perf.cache_misses;
+  Probe probe = Probe::Timed(
+      attempt.solver.c_str(), "rung",
+      budget != nullptr ? budget->trace() : nullptr,
+      budget != nullptr ? budget->perf_group() : nullptr);
+  std::optional<std::vector<int>> order = PebbleConnected(g, budget);
   if (order.has_value()) {
     attempt.cost =
         static_cast<int64_t>(order->size()) + JumpsOfEdgeOrder(g, *order);
@@ -65,7 +55,12 @@ std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
         break;
     }
   }
-  attempt.elapsed_us = elapsed_us;
+  probe.AddStr("status", RungStatusName(attempt.status));
+  probe.AddNum("cost", attempt.cost);
+  const ProbeSample& sample = probe.Stop();
+  attempt.elapsed_us = sample.wall_us;
+  attempt.cycles = sample.perf.cycles;
+  attempt.cache_misses = sample.perf.cache_misses;
   outcome->status = attempt.status;
   outcome->degradation = RungProducedOrder(attempt.status)
                              ? RungStatus::kCompleted
@@ -76,19 +71,12 @@ std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
       ++stats->rungs_attempted;
       if (!RungProducedOrder(attempt.status)) ++stats->rungs_declined;
     }
-    if (TraceSession* trace = budget->trace()) {
-      // One Complete event per rung, back-dated to the solve start.
-      const int64_t end_us = trace->NowUs();
-      trace->Complete(attempt.solver, "rung", end_us - elapsed_us, elapsed_us,
-                      {TraceArg::Str("status", RungStatusName(attempt.status)),
-                       TraceArg::Num("cost", attempt.cost)});
-    }
     if (EventLog* log = budget->log()) {
       log->Emit(LogLevel::kDebug, "ladder.rung",
                 {LogField::Str("solver", attempt.solver),
                  LogField::Str("status", RungStatusName(attempt.status)),
                  LogField::Num("cost", attempt.cost),
-                 LogField::Num("elapsed_us", elapsed_us)});
+                 LogField::Num("elapsed_us", attempt.elapsed_us)});
     }
   }
 

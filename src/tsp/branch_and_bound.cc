@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "obs/prof.h"
 #include "obs/solve_stats.h"
 #include "tsp/local_search.h"
 #include "tsp/path_cover.h"
@@ -197,13 +196,7 @@ BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
   // Hot-loop hardware counters: this thread's group meters the whole solve
   // (priming + recursion) and RAII-flushes into the stats sink, so a pool
   // worker's cycles land in its per-slice stats and survive the merge.
-  SolveStats* sink = budget != nullptr ? budget->stats() : nullptr;
-  ScopedHotLoopProbe perf_probe(
-      budget != nullptr && budget->perf_enabled() && sink != nullptr
-          ? PerfCounterGroup::ThisThread()
-          : nullptr,
-      sink != nullptr ? &sink->bnb_cycles : nullptr,
-      sink != nullptr ? &sink->bnb_cache_misses : nullptr);
+  Probe perf_probe = HotLoopCounters(budget, &SolveStats::bnb_perf);
 
   SearchContext ctx;
   ctx.instance = &instance;

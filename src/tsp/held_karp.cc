@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "obs/prof.h"
 #include "obs/solve_stats.h"
 #include "util/check.h"
 
@@ -16,13 +15,7 @@ std::optional<TspPathResult> HeldKarpSolve(const Tsp12Instance& instance,
 
   // Hardware counters across the whole DP (table fill + reconstruction);
   // RAII so the periodic-deadline early returns still flush.
-  SolveStats* sink = budget != nullptr ? budget->stats() : nullptr;
-  ScopedHotLoopProbe perf_probe(
-      budget != nullptr && budget->perf_enabled() && sink != nullptr
-          ? PerfCounterGroup::ThisThread()
-          : nullptr,
-      sink != nullptr ? &sink->hk_cycles : nullptr,
-      sink != nullptr ? &sink->hk_cache_misses : nullptr);
+  Probe perf_probe = HotLoopCounters(budget, &SolveStats::hk_perf);
   // Pre-flight: the 2^n · n-byte table must fit the memory ceiling. With no
   // budget this reproduces the historical n <= 20 limit.
   const int64_t table_ceiling =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/prof.h"
 #include "obs/solve_stats.h"
 #include "util/check.h"
 
@@ -160,13 +159,7 @@ int64_t LocalSearchImprove(const Tsp12Instance& instance, Tour* tour,
   // Hardware counters for the combined 2-opt/Or-opt improvement loop. This
   // is the one entry point both LocalSearchPebbler and IlsPebbler funnel
   // through, so ls_cycles covers every local-search consumer.
-  SolveStats* sink = budget != nullptr ? budget->stats() : nullptr;
-  ScopedHotLoopProbe perf_probe(
-      budget != nullptr && budget->perf_enabled() && sink != nullptr
-          ? PerfCounterGroup::ThisThread()
-          : nullptr,
-      sink != nullptr ? &sink->ls_cycles : nullptr,
-      sink != nullptr ? &sink->ls_cache_misses : nullptr);
+  Probe perf_probe = HotLoopCounters(budget, &SolveStats::ls_perf);
   int64_t removed = 0;
   for (int round = 0; round < options.max_passes; ++round) {
     if (budget != nullptr && budget->Expired()) break;

@@ -38,6 +38,7 @@ struct SolveStats;
 class TraceSession;
 class EventLog;
 struct GraphFeatures;
+class PerfCounterGroup;
 
 // Why a budgeted solve was stopped early. kNone means "still running" (or
 // finished within every ceiling).
@@ -312,12 +313,17 @@ class BudgetContext {
 
   // Whether hardware-counter measurement (obs/prof.h) is on for this
   // request. Just a flag: util stays dependency-free, and measurement
-  // sites consult it before touching their own thread's counter group.
-  // Unlike the telemetry sinks, worker slices DO inherit it — each worker
-  // reads its own thread_local counters and flushes into its per-slice
-  // stats, so the flag is safe (and necessary) to share.
+  // sites read it through perf_group() below. Unlike the telemetry sinks,
+  // worker slices DO inherit it — each worker reads its own thread_local
+  // counters and flushes into its per-slice stats, so the flag is safe
+  // (and necessary) to share.
   void set_perf_enabled(bool enabled) { perf_enabled_ = enabled; }
   bool perf_enabled() const { return perf_enabled_; }
+  // The counter group a measurement site hands its Probe (obs/probe.h):
+  // the calling thread's group when perf is on and a stats sink is
+  // attached, else null. Defined in obs/prof.cc, next to the thread-local
+  // groups, so this header keeps its forward declaration only.
+  PerfCounterGroup* perf_group() const;
 
   // Request-level graph features (graph/features.h), extracted once by the
   // engine's classify stage and read by the calibrated ladder planner.

@@ -1,5 +1,5 @@
-// A minimal wall-clock stopwatch for benchmark tables, plus a scoped timer
-// that records its lifetime into a histogram-like sink.
+// A minimal wall-clock stopwatch for benchmark tables. Timed spans inside
+// the library use a Probe (obs/probe.h) instead.
 
 #ifndef PEBBLEJOIN_UTIL_STOPWATCH_H_
 #define PEBBLEJOIN_UTIL_STOPWATCH_H_
@@ -32,29 +32,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// RAII timer: on destruction records the elapsed microseconds into `sink`
-// via sink->RecordMicros(us). The sink type only needs that one method
-// (obs::Histogram qualifies), which keeps util free of an obs dependency.
-// A null sink skips the record but the destructor still reads the clock,
-// so prefer guarding construction when the sink is known-disabled.
-template <typename Sink>
-class ScopedTimerT {
- public:
-  explicit ScopedTimerT(Sink* sink) : sink_(sink) {}
-  ScopedTimerT(const ScopedTimerT&) = delete;
-  ScopedTimerT& operator=(const ScopedTimerT&) = delete;
-
-  ~ScopedTimerT() {
-    if (sink_ != nullptr) sink_->RecordMicros(watch_.ElapsedMicros());
-  }
-
-  const Stopwatch& watch() const { return watch_; }
-
- private:
-  Sink* sink_;
-  Stopwatch watch_;
 };
 
 }  // namespace pebblejoin

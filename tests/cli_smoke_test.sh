@@ -531,11 +531,19 @@ DENSE_PERF=$(printf '%s' "$DENSE" | "$BIN" solve --perf-stats)
 if [ $? -ne 0 ]; then
   note_failure "dense solve --perf-stats must exit 0"
 fi
-printf '%s\n' "$DENSE_PERF" | grep -q '^#.*build' \
-  || note_failure "dense solve --perf-stats must print the build stage row"
-printf '%s' "$DENSE" | "$BIN" analyze --json --perf-stats \
-  | grep -q '"stage_build_cycles"' \
-  || note_failure "analyze --json --perf-stats must carry stage_build_* counters"
+DENSE_PERF_JSON=$(printf '%s' "$DENSE" | "$BIN" analyze --json --perf-stats)
+for stage in build classify partition solve verify report; do
+  printf '%s\n' "$DENSE_PERF" | grep -q "^#   $stage " \
+    || note_failure "solve --perf-stats must print the $stage stage row"
+  for count in cycles insns cache_misses; do
+    printf '%s' "$DENSE_PERF_JSON" | grep -q "\"stage_${stage}_${count}\":" \
+      || note_failure "analyze --json --perf-stats must carry stage_${stage}_${count}"
+  done
+done
+for total in cycles instructions cache_references cache_misses branch_misses; do
+  printf '%s' "$DENSE_PERF_JSON" | grep -q "\"perf_${total}\":" \
+    || note_failure "analyze --json --perf-stats must carry perf_${total}"
+done
 printf '%s\n' "$DEFAULT_OUT" | grep -q 'perf counters' \
   && note_failure "default solve must not print the perf counter block"
 

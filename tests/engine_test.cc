@@ -6,6 +6,8 @@
 // registry, never the process-global default.
 
 #include <cstdint>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "engine/solve_engine.h"
 #include "graph/bipartite_graph.h"
 #include "graph/generators.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
 
@@ -139,12 +142,42 @@ TEST(SolveEngineTest, StagedPipelineFillsStageTimings) {
   const SolveStats stats = engine.Solve(request).analysis.stats;
   // Individual stages can round to zero microseconds, but a 38-edge ILS
   // solve cannot: the pipeline as a whole must have measured real time.
-  EXPECT_GT(stats.stage_build_us + stats.stage_classify_us +
-                stats.stage_partition_us + stats.stage_solve_us +
-                stats.stage_verify_us + stats.stage_report_us,
-            0);
-  EXPECT_GE(stats.stage_solve_us, 0);
-  EXPECT_GE(stats.solve_wall_us, 0);
+  int64_t pipeline_us = 0;
+  for (const ProbeSample& stage : stats.stages) pipeline_us += stage.wall_us;
+  EXPECT_GT(pipeline_us, 0);
+  EXPECT_GE(stats.stage(PipelineStage::kSolve).wall_us, 0);
+  // solve_wall_us is the solve and verify stages together.
+  EXPECT_EQ(stats.solve_wall_us,
+            stats.stage(PipelineStage::kSolve).wall_us +
+                stats.stage(PipelineStage::kVerify).wall_us);
+}
+
+// The journal text of one solve of `g` under a slow-request threshold.
+std::string SlowCheckJournal(int64_t slow_request_ms, const BipartiteGraph& g) {
+  std::ostringstream sink;
+  Journal journal;
+  journal.AttachStream(&sink);
+  SolveEngine::Options options;
+  options.defaults.journal = &journal;
+  options.defaults.slow_request_ms = slow_request_ms;
+  SolveEngine engine(options);
+  SolveRequest request;
+  request.graph = &g;
+  engine.Solve(request);
+  return sink.str();
+}
+
+TEST(SolveEngineTest, HugeSlowRequestThresholdNeverFires) {
+  const BipartiteGraph g = WorstCaseFamily(8);
+  // Every request reaches a zero threshold...
+  EXPECT_NE(SlowCheckJournal(0, g).find("\"request.slow\""),
+            std::string::npos);
+  // ...and none reaches the largest one the flag accepts, which must not
+  // overflow when compared against the microsecond wall clock.
+  const std::string journal =
+      SlowCheckJournal(std::numeric_limits<int64_t>::max(), g);
+  EXPECT_EQ(journal.find("\"request.slow\""), std::string::npos) << journal;
+  EXPECT_NE(journal.find("\"solve.end\""), std::string::npos) << journal;
 }
 
 TEST(SolveEngineTest, PoolIsCreatedLazilyAndReused) {

@@ -17,6 +17,7 @@
 #include "obs/json.h"
 #include "obs/json_value.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/solve_stats.h"
 #include "obs/trace.h"
 #include "solver/exact_pebbler.h"
@@ -85,8 +86,8 @@ TEST(SolveStatsTest, AddAccumulatesAndMaxesTimeToStop) {
 }
 
 // Every rendered field gets its own value, so a field that moves, drops,
-// or reads another field's storage changes the bytes. Perf totals are set
-// to the sums of the per-stage counts, as the engine produces them.
+// or reads another field's storage changes the bytes. The perf totals are
+// the sums of the per-stage counts.
 SolveStats DistinctStats(const std::string& perf) {
   SolveStats s;
   s.bnb_nodes_expanded = 101;
@@ -110,41 +111,21 @@ SolveStats DistinctStats(const std::string& perf) {
   s.budget_polls = 119;
   s.budget_time_to_stop_ms = 120;
   s.solve_wall_us = 121;
-  s.stage_build_us = 201;
-  s.stage_classify_us = 202;
-  s.stage_partition_us = 203;
-  s.stage_solve_us = 204;
-  s.stage_verify_us = 205;
-  s.stage_report_us = 206;
-  s.stage_build_cycles = 3001;
-  s.stage_build_insns = 4001;
-  s.stage_build_cache_misses = 501;
-  s.stage_classify_cycles = 3002;
-  s.stage_classify_insns = 4002;
-  s.stage_classify_cache_misses = 502;
-  s.stage_partition_cycles = 3003;
-  s.stage_partition_insns = 4003;
-  s.stage_partition_cache_misses = 503;
-  s.stage_solve_cycles = 3004;
-  s.stage_solve_insns = 4004;
-  s.stage_solve_cache_misses = 504;
-  s.stage_verify_cycles = 3005;
-  s.stage_verify_insns = 4005;
-  s.stage_verify_cache_misses = 505;
-  s.stage_report_cycles = 3006;
-  s.stage_report_insns = 4006;
-  s.stage_report_cache_misses = 506;
-  s.perf_cycles = 18021;        // sum of the stage cycles
-  s.perf_instructions = 24021;  // sum of the stage instructions
-  s.perf_cache_references = 6001;
-  s.perf_cache_misses = 3021;  // sum of the stage cache misses
-  s.perf_branch_misses = 701;
-  s.bnb_cycles = 801;
-  s.bnb_cache_misses = 802;
-  s.hk_cycles = 803;
-  s.hk_cache_misses = 804;
-  s.ls_cycles = 805;
-  s.ls_cache_misses = 806;
+  for (int i = 0; i < kNumPipelineStages; ++i) {
+    s.stages[i].wall_us = 201 + i;
+    s.stages[i].perf.cycles = 3001 + i;
+    s.stages[i].perf.instructions = 4001 + i;
+    s.stages[i].perf.cache_misses = 501 + i;
+  }
+  // Rendered only as totals (perf_cache_references, perf_branch_misses).
+  s.stage(PipelineStage::kBuild).perf.cache_references = 6001;
+  s.stage(PipelineStage::kBuild).perf.branch_misses = 701;
+  s.bnb_perf.cycles = 801;
+  s.bnb_perf.cache_misses = 802;
+  s.hk_perf.cycles = 803;
+  s.hk_perf.cache_misses = 804;
+  s.ls_perf.cycles = 805;
+  s.ls_perf.cache_misses = 806;
   s.perf = perf;
   return s;
 }
@@ -287,20 +268,43 @@ TEST(TraceSessionTest, SpanRecordsItsLifetime) {
   int64_t now = 10;
   TraceSession trace([&now]() { return now; });
   {
-    TraceSpan span(&trace, "work", "test");
-    span.AddArg(TraceArg::Num("n", 3));
+    Probe span = Probe::Span("work", "test", &trace);
+    span.AddNum("n", 3);
+    span.AddStr("kind", "leaf");
     now = 35;
   }
   EXPECT_EQ(trace.num_events(), 1u);
+  EXPECT_EQ(trace.ToJson(),
+            "{\"traceEvents\":["
+            "{\"name\":\"work\",\"cat\":\"test\",\"ph\":\"X\",\"ts\":10,"
+            "\"dur\":25,\"pid\":1,\"tid\":1,"
+            "\"args\":{\"n\":3,\"kind\":\"leaf\"}}"
+            "],\"displayTimeUnit\":\"ms\"}");
+}
+
+TEST(TraceSessionTest, SpanEndsAtStopNotAtScopeExit) {
+  int64_t now = 0;
+  TraceSession trace([&now]() { return now; });
+  {
+    Probe probe = Probe::Timed("rung", "test", &trace);
+    now = 7;
+    probe.AddNum("cost", 4);
+    probe.Stop();
+    probe.AddNum("late", 1);  // after Stop: not carried
+    now = 100;
+  }  // the destructor records nothing more
+  EXPECT_EQ(trace.num_events(), 1u);
   const std::string json = trace.ToJson();
-  EXPECT_NE(json.find("\"ts\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":25"), std::string::npos);
-  EXPECT_NE(json.find("\"n\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":7"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"cost\":4"), std::string::npos) << json;
+  EXPECT_EQ(json.find("late"), std::string::npos) << json;
 }
 
 TEST(TraceSessionTest, NullSessionSpanIsNoOp) {
-  TraceSpan span(nullptr, "ignored", "test");
-  span.AddArg(TraceArg::Num("n", 1));  // must not crash
+  Probe span = Probe::Span("ignored", "test", nullptr);
+  span.AddNum("n", 1);  // must not crash
+  span.AddStr("s", "x");
+  EXPECT_EQ(span.Stop().wall_us, 0);  // an untimed span reads no clock
 }
 
 TEST(TraceSessionTest, WriteFileRejectsBadPath) {

@@ -1,5 +1,5 @@
-// Hardware-counter layer (obs/prof.h) and folded-stack aggregation
-// (obs/sampler.h). Everything here runs on hosts with no PMU access at
+// Hardware-counter layer (obs/prof.h), the scoped Probe (obs/probe.h) and
+// folded-stack aggregation (obs/sampler.h). Everything here runs on hosts with no PMU access at
 // all: real syscalls are exercised only through the graceful-degradation
 // seams (fake readers, ForceUnavailableForTest), which is precisely the
 // contract CI containers rely on.
@@ -12,8 +12,12 @@
 
 #include "core/analyzer.h"
 #include "graph/generators.h"
+#include "obs/json.h"
+#include "obs/probe.h"
 #include "obs/prof.h"
 #include "obs/sampler.h"
+#include "obs/solve_stats.h"
+#include "util/budget.h"
 
 namespace pebblejoin {
 namespace {
@@ -62,11 +66,17 @@ TEST(PerfCounterGroupTest, ProbeAttributesDeltaToSink) {
   });
   PerfCounts sink;
   {
-    ScopedCounterProbe probe(&group, &sink);
-    // Construction read once; destruction reads once more: delta 100/10.
+    Probe probe = Probe::Counters(&group, &sink);
+    // Construction read once; stopping reads once more: delta 100/10.
   }
   EXPECT_EQ(sink.cycles, 100);
   EXPECT_EQ(sink.cache_misses, 10);
+
+  // A timed probe reports the same delta on its sample.
+  const ProbeSample sample = Probe::Timed("stage", "test", nullptr, &group).Stop();
+  EXPECT_EQ(sample.perf.cycles, 100);
+  EXPECT_EQ(sample.perf.cache_misses, 10);
+  EXPECT_GE(sample.wall_us, 0);
 }
 
 TEST(PerfCounterGroupTest, NestedProbesEachSeeTheirOwnSpan) {
@@ -77,9 +87,9 @@ TEST(PerfCounterGroupTest, NestedProbesEachSeeTheirOwnSpan) {
   });
   PerfCounts outer, inner;
   {
-    ScopedCounterProbe outer_probe(&group, &outer);  // read #1
+    Probe outer_probe = Probe::Counters(&group, &outer);  // read #1
     {
-      ScopedCounterProbe inner_probe(&group, &inner);  // read #2
+      Probe inner_probe = Probe::Counters(&group, &inner);  // read #2
     }  // read #3: inner delta = 1
   }  // read #4: outer delta = 3 (includes the inner probe's reads)
   EXPECT_EQ(inner.cycles, 1);
@@ -90,14 +100,19 @@ TEST(PerfCounterGroupTest, NestedProbesEachSeeTheirOwnSpan) {
 
 TEST(PerfCounterGroupTest, NullGroupAndNullSinkAreNoOps) {
   PerfCounts sink;
-  { ScopedCounterProbe probe(nullptr, &sink); }
+  { Probe probe = Probe::Counters(nullptr, &sink); }
   EXPECT_EQ(sink.cycles, 0);
-  PerfCounterGroup group([] {
+  int reads = 0;
+  PerfCounterGroup group([&reads] {
+    ++reads;
     PerfCounts c;
     c.cycles = 42;
     return c;
   });
-  { ScopedCounterProbe probe(&group, nullptr); }  // must not crash
+  { Probe probe = Probe::Counters(&group, nullptr); }  // must not crash
+  EXPECT_EQ(reads, 0);  // a sinkless counters probe never reads the group
+  // A timed probe without a group counts nothing.
+  EXPECT_EQ(Probe::Timed("stage", "test").Stop().perf.cycles, 0);
 }
 
 TEST(PerfCounterGroupTest, HotLoopProbeFlushesTwoFields) {
@@ -105,13 +120,68 @@ TEST(PerfCounterGroupTest, HotLoopProbeFlushesTwoFields) {
   PerfCounterGroup group([&now] {
     now.cycles += 7;
     now.cache_misses += 3;
-    now.instructions += 1000;  // not captured by the hot-loop pair
+    now.instructions += 1000;  // counted, but not rendered for hot loops
     return now;
   });
-  int64_t cycles = 0, misses = 0;
-  { ScopedHotLoopProbe probe(&group, &cycles, &misses); }
-  EXPECT_EQ(cycles, 7);
-  EXPECT_EQ(misses, 3);
+  SolveStats stats;
+  // An early return from the loop still flushes: the probe stops on scope
+  // exit.
+  const auto hot_loop = [&group, &stats](bool early) {
+    Probe probe = Probe::Counters(&group, &stats.bnb_perf);
+    if (early) return;
+  };
+  hot_loop(/*early=*/true);
+  EXPECT_EQ(stats.bnb_perf.cycles, 7);
+  EXPECT_EQ(stats.bnb_perf.cache_misses, 3);
+  hot_loop(/*early=*/false);
+  stats.perf = "ok";
+  JsonWriter json;
+  stats.WriteJson(&json);
+  EXPECT_NE(json.str().find("\"bnb_cycles\":14,\"bnb_cache_misses\":6,"),
+            std::string::npos)
+      << json.str();
+}
+
+TEST(PerfCounterGroupTest, HotLoopCountersNeedPerfAndAStatsSink) {
+  // Without perf, or without a stats sink, the budget hands out no group
+  // and the hot-loop probe is a no-op.
+  SolveStats stats;
+  BudgetContext no_perf{SolveBudget{}};
+  no_perf.set_stats(&stats);
+  EXPECT_EQ(no_perf.perf_group(), nullptr);
+  BudgetContext no_stats{SolveBudget{}};
+  no_stats.set_perf_enabled(true);
+  EXPECT_EQ(no_stats.perf_group(), nullptr);
+  { Probe probe = HotLoopCounters(&no_perf, &SolveStats::hk_perf); }
+  { Probe probe = HotLoopCounters(nullptr, &SolveStats::hk_perf); }
+  EXPECT_EQ(stats.hk_perf.cycles, 0);
+  // With both, it is the calling thread's group.
+  BudgetContext both{SolveBudget{}};
+  both.set_stats(&stats);
+  both.set_perf_enabled(true);
+  EXPECT_EQ(both.perf_group(), PerfCounterGroup::ThisThread());
+}
+
+// --- wall clock --------------------------------------------------------------
+
+TEST(ProbeTest, WallClockIsMeasuredOnceAtStop) {
+  Probe probe = Probe::Timed("work", "test");
+  volatile int busy = 0;
+  for (int i = 0; i < 10000; ++i) busy = i;
+  (void)busy;
+  const int64_t first = probe.Stop().wall_us;
+  EXPECT_GE(first, 0);
+  for (int i = 0; i < 100000; ++i) busy = i;
+  EXPECT_EQ(probe.Stop().wall_us, first);  // later calls change nothing
+}
+
+TEST(ProbeTest, UntracedUncountedProbeHasNoSideEffects) {
+  // No session, no group: Stop() only yields the wall clock, and an
+  // untimed probe not even that.
+  const ProbeSample timed = Probe::Timed("work", "test").Stop();
+  EXPECT_GE(timed.wall_us, 0);
+  EXPECT_EQ(timed.perf.cycles, 0);
+  EXPECT_EQ(Probe::Span("work", "test", nullptr).Stop().wall_us, 0);
 }
 
 // --- the denied-container fallback path ------------------------------------
@@ -125,7 +195,7 @@ TEST(PerfCounterGroupTest, ForcedUnavailableGroupReportsReasonAndZeros) {
   EXPECT_EQ(counts.cycles, 0);
   EXPECT_EQ(counts.instructions, 0);
   PerfCounts sink;
-  { ScopedCounterProbe probe(&group, &sink); }  // no-op, not a crash
+  { Probe probe = Probe::Counters(&group, &sink); }  // no-op, not a crash
   EXPECT_EQ(sink.cycles, 0);
 }
 
@@ -146,8 +216,8 @@ TEST(PerfCounterGroupTest, SolveDegradesToUnavailableStatusNotFailure) {
   });
   worker.join();
   EXPECT_EQ(analysis.stats.perf, "unavailable:forced-by-test");
-  EXPECT_EQ(analysis.stats.perf_cycles, 0);
-  EXPECT_EQ(analysis.stats.stage_solve_cycles, 0);
+  EXPECT_EQ(analysis.stats.perf_total().cycles, 0);
+  EXPECT_EQ(analysis.stats.stage(PipelineStage::kSolve).perf.cycles, 0);
   // The solve itself is untouched by the degradation.
   EXPECT_FALSE(analysis.solution.edge_order.empty());
 }
@@ -157,7 +227,7 @@ TEST(PerfCounterGroupTest, PerfOffRequestsKeepTheOffStatus) {
   const JoinAnalysis analysis =
       analyzer.AnalyzeJoinGraph(WorstCaseFamily(6), PredicateClass::kGeneral);
   EXPECT_EQ(analysis.stats.perf, "off");
-  EXPECT_EQ(analysis.stats.perf_cycles, 0);
+  EXPECT_EQ(analysis.stats.perf_total().cycles, 0);
 }
 
 // --- folded-stack aggregation goldens --------------------------------------

@@ -577,6 +577,33 @@ TEST(ServeTest, IdleConnectionIsTimedOutUnderAFakeClock) {
   EXPECT_EQ(summary.lines, 0);
 }
 
+TEST(ServeTest, RequestWallClockIsMicrosecondsNotTheMillisecondClock) {
+  // The injected millisecond clock never moves, so a request wall clock
+  // derived from it would record 0; the histogram must still see real
+  // microseconds.
+  SolveEngine engine;
+  SharedClock clock;
+  ServeOptions options = TestOptions();
+  options.clock_ms = clock.AsFunction();
+  LineServer server(&engine, options);
+  START_SERVER(server);
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(Line(WorstCaseFamily(30)) + "\n"));
+  std::string response;
+  ASSERT_TRUE(client.ReadLine(&response));
+  client.Close();
+
+  const Histogram wall =
+      engine.metrics()->FindOrCreateHistogram("serve.request_wall_us");
+  EXPECT_EQ(wall.Count(), 1);
+  EXPECT_GT(wall.Sum(), 0);
+
+  server.BeginDrain();
+  server.Wait();
+}
+
 TEST(ServeTest, MetricsEndpointSpeaksOpenMetricsAndCloses) {
   SolveEngine engine;
   LineServer server(&engine, TestOptions());

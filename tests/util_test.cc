@@ -161,37 +161,6 @@ TEST(StopwatchTest, MonotoneAndRestartable) {
   EXPECT_LT(watch.ElapsedSeconds(), second + 1.0);
 }
 
-namespace {
-
-// Minimal sink exposing the RecordMicros method ScopedTimerT expects.
-struct RecordingSink {
-  void RecordMicros(int64_t micros) {
-    ++calls;
-    last_micros = micros;
-  }
-  int calls = 0;
-  int64_t last_micros = -1;
-};
-
-}  // namespace
-
-TEST(ScopedTimerTest, RecordsOnceOnDestruction) {
-  RecordingSink sink;
-  {
-    ScopedTimerT<RecordingSink> timer(&sink);
-    EXPECT_EQ(sink.calls, 0);  // nothing recorded while alive
-    volatile int busy = 0;
-    for (int i = 0; i < 10000; ++i) busy = i;
-    (void)busy;
-  }
-  EXPECT_EQ(sink.calls, 1);
-  EXPECT_GE(sink.last_micros, 0);
-}
-
-TEST(ScopedTimerTest, NullSinkIsNoOp) {
-  ScopedTimerT<RecordingSink> timer(nullptr);  // must not crash on destruct
-}
-
 TEST(TablePrinterTest, RendersAlignedColumns) {
   TablePrinter t({"n", "value"});
   t.AddRow({"1", "short"});
