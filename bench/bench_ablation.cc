@@ -37,12 +37,13 @@ void RunBoundAblation() {
     const int m = g.num_edges();
     const Tsp12Instance line(BuildLineGraph(g));
 
+    BudgetContext unlimited{SolveBudget{}};
     auto run = [&](bool component, bool deficiency) {
       BranchAndBoundOptions options;
       options.use_component_bound = component;
       options.use_deficiency_bound = deficiency;
       options.node_budget = 100'000'000;  // cap: 'no_bounds' exceeds this
-      return BranchAndBoundSolve(line, options);
+      return BranchAndBoundSolve(line, options, unlimited);
     };
     const BranchAndBoundResult both = run(true, true);
     const BranchAndBoundResult component_only = run(true, false);
@@ -77,6 +78,7 @@ void RunSeedAblation() {
         RandomConnectedBipartite(m / 3, m / 3, m, 23 + m).ToGraph();
     const Tsp12Instance line(BuildLineGraph(g));
     const LocalSearchOptions options;
+    BudgetContext unlimited{SolveBudget{}};
 
     Tour greedy_tour = *greedy.PebbleConnected(g);
     Tour dfs_tour = *dfs.PebbleConnected(g);
@@ -84,9 +86,9 @@ void RunSeedAblation() {
     const int64_t jg = TourJumps(line, greedy_tour);
     const int64_t jd = TourJumps(line, dfs_tour);
     const int64_t jm = TourJumps(line, matching_tour);
-    LocalSearchImprove(line, &greedy_tour, options);
-    LocalSearchImprove(line, &dfs_tour, options);
-    LocalSearchImprove(line, &matching_tour, options);
+    LocalSearchImprove(line, &greedy_tour, options, unlimited);
+    LocalSearchImprove(line, &dfs_tour, options, unlimited);
+    LocalSearchImprove(line, &matching_tour, options, unlimited);
 
     table.AddRow({FormatInt(m), FormatInt(TourJumps(line, greedy_tour)),
                   FormatInt(TourJumps(line, dfs_tour)),
@@ -119,11 +121,12 @@ void RunMoveSetAblation() {
 
       Tour two = seed;
       LocalSearchOptions options;
-      TwoOptImprove(line, &two, options);
+      BudgetContext unlimited{SolveBudget{}};
+      TwoOptImprove(line, &two, options, unlimited);
       two_total += TourJumps(line, two);
 
       Tour both = seed;
-      LocalSearchImprove(line, &both, options);
+      LocalSearchImprove(line, &both, options, unlimited);
       both_total += TourJumps(line, both);
     }
     table.AddRow({FormatInt(m), FormatDouble(1.0 * seed_total / kTrials, 2),

@@ -7,12 +7,19 @@
 // clock, speedup over the sequential drive, and — the determinism
 // contract — that every thread count produces the identical cost.
 //
+// It times the fan-out the engine runs: components spread over a borrowed,
+// long-lived ThreadPool built once per thread count outside the timer.
+// Each cell reports the median and p10/p90 of kRepeats solves, with the
+// thread counts of a row timed in turn.
+//
 // Speedup is bounded by the physical core count: on a single-core host
 // every row reports ~1.0x and the sweep degenerates to an overhead
 // measurement (the honest result); on a k-core host the 64-component rows
 // approach min(k, threads)x.
 
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,15 +28,20 @@
 #include "graph/generators.h"
 #include "pebble/scheme_verifier.h"
 #include "obs/bench_report.h"
+#include "obs/metrics.h"
 #include "solver/component_pebbler.h"
 #include "solver/greedy_walk_pebbler.h"
 #include "solver/ils_pebbler.h"
 #include "util/budget.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace pebblejoin {
 namespace {
+
+// Timed solves per cell; the cell reports their median and p10/p90.
+constexpr int kRepeats = 21;
 
 // A join graph with `components` random connected blobs of ~24 edges each:
 // heavy enough that ILS dominates the wall clock, small enough that the
@@ -48,34 +60,57 @@ void RunThreadSweep(BenchReport* report) {
       "E18: parallel per-component solving (Lemma 2.2 as a parallelism\n"
       "license) — hardware threads on this host: %u\n\n",
       std::thread::hardware_concurrency());
-  TablePrinter table({"components", "m", "threads", "pi", "time_ms",
-                      "speedup", "identical", "valid"});
+  TablePrinter table({"components", "m", "threads", "pi", "time_ms", "p10_ms",
+                      "p90_ms", "speedup", "identical", "valid"});
 
   const IlsPebbler ils;
   const GreedyWalkPebbler greedy;
+  const std::vector<int> thread_counts = {1, 2, 4, 8};
+  // One pool per thread count, built outside the timer and reused by every
+  // solve, as the engine's long-lived pool is.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  std::vector<ComponentPebbler> drivers;
+  for (int threads : thread_counts) {
+    ComponentPebbler::Options options;
+    options.threads = threads;
+    if (threads > 1) {
+      pools.push_back(std::make_unique<ThreadPool>(threads));
+      options.pool = pools.back().get();
+    }
+    drivers.emplace_back(&ils, &greedy, options);
+  }
+
   for (int components : {8, 16, 64}) {
     const Graph g = MakeWorkload(components);
-    int64_t baseline_cost = -1;
-    double baseline_ms = 0.0;
-    for (int threads : {1, 2, 4, 8}) {
-      ComponentPebbler::Options options;
-      options.threads = threads;
-      const ComponentPebbler driver(&ils, &greedy, options);
-      BudgetContext ctx{SolveBudget{}};
-      Stopwatch timer;
-      const PebbleSolution solution = driver.Solve(g, &ctx);
-      const double elapsed_ms = timer.ElapsedMicros() / 1000.0;
-      if (threads == 1) {
-        baseline_cost = solution.effective_cost;
-        baseline_ms = elapsed_ms;
+    // Repeats interleave the thread counts, so a burst of load on a shared
+    // host lands on every column of a row alike.
+    std::vector<std::vector<int64_t>> samples_us(thread_counts.size());
+    std::vector<PebbleSolution> solutions(thread_counts.size());
+    for (int r = 0; r < kRepeats; ++r) {
+      for (size_t t = 0; t < thread_counts.size(); ++t) {
+        BudgetContext ctx{SolveBudget{}};
+        Stopwatch timer;
+        solutions[t] = drivers[t].Solve(g, &ctx);
+        samples_us[t].push_back(timer.ElapsedMicros());
       }
+    }
+    const int64_t baseline_us = PercentileOfSamples(samples_us[0], 0.50);
+    for (size_t t = 0; t < thread_counts.size(); ++t) {
+      const PebbleSolution& solution = solutions[t];
+      const int64_t median_us = PercentileOfSamples(samples_us[t], 0.50);
       const bool valid = VerifyEdgeOrder(g, solution.edge_order).valid;
+      const auto ms = [](int64_t us) { return FormatDouble(us / 1000.0, 2); };
       table.AddRow(
           {FormatInt(components), FormatInt(g.num_edges()),
-           FormatInt(threads), FormatInt(solution.effective_cost),
-           FormatDouble(elapsed_ms, 2),
-           FormatDouble(elapsed_ms > 0 ? baseline_ms / elapsed_ms : 0.0, 2),
-           solution.effective_cost == baseline_cost ? "yes" : "NO",
+           FormatInt(thread_counts[t]), FormatInt(solution.effective_cost),
+           ms(median_us), ms(PercentileOfSamples(samples_us[t], 0.10)),
+           ms(PercentileOfSamples(samples_us[t], 0.90)),
+           FormatDouble(median_us > 0
+                            ? static_cast<double>(baseline_us) / median_us
+                            : 0.0,
+                        2),
+           solution.effective_cost == solutions[0].effective_cost ? "yes"
+                                                                  : "NO",
            valid ? "yes" : "NO"});
     }
   }

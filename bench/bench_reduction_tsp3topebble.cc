@@ -41,8 +41,9 @@ void Run() {
     const Tsp12Instance g(RandomConnectedBoundedDegree(n, 3, 3, seed));
     const Tsp3ToPebbleReduction reduction(g);
 
+    BudgetContext unlimited{SolveBudget{}};
     LReductionSample sample;
-    sample.opt_x = HeldKarpSolve(g)->cost;
+    sample.opt_x = HeldKarpSolve(g, unlimited)->cost;
     const auto pebble_opt =
         exact.OptimalEffectiveCost(reduction.pebble_graph());
     if (!pebble_opt.has_value()) {

@@ -23,12 +23,14 @@ namespace pebblejoin {
 namespace {
 
 int64_t ExactCost(const Tsp12Instance& instance) {
+  BudgetContext unlimited{SolveBudget{}};
   if (instance.num_nodes() <= kMaxHeldKarpNodes) {
-    return HeldKarpSolve(instance)->cost;
+    return HeldKarpSolve(instance, unlimited)->cost;
   }
   BranchAndBoundOptions options;
   options.node_budget = 500'000'000;
-  const BranchAndBoundResult r = BranchAndBoundSolve(instance, options);
+  const BranchAndBoundResult r =
+      BranchAndBoundSolve(instance, options, unlimited);
   return r.best.cost;  // proven optimal on these sizes in practice
 }
 

@@ -46,7 +46,8 @@ void RunBridge(BenchReport* report) {
       if ((pi == m) == HasHamiltonianPath(line)) ++p21;
       if (pi == m) ++perfect;
       const Tsp12Instance line_instance(line);
-      const auto tour = HeldKarpSolve(line_instance);
+      BudgetContext unlimited{SolveBudget{}};
+      const auto tour = HeldKarpSolve(line_instance, unlimited);
       if (tour.has_value() && tour->cost == pi - 1) ++p22;
     }
     table.AddRow({FormatInt(m), FormatInt(kTrials),
@@ -80,9 +81,10 @@ void RunLadder(BenchReport* report) {
       Tour cover_tour = BestGreedyPathCoverTour(inst, 4, trial);
       cover += static_cast<double>(TourJumps(inst, cover_tour));
       LocalSearchOptions options;
-      LocalSearchImprove(inst, &cover_tour, options);
+      BudgetContext unlimited{SolveBudget{}};
+      LocalSearchImprove(inst, &cover_tour, options, unlimited);
       improved += static_cast<double>(TourJumps(inst, cover_tour));
-      best += static_cast<double>(HeldKarpSolve(inst)->jumps);
+      best += static_cast<double>(HeldKarpSolve(inst, unlimited)->jumps);
     }
     table.AddRow({FormatInt(m), FormatDouble(nn / kTrials, 3),
                   FormatDouble(nn_multi / kTrials, 3),

@@ -25,12 +25,13 @@ namespace {
 
 // Exact TSP-(1,2) solve: Held–Karp when it fits, branch and bound beyond.
 TspPathResult SolveExactTsp(const Tsp12Instance& instance) {
+  BudgetContext unlimited{SolveBudget{}};
   if (instance.num_nodes() <= kMaxHeldKarpNodes) {
-    return *HeldKarpSolve(instance);
+    return *HeldKarpSolve(instance, unlimited);
   }
   BranchAndBoundOptions options;
   options.node_budget = 500'000'000;
-  return BranchAndBoundSolve(instance, options).best;
+  return BranchAndBoundSolve(instance, options, unlimited).best;
 }
 
 }  // namespace

@@ -176,11 +176,11 @@ void SolveStats::PublishTo(MetricsRegistry* registry) const {
   registry->FindOrCreateHistogram("solve.wall_us").RecordMicros(solve_wall_us);
 }
 
-Probe HotLoopCounters(const BudgetContext* budget,
+Probe HotLoopCounters(const BudgetContext& budget,
                       PerfCounts SolveStats::*field) {
-  PerfCounterGroup* group = budget != nullptr ? budget->perf_group() : nullptr;
+  PerfCounterGroup* group = budget.perf_group();
   return Probe::Counters(
-      group, group != nullptr ? &(budget->stats()->*field) : nullptr);
+      group, group != nullptr ? &(budget.stats()->*field) : nullptr);
 }
 
 }  // namespace pebblejoin

@@ -138,9 +138,9 @@ struct SolveStats {
 };
 
 // The counters-only probe of one solver hot loop: meters the calling
-// thread into (budget->stats()->*field) when the request has perf on and a
+// thread into (budget.stats()->*field) when the request has perf on and a
 // stats sink (BudgetContext::perf_group), and is a no-op otherwise.
-Probe HotLoopCounters(const BudgetContext* budget,
+Probe HotLoopCounters(const BudgetContext& budget,
                       PerfCounts SolveStats::*field);
 
 }  // namespace pebblejoin

@@ -1,6 +1,5 @@
 #include "solver/component_pebbler.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -44,11 +43,13 @@ ComponentPebbler::ComponentPebbler(const Pebbler* primary,
     : primary_(primary), fallback_(fallback), options_(options) {
   JP_CHECK(primary_ != nullptr);
   JP_CHECK_MSG(options_.threads >= 1, "threads must be >= 1");
+  JP_CHECK_MSG(options_.threads == 1 || options_.pool != nullptr,
+               "threads > 1 needs a borrowed pool");
 }
 
 void ComponentPebbler::SolveComponent(const Graph& g,
                                       const ComponentDecomposition& decomp,
-                                      int c, BudgetContext* slice,
+                                      int c, BudgetContext& slice,
                                       ComponentResult* result) const {
   std::vector<int> edge_map;
   const Graph sub =
@@ -56,7 +57,7 @@ void ComponentPebbler::SolveComponent(const Graph& g,
 
   result->worker = ThreadPool::CurrentWorkerId();
   {
-    Probe probe = Probe::Timed("component", "solver", slice->trace());
+    Probe probe = Probe::Timed("component", "solver", slice.trace());
     probe.AddNum("index", c);
     probe.AddNum("edges", sub.num_edges());
 
@@ -68,12 +69,8 @@ void ComponentPebbler::SolveComponent(const Graph& g,
                    "primary pebbler refused and no fallback configured");
       // The fallback is the termination guarantee, so it runs unbudgeted: a
       // request whose deadline already expired still gets a valid scheme.
-      // The fresh context drops the budget but keeps the telemetry sinks.
-      BudgetContext fallback_ctx{SolveBudget{}};
-      fallback_ctx.set_stats(slice->stats());
-      fallback_ctx.set_trace(slice->trace());
-      fallback_ctx.set_log(slice->log());
-      order = fallback_->PebbleWithOutcome(sub, &fallback_ctx,
+      BudgetContext fallback_ctx = slice.Child(SolveBudget{});
+      order = fallback_->PebbleWithOutcome(sub, fallback_ctx,
                                            &result->outcome);
       result->used = fallback_->name();
     }
@@ -89,7 +86,7 @@ void ComponentPebbler::SolveComponent(const Graph& g,
     result->wall_us = probe.Stop().wall_us;
   }
 
-  if (EventLog* log = slice->log()) {
+  if (EventLog* log = slice.log()) {
     log->Emit(LogLevel::kDebug, "component.done",
               {LogField::Num("index", c),
                LogField::Num("edges", sub.num_edges()),
@@ -148,30 +145,19 @@ PebbleSolution ComponentPebbler::SolveDecomposed(
       }
     }
 
-    // Fan-out policy: a borrowed pool (the engine's long-lived one) is
-    // preferred and a private pool is constructed when none was lent. A
-    // borrowed pool is only usable from off-pool threads — a worker that
-    // waits on a ParallelFor of its own pool deadlocks — so on-pool
-    // callers drop it and keep the historical private-pool path.
-    ThreadPool* borrowed =
-        ThreadPool::CurrentWorkerId() == -1 ? options_.pool : nullptr;
-    int threads = std::min(options_.threads, num_components);
-    if (borrowed != nullptr) {
-      threads = std::min(threads, borrowed->num_threads());
-    }
-    if (threads > 1) {
-      const auto solve_one = [&](int c) {
-        SolveComponent(g, decomp, c, &slices[c], &results[c]);
-      };
-      if (borrowed != nullptr) {
-        borrowed->ParallelFor(num_components, solve_one);
-      } else {
-        ThreadPool pool(threads);
-        pool.ParallelFor(num_components, solve_one);
-      }
+    // Fan-out policy: components fan out over the borrowed pool only. A
+    // caller that is itself a pool worker solves sequentially — a worker
+    // that waits on a ParallelFor of its own pool deadlocks.
+    const bool fan_out = options_.threads > 1 && num_components > 1 &&
+                         options_.pool->num_threads() > 1 &&
+                         ThreadPool::CurrentWorkerId() == -1;
+    if (fan_out) {
+      options_.pool->ParallelFor(num_components, [&](int c) {
+        SolveComponent(g, decomp, c, slices[c], &results[c]);
+      });
     } else {
       for (int c = 0; c < num_components; ++c) {
-        SolveComponent(g, decomp, c, &slices[c], &results[c]);
+        SolveComponent(g, decomp, c, slices[c], &results[c]);
       }
     }
 

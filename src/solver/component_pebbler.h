@@ -4,15 +4,16 @@
 //
 // Lemma 2.2 is also a parallelism license: components share no vertices, so
 // their solves are embarrassingly parallel. With Options::threads > 1 the
-// driver fans components out across a ThreadPool; each component runs on
-// its own BudgetContext slice (shared stop/node state, so one slow
-// component cannot starve the rest and a deadline noticed by any worker
-// cancels all of them), records into its own SolveStats sink and
-// TraceSession, and the results are merged in component-index order after
-// the join barrier. The sequential path (threads == 1) runs the exact same
-// slice-and-merge machinery inline, which is what makes the output —
-// edge order, scheme, costs, stats, AnalysisJson — byte-identical across
-// thread counts.
+// driver fans components out across the borrowed Options::pool (the
+// engine's long-lived one — the driver never builds a pool of its own);
+// each component runs on its own BudgetContext slice (shared stop/node
+// state, so one slow component cannot starve the rest and a deadline
+// noticed by any worker cancels all of them), records into its own
+// SolveStats sink and TraceSession, and the results are merged in
+// component-index order after the join barrier. The sequential path runs
+// the exact same slice-and-merge machinery inline, which is what makes the
+// output — edge order, scheme, costs, stats, AnalysisJson — byte-identical
+// across thread counts.
 
 #ifndef PEBBLEJOIN_SOLVER_COMPONENT_PEBBLER_H_
 #define PEBBLEJOIN_SOLVER_COMPONENT_PEBBLER_H_
@@ -57,19 +58,16 @@ struct PebbleSolution {
 class ComponentPebbler {
  public:
   struct Options {
-    // Worker threads for the component fan-out. 1 solves components
-    // sequentially on the calling thread (no pool is created); values above
-    // the component count are clamped. The output is byte-identical for
-    // every value — threads only changes scheduling.
+    // 1 solves components sequentially on the calling thread; above 1 the
+    // components fan out over `pool`, which must then be set (the
+    // constructor checks). The output is byte-identical for every value —
+    // threads only changes scheduling.
     int threads = 1;
-    // Borrowed worker pool for the fan-out. When set (and threads > 1) the
-    // drive submits to this pool instead of constructing one per call —
-    // the pool-reuse mode a long-lived SolveEngine runs in. Not owned; must
-    // outlive every Solve call. Parallelism is additionally clamped to the
-    // pool's width. When the calling thread is itself a worker of some
-    // pool, the drive falls back to sequential solving (fanning out again
-    // would have the worker wait on itself). nullptr keeps the historical
-    // behavior: a private pool constructed and torn down per call.
+    // Borrowed worker pool for the fan-out — the long-lived pool a
+    // SolveEngine owns. Not owned; must outlive every Solve call. Width is
+    // the pool's own. When the calling thread is itself a worker of some
+    // pool, the drive solves sequentially (fanning out again would have
+    // the worker wait on itself).
     ThreadPool* pool = nullptr;
   };
 
@@ -113,10 +111,10 @@ class ComponentPebbler {
   struct ComponentResult;
 
   // Solves component `c` into `result` using the pre-carved budget
-  // `slice`. Runs on a pool worker (or inline when threads == 1); touches
-  // only `slice` and `result`, never the parent context.
+  // `slice`. Runs on a pool worker (or inline on the sequential path);
+  // touches only `slice` and `result`, never the parent context.
   void SolveComponent(const Graph& g, const ComponentDecomposition& decomp,
-                      int c, BudgetContext* slice,
+                      int c, BudgetContext& slice,
                       ComponentResult* result) const;
 
   const Pebbler* primary_;

@@ -250,20 +250,20 @@ class PeelableTree {
 }  // namespace
 
 std::optional<std::vector<int>> DfsTreePebbler::PebbleConnected(
-    const Graph& g, BudgetContext* budget) const {
+    const Graph& g, BudgetContext& budget) const {
   JP_CHECK(g.num_edges() >= 1);
-  if (budget != nullptr && budget->Expired()) return std::nullopt;
+  if (budget.Expired()) return std::nullopt;
   // The configured line-graph budget, tightened by the request's memory
   // ceiling when one is set.
   int64_t max_line_edges = max_line_graph_edges_;
-  if (budget != nullptr && budget->budget().has_memory_limit()) {
+  if (budget.budget().has_memory_limit()) {
     max_line_edges = std::min(
         max_line_edges,
-        MaxLineGraphEdgesForMemory(budget->budget().memory_limit_bytes));
+        MaxLineGraphEdgesForMemory(budget.budget().memory_limit_bytes));
   }
   std::optional<Graph> line = BuildLineGraphWithBudget(g, max_line_edges);
   if (!line.has_value()) {
-    if (budget != nullptr) budget->NoteMemoryDecline();
+    budget.NoteMemoryDecline();
     return std::nullopt;
   }
 
@@ -272,7 +272,7 @@ std::optional<std::vector<int>> DfsTreePebbler::PebbleConnected(
   order.reserve(g.num_edges());
   while (tree.num_alive() >= 4) {
     // A partial segment list is not a pebbling, so expiry discards the run.
-    if (budget != nullptr && budget->Expired()) return std::nullopt;
+    if (budget.Expired()) return std::nullopt;
     tree.EliminateTwins();
     if (tree.num_alive() < 4) break;  // defensive; elimination keeps count
     const std::vector<int> segment = tree.PeelDeepSubtreePath();

@@ -51,7 +51,7 @@ class DfsTreePebbler : public Pebbler {
 
   std::string name() const override { return "dfs-tree"; }
   std::optional<std::vector<int>> PebbleConnected(
-      const Graph& g, BudgetContext* budget) const override;
+      const Graph& g, BudgetContext& budget) const override;
 
  private:
   int64_t max_line_graph_edges_;

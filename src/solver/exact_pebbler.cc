@@ -12,14 +12,14 @@
 namespace pebblejoin {
 
 std::optional<std::vector<int>> ExactPebbler::PebbleConnected(
-    const Graph& g, BudgetContext* budget) const {
+    const Graph& g, BudgetContext& budget) const {
   JP_CHECK(g.num_edges() >= 1);
   // Soft time cap, clamped to the structural branch-and-bound ceiling so an
   // oversized user option can never trip the solver's internal JP_CHECK.
   const int max_edges =
       std::min(options_.max_edges, kBranchAndBoundMaxNodes);
   if (g.num_edges() > max_edges) return std::nullopt;
-  if (budget != nullptr && budget->Expired()) return std::nullopt;
+  if (budget.Expired()) return std::nullopt;
 
   Graph line = BuildLineGraph(g);
   const Tsp12Instance instance(std::move(line));
@@ -27,23 +27,20 @@ std::optional<std::vector<int>> ExactPebbler::PebbleConnected(
   // Dispatch: Held–Karp while its 2^n · n table fits the memory ceiling
   // (the budget's, or the default); branch and bound beyond. One derived
   // threshold, not two constants.
-  const int64_t table_ceiling =
-      budget != nullptr ? budget->MemoryLimitOr(kDefaultHeldKarpTableBytes)
-                        : kDefaultHeldKarpTableBytes;
   const bool use_held_karp =
-      instance.num_nodes() <= MaxHeldKarpNodesForMemory(table_ceiling);
-  if (budget != nullptr && budget->trace() != nullptr) {
-    budget->trace()->Instant(
+      instance.num_nodes() <=
+      MaxHeldKarpNodesForMemory(
+          budget.MemoryLimitOr(kDefaultHeldKarpTableBytes));
+  if (TraceSession* trace = budget.trace()) {
+    trace->Instant(
         "exact-dispatch", "solver",
         {TraceArg::Str("method", use_held_karp ? "held-karp"
                                                : "branch-and-bound"),
          TraceArg::Num("line_nodes", instance.num_nodes())});
   }
   if (use_held_karp) {
+    // A deadline expiry mid-DP legitimately yields nothing.
     std::optional<TspPathResult> result = HeldKarpSolve(instance, budget);
-    // With no budget the pre-flight check above makes refusal impossible;
-    // with one, a deadline expiry mid-DP legitimately yields nothing.
-    JP_CHECK(budget != nullptr || result.has_value());
     if (!result.has_value()) return std::nullopt;
     return result->tour;
   }
@@ -56,8 +53,8 @@ std::optional<std::vector<int>> ExactPebbler::PebbleConnected(
     // Distinguish "our own node budget ran dry" (a recoverable decline —
     // ladder rungs below still apply) from a shared-budget stop, which the
     // caller reads off the context itself.
-    if (budget != nullptr && !budget->stopped() && result.budget_exhausted) {
-      budget->NoteDecline(SolveDecline::kLocalBudgetExhausted);
+    if (!budget.stopped() && result.budget_exhausted) {
+      budget.NoteDecline(SolveDecline::kLocalBudgetExhausted);
     }
     return std::nullopt;
   }

@@ -7,7 +7,7 @@
 // This is the executable face of Theorem 4.2's NP-completeness: its running
 // time grows exponentially in m (see bench_exact_scaling), which is why the
 // polynomial solvers above exist. Budgets make that tractable to operate:
-// the optional BudgetContext adds a wall-clock deadline, a shared node
+// the BudgetContext adds a wall-clock deadline, a shared node
 // budget, and the memory ceiling that moves the Held–Karp/B&B dispatch.
 
 #ifndef PEBBLEJOIN_SOLVER_EXACT_PEBBLER_H_
@@ -43,7 +43,7 @@ class ExactPebbler : public Pebbler {
   std::string name() const override { return "exact"; }
   bool is_exact() const override { return true; }
   std::optional<std::vector<int>> PebbleConnected(
-      const Graph& g, BudgetContext* budget) const override;
+      const Graph& g, BudgetContext& budget) const override;
 
   // Optimal effective cost π(G) of a connected graph, or nullopt when the
   // instance exceeds the limits.

@@ -31,9 +31,9 @@ bool IsBudgetCut(RungStatus status) {
 // one component), ask the planner, and surface the decision everywhere
 // provenance lives — the outcome, the stats counters, the journal.
 LadderPlan PlanDescent(const LadderPlanner& planner, const Graph& g,
-                       BudgetContext* ctx, SolveOutcome* outcome) {
+                       BudgetContext& ctx, SolveOutcome* outcome) {
   GraphFeatures features;
-  const GraphFeatures* request_features = ctx->features();
+  const GraphFeatures* request_features = ctx.features();
   if (request_features != nullptr && request_features->betti_zero == 1 &&
       request_features->num_edges == g.num_edges()) {
     features = *request_features;
@@ -43,9 +43,9 @@ LadderPlan PlanDescent(const LadderPlanner& planner, const Graph& g,
     features = ExtractGraphFeatures(g);
   }
   int64_t remaining_ms = -1;
-  if (ctx->budget().has_deadline()) {
+  if (ctx.budget().has_deadline()) {
     remaining_ms =
-        std::max<int64_t>(0, ctx->budget().deadline_ms - ctx->ElapsedMs());
+        std::max<int64_t>(0, ctx.budget().deadline_ms - ctx.ElapsedMs());
   }
   const LadderPlan plan = planner.Plan(features, remaining_ms);
 
@@ -57,13 +57,13 @@ LadderPlan PlanDescent(const LadderPlanner& planner, const Graph& g,
   outcome->plan.predicted_ils_us = plan.predicted_us[kPlanIls];
   outcome->plan.predicted_ls_us = plan.predicted_us[kPlanLocalSearch];
   outcome->plan.budget_saved_ms = plan.budget_saved_ms;
-  if (SolveStats* stats = ctx->stats()) {
+  if (SolveStats* stats = ctx.stats()) {
     ++stats->planner_plans;
     stats->planner_predicted_rung += plan.start_rung;
     stats->planner_rungs_skipped += plan.start_rung;
     stats->planner_budget_saved_ms += plan.budget_saved_ms;
   }
-  if (EventLog* log = ctx->log()) {
+  if (EventLog* log = ctx.log()) {
     log->Emit(LogLevel::kDebug, "ladder.plan",
               {LogField::Str("start", PlannedRungName(plan.start_rung)),
                LogField::Num("exact_cap_ms", plan.exact_cap_ms),
@@ -78,33 +78,29 @@ LadderPlan PlanDescent(const LadderPlanner& planner, const Graph& g,
 }
 
 // Runs one rung under a plan-imposed wall-clock cap: a child context whose
-// deadline is min(cap, remaining), telemetry sinks shared. The child's
+// deadline is min(cap, remaining), on the parent's clock. The child's
 // *local* expiry is deliberately not latched onto the parent — freeing the
 // rest of the deadline for the anytime rungs is the point of the cap — but
 // its polls and node charges fold back, so request-wide accounting (and
 // the shared node ceiling) behave exactly as on the uncapped path.
 std::optional<std::vector<int>> RunWithRungCap(const Pebbler& rung,
                                                const Graph& g,
-                                               BudgetContext* ctx,
+                                               BudgetContext& ctx,
                                                int64_t cap_ms,
                                                SolveOutcome* outcome) {
-  SolveBudget capped = ctx->budget();
+  SolveBudget capped = ctx.budget();
   if (capped.has_deadline()) {
     const int64_t remaining =
-        std::max<int64_t>(0, capped.deadline_ms - ctx->ElapsedMs());
+        std::max<int64_t>(0, capped.deadline_ms - ctx.ElapsedMs());
     capped.deadline_ms = std::min(cap_ms, remaining);
   } else {
     capped.deadline_ms = cap_ms;
   }
-  BudgetContext rung_ctx(capped);
-  rung_ctx.set_stats(ctx->stats());
-  rung_ctx.set_trace(ctx->trace());
-  rung_ctx.set_log(ctx->log());
-  rung_ctx.set_perf_enabled(ctx->perf_enabled());
+  BudgetContext rung_ctx = ctx.Child(capped);
   std::optional<std::vector<int>> order =
-      rung.PebbleWithOutcome(g, &rung_ctx, outcome);
-  ctx->AbsorbSlice(rung_ctx.polls(), BudgetStop::kNone);
-  if (rung_ctx.nodes_charged() > 0) ctx->ChargeNodes(rung_ctx.nodes_charged());
+      rung.PebbleWithOutcome(g, rung_ctx, outcome);
+  ctx.AbsorbSlice(rung_ctx.polls(), BudgetStop::kNone);
+  if (rung_ctx.nodes_charged() > 0) ctx.ChargeNodes(rung_ctx.nodes_charged());
   return order;
 }
 
@@ -120,22 +116,17 @@ int ActualRungIndex(const std::string& winner) {
 }  // namespace
 
 std::optional<std::vector<int>> FallbackPebbler::PebbleConnected(
-    const Graph& g, BudgetContext* budget) const {
+    const Graph& g, BudgetContext& budget) const {
   SolveOutcome outcome;
   return PebbleWithOutcome(g, budget, &outcome);
 }
 
 std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
-    const Graph& g, BudgetContext* budget, SolveOutcome* outcome) const {
+    const Graph& g, BudgetContext& ctx, SolveOutcome* outcome) const {
   JP_CHECK(outcome != nullptr);
   JP_CHECK(g.num_edges() >= 1);
 
-  // Rung classification reads decline notes off a context, so give the
-  // unbudgeted case a local unlimited one.
-  BudgetContext local_ctx{SolveBudget{}};
-  BudgetContext* ctx = budget != nullptr ? budget : &local_ctx;
-
-  Probe ladder_span = Probe::Span("ladder", "solver", ctx->trace());
+  Probe ladder_span = Probe::Span("ladder", "solver", ctx.trace());
 
   const ExactPebbler exact(options_.exact);
   const IlsPebbler ils(options_.ils);
@@ -168,28 +159,20 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
   if (!order.has_value()) {
     // Guaranteed terminator: Theorem 3.1 is polynomial, so it gets the
     // memory ceiling but never the deadline — a stopped request still ends
-    // with a valid scheme. The fresh context keeps the budget out but the
-    // telemetry sinks in.
+    // with a valid scheme.
     SolveBudget memory_only;
-    memory_only.memory_limit_bytes = ctx->budget().memory_limit_bytes;
-    BudgetContext dfs_ctx(memory_only);
-    dfs_ctx.set_stats(ctx->stats());
-    dfs_ctx.set_trace(ctx->trace());
-    dfs_ctx.set_log(ctx->log());
+    memory_only.memory_limit_bytes = ctx.budget().memory_limit_bytes;
+    BudgetContext dfs_ctx = ctx.Child(memory_only);
     const DfsTreePebbler dfs(options_.max_line_graph_edges);
-    order = dfs.PebbleWithOutcome(g, &dfs_ctx, outcome);
+    order = dfs.PebbleWithOutcome(g, dfs_ctx, outcome);
   }
 
   if (!order.has_value()) {
     // Safety net when even L(G) misses the memory ceiling: the greedy walk
     // needs no auxiliary structures and cannot decline a connected graph.
-    SolveBudget unlimited;
-    BudgetContext greedy_ctx(unlimited);
-    greedy_ctx.set_stats(ctx->stats());
-    greedy_ctx.set_trace(ctx->trace());
-    greedy_ctx.set_log(ctx->log());
+    BudgetContext greedy_ctx = ctx.Child(SolveBudget{});
     const GreedyWalkPebbler greedy;
-    order = greedy.PebbleWithOutcome(g, &greedy_ctx, outcome);
+    order = greedy.PebbleWithOutcome(g, greedy_ctx, outcome);
     JP_CHECK_MSG(order.has_value(),
                  "greedy-walk safety net refused a connected graph");
   }
@@ -210,7 +193,7 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
 
   if (outcome->plan.active) {
     outcome->plan.actual_rung = ActualRungIndex(outcome->winner);
-    if (SolveStats* stats = ctx->stats()) {
+    if (SolveStats* stats = ctx.stats()) {
       stats->planner_actual_rung += outcome->plan.actual_rung;
     }
     ladder_span.AddStr("plan_start", outcome->plan.predicted_solver.c_str());
@@ -221,7 +204,7 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
                                    : outcome->winner.c_str());
   ladder_span.AddStr("degradation", RungStatusName(outcome->degradation));
 
-  if (EventLog* log = ctx->log()) {
+  if (EventLog* log = ctx.log()) {
     // Degraded ladders surface at warn (past the default info filter);
     // healthy ones stay in the flight recorder only.
     log->Emit(outcome->degraded() ? LogLevel::kWarn : LogLevel::kDebug,

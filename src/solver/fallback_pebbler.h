@@ -54,6 +54,7 @@ class FallbackPebbler : public Pebbler {
   };
 
   using Pebbler::PebbleConnected;
+  using Pebbler::PebbleWithOutcome;
 
   FallbackPebbler() : options_(Options()) {}
   explicit FallbackPebbler(Options options) : options_(options) {}
@@ -63,14 +64,14 @@ class FallbackPebbler : public Pebbler {
   // Always returns an order for a connected graph: the greedy-walk safety
   // net cannot decline.
   std::optional<std::vector<int>> PebbleConnected(
-      const Graph& g, BudgetContext* budget) const override;
+      const Graph& g, BudgetContext& budget) const override;
 
   // The ladder with full provenance. `outcome->attempts` lists every rung
   // tried in order; `outcome->degradation` is the first budget-induced cut
   // (deadline/node-budget/memory) on the way down, or kCompleted when the
   // winning rung was reached without one.
   std::optional<std::vector<int>> PebbleWithOutcome(
-      const Graph& g, BudgetContext* budget,
+      const Graph& g, BudgetContext& budget,
       SolveOutcome* outcome) const override;
 
  private:

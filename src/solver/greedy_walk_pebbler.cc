@@ -9,11 +9,11 @@
 namespace pebblejoin {
 
 std::optional<std::vector<int>> GreedyWalkPebbler::PebbleConnected(
-    const Graph& g, BudgetContext* budget) const {
+    const Graph& g, BudgetContext& budget) const {
   JP_CHECK(g.num_edges() >= 1);
   // The walk is near-linear, but a cooperative solver still honors an
   // already-expired deadline instead of starting work.
-  if (budget != nullptr && budget->Expired()) return std::nullopt;
+  if (budget.Expired()) return std::nullopt;
   const CsrGraph& csr = g.csr();
   const int m = g.num_edges();
 
@@ -45,7 +45,7 @@ std::optional<std::vector<int>> GreedyWalkPebbler::PebbleConnected(
   while (static_cast<int>(order.size()) < m) {
     // A partial order is not a pebbling, so a mid-walk expiry must discard
     // the walk; the amortized poll keeps the check nearly free.
-    if (budget != nullptr && budget->Expired()) return std::nullopt;
+    if (budget.Expired()) return std::nullopt;
     const int last = order.back();
     // Candidate adjacent edges from both endpoints; prefer the one whose
     // *far* endpoint has the lowest undeleted degree (finish constrained

@@ -20,7 +20,7 @@ class GreedyWalkPebbler : public Pebbler {
 
   std::string name() const override { return "greedy-walk"; }
   std::optional<std::vector<int>> PebbleConnected(
-      const Graph& g, BudgetContext* budget) const override;
+      const Graph& g, BudgetContext& budget) const override;
 };
 
 }  // namespace pebblejoin

@@ -41,7 +41,7 @@ Tour DoubleBridge(const Tour& tour, Rng* rng) {
 }  // namespace
 
 std::optional<std::vector<int>> IlsPebbler::PebbleConnected(
-    const Graph& g, BudgetContext* budget) const {
+    const Graph& g, BudgetContext& budget) const {
   JP_CHECK(g.num_edges() >= 1);
 
   // Baseline: the full local-search pipeline. It is itself budget-aware and
@@ -49,16 +49,15 @@ std::optional<std::vector<int>> IlsPebbler::PebbleConnected(
   const LocalSearchPebbler local(options_.descent,
                                  options_.max_line_graph_edges);
   std::optional<std::vector<int>> best = local.PebbleConnected(g, budget);
-  JP_CHECK(budget != nullptr || best.has_value());
   if (!best.has_value()) return std::nullopt;
   int64_t best_jumps = JumpsOfEdgeOrder(g, *best);
   if (best_jumps == 0) return best;  // already perfect
 
   int64_t max_line_edges = options_.max_line_graph_edges;
-  if (budget != nullptr && budget->budget().has_memory_limit()) {
+  if (budget.budget().has_memory_limit()) {
     max_line_edges = std::min(
         max_line_edges,
-        MaxLineGraphEdgesForMemory(budget->budget().memory_limit_bytes));
+        MaxLineGraphEdgesForMemory(budget.budget().memory_limit_bytes));
   }
   std::optional<Graph> line = BuildLineGraphWithBudget(g, max_line_edges);
   if (!line.has_value()) return best;  // too big to improve further
@@ -71,7 +70,7 @@ std::optional<std::vector<int>> IlsPebbler::PebbleConnected(
        ++round) {
     // Deadline-aware rounds: stopping here returns the incumbent `best`,
     // which is always a complete, valid order.
-    if (budget != nullptr && budget->Expired()) break;
+    if (budget.Expired()) break;
     ++iterations;
     Tour candidate = DoubleBridge(*best, &rng);
     LocalSearchImprove(instance, &candidate, options_.descent, budget);
@@ -82,9 +81,9 @@ std::optional<std::vector<int>> IlsPebbler::PebbleConnected(
       ++kicks_accepted;
     }
   }
-  if (budget != nullptr && budget->stats() != nullptr) {
-    budget->stats()->ils_iterations += iterations;
-    budget->stats()->ils_kicks_accepted += kicks_accepted;
+  if (SolveStats* stats = budget.stats()) {
+    stats->ils_iterations += iterations;
+    stats->ils_kicks_accepted += kicks_accepted;
   }
   return best;
 }

@@ -36,7 +36,7 @@ class IlsPebbler : public Pebbler {
   // Deadline-aware iteration loop: under a budget each perturb+descend round
   // polls the deadline and the best incumbent found so far is returned.
   std::optional<std::vector<int>> PebbleConnected(
-      const Graph& g, BudgetContext* budget) const override;
+      const Graph& g, BudgetContext& budget) const override;
 
  private:
   Options options_;

@@ -28,7 +28,7 @@ class LocalSearchPebbler : public Pebbler {
   // (seed or partially improved order) rather than failing, as long as a
   // seed was constructed before the deadline hit.
   std::optional<std::vector<int>> PebbleConnected(
-      const Graph& g, BudgetContext* budget) const override;
+      const Graph& g, BudgetContext& budget) const override;
 
  private:
   LocalSearchOptions options_;

@@ -10,8 +10,22 @@
 
 namespace pebblejoin {
 
+std::optional<std::vector<int>> Pebbler::PebbleConnected(
+    const Graph& g, BudgetContext* budget) const {
+  if (budget != nullptr) return PebbleConnected(g, *budget);
+  BudgetContext unlimited{SolveBudget{}};
+  return PebbleConnected(g, unlimited);
+}
+
 std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
     const Graph& g, BudgetContext* budget, SolveOutcome* outcome) const {
+  if (budget != nullptr) return PebbleWithOutcome(g, *budget, outcome);
+  BudgetContext unlimited{SolveBudget{}};
+  return PebbleWithOutcome(g, unlimited, outcome);
+}
+
+std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
+    const Graph& g, BudgetContext& budget, SolveOutcome* outcome) const {
   JP_CHECK(outcome != nullptr);
   outcome->lower_bound = g.num_edges();
 
@@ -21,29 +35,25 @@ std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
   // carrying the attempt's status and cost.
   RungAttempt attempt;
   attempt.solver = name();
-  Probe probe = Probe::Timed(
-      attempt.solver.c_str(), "rung",
-      budget != nullptr ? budget->trace() : nullptr,
-      budget != nullptr ? budget->perf_group() : nullptr);
+  Probe probe = Probe::Timed(attempt.solver.c_str(), "rung", budget.trace(),
+                             budget.perf_group());
   std::optional<std::vector<int>> order = PebbleConnected(g, budget);
   if (order.has_value()) {
     attempt.cost =
         static_cast<int64_t>(order->size()) + JumpsOfEdgeOrder(g, *order);
-    const bool stopped = budget != nullptr && budget->stopped();
     // A solver stopped mid-search can still return its best incumbent; the
     // stop reason is the honest status for that (degraded) order.
-    attempt.status = stopped ? RungStatusFromStop(budget->stop_reason())
-                             : (is_exact() ? RungStatus::kOptimal
-                                           : RungStatus::kCompleted);
+    attempt.status = budget.stopped()
+                         ? RungStatusFromStop(budget.stop_reason())
+                         : (is_exact() ? RungStatus::kOptimal
+                                       : RungStatus::kCompleted);
     outcome->winner = attempt.solver;
     outcome->optimal = attempt.status == RungStatus::kOptimal;
     outcome->effective_cost = attempt.cost;
-  } else if (budget != nullptr && budget->stopped()) {
-    attempt.status = RungStatusFromStop(budget->stop_reason());
+  } else if (budget.stopped()) {
+    attempt.status = RungStatusFromStop(budget.stop_reason());
   } else {
-    const SolveDecline decline =
-        budget != nullptr ? budget->TakeDecline() : SolveDecline::kNone;
-    switch (decline) {
+    switch (budget.TakeDecline()) {
       case SolveDecline::kMemoryCapped:
         attempt.status = RungStatus::kMemoryCapped;
         break;
@@ -66,18 +76,16 @@ std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
                              ? RungStatus::kCompleted
                              : attempt.status;
 
-  if (budget != nullptr) {
-    if (SolveStats* stats = budget->stats()) {
-      ++stats->rungs_attempted;
-      if (!RungProducedOrder(attempt.status)) ++stats->rungs_declined;
-    }
-    if (EventLog* log = budget->log()) {
-      log->Emit(LogLevel::kDebug, "ladder.rung",
-                {LogField::Str("solver", attempt.solver),
-                 LogField::Str("status", RungStatusName(attempt.status)),
-                 LogField::Num("cost", attempt.cost),
-                 LogField::Num("elapsed_us", attempt.elapsed_us)});
-    }
+  if (SolveStats* stats = budget.stats()) {
+    ++stats->rungs_attempted;
+    if (!RungProducedOrder(attempt.status)) ++stats->rungs_declined;
+  }
+  if (EventLog* log = budget.log()) {
+    log->Emit(LogLevel::kDebug, "ladder.rung",
+              {LogField::Str("solver", attempt.solver),
+               LogField::Str("status", RungStatusName(attempt.status)),
+               LogField::Num("cost", attempt.cost),
+               LogField::Num("elapsed_us", attempt.elapsed_us)});
   }
 
   outcome->attempts.push_back(std::move(attempt));

@@ -8,10 +8,10 @@
 namespace pebblejoin {
 
 std::optional<std::vector<int>> SortMergePebbler::PebbleConnected(
-    const Graph& g, BudgetContext* budget) const {
+    const Graph& g, BudgetContext& budget) const {
   JP_CHECK(g.num_edges() >= 1);
   // O(m) end to end, so one entry poll is all the cooperation needed.
-  if (budget != nullptr && budget->Expired()) return std::nullopt;
+  if (budget.Expired()) return std::nullopt;
   const std::optional<std::vector<int>> color = TwoColor(g);
   if (!color.has_value()) return std::nullopt;
 

@@ -21,7 +21,7 @@ class SortMergePebbler : public Pebbler {
 
   std::string name() const override { return "sort-merge"; }
   std::optional<std::vector<int>> PebbleConnected(
-      const Graph& g, BudgetContext* budget) const override;
+      const Graph& g, BudgetContext& budget) const override;
 };
 
 }  // namespace pebblejoin

@@ -31,7 +31,7 @@ struct SearchContext {
   int64_t prunes_deficiency = 0;
   int64_t incumbent_updates = 0;
   int64_t node_budget = 0;
-  BudgetContext* budget = nullptr;  // shared deadline/node budget; may be null
+  BudgetContext* budget = nullptr;  // the solve's deadline/node budget
   bool budget_exhausted = false;
   bool deadline_expired = false;
   bool use_component_bound = true;
@@ -118,18 +118,16 @@ void Search(SearchContext* ctx, uint64_t unvisited, int end, int64_t jumps) {
     ctx->budget_exhausted = true;
     return;
   }
-  if (ctx->budget != nullptr) {
-    // Cooperative cancellation: the amortized deadline poll plus a charge
-    // against the request-wide node budget. The incumbent survives either
-    // way — the search just unwinds.
-    if (ctx->budget->Expired()) {
-      ctx->deadline_expired = true;
-      return;
-    }
-    if (!ctx->budget->ChargeNodes(1)) {
-      ctx->budget_exhausted = true;
-      return;
-    }
+  // Cooperative cancellation: the amortized deadline poll plus a charge
+  // against the request-wide node budget. The incumbent survives either
+  // way — the search just unwinds.
+  if (ctx->budget->Expired()) {
+    ctx->deadline_expired = true;
+    return;
+  }
+  if (!ctx->budget->ChargeNodes(1)) {
+    ctx->budget_exhausted = true;
+    return;
   }
   if (unvisited == 0) {
     if (jumps < ctx->best_jumps) {
@@ -189,7 +187,7 @@ void Search(SearchContext* ctx, uint64_t unvisited, int end, int64_t jumps) {
 
 BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
                                          const BranchAndBoundOptions& options,
-                                         BudgetContext* budget) {
+                                         BudgetContext& budget) {
   const int n = instance.num_nodes();
   JP_CHECK(1 <= n && n <= kBranchAndBoundMaxNodes);
 
@@ -208,7 +206,7 @@ BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
     ctx.adj[csr.EdgeV(e)] |= uint64_t{1} << csr.EdgeU(e);
   }
   ctx.node_budget = options.node_budget;
-  ctx.budget = budget;
+  ctx.budget = &budget;
   ctx.use_component_bound = options.use_component_bound;
   ctx.use_deficiency_bound = options.use_deficiency_bound;
 
@@ -220,7 +218,7 @@ BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
   ctx.best_tour = incumbent;
   ctx.best_jumps = TourJumps(instance, incumbent);
 
-  if (budget != nullptr && budget->Expired()) {
+  if (budget.Expired()) {
     ctx.deadline_expired = true;
   } else if (ctx.best_jumps > 0) {
     ctx.current.reserve(n);
@@ -241,8 +239,7 @@ BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
 
   // One flush per solve into the request's stats sink; the recursion itself
   // only touches plain SearchContext fields.
-  if (budget != nullptr && budget->stats() != nullptr) {
-    SolveStats* stats = budget->stats();
+  if (SolveStats* stats = budget.stats()) {
     stats->bnb_nodes_expanded += ctx.nodes_expanded;
     stats->bnb_prunes_component += ctx.prunes_component;
     stats->bnb_prunes_deficiency += ctx.prunes_deficiency;

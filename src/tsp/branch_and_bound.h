@@ -58,14 +58,14 @@ struct BranchAndBoundResult {
 };
 
 // Solves (or approximates, if a budget runs out) the instance. Requires
-// 1 <= num_nodes <= kBranchAndBoundMaxNodes. `budget` (may be null) adds a
-// wall-clock deadline and a shared cross-solver node budget on top of
+// 1 <= num_nodes <= kBranchAndBoundMaxNodes. `budget` adds a wall-clock
+// deadline and a shared cross-solver node budget on top of
 // options.node_budget; whenever the search is cut short, the best incumbent
 // found so far is still returned (it is always a valid tour — the heuristic
 // primer runs before the search starts).
 BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
                                          const BranchAndBoundOptions& options,
-                                         BudgetContext* budget = nullptr);
+                                         BudgetContext& budget);
 
 }  // namespace pebblejoin
 

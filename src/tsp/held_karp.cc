@@ -10,22 +10,20 @@
 namespace pebblejoin {
 
 std::optional<TspPathResult> HeldKarpSolve(const Tsp12Instance& instance,
-                                           BudgetContext* budget) {
+                                           BudgetContext& budget) {
   const int n = instance.num_nodes();
 
   // Hardware counters across the whole DP (table fill + reconstruction);
   // RAII so the periodic-deadline early returns still flush.
   Probe perf_probe = HotLoopCounters(budget, &SolveStats::hk_perf);
   // Pre-flight: the 2^n · n-byte table must fit the memory ceiling. With no
-  // budget this reproduces the historical n <= 20 limit.
-  const int64_t table_ceiling =
-      budget != nullptr ? budget->MemoryLimitOr(kDefaultHeldKarpTableBytes)
-                        : kDefaultHeldKarpTableBytes;
-  if (n > MaxHeldKarpNodesForMemory(table_ceiling)) {
-    if (budget != nullptr) budget->NoteMemoryDecline();
+  // memory limit this is the default n <= 20.
+  if (n > MaxHeldKarpNodesForMemory(
+              budget.MemoryLimitOr(kDefaultHeldKarpTableBytes))) {
+    budget.NoteMemoryDecline();
     return std::nullopt;
   }
-  if (budget != nullptr && budget->Expired()) return std::nullopt;
+  if (budget.Expired()) return std::nullopt;
 
   TspPathResult result;
   if (n == 0) return result;
@@ -52,8 +50,7 @@ std::optional<TspPathResult> HeldKarpSolve(const Tsp12Instance& instance,
 
   // The dominant allocation just happened: record its footprint even if the
   // deadline cuts the DP below (the bytes were materialized either way).
-  if (budget != nullptr && budget->stats() != nullptr) {
-    SolveStats* stats = budget->stats();
+  if (SolveStats* stats = budget.stats()) {
     ++stats->hk_solves;
     stats->hk_subsets_materialized += static_cast<int64_t>(num_masks);
     stats->hk_table_bytes += static_cast<int64_t>(num_masks) * n;
@@ -61,7 +58,7 @@ std::optional<TspPathResult> HeldKarpSolve(const Tsp12Instance& instance,
 
   for (uint32_t mask = 1; mask < num_masks; ++mask) {
     // Periodic deadline poll; a timed-out DP leaves no usable incumbent.
-    if ((mask & 0xFFF) == 0 && budget != nullptr && budget->Expired()) {
+    if ((mask & 0xFFF) == 0 && budget.Expired()) {
       return std::nullopt;
     }
     for (int v = 0; v < n; ++v) {

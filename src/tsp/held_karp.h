@@ -42,8 +42,8 @@ constexpr int64_t HeldKarpTableBytes(int n) {
 // ~1.7 GB — beyond that branch and bound is always the right tool.
 inline constexpr int kHeldKarpStructuralMaxNodes = 26;
 
-// Default memory ceiling for the DP table when the caller provides no
-// SolveBudget (24 MB: fits n = 20 at ~21 MB; n = 21 would need ~44 MB).
+// Default memory ceiling for the DP table when the budget sets no memory
+// limit (24 MB: fits n = 20 at ~21 MB; n = 21 would need ~44 MB).
 inline constexpr int64_t kDefaultHeldKarpTableBytes = int64_t{24} << 20;
 
 // Largest n whose DP table fits within `memory_limit_bytes`, capped at the
@@ -58,7 +58,7 @@ constexpr int MaxHeldKarpNodesForMemory(int64_t memory_limit_bytes) {
   return n;
 }
 
-// Largest instance HeldKarpSolve accepts without an explicit budget —
+// Largest instance HeldKarpSolve accepts without an explicit memory limit —
 // derived from the default table ceiling, not an independent constant.
 inline constexpr int kMaxHeldKarpNodes =
     MaxHeldKarpNodesForMemory(kDefaultHeldKarpTableBytes);
@@ -66,13 +66,13 @@ static_assert(kMaxHeldKarpNodes == 20,
               "default Held-Karp ceiling drifted; update callers' comments");
 
 // Solves the instance exactly. Returns nullopt if the DP table exceeds the
-// memory ceiling (the budget's, or the default above when `budget` is null;
-// the decline is noted via BudgetContext::NoteMemoryDecline) or if the
-// budget's deadline expires mid-DP — Held–Karp holds no valid incumbent
+// memory ceiling (the budget's, or the default above when the budget sets
+// none; the decline is noted via BudgetContext::NoteMemoryDecline) or if
+// the budget's deadline expires mid-DP — Held–Karp holds no valid incumbent
 // before the table is complete, so a timed-out solve yields nothing.
 // For n == 0 returns an empty zero-cost tour.
 std::optional<TspPathResult> HeldKarpSolve(const Tsp12Instance& instance,
-                                           BudgetContext* budget = nullptr);
+                                           BudgetContext& budget);
 
 }  // namespace pebblejoin
 

@@ -18,18 +18,19 @@ inline int JumpAt(const Tsp12Instance& instance, const Tour& tour, int i) {
 
 // One flush per improver call: the hot loops bump plain locals and the
 // telemetry write happens on the way out.
-inline void FlushLocalSearchStats(BudgetContext* budget, int64_t passes,
+inline void FlushLocalSearchStats(const BudgetContext& budget, int64_t passes,
                                   int64_t moves) {
-  if (budget == nullptr || budget->stats() == nullptr) return;
-  budget->stats()->ls_passes += passes;
-  budget->stats()->ls_moves_accepted += moves;
+  SolveStats* stats = budget.stats();
+  if (stats == nullptr) return;
+  stats->ls_passes += passes;
+  stats->ls_moves_accepted += moves;
 }
 
 }  // namespace
 
 int64_t TwoOptImprove(const Tsp12Instance& instance, Tour* tour,
                       const LocalSearchOptions& options,
-                      BudgetContext* budget) {
+                      BudgetContext& budget) {
   JP_CHECK(tour != nullptr);
   const int n = static_cast<int>(tour->size());
   if (n < 3) return 0;
@@ -44,7 +45,7 @@ int64_t TwoOptImprove(const Tsp12Instance& instance, Tour* tour,
     // (i-1, j) and (i, j+1); pairs inside the segment reverse but keep their
     // jump status (weights are symmetric).
     for (int i = 0; i < n - 1; ++i) {
-      if (budget != nullptr && budget->Expired()) {
+      if (budget.Expired()) {
         FlushLocalSearchStats(budget, passes, moves);
         return removed;
       }
@@ -75,7 +76,7 @@ int64_t TwoOptImprove(const Tsp12Instance& instance, Tour* tour,
 
 int64_t OrOptImprove(const Tsp12Instance& instance, Tour* tour,
                      const LocalSearchOptions& options,
-                     BudgetContext* budget) {
+                     BudgetContext& budget) {
   JP_CHECK(tour != nullptr);
   const int n = static_cast<int>(tour->size());
   if (n < 3) return 0;
@@ -88,7 +89,7 @@ int64_t OrOptImprove(const Tsp12Instance& instance, Tour* tour,
     bool improved = false;
     for (int len = 1; len <= options.max_segment_length; ++len) {
       for (int i = 0; i + len <= n; ++i) {
-        if (budget != nullptr && budget->Expired()) {
+        if (budget.Expired()) {
           FlushLocalSearchStats(budget, passes, moves);
           return removed;
         }
@@ -155,14 +156,14 @@ int64_t OrOptImprove(const Tsp12Instance& instance, Tour* tour,
 
 int64_t LocalSearchImprove(const Tsp12Instance& instance, Tour* tour,
                            const LocalSearchOptions& options,
-                           BudgetContext* budget) {
+                           BudgetContext& budget) {
   // Hardware counters for the combined 2-opt/Or-opt improvement loop. This
   // is the one entry point both LocalSearchPebbler and IlsPebbler funnel
   // through, so ls_cycles covers every local-search consumer.
   Probe perf_probe = HotLoopCounters(budget, &SolveStats::ls_perf);
   int64_t removed = 0;
   for (int round = 0; round < options.max_passes; ++round) {
-    if (budget != nullptr && budget->Expired()) break;
+    if (budget.Expired()) break;
     const int64_t before = removed;
     removed += TwoOptImprove(instance, tour, options, budget);
     removed += OrOptImprove(instance, tour, options, budget);

@@ -26,26 +26,26 @@ struct LocalSearchOptions {
 };
 
 // All three improvers are anytime algorithms: `tour` is mutated only by
-// complete, cost-decreasing moves, so when the optional `budget` deadline
-// cuts a search short the tour left behind is always a valid incumbent —
-// just possibly less improved.
+// complete, cost-decreasing moves, so when the `budget` deadline cuts a
+// search short the tour left behind is always a valid incumbent — just
+// possibly less improved.
 
 // Improves `tour` in place with first-improvement 2-opt until no 2-opt move
 // helps or the pass/deadline budget is exhausted. Returns jumps removed.
 int64_t TwoOptImprove(const Tsp12Instance& instance, Tour* tour,
                       const LocalSearchOptions& options,
-                      BudgetContext* budget = nullptr);
+                      BudgetContext& budget);
 
 // Improves `tour` in place with Or-opt segment relocation. Returns the
 // number of jumps removed.
 int64_t OrOptImprove(const Tsp12Instance& instance, Tour* tour,
                      const LocalSearchOptions& options,
-                     BudgetContext* budget = nullptr);
+                     BudgetContext& budget);
 
 // Alternates 2-opt and Or-opt until neither helps. Returns jumps removed.
 int64_t LocalSearchImprove(const Tsp12Instance& instance, Tour* tour,
                            const LocalSearchOptions& options,
-                           BudgetContext* budget = nullptr);
+                           BudgetContext& budget);
 
 }  // namespace pebblejoin
 

@@ -351,15 +351,34 @@ class BudgetContext {
     forced_expire_at_poll_ = polls_ + n;
   }
 
+  // --- Child contexts -----------------------------------------------------
+
+  // A fresh context under `budget` that keeps everything else this one
+  // carries: the clock source, the stats/trace/log sinks, the perf flag and
+  // the features. Only the budget changes — its deadline counts from now,
+  // and its polls, node charges, decline note and stop latch start empty
+  // and stay local (the child joins no SharedBudgetState). This is the one
+  // way a solver runs a sub-solve under different limits: a capped rung, an
+  // unbudgeted terminator.
+  BudgetContext Child(const SolveBudget& budget) const {
+    BudgetContext child(budget, clock_);
+    child.stats_ = stats_;
+    child.trace_ = trace_;
+    child.log_ = log_;
+    child.perf_enabled_ = perf_enabled_;
+    child.features_ = features_;
+    return child;
+  }
+
   // --- Parallel fan-out ---------------------------------------------------
 
   // Carves a child slice for one parallel worker. The slice keeps the node
   // and memory ceilings, rebases the deadline onto the wall clock still
   // remaining *now* (so all slices of one fan-out share one absolute
-  // deadline), reuses this context's clock source, and joins the
-  // cross-slice stop/node/poll state in `shared` — which is how a stop
-  // latched by one worker cancels the others. A pending
-  // ForceExpireAfterPolls moves onto `shared` (slices poll it
+  // deadline), and is otherwise a Child — same clock, perf flag and
+  // features — that also joins the cross-slice stop/node/poll state in
+  // `shared`, which is how a stop latched by one worker cancels the others.
+  // A pending ForceExpireAfterPolls moves onto `shared` (slices poll it
   // collectively), so fault injection set on the parent reaches whichever
   // worker polls next. Telemetry sinks are NOT inherited: each worker gets
   // its own (single-threaded) sinks and the driver merges them
@@ -376,10 +395,11 @@ class BudgetContext {
           std::max<int64_t>(1, forced_expire_at_poll_ - polls_));
       forced_expire_at_poll_ = -1;  // moved, not copied
     }
-    BudgetContext slice(sliced, clock_);
+    BudgetContext slice = Child(sliced);
     slice.shared_ = shared;
-    slice.perf_enabled_ = perf_enabled_;
-    slice.features_ = features_;
+    slice.stats_ = nullptr;
+    slice.trace_ = nullptr;
+    slice.log_ = nullptr;
     return slice;
   }
 

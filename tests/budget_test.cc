@@ -1,6 +1,10 @@
 #include "util/budget.h"
 
+#include "graph/features.h"
 #include "gtest/gtest.h"
+#include "obs/log.h"
+#include "obs/solve_stats.h"
+#include "obs/trace.h"
 
 namespace pebblejoin {
 namespace {
@@ -123,6 +127,51 @@ TEST(BudgetContextTest, ForceExpireAfterPolls) {
   EXPECT_FALSE(ctx.Expired());
   EXPECT_TRUE(ctx.Expired());  // third poll
   EXPECT_EQ(ctx.stop_reason(), BudgetStop::kDeadlineExpired);
+}
+
+TEST(BudgetContextTest, ChildKeepsEverythingButTheBudget) {
+  // One way to run a sub-solve under other limits: the child carries every
+  // sink, the perf flag, the features and the clock; only the budget (and
+  // the accounting that belongs to it) is new.
+  FakeClock clock;
+  SolveBudget parent_budget;
+  parent_budget.node_budget = 5;
+  BudgetContext parent(parent_budget, clock.AsFunction());
+  SolveStats stats;
+  TraceSession trace;
+  EventLog log(/*capacity=*/8, [] { return int64_t{0}; });
+  const GraphFeatures features;
+  parent.set_stats(&stats);
+  parent.set_trace(&trace);
+  parent.set_log(&log);
+  parent.set_perf_enabled(true);
+  parent.set_features(&features);
+  ASSERT_TRUE(parent.ChargeNodes(3));
+  clock.AdvanceMs(40);
+
+  SolveBudget capped;
+  capped.deadline_ms = 10;
+  BudgetContext child = parent.Child(capped);
+  EXPECT_EQ(child.stats(), &stats);
+  EXPECT_EQ(child.trace(), &trace);
+  EXPECT_EQ(child.log(), &log);
+  EXPECT_TRUE(child.perf_enabled());
+  EXPECT_EQ(child.features(), &features);
+  EXPECT_EQ(child.budget().deadline_ms, 10);
+  EXPECT_FALSE(child.budget().has_node_budget());
+  EXPECT_EQ(child.nodes_charged(), 0);
+  EXPECT_EQ(child.polls(), 0);
+
+  // The deadline runs on the parent's injected clock, counted from the
+  // moment the child was made.
+  EXPECT_FALSE(child.ExpiredNow());
+  clock.AdvanceMs(9);
+  EXPECT_FALSE(child.ExpiredNow());
+  clock.AdvanceMs(1);
+  EXPECT_TRUE(child.ExpiredNow());
+  EXPECT_EQ(child.stop_reason(), BudgetStop::kDeadlineExpired);
+  // The child's stop stays its own.
+  EXPECT_FALSE(parent.stopped());
 }
 
 TEST(BudgetStopTest, Names) {

@@ -150,11 +150,10 @@ TEST(ComponentPebblerTest, FallbackLadderAsPrimaryReportsWinningRung) {
   }
 }
 
-TEST(ComponentPebblerTest, BorrowedPoolMatchesPrivatePoolByteForByte) {
+TEST(ComponentPebblerTest, BorrowedPoolMatchesSequentialByteForByte) {
   // The engine's pool-reuse mode: fanning components across a borrowed
   // ThreadPool must yield the exact solution (order, scheme, costs,
-  // provenance) of the historical construct-a-pool-per-call path and of
-  // the sequential path.
+  // provenance) of the sequential path.
   const LocalSearchPebbler local;
   const GreedyWalkPebbler greedy;
   const BipartiteGraph u = DisjointUnion(
@@ -165,31 +164,34 @@ TEST(ComponentPebblerTest, BorrowedPoolMatchesPrivatePoolByteForByte) {
   const ComponentPebbler sequential(&local, &greedy);
   const PebbleSolution base = sequential.Solve(g);
 
-  ComponentPebbler::Options private_pool;
-  private_pool.threads = 3;
-  const ComponentPebbler with_private(&local, &greedy, private_pool);
-
   ThreadPool shared(3);
   ComponentPebbler::Options borrowed;
   borrowed.threads = 3;
   borrowed.pool = &shared;
   const ComponentPebbler with_borrowed(&local, &greedy, borrowed);
 
-  for (const ComponentPebbler* driver : {&with_private, &with_borrowed}) {
-    const PebbleSolution got = driver->Solve(g);
-    EXPECT_EQ(got.edge_order, base.edge_order);
-    EXPECT_EQ(got.hat_cost, base.hat_cost);
-    EXPECT_EQ(got.effective_cost, base.effective_cost);
-    EXPECT_EQ(got.solver_used, base.solver_used);
-    ASSERT_EQ(got.outcomes.size(), base.outcomes.size());
-    for (size_t c = 0; c < got.outcomes.size(); ++c) {
-      EXPECT_EQ(got.outcomes[c].winner, base.outcomes[c].winner);
-      EXPECT_EQ(got.outcomes[c].attempts.size(),
-                base.outcomes[c].attempts.size());
-    }
+  const PebbleSolution got = with_borrowed.Solve(g);
+  EXPECT_EQ(got.edge_order, base.edge_order);
+  EXPECT_EQ(got.hat_cost, base.hat_cost);
+  EXPECT_EQ(got.effective_cost, base.effective_cost);
+  EXPECT_EQ(got.solver_used, base.solver_used);
+  ASSERT_EQ(got.outcomes.size(), base.outcomes.size());
+  for (size_t c = 0; c < got.outcomes.size(); ++c) {
+    EXPECT_EQ(got.outcomes[c].winner, base.outcomes[c].winner);
+    EXPECT_EQ(got.outcomes[c].attempts.size(),
+              base.outcomes[c].attempts.size());
   }
   // The borrowed pool survives the solves — it is not owned.
   EXPECT_EQ(shared.num_threads(), 3);
+}
+
+TEST(ComponentPebblerDeathTest, FanOutWithoutPoolAborts) {
+  // The driver never builds a pool of its own: threads > 1 needs one lent.
+  const GreedyWalkPebbler greedy;
+  ComponentPebbler::Options options;
+  options.threads = 2;
+  EXPECT_DEATH(ComponentPebbler(&greedy, nullptr, options),
+               "needs a borrowed pool");
 }
 
 TEST(ComponentPebblerTest, BorrowedPoolIsDroppedOnPoolWorkers) {

@@ -84,7 +84,8 @@ TEST(IntegrationTest, FullReductionPipeline) {
   ASSERT_TRUE(IsValidTour(g4, tour4));
 
   // The mapped-back tour cannot beat the optimum.
-  const auto opt4 = HeldKarpSolve(g4);
+  BudgetContext unlimited{SolveBudget{}};
+  const auto opt4 = HeldKarpSolve(g4, unlimited);
   ASSERT_TRUE(opt4.has_value());
   EXPECT_GE(TourCost(g4, tour4), opt4->cost);
 }

@@ -144,7 +144,8 @@ TEST(MatchingPathCoverTest, LowerBoundIsAdmissible) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const Tsp12Instance inst(RandomGraph(11, 0.25, seed));
     const Matching matching = MaximumMatching(inst.good());
-    const auto exact = HeldKarpSolve(inst);
+    BudgetContext unlimited{SolveBudget{}};
+    const auto exact = HeldKarpSolve(inst, unlimited);
     ASSERT_TRUE(exact.has_value());
     EXPECT_GE(exact->jumps, MatchingJumpLowerBound(inst, matching)) << seed;
   }
@@ -155,7 +156,8 @@ TEST(MatchingPathCoverTest, WithinThreeHalvesOfOptimal) {
     const Tsp12Instance inst(RandomGraph(12, 0.2, seed));
     if (inst.num_nodes() < 2) continue;
     const Tour tour = MatchingPathCoverTour(inst, seed);
-    const auto exact = HeldKarpSolve(inst);
+    BudgetContext unlimited{SolveBudget{}};
+    const auto exact = HeldKarpSolve(inst, unlimited);
     ASSERT_TRUE(exact.has_value());
     EXPECT_LE(2 * TourCost(inst, tour), 3 * exact->cost) << seed;
   }

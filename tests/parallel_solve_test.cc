@@ -20,6 +20,7 @@
 #include "solver/greedy_walk_pebbler.h"
 #include "solver/ils_pebbler.h"
 #include "util/budget.h"
+#include "util/thread_pool.h"
 
 #include "json_test_util.h"
 
@@ -98,10 +99,14 @@ TEST(ParallelDeterminismTest, StatsMergeIdenticalAcrossThreadCounts) {
   const IlsPebbler ils;
   const GreedyWalkPebbler greedy;
 
+  ThreadPool pool(4);
   SolveStats stats[2];
   for (int i = 0; i < 2; ++i) {
     ComponentPebbler::Options options;
-    options.threads = i == 0 ? 1 : 4;
+    if (i == 1) {
+      options.threads = 4;
+      options.pool = &pool;
+    }
     const ComponentPebbler driver(&ils, &greedy, options);
     BudgetContext ctx{SolveBudget{}};
     ctx.set_stats(&stats[i]);
@@ -125,8 +130,10 @@ TEST(ParallelBudgetTest, ForcedExpiryMidFanOutStaysCoherent) {
   const Graph flat = ManyComponentGraph().ToGraph();
   const IlsPebbler ils;
   const GreedyWalkPebbler greedy;
+  ThreadPool pool(4);
   ComponentPebbler::Options options;
   options.threads = 4;
+  options.pool = &pool;
   const ComponentPebbler driver(&ils, &greedy, options);
 
   FakeClock clock;
@@ -175,8 +182,10 @@ TEST(ParallelBudgetTest, AlreadyExpiredDeadlineCancelsEveryWorker) {
   const Graph flat = ManyComponentGraph().ToGraph();
   const IlsPebbler ils;
   const GreedyWalkPebbler greedy;
+  ThreadPool pool(8);
   ComponentPebbler::Options options;
   options.threads = 8;
+  options.pool = &pool;
   const ComponentPebbler driver(&ils, &greedy, options);
 
   FakeClock clock;

@@ -152,8 +152,8 @@ TEST(PerfCounterGroupTest, HotLoopCountersNeedPerfAndAStatsSink) {
   BudgetContext no_stats{SolveBudget{}};
   no_stats.set_perf_enabled(true);
   EXPECT_EQ(no_stats.perf_group(), nullptr);
-  { Probe probe = HotLoopCounters(&no_perf, &SolveStats::hk_perf); }
-  { Probe probe = HotLoopCounters(nullptr, &SolveStats::hk_perf); }
+  { Probe probe = HotLoopCounters(no_perf, &SolveStats::hk_perf); }
+  { Probe probe = HotLoopCounters(no_stats, &SolveStats::hk_perf); }
   EXPECT_EQ(stats.hk_perf.cycles, 0);
   // With both, it is the calling thread's group.
   BudgetContext both{SolveBudget{}};

@@ -229,7 +229,8 @@ TEST_P(BridgePropertyTest, Propositions21And22) {
   // Proposition 2.1: perfect pebbling iff L(G) has a Hamiltonian path.
   EXPECT_EQ(*pi == g.num_edges(), HasHamiltonianPath(line));
   // Proposition 2.2: optimal L(G) tour cost == π(G) − 1.
-  const auto tour = HeldKarpSolve(Tsp12Instance(line));
+  BudgetContext unlimited{SolveBudget{}};
+  const auto tour = HeldKarpSolve(Tsp12Instance(line), unlimited);
   ASSERT_TRUE(tour.has_value());
   EXPECT_EQ(tour->cost, *pi - 1);
 }

@@ -22,11 +22,12 @@ namespace {
 
 // Exact minimum jumps of a TSP-(1,2) instance (Held–Karp or B&B).
 int64_t ExactJumps(const Tsp12Instance& instance) {
+  BudgetContext unlimited{SolveBudget{}};
   if (instance.num_nodes() <= kMaxHeldKarpNodes) {
-    return HeldKarpSolve(instance)->jumps;
+    return HeldKarpSolve(instance, unlimited)->jumps;
   }
   const BranchAndBoundResult r =
-      BranchAndBoundSolve(instance, BranchAndBoundOptions{});
+      BranchAndBoundSolve(instance, BranchAndBoundOptions{}, unlimited);
   EXPECT_TRUE(r.proven_optimal);
   return r.best.jumps;
 }
@@ -142,9 +143,10 @@ TEST(Tsp4ToTsp3Test, LiftedTourValidAndNoExtraJumps) {
     const Tsp12Instance g(RandomConnectedBoundedDegree(9, 4, 6, seed));
     const Tsp4ToTsp3Reduction reduction(g);
     // Random tour and the exact tour both lift with no extra jumps.
+    BudgetContext unlimited{SolveBudget{}};
     Tour random_tour = rng.Permutation(g.num_nodes());
     for (const Tour& tour :
-         {random_tour, HeldKarpSolve(g)->tour}) {
+         {random_tour, HeldKarpSolve(g, unlimited)->tour}) {
       const Tour lifted = reduction.LiftTour(tour);
       EXPECT_TRUE(IsValidTour(reduction.h(), lifted));
       EXPECT_LE(TourJumps(reduction.h(), lifted), TourJumps(g, tour))
@@ -269,7 +271,8 @@ TEST(Tsp3ToPebbleTest, LiftedPebblingIsValid) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const Tsp12Instance g(RandomConnectedBoundedDegree(8, 3, 4, seed));
     const Tsp3ToPebbleReduction reduction(g);
-    const Tour tour = HeldKarpSolve(g)->tour;
+    BudgetContext unlimited{SolveBudget{}};
+    const Tour tour = HeldKarpSolve(g, unlimited)->tour;
     const std::vector<int> order = reduction.LiftTourToEdgeOrder(tour);
     EXPECT_TRUE(VerifyEdgeOrder(reduction.pebble_graph(), order).valid)
         << seed;
@@ -301,7 +304,8 @@ TEST(Tsp3ToPebbleTest, LiftedCostTracksTourCost) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const Tsp12Instance g(RandomConnectedBoundedDegree(8, 3, 4, seed));
     const Tsp3ToPebbleReduction reduction(g);
-    const auto hk = HeldKarpSolve(g);
+    BudgetContext unlimited{SolveBudget{}};
+    const auto hk = HeldKarpSolve(g, unlimited);
     const std::vector<int> order = reduction.LiftTourToEdgeOrder(hk->tour);
     const Graph& pebble_graph = reduction.pebble_graph();
     const int64_t effective = static_cast<int64_t>(order.size()) +

@@ -233,5 +233,23 @@ TEST(ExactPebblerTest, UsesBranchAndBoundAboveHeldKarpLimit) {
   EXPECT_EQ(*cost, 24);  // cycles pebble perfectly
 }
 
+TEST(ExactPebblerTest, NullAndUnlimitedBudgetsClassifyDeclinesAlike) {
+  // "No budget" has one meaning: a null pointer and an unlimited context
+  // both report the exact rung's own node-budget decline as
+  // budget-exhausted (m = 30 is past Held–Karp, so branch and bound runs).
+  ExactPebbler::Options options;
+  options.bnb_node_budget = 1;
+  const ExactPebbler exact(options);
+  const Graph g = RandomConnectedBipartite(8, 8, 30, 6).ToGraph();
+  SolveOutcome from_null;
+  EXPECT_FALSE(exact.PebbleWithOutcome(g, nullptr, &from_null).has_value());
+  BudgetContext unlimited{SolveBudget{}};
+  SolveOutcome from_unlimited;
+  EXPECT_FALSE(
+      exact.PebbleWithOutcome(g, &unlimited, &from_unlimited).has_value());
+  EXPECT_EQ(from_null.status, RungStatus::kBudgetExhausted);
+  EXPECT_EQ(from_unlimited.status, RungStatus::kBudgetExhausted);
+}
+
 }  // namespace
 }  // namespace pebblejoin

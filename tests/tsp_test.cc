@@ -193,9 +193,10 @@ TEST(LocalSearchTest, NeverInvalidatesAndNeverWorsens) {
     Tour tour = NearestNeighborTour(inst, 0);
     const int64_t before = TourCost(inst, tour);
     const LocalSearchOptions options;
-    TwoOptImprove(inst, &tour, options);
+    BudgetContext unlimited{SolveBudget{}};
+    TwoOptImprove(inst, &tour, options, unlimited);
     EXPECT_TRUE(IsValidTour(inst, tour));
-    OrOptImprove(inst, &tour, options);
+    OrOptImprove(inst, &tour, options, unlimited);
     EXPECT_TRUE(IsValidTour(inst, tour));
     EXPECT_LE(TourCost(inst, tour), before);
   }
@@ -207,7 +208,8 @@ TEST(LocalSearchTest, ImprovementCountMatchesCostDelta) {
     Tour tour = GreedyPathCoverTour(inst, seed);
     const int64_t before = TourCost(inst, tour);
     const LocalSearchOptions options;
-    const int64_t removed = LocalSearchImprove(inst, &tour, options);
+    BudgetContext unlimited{SolveBudget{}};
+    const int64_t removed = LocalSearchImprove(inst, &tour, options, unlimited);
     EXPECT_EQ(before - TourCost(inst, tour), removed);
   }
 }
@@ -219,14 +221,16 @@ TEST(LocalSearchTest, FixesAnObviousTwoOptMove) {
   const Tsp12Instance inst(good);
   Tour tour{0, 1, 3, 2, 4, 5};
   const LocalSearchOptions options;
-  TwoOptImprove(inst, &tour, options);
+  BudgetContext unlimited{SolveBudget{}};
+  TwoOptImprove(inst, &tour, options, unlimited);
   EXPECT_EQ(TourJumps(inst, tour), 0);
 }
 
 TEST(HeldKarpTest, MatchesBruteForceOnSmallInstances) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const Tsp12Instance inst(RandomGraph(7, 0.3, seed));
-    const auto result = HeldKarpSolve(inst);
+    BudgetContext unlimited{SolveBudget{}};
+    const auto result = HeldKarpSolve(inst, unlimited);
     ASSERT_TRUE(result.has_value());
     EXPECT_TRUE(IsValidTour(inst, result->tour));
     EXPECT_EQ(TourJumps(inst, result->tour), result->jumps);
@@ -235,30 +239,36 @@ TEST(HeldKarpTest, MatchesBruteForceOnSmallInstances) {
 }
 
 TEST(HeldKarpTest, KnownOptima) {
+  BudgetContext unlimited{SolveBudget{}};
   // Complete good graph: zero jumps.
-  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(CompleteGraph(8)))->jumps, 0);
+  EXPECT_EQ(
+      HeldKarpSolve(Tsp12Instance(CompleteGraph(8)), unlimited)->jumps, 0);
   // Empty good graph on n nodes: n−1 jumps.
-  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(Graph(6)))->jumps, 5);
+  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(Graph(6)), unlimited)->jumps, 5);
   // Cycle: zero jumps.
-  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(CycleGraph(9)))->jumps, 0);
+  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(CycleGraph(9)), unlimited)->jumps, 0);
 }
 
 TEST(HeldKarpTest, RefusesOversizedInstances) {
+  BudgetContext unlimited{SolveBudget{}};
   EXPECT_FALSE(
-      HeldKarpSolve(Tsp12Instance(Graph(kMaxHeldKarpNodes + 1))).has_value());
+      HeldKarpSolve(Tsp12Instance(Graph(kMaxHeldKarpNodes + 1)), unlimited)
+          .has_value());
 }
 
 TEST(HeldKarpTest, TrivialSizes) {
-  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(Graph(0)))->cost, 0);
-  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(Graph(1)))->cost, 0);
+  BudgetContext unlimited{SolveBudget{}};
+  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(Graph(0)), unlimited)->cost, 0);
+  EXPECT_EQ(HeldKarpSolve(Tsp12Instance(Graph(1)), unlimited)->cost, 0);
 }
 
 TEST(BranchAndBoundTest, MatchesHeldKarp) {
   for (uint64_t seed = 1; seed <= 15; ++seed) {
     const Tsp12Instance inst(RandomGraph(11, 0.25, seed));
-    const auto hk = HeldKarpSolve(inst);
+    BudgetContext unlimited{SolveBudget{}};
+    const auto hk = HeldKarpSolve(inst, unlimited);
     const BranchAndBoundResult bnb =
-        BranchAndBoundSolve(inst, BranchAndBoundOptions{});
+        BranchAndBoundSolve(inst, BranchAndBoundOptions{}, unlimited);
     ASSERT_TRUE(hk.has_value());
     EXPECT_TRUE(bnb.proven_optimal);
     EXPECT_TRUE(IsValidTour(inst, bnb.best.tour));
@@ -272,8 +282,9 @@ TEST(BranchAndBoundTest, SolvesBeyondHeldKarpLimit) {
   for (int i = 0; i < 13; ++i) good.AddEdge(i, (i + 1) % 13);
   for (int i = 0; i < 13; ++i) good.AddEdge(13 + i, 13 + (i + 1) % 13);
   const Tsp12Instance inst(good);
+  BudgetContext unlimited{SolveBudget{}};
   const BranchAndBoundResult r =
-      BranchAndBoundSolve(inst, BranchAndBoundOptions{});
+      BranchAndBoundSolve(inst, BranchAndBoundOptions{}, unlimited);
   EXPECT_TRUE(r.proven_optimal);
   EXPECT_TRUE(IsValidTour(inst, r.best.tour));
   EXPECT_EQ(r.best.jumps, 1);
