@@ -6,11 +6,16 @@
 #ifndef PEBBLEJOIN_CORE_CLASSIFIER_H_
 #define PEBBLEJOIN_CORE_CLASSIFIER_H_
 
+#include <optional>
+#include <vector>
+
 #include "graph/graph.h"
 #include "join/predicates.h"
 #include "pebble/bounds.h"
 
 namespace pebblejoin {
+
+struct ComponentDecomposition;
 
 // What the join graph's shape implies about pebbling difficulty.
 struct JoinGraphClassification {
@@ -26,6 +31,10 @@ struct JoinGraphClassification {
 };
 
 JoinGraphClassification ClassifyJoinGraph(const Graph& join_graph);
+// The same, over `decomp` = FindComponents(g) and `color` = TwoColor(g).
+JoinGraphClassification ClassifyJoinGraph(
+    const ComponentDecomposition& decomp,
+    const std::optional<std::vector<int>>& color);
 
 }  // namespace pebblejoin
 

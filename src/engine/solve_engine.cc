@@ -3,9 +3,11 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/names.h"
 #include "graph/components.h"
+#include "graph/graph_properties.h"
 #include "obs/probe.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -168,21 +170,23 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
   flat.BuildCsr();
   stats.stage(PipelineStage::kBuild) = build.Stop();
 
+  // --- partition: connected components (Lemma 2.2 additivity) ------------
+  // The request's one decomposition, read by classify and solve alike.
+  Probe partition = stage_probe(PipelineStage::kPartition);
+  const ComponentDecomposition decomp = FindComponents(flat);
+  stats.stage(PipelineStage::kPartition) = partition.Stop();
+
   // --- classify: shape taxonomy + combinatorial bounds -------------------
   Probe classify = stage_probe(PipelineStage::kClassify);
-  analysis.classification = ClassifyJoinGraph(flat);
+  const std::optional<std::vector<int>> color = TwoColor(flat);
+  analysis.classification = ClassifyJoinGraph(decomp, color);
   // The structural feature vector is classify-stage output like the
   // taxonomy above: extracted once per request, thread-count invariant,
   // and handed to the solve stage through the BudgetContext so the
   // calibrated ladder can plan without re-scanning a single-component
   // graph.
-  analysis.features = ExtractGraphFeatures(flat);
+  analysis.features = ExtractGraphFeatures(flat, decomp, color);
   stats.stage(PipelineStage::kClassify) = classify.Stop();
-
-  // --- partition: connected components (Lemma 2.2 additivity) ------------
-  Probe partition = stage_probe(PipelineStage::kPartition);
-  const ComponentDecomposition decomp = FindComponents(flat);
-  stats.stage(PipelineStage::kPartition) = partition.Stop();
 
   // --- solve: per-component fan-out over the shared pool -----------------
   Probe solve = stage_probe(PipelineStage::kSolve);

@@ -5,10 +5,13 @@
 // MetricsRegistry, the default options/budget policy — and exposes a
 // staged request pipeline:
 //
-//   build -> classify -> partition -> solve -> verify -> report
+//   build -> partition -> classify -> solve -> verify -> report
+//
+// Partition owns the request's one ComponentDecomposition; classify (with
+// the one TwoColor) and solve read it rather than rediscover components.
 //
 // Each stage is a seam: its inputs and outputs are public types
-// (Graph, JoinGraphClassification, ComponentDecomposition, PebbleSolution)
+// (Graph, ComponentDecomposition, JoinGraphClassification, PebbleSolution)
 // and one Probe (obs/probe.h) measures it into its SolveStats::stages
 // record (wall clock, rendered stage_<name>_us, plus counters under
 // perf), so stages can be tested, cached, or sharded independently. A request enters as a

@@ -10,26 +10,28 @@ namespace pebblejoin {
 ComponentDecomposition FindComponents(const Graph& g) {
   ComponentDecomposition out;
   out.component_of.assign(g.num_vertices(), -1);
+  out.local_index.assign(g.num_vertices(), -1);
 
   const CsrGraph& csr = g.csr();
   const uint32_t n = csr.num_vertices();
-  std::vector<int> queue;
+  std::vector<int> stack;
   for (uint32_t start = 0; start < n; ++start) {
     if (csr.Degree(start) == 0 || out.component_of[start] != -1) continue;
     const int c = out.num_components++;
     out.vertices_of.emplace_back();
     out.edges_of.emplace_back();
-    queue.clear();
-    queue.push_back(static_cast<int>(start));
+    stack.clear();
+    stack.push_back(static_cast<int>(start));
     out.component_of[start] = c;
-    while (!queue.empty()) {
-      const uint32_t v = static_cast<uint32_t>(queue.back());
-      queue.pop_back();
+    while (!stack.empty()) {
+      const uint32_t v = static_cast<uint32_t>(stack.back());
+      stack.pop_back();
+      out.local_index[v] = static_cast<int>(out.vertices_of[c].size());
       out.vertices_of[c].push_back(static_cast<int>(v));
       for (uint32_t w : csr.Neighbors(v)) {
         if (out.component_of[w] == -1) {
           out.component_of[w] = c;
-          queue.push_back(static_cast<int>(w));
+          stack.push_back(static_cast<int>(w));
         }
       }
     }
@@ -50,25 +52,18 @@ bool IsConnectedIgnoringIsolated(const Graph& g) {
 }
 
 Graph ExtractComponent(const Graph& g, const ComponentDecomposition& decomp,
-                       int component, std::vector<int>* vertex_map,
-                       std::vector<int>* edge_map) {
+                       int component) {
   JP_CHECK(0 <= component && component < decomp.num_components);
-  const std::vector<int>& vertices = decomp.vertices_of[component];
-  const std::vector<int>& edges = decomp.edges_of[component];
-
-  std::vector<int> local_id(g.num_vertices(), -1);
-  Graph sub(static_cast<int>(vertices.size()));
-  for (int i = 0; i < static_cast<int>(vertices.size()); ++i) {
-    local_id[vertices[i]] = i;
-  }
+  JP_CHECK_MSG(static_cast<int>(decomp.local_index.size()) == g.num_vertices(),
+               "decomposition does not belong to this graph");
+  Graph sub(static_cast<int>(decomp.vertices_of[component].size()));
   // Edges of a simple graph stay distinct under relabeling, so the
   // duplicate probe is provably dead — skip it.
-  for (int e : edges) {
+  for (int e : decomp.edges_of[component]) {
     const Graph::Edge& edge = g.edge(e);
-    sub.AddEdgeUnchecked(local_id[edge.u], local_id[edge.v]);
+    sub.AddEdgeUnchecked(decomp.local_index[edge.u],
+                         decomp.local_index[edge.v]);
   }
-  if (vertex_map != nullptr) *vertex_map = vertices;
-  if (edge_map != nullptr) *edge_map = edges;
   return sub;
 }
 

@@ -21,11 +21,15 @@ struct ComponentDecomposition {
   int num_components = 0;
   // edges_of[c] lists the edge ids in component c, in increasing order.
   std::vector<std::vector<int>> edges_of;
-  // vertices_of[c] lists the vertex ids in component c, in discovery order.
+  // vertices_of[c] lists the vertex ids in component c, in the order the
+  // traversal pops them off its stack.
   std::vector<std::vector<int>> vertices_of;
+  // local_index[v] is v's position in vertices_of[component_of[v]] (its id
+  // in ExtractComponent's subgraph), or -1 if v is isolated.
+  std::vector<int> local_index;
 };
 
-// Computes the component decomposition of `g` by BFS.
+// Computes the component decomposition of `g` in one O(n + m) traversal.
 ComponentDecomposition FindComponents(const Graph& g);
 
 // β₀(G): the number of connected components, ignoring isolated vertices.
@@ -35,12 +39,12 @@ int BettiZero(const Graph& g);
 // at least one edge.
 bool IsConnectedIgnoringIsolated(const Graph& g);
 
-// Extracts the subgraph induced by one component. `vertex_map` receives, for
-// each vertex of the subgraph, the original vertex id; `edge_map` likewise
-// maps subgraph edge ids to original edge ids. Either output may be null.
+// Extracts the subgraph induced by one component of `decomp` =
+// FindComponents(g), in O(size of the component). Subgraph vertex i is
+// decomp.vertices_of[component][i] and subgraph edge i is
+// decomp.edges_of[component][i].
 Graph ExtractComponent(const Graph& g, const ComponentDecomposition& decomp,
-                       int component, std::vector<int>* vertex_map,
-                       std::vector<int>* edge_map);
+                       int component);
 
 }  // namespace pebblejoin
 

@@ -1,59 +1,23 @@
 #include "graph/features.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
+#include "graph/components.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_properties.h"
 
 namespace pebblejoin {
 
-namespace {
-
-// Union-find over vertices, path-halving, union by size. Enough component
-// structure for the feature fields without materializing the per-component
-// vertex/edge lists FindComponents builds.
-class Dsu {
- public:
-  explicit Dsu(int n) : parent_(n), size_(n, 1) {
-    for (int v = 0; v < n; ++v) parent_[v] = v;
-  }
-
-  int Find(int v) {
-    while (parent_[v] != v) {
-      parent_[v] = parent_[parent_[v]];
-      v = parent_[v];
-    }
-    return v;
-  }
-
-  void Union(int a, int b) {
-    a = Find(a);
-    b = Find(b);
-    if (a == b) return;
-    if (size_[a] < size_[b]) std::swap(a, b);
-    parent_[b] = a;
-    size_[a] += size_[b];
-  }
-
- private:
-  std::vector<int> parent_;
-  std::vector<int> size_;
-};
-
-int HistogramBucket(int64_t edges) {
-  int bucket = 0;
-  while (edges >= 2 && bucket < GraphFeatures::kHistogramBuckets - 1) {
-    edges >>= 1;
-    ++bucket;
-  }
-  return bucket;
+GraphFeatures ExtractGraphFeatures(const Graph& g) {
+  return ExtractGraphFeatures(g, FindComponents(g), TwoColor(g));
 }
 
-}  // namespace
-
-GraphFeatures ExtractGraphFeatures(const Graph& g) {
+GraphFeatures ExtractGraphFeatures(
+    const Graph& g, const ComponentDecomposition& decomp,
+    const std::optional<std::vector<int>>& color) {
   GraphFeatures f;
   const int n = g.num_vertices();
   const int m = g.num_edges();
@@ -81,28 +45,17 @@ GraphFeatures ExtractGraphFeatures(const Graph& g) {
                  static_cast<double>(f.num_vertices - 1));
   }
 
-  // Component structure: union endpoints, then count edges per root.
-  if (m > 0) {
-    Dsu dsu(n);
-    for (int e = 0; e < m; ++e) {
-      const Graph::Edge& edge = g.edge(e);
-      dsu.Union(edge.u, edge.v);
-    }
-    std::vector<int64_t> edges_of_root(n, 0);
-    for (int e = 0; e < m; ++e) {
-      ++edges_of_root[dsu.Find(g.edge(e).u)];
-    }
-    for (int v = 0; v < n; ++v) {
-      const int64_t edges = edges_of_root[v];
-      if (edges == 0) continue;
-      ++f.betti_zero;
-      f.largest_component_edges = std::max(f.largest_component_edges, edges);
-      ++f.component_size_histogram[HistogramBucket(edges)];
-    }
+  f.betti_zero = decomp.num_components;
+  for (const std::vector<int>& edges_of : decomp.edges_of) {
+    const int64_t edges = static_cast<int64_t>(edges_of.size());
+    f.largest_component_edges = std::max(f.largest_component_edges, edges);
+    ++f.component_size_histogram[std::min<int>(
+        std::bit_width(static_cast<uint64_t>(edges)) - 1,
+        GraphFeatures::kHistogramBuckets - 1)];
   }
 
-  f.bipartite = IsBipartite(g);
-  f.equijoin_shape = f.bipartite && ComponentsAreCompleteBipartite(g);
+  f.bipartite = color.has_value();
+  f.equijoin_shape = ComponentsAreCompleteBipartite(decomp, color);
   return f;
 }
 

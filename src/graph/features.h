@@ -5,20 +5,24 @@
 // The features deliberately stay linear-time and allocation-light: the
 // whole point of a dispatch model is to spend microseconds deciding where
 // *not* to spend milliseconds. Everything here is derivable from one
-// degree scan over the CSR rows (graph/csr_graph.h) plus one union-find
-// pass. Every field is a pure function of the adjacency structure, so the
-// vector is identical across thread counts — the invariance
-// tests/features_test.cc pins.
+// degree scan over the CSR rows (graph/csr_graph.h) plus the request's
+// component decomposition and 2-coloring. Every field is a pure function of
+// the adjacency structure, so the vector is identical across thread counts
+// — the invariance tests/features_test.cc pins.
 
 #ifndef PEBBLEJOIN_GRAPH_FEATURES_H_
 #define PEBBLEJOIN_GRAPH_FEATURES_H_
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "graph/graph.h"
 
 namespace pebblejoin {
+
+struct ComponentDecomposition;
 
 // Fixed-size feature vector of one graph (a whole request or one
 // component). Counts are exact, not estimates — they are all linear-time.
@@ -51,9 +55,13 @@ struct GraphFeatures {
   bool bipartite = false;
 };
 
-// Extracts the feature vector of `g`. One degree scan over g.csr(), one
-// union-find pass for the component fields, and
-// the bipartite/complete-bipartite probes from graph_properties.h.
+// Extracts the feature vector of `g`: one degree scan over g.csr(), with
+// the component and bipartite fields read off `decomp` = FindComponents(g)
+// and `color` = TwoColor(g).
+GraphFeatures ExtractGraphFeatures(
+    const Graph& g, const ComponentDecomposition& decomp,
+    const std::optional<std::vector<int>>& color);
+// The same, computing the decomposition and 2-coloring itself.
 GraphFeatures ExtractGraphFeatures(const Graph& g);
 
 // The model-facing projection: the fixed log-feature vector the planner's

@@ -33,12 +33,14 @@ std::optional<std::vector<int>> TwoColor(const Graph& g) {
   return color;
 }
 
-bool IsBipartite(const Graph& g) { return TwoColor(g).has_value(); }
-
 bool ComponentsAreCompleteBipartite(const Graph& g) {
-  const std::optional<std::vector<int>> color = TwoColor(g);
+  return ComponentsAreCompleteBipartite(FindComponents(g), TwoColor(g));
+}
+
+bool ComponentsAreCompleteBipartite(
+    const ComponentDecomposition& decomp,
+    const std::optional<std::vector<int>>& color) {
   if (!color.has_value()) return false;
-  const ComponentDecomposition decomp = FindComponents(g);
   for (int c = 0; c < decomp.num_components; ++c) {
     int64_t side0 = 0;
     int64_t side1 = 0;

@@ -14,17 +14,20 @@
 
 namespace pebblejoin {
 
+struct ComponentDecomposition;
+
 // Attempts to 2-color `g`. Returns the color (0/1) of every vertex, or
 // nullopt if `g` has an odd cycle. Isolated vertices get color 0.
 std::optional<std::vector<int>> TwoColor(const Graph& g);
-
-// True if `g` is bipartite.
-bool IsBipartite(const Graph& g);
 
 // True if every connected component of `g` is a complete bipartite graph —
 // the exact shape of an equijoin join graph (Section 3.1). Components that
 // are single edges count (K_{1,1}); isolated vertices are ignored.
 bool ComponentsAreCompleteBipartite(const Graph& g);
+// The same in O(n), over `decomp` = FindComponents(g), `color` = TwoColor(g).
+bool ComponentsAreCompleteBipartite(
+    const ComponentDecomposition& decomp,
+    const std::optional<std::vector<int>>& color);
 
 // Finds an induced claw (K_{1,3}): a vertex `center` with three pairwise
 // non-adjacent neighbors. Returns {center, leaf, leaf, leaf} or nullopt.

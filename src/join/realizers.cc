@@ -40,13 +40,14 @@ Realization<Rect> RealizeWorstCaseAsSpatial(int n) {
 std::optional<Realization<int64_t>> RealizeAsEquiJoin(
     const BipartiteGraph& target) {
   const Graph flat = target.ToGraph();
-  if (!ComponentsAreCompleteBipartite(flat)) return std::nullopt;
-
   const ComponentDecomposition decomp = FindComponents(flat);
+  if (!ComponentsAreCompleteBipartite(decomp, TwoColor(flat))) {
+    return std::nullopt;
+  }
+
   Realization<int64_t> out{KeyRelation("R"), KeyRelation("S")};
-  // Component c uses key c; isolated vertices use unique keys beyond that,
-  // negative on the left and distinct positive on the right so they can
-  // never collide with anything.
+  // Component c uses key c; isolated vertices on either side each take a
+  // fresh key beyond the last component's, so they never join anything.
   int64_t next_unique = decomp.num_components;
   for (int l = 0; l < target.left_size(); ++l) {
     const int c = decomp.component_of[target.FlatLeftId(l)];

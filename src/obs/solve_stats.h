@@ -30,10 +30,11 @@ class BudgetContext;
 class JsonWriter;
 class MetricsRegistry;
 
-// The stages of the engine's request pipeline, in order. Their names live
-// once, in kPipelineStageNames, and spell the stage keys of every stats
-// surface: stage_<name>_us, stage_<name>_cycles, … and the --perf-stats
-// table rows.
+// The stages of the engine's request pipeline, in the order every stats
+// surface lists them (the engine runs partition before classify, which
+// reads its decomposition). Their names live once, in kPipelineStageNames,
+// and spell the stage keys of every stats surface: stage_<name>_us,
+// stage_<name>_cycles, … and the --perf-stats table rows.
 enum class PipelineStage { kBuild, kClassify, kPartition, kSolve, kVerify,
                            kReport };
 inline constexpr int kNumPipelineStages = 6;

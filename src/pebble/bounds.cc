@@ -7,16 +7,19 @@
 namespace pebblejoin {
 
 PebblingBounds ComputeBounds(const Graph& g) {
+  return ComputeBounds(FindComponents(g));
+}
+
+PebblingBounds ComputeBounds(const ComponentDecomposition& decomp) {
   PebblingBounds bounds;
-  bounds.num_edges = g.num_edges();
-  const ComponentDecomposition decomp = FindComponents(g);
   bounds.betti_zero = decomp.num_components;
-  bounds.lower = g.num_edges();
   for (int c = 0; c < decomp.num_components; ++c) {
     const int64_t mc = static_cast<int64_t>(decomp.edges_of[c].size());
+    bounds.num_edges += mc;
     bounds.upper_general += 2 * mc - 1;
     bounds.upper_dfs_bound += DfsUpperBoundForConnected(mc);
   }
+  bounds.lower = bounds.num_edges;
   return bounds;
 }
 

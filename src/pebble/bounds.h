@@ -17,6 +17,8 @@
 
 namespace pebblejoin {
 
+struct ComponentDecomposition;
+
 // Bounds on the optimal effective pebbling cost π(G) of a graph with m
 // edges, combining Lemma 2.3 with Theorem 3.1 summed over components
 // (justified by the additivity lemma 2.2).
@@ -30,6 +32,8 @@ struct PebblingBounds {
 
 // Computes the bounds over all connected components.
 PebblingBounds ComputeBounds(const Graph& g);
+// The same, read off `decomp` = FindComponents(g) in O(β₀).
+PebblingBounds ComputeBounds(const ComponentDecomposition& decomp);
 
 // Theorem 3.1's per-component bound for a connected graph with m >= 1 edges.
 int64_t DfsUpperBoundForConnected(int64_t m);

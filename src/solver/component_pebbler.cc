@@ -51,9 +51,7 @@ void ComponentPebbler::SolveComponent(const Graph& g,
                                       const ComponentDecomposition& decomp,
                                       int c, BudgetContext& slice,
                                       ComponentResult* result) const {
-  std::vector<int> edge_map;
-  const Graph sub =
-      ExtractComponent(g, decomp, c, /*vertex_map=*/nullptr, &edge_map);
+  const Graph sub = ExtractComponent(g, decomp, c);
 
   result->worker = ThreadPool::CurrentWorkerId();
   {
@@ -81,7 +79,7 @@ void ComponentPebbler::SolveComponent(const Graph& g,
     }
     result->edge_order.reserve(order->size());
     for (int local_edge : *order) {
-      result->edge_order.push_back(edge_map[local_edge]);
+      result->edge_order.push_back(decomp.edges_of[c][local_edge]);
     }
     result->wall_us = probe.Stop().wall_us;
   }

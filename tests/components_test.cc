@@ -72,9 +72,9 @@ TEST(ExtractComponentTest, MapsVerticesAndEdgesBack) {
   g.AddEdge(3, 4);   // component B
   const ComponentDecomposition d = FindComponents(g);
   const int b = d.component_of[2];
-  std::vector<int> vertex_map;
-  std::vector<int> edge_map;
-  const Graph sub = ExtractComponent(g, d, b, &vertex_map, &edge_map);
+  const std::vector<int>& vertex_map = d.vertices_of[b];
+  const std::vector<int>& edge_map = d.edges_of[b];
+  const Graph sub = ExtractComponent(g, d, b);
   EXPECT_EQ(sub.num_vertices(), 3);
   EXPECT_EQ(sub.num_edges(), 2);
   EXPECT_EQ(edge_map, (std::vector<int>{1, 2}));
@@ -87,11 +87,11 @@ TEST(ExtractComponentTest, MapsVerticesAndEdgesBack) {
   }
 }
 
-TEST(ExtractComponentTest, NullOutputMapsAllowed) {
+TEST(ExtractComponentTest, SingleEdgeComponent) {
   Graph g(2);
   g.AddEdge(0, 1);
   const ComponentDecomposition d = FindComponents(g);
-  const Graph sub = ExtractComponent(g, d, 0, nullptr, nullptr);
+  const Graph sub = ExtractComponent(g, d, 0);
   EXPECT_EQ(sub.num_edges(), 1);
 }
 
@@ -112,6 +112,38 @@ TEST(ComponentsTest, RandomGraphComponentsPartitionEdges) {
     }
     EXPECT_EQ(total_vertices, static_cast<size_t>(non_isolated));
   }
+}
+
+TEST(ComponentsTest, LocalIndexInvertsVerticesOf) {
+  // p = 0.05 on 30 vertices leaves isolated vertices in most seeds.
+  int isolated_seen = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const Graph g = RandomGraph(30, 0.05, seed);
+    const ComponentDecomposition d = FindComponents(g);
+    ASSERT_EQ(d.local_index.size(), static_cast<size_t>(g.num_vertices()));
+    for (int c = 0; c < d.num_components; ++c) {
+      for (int i = 0; i < static_cast<int>(d.vertices_of[c].size()); ++i) {
+        EXPECT_EQ(d.local_index[d.vertices_of[c][i]], i) << seed;
+      }
+    }
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      if (g.Degree(v) > 0) continue;
+      ++isolated_seen;
+      EXPECT_EQ(d.local_index[v], -1) << seed;
+    }
+  }
+  EXPECT_GT(isolated_seen, 0);
+}
+
+TEST(ExtractComponentDeathTest, RejectsDecompositionOfAnotherGraph) {
+  Graph small(2);
+  small.AddEdge(0, 1);
+  Graph large(4);
+  large.AddEdge(0, 1);
+  large.AddEdge(2, 3);
+  const ComponentDecomposition d = FindComponents(small);
+  EXPECT_DEATH(ExtractComponent(large, d, 0),
+               "decomposition does not belong to this graph");
 }
 
 }  // namespace

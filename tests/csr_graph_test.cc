@@ -52,10 +52,12 @@ Graph RandomInstance(uint64_t seed) {
 // --- Reference builders over Graph::IncidentEdges -------------------------
 
 // Stack DFS from each unvisited non-isolated vertex, neighbors in
-// incidence order; edges bucketed by component in edge-id order.
+// incidence order; edges bucketed by component in edge-id order; each
+// vertex's local index is its pop position within its component.
 ComponentDecomposition ReferenceComponents(const Graph& g) {
   ComponentDecomposition out;
   out.component_of.assign(g.num_vertices(), -1);
+  out.local_index.assign(g.num_vertices(), -1);
   std::vector<int> stack;
   for (int start = 0; start < g.num_vertices(); ++start) {
     if (g.Degree(start) == 0 || out.component_of[start] != -1) continue;
@@ -67,6 +69,7 @@ ComponentDecomposition ReferenceComponents(const Graph& g) {
     while (!stack.empty()) {
       const int v = stack.back();
       stack.pop_back();
+      out.local_index[v] = static_cast<int>(out.vertices_of[c].size());
       out.vertices_of[c].push_back(v);
       for (int e : g.IncidentEdges(v)) {
         const int w = g.edge(e).Other(v);
@@ -292,12 +295,12 @@ TEST(CsrGraphTest, ExtractComponentPropagatesLayoutAndOrder) {
     ASSERT_EQ(decomp.component_of, reference.component_of);
     ASSERT_EQ(decomp.vertices_of, reference.vertices_of);
     ASSERT_EQ(decomp.edges_of, reference.edges_of);
+    ASSERT_EQ(decomp.local_index, reference.local_index);
 
     for (int c = 0; c < decomp.num_components; ++c) {
-      std::vector<int> vmap, emap;
-      const Graph sub = ExtractComponent(g, decomp, c, &vmap, &emap);
-      EXPECT_EQ(vmap, decomp.vertices_of[c]);
-      EXPECT_EQ(emap, decomp.edges_of[c]);
+      const std::vector<int>& vmap = decomp.vertices_of[c];
+      const std::vector<int>& emap = decomp.edges_of[c];
+      const Graph sub = ExtractComponent(g, decomp, c);
       // Local edge i is parent edge emap[i], endpoints relabeled through
       // vmap, in the parent's edge-id order.
       ASSERT_EQ(sub.num_edges(), static_cast<int>(emap.size()));

@@ -1,10 +1,14 @@
 #include "graph/features.h"
 
 #include <cmath>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "core/classifier.h"
+#include "graph/components.h"
 #include "graph/generators.h"
+#include "graph/graph_properties.h"
 #include "gtest/gtest.h"
 
 namespace pebblejoin {
@@ -67,6 +71,27 @@ TEST(FeaturesPropertyTest, InvariantAcrossThreads) {
     for (size_t i = 0; i < expected.size(); ++i) {
       ExpectSameFeatures(expected[i], got[t][i]);
     }
+  }
+}
+
+TEST(FeaturesPropertyTest, DecompositionOverloadsMatchGraphOnly) {
+  // The engine hands one decomposition and 2-coloring to classify and to
+  // feature extraction; both must agree with the self-contained overloads.
+  for (const Graph& g : PropertyCorpus()) {
+    const ComponentDecomposition decomp = FindComponents(g);
+    const std::optional<std::vector<int>> color = TwoColor(g);
+    ExpectSameFeatures(ExtractGraphFeatures(g, decomp, color),
+                       ExtractGraphFeatures(g));
+
+    const JoinGraphClassification got = ClassifyJoinGraph(decomp, color);
+    const JoinGraphClassification want = ClassifyJoinGraph(g);
+    EXPECT_EQ(got.equijoin_shape, want.equijoin_shape);
+    EXPECT_EQ(got.realizable_as, want.realizable_as);
+    EXPECT_EQ(got.bounds.num_edges, want.bounds.num_edges);
+    EXPECT_EQ(got.bounds.betti_zero, want.bounds.betti_zero);
+    EXPECT_EQ(got.bounds.lower, want.bounds.lower);
+    EXPECT_EQ(got.bounds.upper_general, want.bounds.upper_general);
+    EXPECT_EQ(got.bounds.upper_dfs_bound, want.bounds.upper_dfs_bound);
   }
 }
 

@@ -18,7 +18,7 @@ TEST(TwoColorTest, PathIsBipartite) {
 
 TEST(TwoColorTest, OddCycleIsNot) {
   EXPECT_FALSE(TwoColor(CycleGraph(5)).has_value());
-  EXPECT_FALSE(IsBipartite(CompleteGraph(3)));
+  EXPECT_FALSE(TwoColor(CompleteGraph(3)).has_value());
 }
 
 TEST(TwoColorTest, EvenCycleIs) {

@@ -20,19 +20,31 @@ floor (default 2 ms) — micro-timings jitter far beyond any useful
 threshold. Per-metric overrides: tail latencies (`p95_ms`, `p99_ms`) get
 40% because they are the noisiest thing the harness measures.
 
-Exit codes: 0 all compared cells within threshold, 1 at least one
-regression, 2 usage or unreadable input. `--self-test` runs the built-in
-fixtures (a synthetic >25% wall-clock regression must exit 1; an
-identical pair must exit 0) and exits accordingly.
+`--max-growth BENCH:TABLE:COLUMN:RATIO` is a within-run shape check on
+the fresh files alone: in BENCH_<BENCH>.json, table TABLE, the COLUMN
+cell of the last row divided by that of the first row must not exceed
+RATIO. It guards a sweep whose per-unit cost must stay flat (E1's
+us_per_edge, Theorem 4.1) against a superlinear regression that no
+baseline diff would catch once the baseline itself is re-recorded.
+
+Exit codes: 0 all compared cells within threshold and every growth check
+within its ratio, 1 at least one regression or growth violation, 2 usage
+or unreadable input (a growth check naming a missing file, table or
+column included). `--self-test` runs the built-in fixtures (a synthetic
+>25% wall-clock regression must exit 1; an identical pair must exit 0; a
+flat sweep must pass its growth check and a steep one fail it) and exits
+accordingly.
 
 Usage:
   python3 tools/bench_compare.py --baseline DIR --fresh DIR [options]
+  python3 tools/bench_compare.py --fresh DIR --max-growth B:T:C:R [...]
   python3 tools/bench_compare.py --self-test
 
 Options:
   --threshold PCT        default threshold (default: 25)
   --override NAME=PCT    per-metric threshold override (repeatable)
   --noise-floor-ms MS    skip cells where both sides are below (default: 2)
+  --max-growth B:T:C:R   last-row / first-row ceiling (repeatable)
 """
 
 import argparse
@@ -172,6 +184,58 @@ def run_compare(baseline_dir, fresh_dir, threshold, overrides,
     return 1 if regressions else 0
 
 
+def parse_growth_spec(spec):
+    """'BENCH:TABLE:COLUMN:RATIO' -> (bench, table, column, ratio), or None
+    when malformed."""
+    parts = spec.split(":")
+    if len(parts) != 4 or not all(parts[:3]):
+        return None
+    try:
+        ratio = float(parts[3])
+    except ValueError:
+        return None
+    if not ratio > 0:
+        return None
+    return parts[0], parts[1], parts[2], ratio
+
+
+def run_growth_checks(fresh_dir, specs, out=sys.stdout):
+    """Checks each (bench, table, column, ratio): last row's cell over the
+    first row's must stay <= ratio. Returns 0, 1 (a violation) or 2 (a
+    missing file, table, column or non-numeric cell)."""
+    worst = 0
+    for bench, table_id, column, ratio in specs:
+        where = f"{bench}/{table_id}.{column}"
+        path = os.path.join(fresh_dir, f"BENCH_{bench}.json")
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+        except (OSError, json.JSONDecodeError) as e:
+            print(f"bench_compare: {where}: {e}", file=sys.stderr)
+            return 2
+        table = next((t for t in doc.get("tables", [])
+                      if t.get("id") == table_id), None)
+        if table is None or column not in table.get("headers", []):
+            print(f"bench_compare: {where}: no such table or column in "
+                  f"{path}", file=sys.stderr)
+            return 2
+        rows = table.get("rows", [])
+        col = table["headers"].index(column)
+        first = parse_cell(rows[0][col]) if len(rows) >= 2 else None
+        last = parse_cell(rows[-1][col]) if len(rows) >= 2 else None
+        if first is None or last is None or first == 0:
+            print(f"bench_compare: {where}: needs two rows with a positive "
+                  "first cell", file=sys.stderr)
+            return 2
+        growth = last / first
+        verdict = "GROWTH" if growth > ratio else "ok"
+        print(f"  {verdict:10s} {where}: {rows[0][col]} -> {rows[-1][col]} "
+              f"(x{growth:.2f}, limit x{ratio:g})", file=out)
+        if growth > ratio:
+            worst = 1
+    return worst
+
+
 def self_test():
     """Synthetic fixtures: the gate must catch a >25% wall-clock regression
     and pass an identical pair."""
@@ -208,12 +272,32 @@ def self_test():
         same = run_compare(os.path.join(tmp, "base"),
                            os.path.join(tmp, "same"),
                            25.0, dict(DEFAULT_OVERRIDES), 2.0, out=sink)
+        # Growth: the base fixture's time_ms goes 100 -> 40 (x0.4) and must
+        # pass a x2 ceiling; a sweep shaped like the old quadratic E1
+        # (1.06 -> 12.6 us/edge, x11.9) must fail it.
+        steep = {"bench": "steep", "tables": [{
+            "id": "sweep", "headers": ["keys", "us_per_edge"],
+            "rows": [["1600", "1.06"], ["6400", "1.60"],
+                     ["102400", "12.60"]],
+        }]}
+        with open(os.path.join(tmp, "base", "BENCH_steep.json"), "w") as f:
+            json.dump(steep, f)
+        flat = run_growth_checks(os.path.join(tmp, "base"),
+                                 [("fixture", "sweep", "time_ms", 2.0)],
+                                 out=sink)
+        steep_rc = run_growth_checks(os.path.join(tmp, "base"),
+                                     [("steep", "sweep", "us_per_edge", 2.0)],
+                                     out=sink)
         sink.close()
         failures = []
         if bad != 1:
             failures.append(f"regressed fixture exited {bad}, want 1")
         if same != 0:
             failures.append(f"identical fixture exited {same}, want 0")
+        if flat != 0:
+            failures.append(f"flat growth fixture exited {flat}, want 0")
+        if steep_rc != 1:
+            failures.append(f"steep growth fixture exited {steep_rc}, want 1")
         for failure in failures:
             print(f"bench_compare --self-test: {failure}", file=sys.stderr)
         print("bench_compare --self-test: "
@@ -232,13 +316,25 @@ def main():
     parser.add_argument("--override", action="append", default=[],
                         metavar="NAME=PCT")
     parser.add_argument("--noise-floor-ms", type=float, default=2.0)
+    parser.add_argument("--max-growth", action="append", default=[],
+                        metavar="BENCH:TABLE:COLUMN:RATIO")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
-    if not args.baseline or not args.fresh:
-        parser.error("--baseline and --fresh are required "
-                     "(or use --self-test)")
+    specs = []
+    for item in args.max_growth:
+        spec = parse_growth_spec(item)
+        if spec is None:
+            parser.error(f"bad --max-growth '{item}' "
+                         "(want BENCH:TABLE:COLUMN:RATIO)")
+        specs.append(spec)
+    if not args.fresh or not (args.baseline or specs):
+        parser.error("--fresh with --baseline and/or --max-growth is "
+                     "required (or use --self-test)")
+    growth_rc = run_growth_checks(args.fresh, specs) if specs else 0
+    if not args.baseline:
+        return growth_rc
     overrides = dict(DEFAULT_OVERRIDES)
     for item in args.override:
         name, _, pct = item.partition("=")
@@ -246,8 +342,9 @@ def main():
             overrides[name] = float(pct)
         except ValueError:
             parser.error(f"bad --override '{item}' (want NAME=PCT)")
-    return run_compare(args.baseline, args.fresh, args.threshold, overrides,
-                       args.noise_floor_ms)
+    compare_rc = run_compare(args.baseline, args.fresh, args.threshold,
+                             overrides, args.noise_floor_ms)
+    return max(compare_rc, growth_rc)
 
 
 if __name__ == "__main__":
