@@ -48,8 +48,8 @@ std::string FormatAnalysis(const JoinAnalysis& analysis, bool with_stats) {
                 analysis.perfect ? "  (perfect)" : "");
   out += line;
   // Per-component solve provenance: which ladder rungs ran and why each
-  // stopped. One line per component, matching solver_used's order; with
-  // stats on, each rung also carries its wall clock.
+  // stopped. One line per component, in component-index order; with stats
+  // on, each rung also carries its wall clock.
   for (size_t c = 0; c < analysis.solution.outcomes.size(); ++c) {
     std::snprintf(line, sizeof(line), "component %zu    : ", c);
     out += line;
@@ -230,8 +230,8 @@ void WriteAnalysisJson(const JoinAnalysis& analysis, JsonWriter* json) {
               PercentileOfSamples(analysis.solution.component_wall_us, 0.99));
   json->Key("solver_used");
   json->BeginArray();
-  for (const std::string& name : analysis.solution.solver_used) {
-    json->String(name);
+  for (const SolveOutcome& outcome : analysis.solution.outcomes) {
+    json->String(outcome.winner);
   }
   json->EndArray();
   json->Key("outcomes");

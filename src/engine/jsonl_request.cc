@@ -232,7 +232,8 @@ std::string JsonlRequestRunner::Dispatch(const std::string& line,
     }
   }
   // Distinct solvers in first-use order: the answer's provenance.
-  for (const std::string& name : result.analysis.solution.solver_used) {
+  for (const SolveOutcome& component : result.analysis.solution.outcomes) {
+    const std::string& name = component.winner;
     if (outcome->provenance.find(name) != std::string::npos) continue;
     if (!outcome->provenance.empty()) outcome->provenance += ",";
     outcome->provenance += name;

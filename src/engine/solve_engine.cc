@@ -273,7 +273,8 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
     if (defaults.slow_request_ms >= 0 &&
         stats.solve_wall_us / 1000 >= defaults.slow_request_ms) {
       std::string solvers;
-      for (const std::string& name : analysis.solution.solver_used) {
+      for (const SolveOutcome& outcome : analysis.solution.outcomes) {
+        const std::string& name = outcome.winner;
         if (solvers.find(name) != std::string::npos) continue;
         if (!solvers.empty()) solvers += ",";
         solvers += name;

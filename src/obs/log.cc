@@ -134,7 +134,7 @@ int64_t EventLog::NowUs() const {
   return 0;
 }
 
-void EventLog::EmitImpl(LogLevel level, std::string name, LogFields fields) {
+void EventLog::Emit(LogLevel level, std::string name, LogFields fields) {
   LogEvent event;
   event.level = level;
   event.name = std::move(name);
@@ -155,7 +155,6 @@ void EventLog::Retain(LogEvent event) {
 }
 
 void EventLog::MergeFrom(const EventLog& other, int worker) {
-#if PEBBLEJOIN_JOURNAL_COMPILED
   for (const LogEvent& child : other.ring_) {
     LogEvent event = child;
     if (event.worker < 0) event.worker = worker;
@@ -167,14 +166,9 @@ void EventLog::MergeFrom(const EventLog& other, int worker) {
   // for them so the dump header's drop count stays truthful.
   emitted_ += other.dropped_;
   dropped_ += other.dropped_;
-#else
-  (void)other;
-  (void)worker;
-#endif
 }
 
 void EventLog::DumpFlightRecorder(const std::string& reason) {
-#if PEBBLEJOIN_JOURNAL_COMPILED
   if (journal_ == nullptr || !journal_->Passes(LogLevel::kWarn)) return;
   LogEvent header;
   header.level = LogLevel::kWarn;
@@ -202,9 +196,6 @@ void EventLog::DumpFlightRecorder(const std::string& reason) {
   for (const LogField& field : base_) footer.fields.push_back(field);
   footer.fields.push_back(LogField::Str("reason", reason));
   journal_->Write(footer);
-#else
-  (void)reason;
-#endif
 }
 
 }  // namespace pebblejoin

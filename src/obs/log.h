@@ -27,18 +27,9 @@
 // parallel drivers give each worker slice its own buffer-only EventLog
 // and merge after the join barrier in index order, which is why a journal
 // is byte-identical across thread counts modulo worker tags and times.
-//
-// Compile-out: building with -DPEBBLEJOIN_JOURNAL_COMPILED=0 turns
-// EventLog::Emit into a no-op at compile time (the analogue of a
-// disabled MetricsRegistry, but with zero residual branch), for builds
-// that want the journal surface entirely absent from the hot paths.
 
 #ifndef PEBBLEJOIN_OBS_LOG_H_
 #define PEBBLEJOIN_OBS_LOG_H_
-
-#ifndef PEBBLEJOIN_JOURNAL_COMPILED
-#define PEBBLEJOIN_JOURNAL_COMPILED 1
-#endif
 
 #include <cstdint>
 #include <deque>
@@ -200,15 +191,7 @@ class EventLog {
   // Records one event: stamps the clock, appends the base fields, tees
   // to the journal when its level passes, and retains it in the ring
   // (evicting the oldest once past capacity).
-  void Emit(LogLevel level, std::string name, LogFields fields) {
-#if PEBBLEJOIN_JOURNAL_COMPILED
-    EmitImpl(level, std::move(name), std::move(fields));
-#else
-    (void)level;
-    (void)name;
-    (void)fields;
-#endif
-  }
+  void Emit(LogLevel level, std::string name, LogFields fields);
 
   // Appends every retained event of a finished worker slice, tagged with
   // `worker`, in the slice's order: journal tee plus ring retention.
@@ -231,7 +214,6 @@ class EventLog {
   int64_t dropped() const { return dropped_; }  // evicted from the ring
 
  private:
-  void EmitImpl(LogLevel level, std::string name, LogFields fields);
   void Retain(LogEvent event);
 
   Journal* journal_ = nullptr;           // borrowed; may be null

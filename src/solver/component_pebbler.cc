@@ -21,7 +21,6 @@ namespace pebblejoin {
 // finished first — the determinism contract of Options::threads.
 struct ComponentPebbler::ComponentResult {
   std::vector<int> edge_order;  // original edge ids, in solve order
-  std::string used;             // solver_used entry
   SolveOutcome outcome;
   SolveStats stats;  // per-component sink, merged deterministically
   // Worker-local trace session (null when the request has no trace); its
@@ -49,8 +48,25 @@ ComponentPebbler::ComponentPebbler(const Pebbler* primary,
 
 void ComponentPebbler::SolveComponent(const Graph& g,
                                       const ComponentDecomposition& decomp,
-                                      int c, BudgetContext& slice,
+                                      int c, const BudgetContext& parent,
                                       ComponentResult* result) const {
+  // This component's slice of the request budget, with its own stats sink
+  // (and trace session and log when the request carries them). The same
+  // slices drive the sequential path — determinism across thread counts
+  // holds by construction, not by accident.
+  BudgetContext slice = parent.WorkerSlice();
+  slice.set_stats(&result->stats);
+  if (TraceSession* parent_trace = parent.trace()) {
+    result->trace = std::make_unique<TraceSession>(
+        [parent_trace] { return parent_trace->NowUs(); });
+    slice.set_trace(result->trace.get());
+  }
+  if (EventLog* parent_log = parent.log()) {
+    result->log = std::make_unique<EventLog>(
+        parent_log->capacity(), [parent_log] { return parent_log->NowUs(); });
+    slice.set_log(result->log.get());
+  }
+
   const Graph sub = ExtractComponent(g, decomp, c);
 
   result->worker = ThreadPool::CurrentWorkerId();
@@ -61,7 +77,6 @@ void ComponentPebbler::SolveComponent(const Graph& g,
 
     std::optional<std::vector<int>> order =
         primary_->PebbleWithOutcome(sub, slice, &result->outcome);
-    result->used = primary_->name();
     if (!order.has_value()) {
       JP_CHECK_MSG(fallback_ != nullptr,
                    "primary pebbler refused and no fallback configured");
@@ -70,13 +85,9 @@ void ComponentPebbler::SolveComponent(const Graph& g,
       BudgetContext fallback_ctx = slice.Child(SolveBudget{});
       order = fallback_->PebbleWithOutcome(sub, fallback_ctx,
                                            &result->outcome);
-      result->used = fallback_->name();
     }
     JP_CHECK_MSG(order.has_value(), "fallback pebbler refused a component");
     JP_CHECK(static_cast<int>(order->size()) == sub.num_edges());
-    if (!result->outcome.winner.empty()) {
-      result->used = result->outcome.winner;  // a ladder reports its rung
-    }
     result->edge_order.reserve(order->size());
     for (int local_edge : *order) {
       result->edge_order.push_back(decomp.edges_of[c][local_edge]);
@@ -88,7 +99,7 @@ void ComponentPebbler::SolveComponent(const Graph& g,
     log->Emit(LogLevel::kDebug, "component.done",
               {LogField::Num("index", c),
                LogField::Num("edges", sub.num_edges()),
-               LogField::Str("solver", result->used),
+               LogField::Str("solver", result->outcome.winner),
                LogField::Str("status",
                              RungStatusName(result->outcome.status)),
                LogField::Num("cost", result->outcome.effective_cost),
@@ -117,32 +128,7 @@ PebbleSolution ComponentPebbler::SolveDecomposed(
   BudgetContext* parent = budget != nullptr ? budget : &local_parent;
 
   if (num_components > 0) {
-    // Carve one budget slice per component on the owning thread, each with
-    // its own stats sink (and trace session when the request traces); the
-    // slices share stop/node/poll state so cancellation propagates across
-    // workers. The same slices drive the sequential path — determinism
-    // across thread counts holds by construction, not by accident.
-    SharedBudgetState shared;
     std::vector<ComponentResult> results(num_components);
-    std::vector<BudgetContext> slices;
-    slices.reserve(num_components);
-    for (int c = 0; c < num_components; ++c) {
-      slices.push_back(parent->MakeWorkerSlice(&shared));
-      slices[c].set_stats(&results[c].stats);
-      if (parent->trace() != nullptr) {
-        TraceSession* parent_trace = parent->trace();
-        results[c].trace = std::make_unique<TraceSession>(
-            [parent_trace] { return parent_trace->NowUs(); });
-        slices[c].set_trace(results[c].trace.get());
-      }
-      if (EventLog* parent_log = parent->log()) {
-        results[c].log = std::make_unique<EventLog>(
-            parent_log->capacity(),
-            [parent_log] { return parent_log->NowUs(); });
-        slices[c].set_log(results[c].log.get());
-      }
-    }
-
     // Fan-out policy: components fan out over the borrowed pool only. A
     // caller that is itself a pool worker solves sequentially — a worker
     // that waits on a ParallelFor of its own pool deadlocks.
@@ -151,24 +137,23 @@ PebbleSolution ComponentPebbler::SolveDecomposed(
                          ThreadPool::CurrentWorkerId() == -1;
     if (fan_out) {
       options_.pool->ParallelFor(num_components, [&](int c) {
-        SolveComponent(g, decomp, c, slices[c], &results[c]);
+        SolveComponent(g, decomp, c, *parent, &results[c]);
       });
     } else {
       for (int c = 0; c < num_components; ++c) {
-        SolveComponent(g, decomp, c, slices[c], &results[c]);
+        SolveComponent(g, decomp, c, *parent, &results[c]);
       }
     }
 
     // Deterministic merge, in component-index order on the owning thread:
-    // edge order, provenance, per-component stats, worker-tagged trace
-    // events, and the budget bookkeeping the analyzer reads off the parent.
+    // edge order, provenance, per-component stats and worker-tagged trace
+    // and log events. The budget needs no merge — every slice accounted on
+    // the parent's ledger as it ran.
     for (int c = 0; c < num_components; ++c) {
       ComponentResult& result = results[c];
       for (int e : result.edge_order) solution.edge_order.push_back(e);
-      solution.solver_used.push_back(std::move(result.used));
       solution.outcomes.push_back(std::move(result.outcome));
       solution.component_wall_us.push_back(result.wall_us);
-      parent->AbsorbSlice(slices[c].polls(), slices[c].stop_reason());
       if (parent->stats() != nullptr) parent->stats()->Add(result.stats);
       if (parent->trace() != nullptr && result.trace != nullptr) {
         parent->trace()->MergeFrom(*result.trace,
@@ -178,7 +163,6 @@ PebbleSolution ComponentPebbler::SolveDecomposed(
         parent->log()->MergeFrom(*result.log, result.worker);
       }
     }
-    parent->AbsorbShared(shared);
   }
   return solution;
 }

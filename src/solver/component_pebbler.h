@@ -5,15 +5,17 @@
 // Lemma 2.2 is also a parallelism license: components share no vertices, so
 // their solves are embarrassingly parallel. With Options::threads > 1 the
 // driver fans components out across the borrowed Options::pool (the
-// engine's long-lived one — the driver never builds a pool of its own);
-// each component runs on its own BudgetContext slice (shared stop/node
-// state, so one slow component cannot starve the rest and a deadline
-// noticed by any worker cancels all of them), records into its own
-// SolveStats sink and TraceSession, and the results are merged in
-// component-index order after the join barrier. The sequential path runs
-// the exact same slice-and-merge machinery inline, which is what makes the
-// output — edge order, scheme, costs, stats, AnalysisJson — byte-identical
-// across thread counts.
+// engine's long-lived one — the driver never builds a pool of its own).
+// Each component takes a worker slice of the request's BudgetContext where
+// it runs: the slice shares the request's budget ledger, so one slow
+// component cannot starve the rest, a deadline noticed by any worker
+// cancels all of them, and the request's polls, nodes and stop need no
+// merge. Each component also records into its own SolveStats sink,
+// TraceSession and event log, which are merged in component-index order
+// after the join barrier. The sequential path runs the exact same
+// slice-and-merge machinery inline, which is what makes the output — edge
+// order, scheme, costs, stats, AnalysisJson — byte-identical across thread
+// counts.
 
 #ifndef PEBBLEJOIN_SOLVER_COMPONENT_PEBBLER_H_
 #define PEBBLEJOIN_SOLVER_COMPONENT_PEBBLER_H_
@@ -29,7 +31,6 @@
 namespace pebblejoin {
 
 struct ComponentDecomposition;
-class SharedBudgetState;
 class ThreadPool;
 
 // Outcome of pebbling a whole graph.
@@ -40,11 +41,9 @@ struct PebbleSolution {
   int64_t effective_cost = 0;   // π = π̂ − β₀, verified
   int64_t jumps = 0;            // effective_cost − m
   int num_components = 0;       // β₀(G)
-  // Per component: which solver produced its order ("<primary>" or the
-  // fallback's name when the primary returned nullopt).
-  std::vector<std::string> solver_used;
   // Per component: full provenance — rungs attempted, why each stopped, the
-  // achieved cost vs. the Lemma 2.3 lower bound m.
+  // achieved cost vs. the Lemma 2.3 lower bound m, and the `winner`: the
+  // solver (or ladder rung) whose order was kept.
   std::vector<SolveOutcome> outcomes;
   // Per component: wall clock of its solve in microseconds. Recorded by
   // both the sequential and the parallel path (under parallelism the sum
@@ -110,11 +109,11 @@ class ComponentPebbler {
  private:
   struct ComponentResult;
 
-  // Solves component `c` into `result` using the pre-carved budget
-  // `slice`. Runs on a pool worker (or inline on the sequential path);
-  // touches only `slice` and `result`, never the parent context.
+  // Solves component `c` into `result` on a worker slice of `parent`.
+  // Runs on a pool worker (or inline on the sequential path); writes only
+  // `result` and the shared budget ledger, never the parent's own fields.
   void SolveComponent(const Graph& g, const ComponentDecomposition& decomp,
-                      int c, BudgetContext& slice,
+                      int c, const BudgetContext& parent,
                       ComponentResult* result) const;
 
   const Pebbler* primary_;

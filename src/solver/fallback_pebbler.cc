@@ -78,11 +78,12 @@ LadderPlan PlanDescent(const LadderPlanner& planner, const Graph& g,
 }
 
 // Runs one rung under a plan-imposed wall-clock cap: a child context whose
-// deadline is min(cap, remaining), on the parent's clock. The child's
-// *local* expiry is deliberately not latched onto the parent — freeing the
-// rest of the deadline for the anytime rungs is the point of the cap — but
-// its polls and node charges fold back, so request-wide accounting (and
-// the shared node ceiling) behave exactly as on the uncapped path.
+// deadline is min(cap, remaining) on the parent's clock, and whose node
+// budget is what the request has left. The child's *local* expiry is
+// deliberately not latched onto the parent — freeing the rest of the
+// deadline for the anytime rungs is the point of the cap — but its polls
+// and node charges fold into the request, so request-wide accounting (and
+// the node ceiling) behave exactly as on the uncapped path.
 std::optional<std::vector<int>> RunWithRungCap(const Pebbler& rung,
                                                const Graph& g,
                                                BudgetContext& ctx,
@@ -96,11 +97,14 @@ std::optional<std::vector<int>> RunWithRungCap(const Pebbler& rung,
   } else {
     capped.deadline_ms = cap_ms;
   }
+  if (capped.has_node_budget()) {
+    capped.node_budget =
+        std::max<int64_t>(0, capped.node_budget - ctx.nodes_charged());
+  }
   BudgetContext rung_ctx = ctx.Child(capped);
   std::optional<std::vector<int>> order =
       rung.PebbleWithOutcome(g, rung_ctx, outcome);
-  ctx.AbsorbSlice(rung_ctx.polls(), BudgetStop::kNone);
-  if (rung_ctx.nodes_charged() > 0) ctx.ChargeNodes(rung_ctx.nodes_charged());
+  ctx.FoldChild(rung_ctx);
   return order;
 }
 

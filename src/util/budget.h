@@ -17,11 +17,16 @@
 // so incumbents are always verifier-valid. For deterministic fault-injection
 // tests the context accepts a fake clock (see FakeClock) and a forced-expiry
 // point (ForceExpireAfterPolls).
+//
+// One request keeps one ledger of budget state — the stop latch and when it
+// latched, the node total, the poll total, the forced-expiry point — behind
+// its root BudgetContext. Parallel workers run on slices that share the
+// root's ledger, so their accounting is the request's from the first poll;
+// a Child (a sub-solve under other limits) keeps a ledger of its own.
 
 #ifndef PEBBLEJOIN_UTIL_BUDGET_H_
 #define PEBBLEJOIN_UTIL_BUDGET_H_
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -102,72 +107,20 @@ class FakeClock {
   int64_t now_ms_ = 0;
 };
 
-// Thread-safe state shared by all BudgetContext slices of one parallel
-// request (see BudgetContext::MakeWorkerSlice). It carries the three pieces
-// of budget accounting that must be *global* across workers for one slow
-// component not to starve the rest:
+// Mutable per-request state threaded through every solver's hot loop.
 //
-//   - the latched stop reason, so a deadline noticed by one worker cancels
-//     every other worker at its next poll;
-//   - the node count, so the request-wide node budget is a single shared
-//     ceiling rather than a per-worker one;
-//   - the poll count and forced-expiry point, so ForceExpireAfterPolls
-//     fault injection reaches whichever worker polls next, exactly like the
-//     single-threaded contract.
+// The request-wide accounting lives in one private ledger: the stop latch
+// and the time it latched, the node total, the poll total and the
+// forced-expiry point. A root context (either constructor) creates the
+// ledger; its worker slices (WorkerSlice) share it, so a stop latched by one
+// worker cancels every other worker at its next poll, the node budget is
+// one ceiling for the whole fan-out, and ForceExpireAfterPolls reaches
+// whichever worker polls next. After the workers finish, the root's
+// polls(), nodes_charged(), stopped() and stop_reason() already cover them
+// — there is nothing to merge back. A Child starts a ledger of its own.
 //
-// All members are atomics; latching is first-writer-wins.
-class SharedBudgetState {
- public:
-  // Latches the stop reason; later latches with a different reason lose.
-  void LatchStop(BudgetStop reason) {
-    int expected = 0;
-    stop_.compare_exchange_strong(expected, static_cast<int>(reason),
-                                  std::memory_order_acq_rel,
-                                  std::memory_order_acquire);
-  }
-  bool stopped() const {
-    return stop_.load(std::memory_order_acquire) !=
-           static_cast<int>(BudgetStop::kNone);
-  }
-  BudgetStop stop() const {
-    return static_cast<BudgetStop>(stop_.load(std::memory_order_acquire));
-  }
-
-  // Adds `n` to the cross-worker node total and returns the new total.
-  int64_t AddNodes(int64_t n) {
-    return nodes_.fetch_add(n, std::memory_order_relaxed) + n;
-  }
-  int64_t nodes() const { return nodes_.load(std::memory_order_relaxed); }
-
-  // Counts one Expired() poll from any slice and returns the new total.
-  int64_t AddPoll() {
-    return polls_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  int64_t polls() const { return polls_.load(std::memory_order_relaxed); }
-
-  // Forces a deadline expiry on the `n`-th cross-slice poll from now
-  // (n >= 1), regardless of the clock — the shared analogue of
-  // BudgetContext::ForceExpireAfterPolls.
-  void ForceExpireAfterPolls(int64_t n) {
-    forced_expire_at_poll_.store(polls_.load(std::memory_order_relaxed) + n,
-                                 std::memory_order_relaxed);
-  }
-  bool ForcedExpiryAt(int64_t poll) const {
-    const int64_t at = forced_expire_at_poll_.load(std::memory_order_relaxed);
-    return at >= 0 && poll >= at;
-  }
-
- private:
-  std::atomic<int64_t> nodes_{0};
-  std::atomic<int64_t> polls_{0};
-  std::atomic<int64_t> forced_expire_at_poll_{-1};
-  std::atomic<int> stop_{static_cast<int>(BudgetStop::kNone)};
-};
-
-// Mutable per-request state threaded through every solver's hot loop. Not
-// thread-safe: one context per request thread. Parallel drivers carve one
-// *slice* per worker with MakeWorkerSlice; the slices stay single-threaded
-// while sharing stop/node/poll state through a SharedBudgetState.
+// Each context is used by one thread at a time; only the ledger is shared,
+// and it is all atomics (latching is first-writer-wins).
 class BudgetContext {
  public:
   // Deadline polls between real clock reads. The contract tests rely on
@@ -183,30 +136,31 @@ class BudgetContext {
   BudgetContext(const SolveBudget& budget, std::function<int64_t()> clock)
       : budget_(budget),
         clock_(std::move(clock)),
-        start_ms_(NowMs()) {}
+        start_ms_(NowMs()),
+        ledger_(std::make_shared<Ledger>()) {}
+
+  BudgetContext(BudgetContext&&) = default;
+  BudgetContext& operator=(BudgetContext&&) = default;
 
   const SolveBudget& budget() const { return budget_; }
 
   // --- Deadline -----------------------------------------------------------
 
   // Amortized deadline poll: reads the clock on the first call and then once
-  // every kPollStride calls. Sticky: once expired, stays expired. A slice
-  // additionally adopts a stop latched by any sibling slice (cancellation
-  // propagation) and honors the shared forced-expiry point.
+  // every kPollStride calls. Sticky: once expired, stays expired. Also
+  // reports a stop latched on the ledger by any other slice, and honors the
+  // ledger's forced-expiry point.
   bool Expired() {
-    if (stop_ != BudgetStop::kNone) return true;
-    ++polls_;
-    if (shared_ != nullptr) {
-      if (shared_->stopped()) {
-        LatchStop(shared_->stop());
-        return true;
-      }
-      if (shared_->ForcedExpiryAt(shared_->AddPoll())) {
-        LatchStop(BudgetStop::kDeadlineExpired);
-        return true;
-      }
+    if (stop_seen_) return true;
+    const int64_t poll =
+        ledger_->polls.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (stopped()) {
+      stop_seen_ = true;
+      return true;
     }
-    if (forced_expire_at_poll_ >= 0 && polls_ >= forced_expire_at_poll_) {
+    const int64_t forced_at =
+        ledger_->forced_expire_at_poll.load(std::memory_order_relaxed);
+    if (forced_at >= 0 && poll >= forced_at) {
       LatchStop(BudgetStop::kDeadlineExpired);
       return true;
     }
@@ -218,9 +172,8 @@ class BudgetContext {
 
   // Unamortized deadline check (always reads the clock).
   bool ExpiredNow() {
-    if (stop_ != BudgetStop::kNone) return true;
-    if (shared_ != nullptr && shared_->stopped()) {
-      LatchStop(shared_->stop());
+    if (stopped()) {
+      stop_seen_ = true;
       return true;
     }
     if (!budget_.has_deadline()) return false;
@@ -233,34 +186,27 @@ class BudgetContext {
 
   // --- Node budget --------------------------------------------------------
 
-  // Charges `n` search-tree nodes against the shared budget. Returns false
-  // (and latches the stop reason) once the budget is exhausted. A slice
-  // charges the cross-worker total, so the node budget is one ceiling for
-  // the whole fan-out, not one per worker.
+  // Charges `n` search-tree nodes against the ledger. Returns false (and
+  // latches the stop reason) once the request's node total passes the
+  // budget — one ceiling for every slice, not one per worker.
   bool ChargeNodes(int64_t n) {
-    nodes_charged_ += n;
-    if (shared_ != nullptr) {
-      const int64_t total = shared_->AddNodes(n);
-      if (stop_ != BudgetStop::kNone) return false;
-      if (shared_->stopped()) {
-        LatchStop(shared_->stop());
-        return false;
-      }
-      if (budget_.has_node_budget() && total > budget_.node_budget) {
-        LatchStop(BudgetStop::kNodeBudgetExhausted);
-        return false;
-      }
-      return true;
+    const int64_t total =
+        ledger_->nodes.fetch_add(n, std::memory_order_relaxed) + n;
+    if (stopped()) {
+      stop_seen_ = true;
+      return false;
     }
-    if (stop_ != BudgetStop::kNone) return false;
-    if (budget_.has_node_budget() && nodes_charged_ > budget_.node_budget) {
+    if (budget_.has_node_budget() && total > budget_.node_budget) {
       LatchStop(BudgetStop::kNodeBudgetExhausted);
       return false;
     }
     return true;
   }
 
-  int64_t nodes_charged() const { return nodes_charged_; }
+  // Nodes charged on the ledger so far, by every slice that shares it.
+  int64_t nodes_charged() const {
+    return ledger_->nodes.load(std::memory_order_relaxed);
+  }
 
   // --- Memory ceiling -----------------------------------------------------
 
@@ -290,10 +236,15 @@ class BudgetContext {
 
   // --- Stop state ---------------------------------------------------------
 
-  bool stopped() const { return stop_ != BudgetStop::kNone; }
-  BudgetStop stop_reason() const { return stop_; }
+  // The ledger's latch: a stop any slice of this request latched.
+  bool stopped() const { return stop_reason() != BudgetStop::kNone; }
+  BudgetStop stop_reason() const {
+    return static_cast<BudgetStop>(
+        ledger_->stop.load(std::memory_order_acquire));
+  }
 
-  // Elapsed wall-clock milliseconds since construction.
+  // Elapsed wall-clock milliseconds since this context was made — for a
+  // worker slice, since its root was.
   int64_t ElapsedMs() { return NowMs() - start_ms_; }
 
   // --- Telemetry ----------------------------------------------------------
@@ -334,32 +285,38 @@ class BudgetContext {
   void set_features(const GraphFeatures* features) { features_ = features; }
   const GraphFeatures* features() const { return features_; }
 
-  // Number of Expired() polls so far (amortized and forced alike).
-  int64_t polls() const { return polls_; }
+  // Number of Expired() polls on the ledger so far (amortized and forced
+  // alike), plus those folded in by FoldChild.
+  int64_t polls() const {
+    return ledger_->polls.load(std::memory_order_relaxed);
+  }
 
-  // Elapsed milliseconds from construction to the moment a stop latched,
-  // or -1 while unstopped. This is "where the deadline went": how long the
-  // request ran before cancellation bit.
-  int64_t stopped_elapsed_ms() const { return stopped_elapsed_ms_; }
+  // Elapsed milliseconds from the root's construction to the moment the
+  // ledger's stop latched, or -1 while unstopped. This is "where the
+  // deadline went": how long the request ran before cancellation bit.
+  int64_t stopped_elapsed_ms() const {
+    return ledger_->stopped_elapsed_ms.load(std::memory_order_acquire);
+  }
 
   // --- Fault injection ----------------------------------------------------
 
-  // Deterministically forces Expired() to report a deadline expiry on its
-  // `n`-th call from now (n >= 1), regardless of the clock. Test-only hook
-  // for proving that every hot loop both polls and unwinds cleanly.
+  // Deterministically forces Expired() to report a deadline expiry on the
+  // ledger's `n`-th poll from now (n >= 1), regardless of the clock — on
+  // whichever slice makes that poll. Test-only hook for proving that every
+  // hot loop both polls and unwinds cleanly.
   void ForceExpireAfterPolls(int64_t n) {
-    forced_expire_at_poll_ = polls_ + n;
+    ledger_->forced_expire_at_poll.store(polls() + n,
+                                         std::memory_order_relaxed);
   }
 
-  // --- Child contexts -----------------------------------------------------
+  // --- Child contexts and worker slices -----------------------------------
 
   // A fresh context under `budget` that keeps everything else this one
   // carries: the clock source, the stats/trace/log sinks, the perf flag and
   // the features. Only the budget changes — its deadline counts from now,
-  // and its polls, node charges, decline note and stop latch start empty
-  // and stay local (the child joins no SharedBudgetState). This is the one
-  // way a solver runs a sub-solve under different limits: a capped rung, an
-  // unbudgeted terminator.
+  // and it starts a ledger of its own, so its polls, node charges and stop
+  // stay local. This is the one way a solver runs a sub-solve under
+  // different limits: a capped rung, an unbudgeted terminator.
   BudgetContext Child(const SolveBudget& budget) const {
     BudgetContext child(budget, clock_);
     child.stats_ = stats_;
@@ -370,61 +327,45 @@ class BudgetContext {
     return child;
   }
 
-  // --- Parallel fan-out ---------------------------------------------------
-
-  // Carves a child slice for one parallel worker. The slice keeps the node
-  // and memory ceilings, rebases the deadline onto the wall clock still
-  // remaining *now* (so all slices of one fan-out share one absolute
-  // deadline), and is otherwise a Child — same clock, perf flag and
-  // features — that also joins the cross-slice stop/node/poll state in
-  // `shared`, which is how a stop latched by one worker cancels the others.
-  // A pending ForceExpireAfterPolls moves onto `shared` (slices poll it
-  // collectively), so fault injection set on the parent reaches whichever
-  // worker polls next. Telemetry sinks are NOT inherited: each worker gets
-  // its own (single-threaded) sinks and the driver merges them
-  // deterministically after the join barrier. Call on the owning thread
-  // only, before the fan-out starts.
-  BudgetContext MakeWorkerSlice(SharedBudgetState* shared) {
-    SolveBudget sliced = budget_;
-    if (budget_.has_deadline()) {
-      sliced.deadline_ms =
-          std::max<int64_t>(0, budget_.deadline_ms - ElapsedMs());
-    }
-    if (shared != nullptr && forced_expire_at_poll_ >= 0) {
-      shared->ForceExpireAfterPolls(
-          std::max<int64_t>(1, forced_expire_at_poll_ - polls_));
-      forced_expire_at_poll_ = -1;  // moved, not copied
-    }
-    BudgetContext slice = Child(sliced);
-    slice.shared_ = shared;
+  // A context for one parallel worker that shares this one's ledger, start
+  // time and budget, so every slice runs against one absolute deadline and
+  // one node ceiling. It keeps the clock, the perf flag and the features,
+  // but not the telemetry sinks: each worker gets its own (single-threaded)
+  // sinks and the driver merges them deterministically after the join.
+  // Safe to call from any thread while no one mutates this context.
+  BudgetContext WorkerSlice() const {
+    BudgetContext slice(*this);
+    slice.polls_until_check_ = 1;
+    slice.decline_ = SolveDecline::kNone;
+    slice.stop_seen_ = false;
     slice.stats_ = nullptr;
     slice.trace_ = nullptr;
     slice.log_ = nullptr;
     return slice;
   }
 
-  // Folds a finished worker slice's poll count and latched stop back into
-  // this parent context, so parent-level telemetry (polls(),
-  // stopped_elapsed_ms(), stop_reason()) covers the whole fan-out. Nodes
-  // are absorbed once from the SharedBudgetState via AbsorbShared, not per
-  // slice. Call after the join barrier, on the owning thread.
-  void AbsorbSlice(int64_t slice_polls, BudgetStop slice_stop) {
-    polls_ += slice_polls;
-    if (slice_stop != BudgetStop::kNone && stop_ == BudgetStop::kNone) {
-      LatchStop(slice_stop);
-    }
-  }
-
-  // Folds the cross-slice node total (and any latched stop) into this
-  // parent context after the fan-out completes.
-  void AbsorbShared(const SharedBudgetState& shared) {
-    nodes_charged_ += shared.nodes();
-    if (shared.stopped() && stop_ == BudgetStop::kNone) {
-      LatchStop(shared.stop());
-    }
+  // Adds a finished child's polls and node charges to this context's
+  // ledger. The child's own stop is not adopted — a capped rung's local
+  // deadline frees the rest of the request's — but its nodes count against
+  // this budget and can exhaust it.
+  void FoldChild(const BudgetContext& child) {
+    ledger_->polls.fetch_add(child.polls(), std::memory_order_relaxed);
+    if (child.nodes_charged() > 0) ChargeNodes(child.nodes_charged());
   }
 
  private:
+  // The request-wide accounting shared by a root and its worker slices.
+  struct Ledger {
+    std::atomic<int> stop{static_cast<int>(BudgetStop::kNone)};
+    std::atomic<int64_t> stopped_elapsed_ms{-1};
+    std::atomic<int64_t> nodes{0};
+    std::atomic<int64_t> polls{0};
+    std::atomic<int64_t> forced_expire_at_poll{-1};
+  };
+
+  // Copying shares the ledger, so it is WorkerSlice's alone.
+  BudgetContext(const BudgetContext&) = default;
+
   int64_t NowMs() const {
     if (clock_) return clock_();
     return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -432,34 +373,33 @@ class BudgetContext {
         .count();
   }
 
-  // Latches the (sticky) stop reason and records the time-to-stop. The
-  // extra clock read happens at most once per context. A slice propagates
-  // the latch to its siblings through the shared state.
+  // Latches the stop reason on the ledger, first writer wins, and records
+  // the time-to-stop of the first latch only.
   void LatchStop(BudgetStop reason) {
-    stop_ = reason;
-    stopped_elapsed_ms_ = NowMs() - start_ms_;
-    if (shared_ != nullptr) shared_->LatchStop(reason);
+    stop_seen_ = true;
+    const int64_t elapsed_ms = NowMs() - start_ms_;
+    int expected = static_cast<int>(BudgetStop::kNone);
+    if (ledger_->stop.compare_exchange_strong(
+            expected, static_cast<int>(reason), std::memory_order_acq_rel,
+            std::memory_order_acquire)) {
+      ledger_->stopped_elapsed_ms.store(elapsed_ms, std::memory_order_release);
+    }
   }
 
   SolveBudget budget_;
   std::function<int64_t()> clock_;
   int64_t start_ms_ = 0;
-  int64_t polls_ = 0;
+  std::shared_ptr<Ledger> ledger_;
   int64_t polls_until_check_ = 1;  // first poll always reads the clock
-  int64_t nodes_charged_ = 0;
-  int64_t forced_expire_at_poll_ = -1;
+  // Whether this context has already answered a stop; its later polls are
+  // not counted on the ledger.
+  bool stop_seen_ = false;
   SolveDecline decline_ = SolveDecline::kNone;
-  BudgetStop stop_ = BudgetStop::kNone;
-  int64_t stopped_elapsed_ms_ = -1;
   SolveStats* stats_ = nullptr;
   TraceSession* trace_ = nullptr;
   EventLog* log_ = nullptr;
   bool perf_enabled_ = false;
   const GraphFeatures* features_ = nullptr;
-  // Cross-slice state of the fan-out this context is a worker slice of, or
-  // null for a standalone (single-threaded) context. Not owned; the driver
-  // that carved the slices keeps it alive across the join barrier.
-  SharedBudgetState* shared_ = nullptr;
 };
 
 }  // namespace pebblejoin

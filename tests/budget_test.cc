@@ -1,5 +1,9 @@
 #include "util/budget.h"
 
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "graph/features.h"
 #include "gtest/gtest.h"
 #include "obs/log.h"
@@ -170,8 +174,161 @@ TEST(BudgetContextTest, ChildKeepsEverythingButTheBudget) {
   clock.AdvanceMs(1);
   EXPECT_TRUE(child.ExpiredNow());
   EXPECT_EQ(child.stop_reason(), BudgetStop::kDeadlineExpired);
-  // The child's stop stays its own.
+  // The child keeps a ledger of its own: its stop, time-to-stop and nodes
+  // stay off the parent's.
+  EXPECT_FALSE(child.ChargeNodes(4));
   EXPECT_FALSE(parent.stopped());
+  EXPECT_EQ(parent.stopped_elapsed_ms(), -1);
+  EXPECT_EQ(parent.nodes_charged(), 3);
+}
+
+TEST(BudgetContextTest, FoldChildAddsPollsAndNodesButNotTheStop) {
+  SolveBudget budget;
+  budget.node_budget = 10;
+  BudgetContext root(budget);
+  ASSERT_TRUE(root.ChargeNodes(4));
+  SolveBudget capped;
+  capped.deadline_ms = 0;
+  BudgetContext child = root.Child(capped);
+  EXPECT_TRUE(child.Expired());  // the child's own deadline
+  EXPECT_FALSE(child.ChargeNodes(3));
+  root.FoldChild(child);
+  EXPECT_FALSE(root.stopped());  // the child's deadline stays its own
+  EXPECT_EQ(root.nodes_charged(), 7);
+  EXPECT_EQ(root.polls(), 1);
+  // Folded nodes count against the root's budget.
+  BudgetContext greedy = root.Child(SolveBudget{});
+  ASSERT_TRUE(greedy.ChargeNodes(4));
+  root.FoldChild(greedy);
+  EXPECT_EQ(root.stop_reason(), BudgetStop::kNodeBudgetExhausted);
+}
+
+// --- Worker slices: one ledger per request ---------------------------------
+
+TEST(WorkerSliceTest, KeepsBudgetClockAndFlagsButNotTheSinks) {
+  FakeClock clock;
+  SolveBudget budget;
+  budget.deadline_ms = 10;
+  budget.node_budget = 5;
+  BudgetContext root(budget, clock.AsFunction());
+  SolveStats stats;
+  const GraphFeatures features;
+  root.set_stats(&stats);
+  root.set_perf_enabled(true);
+  root.set_features(&features);
+  clock.AdvanceMs(4);
+
+  BudgetContext slice = root.WorkerSlice();
+  EXPECT_EQ(slice.stats(), nullptr);
+  EXPECT_EQ(slice.trace(), nullptr);
+  EXPECT_EQ(slice.log(), nullptr);
+  EXPECT_TRUE(slice.perf_enabled());
+  EXPECT_EQ(slice.features(), &features);
+  // The root's start time and deadline, unrebased: one absolute deadline.
+  EXPECT_EQ(slice.budget().deadline_ms, 10);
+  EXPECT_EQ(slice.ElapsedMs(), 4);
+  EXPECT_FALSE(slice.ExpiredNow());
+  clock.AdvanceMs(6);
+  EXPECT_TRUE(slice.ExpiredNow());
+  EXPECT_EQ(root.stop_reason(), BudgetStop::kDeadlineExpired);
+}
+
+TEST(WorkerSliceTest, SiblingAdoptsALatchedStop) {
+  BudgetContext root{SolveBudget{}};
+  BudgetContext a = root.WorkerSlice();
+  BudgetContext b = root.WorkerSlice();
+  a.ForceExpireAfterPolls(1);
+  ASSERT_TRUE(a.Expired());
+  // b never polled past a deadline of its own, yet it answers the stop on
+  // its next poll and on a node charge.
+  EXPECT_TRUE(b.stopped());
+  EXPECT_TRUE(b.Expired());
+  EXPECT_TRUE(b.ExpiredNow());
+  EXPECT_FALSE(b.ChargeNodes(1));
+  EXPECT_EQ(b.stop_reason(), BudgetStop::kDeadlineExpired);
+  EXPECT_TRUE(root.stopped());
+  // Each slice counts the poll on which it met the stop, and no later one.
+  EXPECT_TRUE(b.Expired());
+  EXPECT_EQ(root.polls(), 2);
+}
+
+TEST(WorkerSliceTest, NodeCeilingIsSharedAcrossSlices) {
+  SolveBudget budget;
+  budget.node_budget = 10;
+  BudgetContext root(budget);
+  BudgetContext a = root.WorkerSlice();
+  BudgetContext b = root.WorkerSlice();
+  EXPECT_TRUE(a.ChargeNodes(6));
+  EXPECT_TRUE(b.ChargeNodes(4));  // 10 in all: exactly at the budget
+  EXPECT_FALSE(b.ChargeNodes(1));  // alone, b spent 5 of 10
+  EXPECT_EQ(root.stop_reason(), BudgetStop::kNodeBudgetExhausted);
+  EXPECT_EQ(root.nodes_charged(), 11);
+  EXPECT_FALSE(a.ChargeNodes(1));
+  EXPECT_TRUE(a.Expired());
+}
+
+TEST(WorkerSliceTest, RootForcedExpiryReachesASlice) {
+  BudgetContext root{SolveBudget{}};
+  root.ForceExpireAfterPolls(3);
+  BudgetContext a = root.WorkerSlice();
+  BudgetContext b = root.WorkerSlice();
+  EXPECT_FALSE(a.Expired());
+  EXPECT_FALSE(b.Expired());
+  EXPECT_TRUE(a.Expired());  // the request's third poll, whoever makes it
+  EXPECT_EQ(root.stop_reason(), BudgetStop::kDeadlineExpired);
+  EXPECT_TRUE(b.Expired());
+  EXPECT_EQ(root.polls(), 4);
+}
+
+TEST(WorkerSliceTest, TimeToStopIsTheFirstLatchNotTheJoin) {
+  FakeClock clock;
+  SolveBudget budget;
+  budget.deadline_ms = 5;
+  BudgetContext root(budget, clock.AsFunction());
+  BudgetContext slice = root.WorkerSlice();
+  clock.AdvanceMs(5);
+  ASSERT_TRUE(slice.ExpiredNow());
+  clock.AdvanceMs(45);  // the rest of the fan-out and the join
+  EXPECT_TRUE(root.ExpiredNow());
+  EXPECT_EQ(root.stopped_elapsed_ms(), 5);
+}
+
+TEST(WorkerSliceTest, ConcurrentSlicesShareOneLedger) {
+  // Eight threads poll and charge slices of one root; the ThreadSanitizer
+  // job runs this. Every poll and every node lands on the ledger, and the
+  // node ceiling latches one stop for all of them.
+  constexpr int kThreads = 8;
+  constexpr int kPollsEach = 10'000;
+  SolveBudget budget;
+  budget.node_budget = kThreads * kPollsEach / 2;
+  BudgetContext root(budget);
+  std::vector<int64_t> stopped_polls(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&root, &stopped_polls, t] {
+      BudgetContext slice = root.WorkerSlice();
+      for (int i = 0; i < kPollsEach; ++i) {
+        if (slice.Expired()) {
+          ++stopped_polls[t];
+          continue;
+        }
+        slice.ChargeNodes(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(root.stop_reason(), BudgetStop::kNodeBudgetExhausted);
+  EXPECT_GE(root.stopped_elapsed_ms(), 0);
+  EXPECT_GT(root.nodes_charged(), budget.node_budget);
+  EXPECT_LE(root.nodes_charged(), budget.node_budget + kThreads);
+  // Every poll that let a slice go on is on the ledger, plus at most one
+  // per slice: the poll on which it met a stop latched by a sibling.
+  int64_t answered_stopped = 0;
+  for (int64_t n : stopped_polls) answered_stopped += n;
+  const int64_t went_on = int64_t{kThreads} * kPollsEach - answered_stopped;
+  EXPECT_GE(root.polls(), went_on);
+  EXPECT_LE(root.polls(), went_on + kThreads);
 }
 
 TEST(BudgetStopTest, Names) {

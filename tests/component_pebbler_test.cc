@@ -35,9 +35,9 @@ TEST(ComponentPebblerTest, FallbackKicksInPerComponent) {
   const BipartiteGraph u =
       DisjointUnion(CompleteBipartite(2, 2), PathGraph(3));
   const PebbleSolution solution = driver.Solve(u.ToGraph());
-  ASSERT_EQ(solution.solver_used.size(), 2u);
-  EXPECT_EQ(solution.solver_used[0], "sort-merge");
-  EXPECT_EQ(solution.solver_used[1], "greedy-walk");
+  ASSERT_EQ(solution.outcomes.size(), 2u);
+  EXPECT_EQ(solution.outcomes[0].winner, "sort-merge");
+  EXPECT_EQ(solution.outcomes[1].winner, "greedy-walk");
 }
 
 TEST(ComponentPebblerDeathTest, NoFallbackAborts) {
@@ -107,7 +107,6 @@ TEST(ComponentPebblerTest, MixedSuccessRecordsPerComponentOutcomes) {
     EXPECT_EQ(solution.outcomes[c].attempts[0].status,
               RungStatus::kUnsupported);
     EXPECT_EQ(solution.outcomes[c].attempts[1].solver, "greedy-walk");
-    EXPECT_EQ(solution.solver_used[c], "greedy-walk");
   }
 }
 
@@ -140,11 +139,11 @@ TEST(ComponentPebblerTest, FallbackLadderAsPrimaryReportsWinningRung) {
   const BipartiteGraph u =
       DisjointUnion(CompleteBipartite(2, 2), PathGraph(3));
   const PebbleSolution solution = driver.Solve(u.ToGraph());
-  ASSERT_EQ(solution.solver_used.size(), 2u);
-  // Both components are tiny, so the exact rung wins and solver_used names
+  ASSERT_EQ(solution.outcomes.size(), 2u);
+  // Both components are tiny, so the exact rung wins and the winner names
   // the rung, not the ladder wrapper.
-  EXPECT_EQ(solution.solver_used[0], "exact");
-  EXPECT_EQ(solution.solver_used[1], "exact");
+  EXPECT_EQ(solution.outcomes[0].winner, "exact");
+  EXPECT_EQ(solution.outcomes[1].winner, "exact");
   for (const SolveOutcome& outcome : solution.outcomes) {
     EXPECT_TRUE(outcome.optimal);
   }
@@ -174,7 +173,6 @@ TEST(ComponentPebblerTest, BorrowedPoolMatchesSequentialByteForByte) {
   EXPECT_EQ(got.edge_order, base.edge_order);
   EXPECT_EQ(got.hat_cost, base.hat_cost);
   EXPECT_EQ(got.effective_cost, base.effective_cost);
-  EXPECT_EQ(got.solver_used, base.solver_used);
   ASSERT_EQ(got.outcomes.size(), base.outcomes.size());
   for (size_t c = 0; c < got.outcomes.size(); ++c) {
     EXPECT_EQ(got.outcomes[c].winner, base.outcomes[c].winner);

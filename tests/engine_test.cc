@@ -115,8 +115,8 @@ TEST(SolveEngineTest, PerRequestOverridesDoNotStick) {
   greedy.graph = &g;
   greedy.solver = SolverChoice::kGreedyWalk;
   const JoinAnalysis greedy_run = engine.Solve(greedy).analysis;
-  ASSERT_EQ(greedy_run.solution.solver_used.size(), 1u);
-  EXPECT_EQ(greedy_run.solution.solver_used[0], "greedy-walk");
+  ASSERT_EQ(greedy_run.solution.outcomes.size(), 1u);
+  EXPECT_EQ(greedy_run.solution.outcomes[0].winner, "greedy-walk");
 
   SolveRequest budgeted;
   budgeted.graph = &g;

@@ -192,5 +192,38 @@ TEST(CalibratedLadderTest, MatchesBlindQualityOnSmallInstances) {
   }
 }
 
+// A planner that caps the exact rung runs it on a child context. The child
+// may spend only the nodes the request has left, and what it spends counts
+// against the request — a multi-component request cannot spend its node
+// budget twice.
+TEST(CalibratedLadderTest, CappedExactSpendsOnlyTheNodesLeft) {
+  const LadderPlanner planner(FlatModel(1000.0, 100.0, 50.0));
+  FallbackPebbler::Options opts;
+  opts.planner = &planner;
+  const FallbackPebbler planned(opts);
+  // Branch and bound needs hundreds of nodes to prove this instance.
+  const Graph g = RandomConnectedBipartite(7, 7, 26, 9).ToGraph();
+  FakeClock clock;  // never advances, so only the node budget can bind
+  SolveBudget budget;
+  budget.deadline_ms = 1'000'000;
+  budget.node_budget = 20;
+  BudgetContext ctx(budget, clock.AsFunction());
+  ASSERT_TRUE(ctx.ChargeNodes(15));  // what earlier components spent
+
+  SolveOutcome outcome;
+  const auto order = planned.PebbleWithOutcome(g, &ctx, &outcome);
+  ASSERT_TRUE(order.has_value());
+  ASSERT_TRUE(outcome.plan.active);
+  EXPECT_EQ(outcome.plan.predicted_rung, kPlanExact);
+  EXPECT_GE(outcome.plan.exact_cap_ms, 0);  // the capped path ran
+  ASSERT_FALSE(outcome.attempts.empty());
+  EXPECT_EQ(outcome.attempts.front().solver, "exact");
+  EXPECT_EQ(outcome.attempts.front().status, RungStatus::kBudgetExhausted);
+  // The child had 5 nodes; its sixth charge stopped it, one past the
+  // request's budget.
+  EXPECT_EQ(ctx.nodes_charged(), 21);
+  EXPECT_EQ(ctx.stop_reason(), BudgetStop::kNodeBudgetExhausted);
+}
+
 }  // namespace
 }  // namespace pebblejoin

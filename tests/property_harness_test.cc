@@ -111,8 +111,8 @@ TEST(PropertyHarnessTest, EquijoinShapesSolvePerfectly) {
     const PebbleSolution solution = driver.Solve(flat);
     EXPECT_EQ(solution.effective_cost, flat.num_edges());
     EXPECT_EQ(solution.effective_cost, EquijoinOptimalEffectiveCost(flat));
-    for (const std::string& used : solution.solver_used) {
-      EXPECT_EQ(used, "sort-merge");
+    for (const SolveOutcome& outcome : solution.outcomes) {
+      EXPECT_EQ(outcome.winner, "sort-merge");
     }
   }
 }
