@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "graph/csr_graph.h"
 #include "graph/generators.h"
 #include "graph/line_graph.h"
 #include "pebble/cost_model.h"
@@ -102,7 +103,7 @@ void RunStructure() {
     // its two incidences: |E(L(B))| = Σ C(deg,2) + |E(G)|.
     int64_t expected = g.num_edges();
     for (int v = 0; v < g.num_vertices(); ++v) {
-      const int64_t d = g.Degree(v);
+      const int64_t d = g.csr().Degree(v);
       expected += d * (d - 1) / 2;
     }
     table.AddRow({"C_" + FormatInt(n), FormatInt(g.num_vertices()),

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/line_graph.h"
 #include "pebble/bounds.h"
 #include "pebble/cost_model.h"
 #include "solver/dfs_tree_pebbler.h"
@@ -102,11 +103,7 @@ void RunScaling() {
     const int side = scale / 8;
     const Graph g =
         RandomConnectedBipartite(side, side, scale, 99 + scale).ToGraph();
-    int64_t line_edges = 0;
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      const int64_t d = g.Degree(v);
-      line_edges += d * (d - 1) / 2;
-    }
+    const int64_t line_edges = LineGraphEdgeCount(g);
     Stopwatch timer;
     const auto order = dfs.PebbleConnected(g);
     const double micros = timer.ElapsedMicros();

@@ -9,51 +9,18 @@ namespace pebblejoin {
 BipartiteGraph::BipartiteGraph(int left_size, int right_size)
     : left_size_(left_size), right_size_(right_size) {
   JP_CHECK(left_size >= 0 && right_size >= 0);
-  left_adj_.resize(left_size);
-  right_adj_.resize(right_size);
 }
 
 int BipartiteGraph::AddEdge(int left, int right) {
   JP_CHECK(0 <= left && left < left_size_);
   JP_CHECK(0 <= right && right < right_size_);
-  JP_CHECK_MSG(!HasEdge(left, right), "parallel edges are not allowed");
-  const int id = num_edges();
   edges_.push_back(Edge{left, right});
-  left_adj_[left].push_back(right);
-  right_adj_[right].push_back(left);
-  return id;
+  return num_edges() - 1;
 }
 
 const BipartiteGraph::Edge& BipartiteGraph::edge(int e) const {
   JP_CHECK(0 <= e && e < num_edges());
   return edges_[e];
-}
-
-bool BipartiteGraph::HasEdge(int left, int right) const {
-  JP_CHECK(0 <= left && left < left_size_);
-  JP_CHECK(0 <= right && right < right_size_);
-  const std::vector<int>& adj = left_adj_[left];
-  return std::find(adj.begin(), adj.end(), right) != adj.end();
-}
-
-int BipartiteGraph::LeftDegree(int left) const {
-  JP_CHECK(0 <= left && left < left_size_);
-  return static_cast<int>(left_adj_[left].size());
-}
-
-int BipartiteGraph::RightDegree(int right) const {
-  JP_CHECK(0 <= right && right < right_size_);
-  return static_cast<int>(right_adj_[right].size());
-}
-
-const std::vector<int>& BipartiteGraph::LeftAdjacency(int left) const {
-  JP_CHECK(0 <= left && left < left_size_);
-  return left_adj_[left];
-}
-
-const std::vector<int>& BipartiteGraph::RightAdjacency(int right) const {
-  JP_CHECK(0 <= right && right < right_size_);
-  return right_adj_[right];
 }
 
 Graph BipartiteGraph::ToGraph() const {

@@ -1,6 +1,9 @@
 // Bipartite graphs, the natural shape of a join graph: one vertex per tuple
 // of R on the left, one per tuple of S on the right, one edge per joining
 // pair (Section 2 of the paper).
+//
+// A BipartiteGraph is two side sizes and an edge list; adjacency is read
+// from its flattened graph's CSR view, ToGraph().csr().
 
 #ifndef PEBBLEJOIN_GRAPH_BIPARTITE_GRAPH_H_
 #define PEBBLEJOIN_GRAPH_BIPARTITE_GRAPH_H_
@@ -30,7 +33,8 @@ class BipartiteGraph {
   BipartiteGraph() = default;
   BipartiteGraph(int left_size, int right_size);
 
-  // Adds the edge (left, right); returns its id. Rejects duplicates.
+  // Appends the edge (left, right); returns its id. A repeated pair aborts
+  // later, when the flattened graph freezes (ToGraph().csr()).
   int AddEdge(int left, int right);
 
   int left_size() const { return left_size_; }
@@ -40,16 +44,8 @@ class BipartiteGraph {
   const Edge& edge(int e) const;
   const std::vector<Edge>& edges() const { return edges_; }
 
-  bool HasEdge(int left, int right) const;
-
-  int LeftDegree(int left) const;
-  int RightDegree(int right) const;
-
-  // Right neighbors of a left vertex / left neighbors of a right vertex.
-  const std::vector<int>& LeftAdjacency(int left) const;
-  const std::vector<int>& RightAdjacency(int right) const;
-
-  // Flattens to a Graph (see class comment). Edge ids are preserved.
+  // Flattens to a Graph (see class comment). Edge ids are preserved; the
+  // pairs are copied as-is, with no duplicate probe.
   Graph ToGraph() const;
 
   // Vertex id of left/right vertices in the flattened Graph.
@@ -67,8 +63,6 @@ class BipartiteGraph {
   int left_size_ = 0;
   int right_size_ = 0;
   std::vector<Edge> edges_;
-  std::vector<std::vector<int>> left_adj_;   // left -> right neighbors
-  std::vector<std::vector<int>> right_adj_;  // right -> left neighbors
 };
 
 }  // namespace pebblejoin

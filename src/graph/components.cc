@@ -1,3 +1,8 @@
+// Connected components by one stack traversal of the CSR view. The same
+// pass records each vertex's local index, so ExtractComponent copies one
+// component in O(its size) into a plain edge vector, whose own CSR view
+// freezes when a solver first walks it.
+
 #include "graph/components.h"
 
 #include <algorithm>
@@ -57,12 +62,9 @@ Graph ExtractComponent(const Graph& g, const ComponentDecomposition& decomp,
   JP_CHECK_MSG(static_cast<int>(decomp.local_index.size()) == g.num_vertices(),
                "decomposition does not belong to this graph");
   Graph sub(static_cast<int>(decomp.vertices_of[component].size()));
-  // Edges of a simple graph stay distinct under relabeling, so the
-  // duplicate probe is provably dead — skip it.
   for (int e : decomp.edges_of[component]) {
     const Graph::Edge& edge = g.edge(e);
-    sub.AddEdgeUnchecked(decomp.local_index[edge.u],
-                         decomp.local_index[edge.v]);
+    sub.AddEdge(decomp.local_index[edge.u], decomp.local_index[edge.v]);
   }
   return sub;
 }

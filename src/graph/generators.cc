@@ -1,6 +1,7 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 #include "util/check.h"
@@ -90,17 +91,15 @@ BipartiteGraph RandomBipartiteWithEdges(int left, int right, int m,
   BipartiteGraph g(left, right);
   const int64_t total = static_cast<int64_t>(left) * right;
   if (total == 0) return g;
-  // For sparse requests, sample cells with rejection; for dense requests,
-  // sample a subset of cell indices directly.
+  // For sparse requests, sample cells with rejection (marking drawn cells
+  // locally, since the graph under construction has no adjacency); for
+  // dense requests, sample a subset of cell indices directly.
   if (m * 3 < total) {
-    int added = 0;
-    while (added < m) {
+    std::unordered_set<int64_t> drawn;
+    while (g.num_edges() < m) {
       const int l = static_cast<int>(rng.UniformInt(left));
       const int r = static_cast<int>(rng.UniformInt(right));
-      if (!g.HasEdge(l, r)) {
-        g.AddEdge(l, r);
-        ++added;
-      }
+      if (drawn.insert(int64_t{l} * right + r).second) g.AddEdge(l, r);
     }
   } else {
     JP_CHECK(total <= (int64_t{1} << 30));
@@ -158,15 +157,15 @@ BipartiteGraph RandomConnectedBipartite(int left, int right, int m,
   }
   JP_CHECK(g.num_edges() == left + right - 1);
 
-  // Extra edges, rejection-sampled.
-  int remaining = m - g.num_edges();
-  while (remaining > 0) {
+  // Extra edges, rejection-sampled against the cells drawn so far.
+  std::unordered_set<int64_t> drawn;
+  for (const BipartiteGraph::Edge& e : g.edges()) {
+    drawn.insert(int64_t{e.left} * right + e.right);
+  }
+  while (g.num_edges() < m) {
     const int l = static_cast<int>(rng.UniformInt(left));
     const int r = static_cast<int>(rng.UniformInt(right));
-    if (!g.HasEdge(l, r)) {
-      g.AddEdge(l, r);
-      --remaining;
-    }
+    if (drawn.insert(int64_t{l} * right + r).second) g.AddEdge(l, r);
   }
   return g;
 }
@@ -199,6 +198,19 @@ Graph RandomConnectedBoundedDegree(int n, int max_degree, int extra_edges,
   JP_CHECK(n >= 1 && max_degree >= 2 && extra_edges >= 0);
   Rng rng(seed);
   Graph g(n);
+  // Local degrees and pair keys: the graph under construction has no
+  // adjacency to probe.
+  std::vector<int> degree(n, 0);
+  std::unordered_set<int64_t> present;
+  const auto key = [n](int u, int v) {
+    return int64_t{std::min(u, v)} * n + std::max(u, v);
+  };
+  const auto add = [&](int u, int v) {
+    g.AddEdge(u, v);
+    ++degree[u];
+    ++degree[v];
+    present.insert(key(u, v));
+  };
   std::vector<int> order = rng.Permutation(n);
   // Spanning tree: attach each new vertex to a random earlier vertex that
   // still has degree headroom. Such a vertex always exists because a tree on
@@ -206,8 +218,8 @@ Graph RandomConnectedBoundedDegree(int n, int max_degree, int extra_edges,
   for (int i = 1; i < n; ++i) {
     while (true) {
       const int j = static_cast<int>(rng.UniformInt(i));
-      if (g.Degree(order[j]) < max_degree) {
-        g.AddEdge(order[i], order[j]);
+      if (degree[order[j]] < max_degree) {
+        add(order[i], order[j]);
         break;
       }
     }
@@ -218,9 +230,9 @@ Graph RandomConnectedBoundedDegree(int n, int max_degree, int extra_edges,
   while (added < extra_edges && attempts-- > 0) {
     const int u = static_cast<int>(rng.UniformInt(n));
     const int v = static_cast<int>(rng.UniformInt(n));
-    if (u == v || g.HasEdge(u, v)) continue;
-    if (g.Degree(u) >= max_degree || g.Degree(v) >= max_degree) continue;
-    g.AddEdge(u, v);
+    if (u == v || present.count(key(u, v)) > 0) continue;
+    if (degree[u] >= max_degree || degree[v] >= max_degree) continue;
+    add(u, v);
     ++added;
   }
   return g;

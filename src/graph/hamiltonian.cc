@@ -3,39 +3,35 @@
 #include <cstdint>
 #include <utility>
 
+#include "graph/csr_graph.h"
 #include "util/check.h"
 
 namespace pebblejoin {
 
 namespace {
 
-// Adjacency as bitmasks, for the subset DP.
-std::vector<uint32_t> AdjacencyMasks(const Graph& g) {
+// Neighbor bitmasks for the subset DP.
+std::vector<uint64_t> AdjacencyMasks(const Graph& g) {
   JP_CHECK(g.num_vertices() <= kMaxHamiltonianVertices);
-  std::vector<uint32_t> adj(g.num_vertices(), 0);
-  for (int e = 0; e < g.num_edges(); ++e) {
-    const Graph::Edge& edge = g.edge(e);
-    adj[edge.u] |= uint32_t{1} << edge.v;
-    adj[edge.v] |= uint32_t{1} << edge.u;
-  }
-  return adj;
+  return g.csr().NeighborMasks();
 }
 
 // reach[mask] = set of vertices v such that some simple path visits exactly
-// `mask` and ends at v. Standard O(2^n · n) Held–Karp-style reachability.
-std::vector<uint32_t> PathEndpoints(const Graph& g) {
-  const int n = g.num_vertices();
-  const std::vector<uint32_t> adj = AdjacencyMasks(g);
+// `mask`, ends at v and starts at `start` (anywhere when start is -1).
+// Standard O(2^n · n) Held–Karp-style reachability.
+std::vector<uint32_t> PathEndpoints(const std::vector<uint64_t>& adj,
+                                    int start) {
+  const int n = static_cast<int>(adj.size());
   std::vector<uint32_t> reach(size_t{1} << n, 0);
-  for (int v = 0; v < n; ++v) reach[uint32_t{1} << v] = uint32_t{1} << v;
+  for (int v = 0; v < n; ++v) {
+    if (start == -1 || v == start) reach[uint32_t{1} << v] = uint32_t{1} << v;
+  }
   for (uint32_t mask = 1; mask < (uint32_t{1} << n); ++mask) {
-    uint32_t ends = reach[mask];
-    if (ends == 0) continue;
-    uint32_t candidates = ends;
+    uint32_t candidates = reach[mask];
     while (candidates != 0) {
       const int v = __builtin_ctz(candidates);
       candidates &= candidates - 1;
-      uint32_t nexts = adj[v] & ~mask;
+      uint32_t nexts = static_cast<uint32_t>(adj[v]) & ~mask;
       while (nexts != 0) {
         const int w = __builtin_ctz(nexts);
         nexts &= nexts - 1;
@@ -47,10 +43,9 @@ std::vector<uint32_t> PathEndpoints(const Graph& g) {
 }
 
 // Reconstructs a path ending at `end` that covers `mask`, given the DP table.
-std::vector<int> ReconstructPath(const Graph& g,
+std::vector<int> ReconstructPath(const std::vector<uint64_t>& adj,
                                  const std::vector<uint32_t>& reach,
                                  uint32_t full_mask, int end) {
-  const std::vector<uint32_t> adj = AdjacencyMasks(g);
   std::vector<int> path;
   uint32_t mask = full_mask;
   int v = end;
@@ -59,7 +54,7 @@ std::vector<int> ReconstructPath(const Graph& g,
     const uint32_t rest = mask & ~(uint32_t{1} << v);
     if (rest == 0) break;
     // Find a predecessor u adjacent to v with a path over `rest` ending at u.
-    uint32_t preds = adj[v] & reach[rest];
+    const uint32_t preds = static_cast<uint32_t>(adj[v]) & reach[rest];
     JP_CHECK_MSG(preds != 0, "DP table inconsistent during reconstruction");
     v = __builtin_ctz(preds);
     mask = rest;
@@ -75,7 +70,7 @@ bool HasHamiltonianPath(const Graph& g) {
   const int n = g.num_vertices();
   if (n == 0) return false;
   if (n == 1) return true;
-  const std::vector<uint32_t> reach = PathEndpoints(g);
+  const std::vector<uint32_t> reach = PathEndpoints(AdjacencyMasks(g), -1);
   return reach[(uint32_t{1} << n) - 1] != 0;
 }
 
@@ -83,11 +78,12 @@ std::optional<std::vector<int>> FindHamiltonianPath(const Graph& g) {
   const int n = g.num_vertices();
   if (n == 0) return std::nullopt;
   if (n == 1) return std::vector<int>{0};
-  const std::vector<uint32_t> reach = PathEndpoints(g);
+  const std::vector<uint64_t> adj = AdjacencyMasks(g);
+  const std::vector<uint32_t> reach = PathEndpoints(adj, -1);
   const uint32_t full = (uint32_t{1} << n) - 1;
   if (reach[full] == 0) return std::nullopt;
   const int end = __builtin_ctz(reach[full]);
-  return ReconstructPath(g, reach, full, end);
+  return ReconstructPath(adj, reach, full, end);
 }
 
 std::optional<std::vector<int>> FindHamiltonianPathBetween(const Graph& g,
@@ -95,28 +91,11 @@ std::optional<std::vector<int>> FindHamiltonianPathBetween(const Graph& g,
                                                            int end) {
   const int n = g.num_vertices();
   JP_CHECK(0 <= start && start < n && 0 <= end && end < n && start != end);
-  // Endpoint-constrained variant: seed the DP only from `start`.
-  const std::vector<uint32_t> adj = AdjacencyMasks(g);
-  std::vector<uint32_t> reach(size_t{1} << n, 0);
-  reach[uint32_t{1} << start] = uint32_t{1} << start;
-  for (uint32_t mask = 1; mask < (uint32_t{1} << n); ++mask) {
-    uint32_t ends = reach[mask];
-    if (ends == 0) continue;
-    uint32_t candidates = ends;
-    while (candidates != 0) {
-      const int v = __builtin_ctz(candidates);
-      candidates &= candidates - 1;
-      uint32_t nexts = adj[v] & ~mask;
-      while (nexts != 0) {
-        const int w = __builtin_ctz(nexts);
-        nexts &= nexts - 1;
-        reach[mask | (uint32_t{1} << w)] |= uint32_t{1} << w;
-      }
-    }
-  }
+  const std::vector<uint64_t> adj = AdjacencyMasks(g);
+  const std::vector<uint32_t> reach = PathEndpoints(adj, start);
   const uint32_t full = (uint32_t{1} << n) - 1;
   if ((reach[full] & (uint32_t{1} << end)) == 0) return std::nullopt;
-  return ReconstructPath(g, reach, full, end);
+  return ReconstructPath(adj, reach, full, end);
 }
 
 std::vector<std::pair<int, int>> HamiltonianPathEndpointPairs(const Graph& g) {

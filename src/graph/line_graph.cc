@@ -20,17 +20,16 @@ int64_t LineGraphEdgeCount(const Graph& g) {
 Graph BuildLineGraph(const Graph& g) {
   const CsrGraph& csr = g.csr();
   Graph line(g.num_edges());
-  // Two edges of a simple graph share at most one endpoint, except that they
-  // cannot share two (that would be a parallel edge), so enumerating pairs
-  // within each vertex's incidence list enumerates each L(G) edge exactly
-  // once — the unchecked insert is safe. CSR rows are already in insertion
-  // order, so the enumeration consumes them directly, with no re-sorting.
+  // Two edges of a simple graph share at most one endpoint (sharing two
+  // would make them parallel), so enumerating pairs within each vertex's
+  // CSR row yields each L(G) edge exactly once. CSR rows are already in
+  // insertion order, so the enumeration consumes them directly, with no
+  // re-sorting.
   for (uint32_t v = 0; v < csr.num_vertices(); ++v) {
     const CsrSpan inc = csr.IncidentEdges(v);
     for (uint32_t i = 0; i < inc.size; ++i) {
       for (uint32_t j = i + 1; j < inc.size; ++j) {
-        line.AddEdgeUnchecked(static_cast<int>(inc[i]),
-                              static_cast<int>(inc[j]));
+        line.AddEdge(static_cast<int>(inc[i]), static_cast<int>(inc[j]));
       }
     }
   }

@@ -28,8 +28,13 @@ Graph BuildLineGraph(const Graph& g);
 std::optional<Graph> BuildLineGraphWithBudget(const Graph& g,
                                               int64_t max_edges);
 
-// Approximate bytes per materialized line-graph edge: the Edge record plus
-// the two incidence-list entries it adds.
+// Bytes charged per materialized line-graph edge when a memory ceiling is
+// turned into an edge budget. An L(G) edge costs its 8-byte Edge record in
+// the edge list, and every consumer of L(G) also freezes its CSR view,
+// which adds 24 bytes per edge (two incidence slots, two neighbor slots,
+// one endpoint pair), so the resident cost is about 32 bytes per edge and
+// this constant undercounts it by half. It stays at 16 so memory-capped
+// declines, and the output bytes that depend on them, do not move.
 inline constexpr int64_t kLineGraphBytesPerEdge = 16;
 
 // Edge budget implied by a memory ceiling — solvers with a SolveBudget

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <vector>
 
+#include "graph/csr_graph.h"
+
 namespace pebblejoin {
 
 namespace {
@@ -64,6 +66,92 @@ std::optional<int> ParseInt(const std::string& token) {
 // would allocate gigabytes before the first edge is read.
 constexpr int64_t kMaxParsedVertices = int64_t{1} << 27;
 
+// Both formats are a header (keyword, one vertex count per side, edge
+// count) and then the endpoint pairs; this is what sets them apart.
+struct EdgeListFormat {
+  const char* keyword;
+  int sides;
+  const char* usage;      // diagnostic for a missing or foreign header
+  const char* too_large;  // diagnostic for the vertex cap
+};
+
+constexpr EdgeListFormat kBipartiteFormat = {
+    "bipartite", 2, "expected header: bipartite <left> <right> <edges>",
+    "header vertex counts too large"};
+constexpr EdgeListFormat kGraphFormat = {
+    "graph", 1, "expected header: graph <vertices> <edges>",
+    "header vertex count too large"};
+
+// Parses either format into a flat Graph over the sum of the side sizes,
+// which land in `sides`: a bipartite pair (l, r) becomes {l, left + r}. On
+// failure reports the first error in input order, so an out-of-range pair
+// loses to a repeated pair before it.
+std::optional<Graph> ParseEdgeList(const std::string& text,
+                                   const EdgeListFormat& format, int* sides,
+                                   std::string* error) {
+  const std::vector<Token> tokens = Tokenize(text);
+  const size_t header = static_cast<size_t>(format.sides) + 2;
+  if (tokens.size() < header || tokens[0].text != format.keyword) {
+    SetError(error, format.usage);
+    return std::nullopt;
+  }
+  int counts[3] = {};  // the side sizes, then the edge count
+  for (size_t i = 1; i < header; ++i) {
+    const auto count = ParseInt(tokens[i].text);
+    if (!count || *count < 0) {
+      SetError(error, AtLine(tokens[0]) + "malformed header numbers");
+      return std::nullopt;
+    }
+    counts[i - 1] = *count;
+  }
+  sides[0] = counts[0];
+  sides[1] = counts[format.sides - 1];
+  const int edges = counts[format.sides];
+  const int offset = format.sides == 2 ? sides[0] : 0;
+  if (int64_t{offset} + sides[1] > kMaxParsedVertices) {
+    SetError(error, AtLine(tokens[0]) + format.too_large);
+    return std::nullopt;
+  }
+  // int64 arithmetic: with edges near INT_MAX the expected token count
+  // overflows 32 bits, and a wrapped comparison would accept a short file.
+  if (static_cast<int64_t>(tokens.size()) !=
+      static_cast<int64_t>(header) + 2 * int64_t{edges}) {
+    SetError(error, std::string("edge list length does not match header (") +
+                        std::to_string((tokens.size() - header) / 2) +
+                        " edge tokens for " + std::to_string(edges) +
+                        " declared edges)");
+    return std::nullopt;
+  }
+  const auto pair_at = [header](int64_t e) {
+    return header + 2 * static_cast<size_t>(e);
+  };
+  Graph g(offset + sides[1]);
+  int out_of_range = -1;
+  for (int e = 0; e < edges && out_of_range == -1; ++e) {
+    const auto a = ParseInt(tokens[pair_at(e)].text);
+    const auto b = ParseInt(tokens[pair_at(e) + 1].text);
+    if (!a || !b || *a < 0 || *a >= sides[0] || *b < 0 || *b >= sides[1] ||
+        *a == offset + *b) {
+      out_of_range = e;
+    } else {
+      g.AddEdge(*a, offset + *b);
+    }
+  }
+  const int64_t repeat = CsrGraph(g).FirstRepeatedEdge();
+  if (repeat != -1) {
+    SetError(error, AtLine(tokens[pair_at(repeat)]) +
+                        "duplicate edge at position " +
+                        std::to_string(repeat));
+    return std::nullopt;
+  }
+  if (out_of_range != -1) {
+    SetError(error, AtLine(tokens[pair_at(out_of_range)]) + "edge " +
+                        std::to_string(out_of_range) + " out of range");
+    return std::nullopt;
+  }
+  return g;
+}
+
 }  // namespace
 
 std::string SerializeBipartiteGraph(const BipartiteGraph& g) {
@@ -95,96 +183,21 @@ std::string SerializeGraph(const Graph& g) {
 
 std::optional<BipartiteGraph> ParseBipartiteGraph(const std::string& text,
                                                   std::string* error) {
-  const std::vector<Token> tokens = Tokenize(text);
-  if (tokens.size() < 4 || tokens[0].text != "bipartite") {
-    SetError(error, "expected header: bipartite <left> <right> <edges>");
-    return std::nullopt;
-  }
-  const auto left = ParseInt(tokens[1].text);
-  const auto right = ParseInt(tokens[2].text);
-  const auto edges = ParseInt(tokens[3].text);
-  if (!left || !right || !edges || *left < 0 || *right < 0 || *edges < 0) {
-    SetError(error, AtLine(tokens[0]) + "malformed header numbers");
-    return std::nullopt;
-  }
-  if (static_cast<int64_t>(*left) + *right > kMaxParsedVertices) {
-    SetError(error, AtLine(tokens[0]) + "header vertex counts too large");
-    return std::nullopt;
-  }
-  // int64 arithmetic: with edges near INT_MAX the expected token count
-  // overflows 32 bits, and a wrapped comparison would accept a short file.
-  if (static_cast<int64_t>(tokens.size()) != 4 + 2 * static_cast<int64_t>(*edges)) {
-    SetError(error, std::string("edge list length does not match header (") +
-                        std::to_string((tokens.size() - 4) / 2) +
-                        " edge tokens for " + std::to_string(*edges) +
-                        " declared edges)");
-    return std::nullopt;
-  }
-  BipartiteGraph g(*left, *right);
-  for (int e = 0; e < *edges; ++e) {
-    const Token& lt = tokens[4 + 2 * static_cast<size_t>(e)];
-    const Token& rt = tokens[5 + 2 * static_cast<size_t>(e)];
-    const auto l = ParseInt(lt.text);
-    const auto r = ParseInt(rt.text);
-    if (!l || !r || *l < 0 || *l >= *left || *r < 0 || *r >= *right) {
-      SetError(error,
-               AtLine(lt) + "edge " + std::to_string(e) + " out of range");
-      return std::nullopt;
-    }
-    if (g.HasEdge(*l, *r)) {
-      SetError(error, AtLine(lt) + "duplicate edge at position " +
-                          std::to_string(e));
-      return std::nullopt;
-    }
-    g.AddEdge(*l, *r);
+  int sides[2] = {};
+  const std::optional<Graph> flat =
+      ParseEdgeList(text, kBipartiteFormat, sides, error);
+  if (!flat.has_value()) return std::nullopt;
+  BipartiteGraph g(sides[0], sides[1]);
+  for (int e = 0; e < flat->num_edges(); ++e) {
+    g.AddEdge(flat->edge(e).u, flat->edge(e).v - sides[0]);
   }
   return g;
 }
 
 std::optional<Graph> ParseGraph(const std::string& text,
                                 std::string* error) {
-  const std::vector<Token> tokens = Tokenize(text);
-  if (tokens.size() < 3 || tokens[0].text != "graph") {
-    SetError(error, "expected header: graph <vertices> <edges>");
-    return std::nullopt;
-  }
-  const auto vertices = ParseInt(tokens[1].text);
-  const auto edges = ParseInt(tokens[2].text);
-  if (!vertices || !edges || *vertices < 0 || *edges < 0) {
-    SetError(error, AtLine(tokens[0]) + "malformed header numbers");
-    return std::nullopt;
-  }
-  if (*vertices > kMaxParsedVertices) {
-    SetError(error, AtLine(tokens[0]) + "header vertex count too large");
-    return std::nullopt;
-  }
-  if (static_cast<int64_t>(tokens.size()) != 3 + 2 * static_cast<int64_t>(*edges)) {
-    SetError(error, std::string("edge list length does not match header (") +
-                        std::to_string((tokens.size() - 3) / 2) +
-                        " edge tokens for " + std::to_string(*edges) +
-                        " declared edges)");
-    return std::nullopt;
-  }
-  Graph g(*vertices);
-  for (int e = 0; e < *edges; ++e) {
-    const Token& ut = tokens[3 + 2 * static_cast<size_t>(e)];
-    const Token& vt = tokens[4 + 2 * static_cast<size_t>(e)];
-    const auto u = ParseInt(ut.text);
-    const auto v = ParseInt(vt.text);
-    if (!u || !v || *u < 0 || *u >= *vertices || *v < 0 || *v >= *vertices ||
-        *u == *v) {
-      SetError(error,
-               AtLine(ut) + "edge " + std::to_string(e) + " out of range");
-      return std::nullopt;
-    }
-    if (g.HasEdge(*u, *v)) {
-      SetError(error, AtLine(ut) + "duplicate edge at position " +
-                          std::to_string(e));
-      return std::nullopt;
-    }
-    g.AddEdge(*u, *v);
-  }
-  return g;
+  int sides[2] = {};
+  return ParseEdgeList(text, kGraphFormat, sides, error);
 }
 
 std::optional<BipartiteGraph> ReadBipartiteGraphFile(const std::string& path,

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "graph/components.h"
+#include "graph/csr_graph.h"
 #include "graph/generators.h"
 #include "graph/graph_properties.h"
 #include "util/check.h"
@@ -14,9 +15,12 @@ Realization<IntSet> RealizeAsSetContainment(const BipartiteGraph& target) {
   for (int i = 0; i < target.left_size(); ++i) {
     out.left.Add(IntSet::Of({i}));
   }
+  const Graph flat = target.ToGraph();
+  const CsrGraph& csr = flat.csr();
   for (int j = 0; j < target.right_size(); ++j) {
-    out.right.Add(IntSet::Of(std::vector<int>(
-        target.RightAdjacency(j).begin(), target.RightAdjacency(j).end())));
+    const CsrSpan lefts =
+        csr.Neighbors(static_cast<uint32_t>(target.FlatRightId(j)));
+    out.right.Add(IntSet::Of(std::vector<int>(lefts.begin(), lefts.end())));
   }
   return out;
 }

@@ -42,7 +42,7 @@ class Scheduler {
     JP_CHECK_MSG(options.k >= 2, "the game needs at least two pebbles");
     edge_alive_.SetAll();
     for (int v = 0; v < g.num_vertices(); ++v) {
-      remaining_degree_[v] = g.Degree(v);
+      remaining_degree_[v] = static_cast<int>(csr_.Degree(v));
     }
   }
 

@@ -58,36 +58,55 @@ void HistogramCell::Record(int64_t value) {
   AtomicMax(&max, value);
 }
 
+void HistogramCell::Reset() {
+  count.store(0, std::memory_order_relaxed);
+  sum.store(0, std::memory_order_relaxed);
+  min.store(INT64_MAX, std::memory_order_relaxed);
+  max.store(INT64_MIN, std::memory_order_relaxed);
+  for (int i = 0; i < kNumBuckets; ++i) {
+    buckets[i].store(0, std::memory_order_relaxed);
+  }
+}
+
 int64_t HistogramCell::ApproxQuantile(double q) const {
   const int64_t n = count.load(std::memory_order_relaxed);
   if (n <= 0) return -1;
+  int64_t snapshot[kNumBuckets];
+  for (int i = 0; i < kNumBuckets; ++i) {
+    snapshot[i] = buckets[i].load(std::memory_order_relaxed);
+  }
+  return InterpolateQuantile(snapshot, n, min.load(std::memory_order_relaxed),
+                             max.load(std::memory_order_relaxed), q);
+}
+
+int64_t InterpolateQuantile(
+    const int64_t (&buckets)[HistogramCell::kNumBuckets], int64_t count,
+    int64_t min, int64_t max, double q) {
   q = std::min(1.0, std::max(0.0, q));
   int64_t rank =
-      static_cast<int64_t>(std::ceil(q * static_cast<double>(n)));
-  rank = std::min(n, std::max<int64_t>(1, rank));
+      static_cast<int64_t>(std::ceil(q * static_cast<double>(count)));
+  rank = std::min(count, std::max<int64_t>(1, rank));
   int64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const int64_t in_bucket = buckets[i].load(std::memory_order_relaxed);
+  for (int i = 0; i < HistogramCell::kNumBuckets; ++i) {
+    const int64_t in_bucket = buckets[i];
     if (in_bucket == 0) continue;
     if (seen + in_bucket >= rank) {
       const int64_t lower = i == 0 ? 0 : int64_t{1} << (i - 1);
       const int64_t upper =
           i == 0 ? 1 : (i >= 63 ? INT64_MAX : int64_t{1} << i);
-      // Interpolate at the rank's midpoint inside the bucket, then clamp
-      // to the observed range — a single-valued histogram is exact.
       const double within =
           (static_cast<double>(rank - seen) - 0.5) /
           static_cast<double>(in_bucket);
       int64_t estimate =
           lower + static_cast<int64_t>(
                       static_cast<double>(upper - lower) * within);
-      estimate = std::max(estimate, min.load(std::memory_order_relaxed));
-      estimate = std::min(estimate, max.load(std::memory_order_relaxed));
+      estimate = std::max(estimate, min);
+      estimate = std::min(estimate, max);
       return estimate;
     }
     seen += in_bucket;
   }
-  return max.load(std::memory_order_relaxed);
+  return max;
 }
 
 }  // namespace obs_internal

@@ -66,14 +66,23 @@ struct HistogramCell {
 
   void Record(int64_t value);
 
-  // Estimated q-quantile (q in [0,1]) from the bucket counts: walks to the
-  // bucket holding the target rank and interpolates linearly inside it,
-  // then clamps to the observed [min, max] — so a histogram whose samples
-  // all landed in one bucket with min == max reports that value exactly.
-  // Returns -1 when empty. Relaxed reads; same consistency caveat as the
-  // JSON snapshot.
+  // Back to the empty state, with relaxed stores.
+  void Reset();
+
+  // Estimated q-quantile (q in [0,1]) from the bucket counts
+  // (InterpolateQuantile). Returns -1 when empty. Relaxed reads; same
+  // consistency caveat as the JSON snapshot.
   int64_t ApproxQuantile(double q) const;
 };
+
+// The quantile estimate every histogram reports: walks `buckets` (laid
+// out as HistogramCell's, `count` > 0 samples in total) to the bucket
+// holding rank ceil(q·count), interpolates at the rank's midpoint inside
+// it, then clamps to the observed [min, max] — so samples that all landed
+// in one bucket with min == max report that value exactly.
+int64_t InterpolateQuantile(
+    const int64_t (&buckets)[HistogramCell::kNumBuckets], int64_t count,
+    int64_t min, int64_t max, double q);
 
 }  // namespace obs_internal
 

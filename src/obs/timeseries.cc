@@ -1,37 +1,12 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
 namespace pebblejoin {
 
 namespace {
-
-// Same exponential value-bucket mapping HistogramCell uses: 0 for values
-// <= 0, else 1 + floor(log2(v)), clamped to the last bucket.
-int ValueBucketIndex(int64_t value) {
-  if (value <= 0) return 0;
-  const int index = 64 - __builtin_clzll(static_cast<uint64_t>(value));
-  return index < obs_internal::HistogramCell::kNumBuckets
-             ? index
-             : obs_internal::HistogramCell::kNumBuckets - 1;
-}
-
-void AtomicMin(std::atomic<int64_t>* target, int64_t value) {
-  int64_t cur = target->load(std::memory_order_relaxed);
-  while (value < cur && !target->compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<int64_t>* target, int64_t value) {
-  int64_t cur = target->load(std::memory_order_relaxed);
-  while (value > cur && !target->compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
 
 // Number of trailing periods covered by `span_ms`, at least 1 (the
 // current bucket), at most the ring size.
@@ -104,27 +79,14 @@ WindowedHistogram::Cell* WindowedHistogram::ClaimCell(int64_t period) {
   if (stamped != period) {
     if (cell->period.compare_exchange_strong(stamped, period,
                                              std::memory_order_acq_rel)) {
-      cell->count.store(0, std::memory_order_relaxed);
-      cell->sum.store(0, std::memory_order_relaxed);
-      cell->min.store(INT64_MAX, std::memory_order_relaxed);
-      cell->max.store(INT64_MIN, std::memory_order_relaxed);
-      for (int i = 0; i < kValueBuckets; ++i) {
-        cell->values[i].store(0, std::memory_order_relaxed);
-      }
+      cell->hist.Reset();
     }
   }
   return cell;
 }
 
 void WindowedHistogram::Record(int64_t now_ms, int64_t value) {
-  const int64_t period = now_ms / options_.bucket_ms;
-  Cell* cell = ClaimCell(period);
-  cell->values[ValueBucketIndex(value)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-  cell->count.fetch_add(1, std::memory_order_relaxed);
-  cell->sum.fetch_add(value, std::memory_order_relaxed);
-  AtomicMin(&cell->min, value);
-  AtomicMax(&cell->max, value);
+  ClaimCell(now_ms / options_.bucket_ms)->hist.Record(value);
 }
 
 WindowedHistogram::Snapshot WindowedHistogram::Aggregate(
@@ -133,7 +95,7 @@ WindowedHistogram::Snapshot WindowedHistogram::Aggregate(
   const int periods = SpanPeriods(options_, span_ms);
 
   Snapshot snap;
-  int64_t merged[kValueBuckets] = {};
+  int64_t merged[obs_internal::HistogramCell::kNumBuckets] = {};
   int64_t min = INT64_MAX;
   int64_t max = INT64_MIN;
   for (int back = 0; back < periods; ++back) {
@@ -141,48 +103,25 @@ WindowedHistogram::Snapshot WindowedHistogram::Aggregate(
     if (period < 0) break;
     const Cell& cell = cells_[period % options_.num_buckets];
     if (cell.period.load(std::memory_order_acquire) != period) continue;
-    snap.count += cell.count.load(std::memory_order_relaxed);
-    snap.sum += cell.sum.load(std::memory_order_relaxed);
-    min = std::min(min, cell.min.load(std::memory_order_relaxed));
-    max = std::max(max, cell.max.load(std::memory_order_relaxed));
-    for (int i = 0; i < kValueBuckets; ++i) {
-      merged[i] += cell.values[i].load(std::memory_order_relaxed);
+    const obs_internal::HistogramCell& hist = cell.hist;
+    snap.count += hist.count.load(std::memory_order_relaxed);
+    snap.sum += hist.sum.load(std::memory_order_relaxed);
+    min = std::min(min, hist.min.load(std::memory_order_relaxed));
+    max = std::max(max, hist.max.load(std::memory_order_relaxed));
+    for (int i = 0; i < obs_internal::HistogramCell::kNumBuckets; ++i) {
+      merged[i] += hist.buckets[i].load(std::memory_order_relaxed);
     }
   }
   if (snap.count <= 0) return snap;
   snap.min = min;
   snap.max = max;
-
-  // Quantiles over the merged value buckets: rank walk + midpoint
-  // interpolation, clamped to [min, max] — HistogramCell::ApproxQuantile's
-  // arithmetic over the window's samples.
-  const auto quantile = [&](double q) {
-    int64_t rank = static_cast<int64_t>(
-        std::ceil(q * static_cast<double>(snap.count)));
-    rank = std::min(snap.count, std::max<int64_t>(1, rank));
-    int64_t seen = 0;
-    for (int i = 0; i < kValueBuckets; ++i) {
-      if (merged[i] == 0) continue;
-      if (seen + merged[i] >= rank) {
-        const int64_t lower = i == 0 ? 0 : int64_t{1} << (i - 1);
-        const int64_t upper =
-            i == 0 ? 1 : (i >= 63 ? INT64_MAX : int64_t{1} << i);
-        const double within = (static_cast<double>(rank - seen) - 0.5) /
-                              static_cast<double>(merged[i]);
-        int64_t estimate =
-            lower + static_cast<int64_t>(
-                        static_cast<double>(upper - lower) * within);
-        estimate = std::max(estimate, snap.min);
-        estimate = std::min(estimate, snap.max);
-        return estimate;
-      }
-      seen += merged[i];
-    }
-    return snap.max;
-  };
-  snap.p50 = quantile(0.50);
-  snap.p95 = quantile(0.95);
-  snap.p99 = quantile(0.99);
+  // The registry's estimate over the window's merged buckets.
+  snap.p50 = obs_internal::InterpolateQuantile(merged, snap.count, min, max,
+                                               0.50);
+  snap.p95 = obs_internal::InterpolateQuantile(merged, snap.count, min, max,
+                                               0.95);
+  snap.p99 = obs_internal::InterpolateQuantile(merged, snap.count, min, max,
+                                               0.99);
   return snap;
 }
 

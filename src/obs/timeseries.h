@@ -80,9 +80,9 @@ class WindowedCounter {
 };
 
 // A histogram of non-negative int64 samples, bucketed by time. Each time
-// bucket holds the same exponential value buckets HistogramCell uses, so a
-// window snapshot can estimate quantiles exactly the way the cumulative
-// registry does — over only the samples still inside the window.
+// bucket is a registry HistogramCell, so a window snapshot estimates
+// quantiles exactly the way the cumulative registry does — over only the
+// samples still inside the window.
 class WindowedHistogram {
  public:
   struct Snapshot {
@@ -104,9 +104,8 @@ class WindowedHistogram {
   void Record(int64_t now_ms, int64_t value);
 
   // Aggregates the buckets inside the last `span_ms` ending at `now_ms`
-  // (clamped to the ring); quantiles interpolate inside the merged value
-  // buckets and clamp to the observed [min, max], like
-  // HistogramCell::ApproxQuantile.
+  // (clamped to the ring); quantiles are obs_internal::InterpolateQuantile
+  // over the merged value buckets.
   Snapshot Aggregate(int64_t now_ms, int64_t span_ms) const;
 
   int64_t window_span_ms() const {
@@ -115,15 +114,11 @@ class WindowedHistogram {
   const WindowOptions& options() const { return options_; }
 
  private:
-  static constexpr int kValueBuckets = obs_internal::HistogramCell::kNumBuckets;
-
+  // One time bucket: the period it holds and the registry's histogram
+  // cell over that period's samples.
   struct Cell {
     std::atomic<int64_t> period{-1};
-    std::atomic<int64_t> count{0};
-    std::atomic<int64_t> sum{0};
-    std::atomic<int64_t> min{INT64_MAX};
-    std::atomic<int64_t> max{INT64_MIN};
-    std::atomic<int64_t> values[kValueBuckets] = {};
+    obs_internal::HistogramCell hist;
   };
 
   Cell* ClaimCell(int64_t period);

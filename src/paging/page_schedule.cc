@@ -1,5 +1,8 @@
 #include "paging/page_schedule.h"
 
+#include <cstdint>
+#include <unordered_set>
+
 #include "graph/components.h"
 #include "solver/greedy_walk_pebbler.h"
 #include "util/check.h"
@@ -12,10 +15,15 @@ BipartiteGraph BuildPageJoinGraph(const BipartiteGraph& tuple_join_graph,
   JP_CHECK(IsValidLayout(left_layout, tuple_join_graph.left_size()));
   JP_CHECK(IsValidLayout(right_layout, tuple_join_graph.right_size()));
   BipartiteGraph page_graph(left_layout.num_pages, right_layout.num_pages);
+  // Page pairs already added, keyed lp * right pages + rp: the first tuple
+  // edge between two pages adds the page edge, later ones are absorbed.
+  std::unordered_set<int64_t> added;
   for (const BipartiteGraph::Edge& e : tuple_join_graph.edges()) {
     const int lp = left_layout.page_of[e.left];
     const int rp = right_layout.page_of[e.right];
-    if (!page_graph.HasEdge(lp, rp)) page_graph.AddEdge(lp, rp);
+    const int64_t key =
+        static_cast<int64_t>(lp) * right_layout.num_pages + rp;
+    if (added.insert(key).second) page_graph.AddEdge(lp, rp);
   }
   return page_graph;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "graph/components.h"
+#include "graph/csr_graph.h"
 #include "util/bitset.h"
 #include "util/check.h"
 
@@ -46,11 +47,13 @@ int64_t TouchedPairsLowerBound(const BipartiteGraph& join_graph, int p,
       (static_cast<int64_t>(cap_l) * cap_r);
   // A left vertex of degree d needs its neighbors spread over at least
   // ⌈d / cap_r⌉ right fragments, all touched from that vertex's fragment.
+  const Graph flat = join_graph.ToGraph();
+  const CsrGraph& csr = flat.csr();
   int64_t by_degree = 0;
   for (int l = 0; l < join_graph.left_size(); ++l) {
-    by_degree =
-        std::max<int64_t>(by_degree, CeilDiv(join_graph.LeftDegree(l),
-                                             cap_r));
+    const int degree = static_cast<int>(
+        csr.Degree(static_cast<uint32_t>(join_graph.FlatLeftId(l))));
+    by_degree = std::max<int64_t>(by_degree, CeilDiv(degree, cap_r));
   }
   return std::max({by_volume, by_degree, int64_t{1}});
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/csr_graph.h"
 #include "graph/incidence_graph.h"
 #include "util/check.h"
 
@@ -11,8 +12,9 @@ Tsp3ToPebbleReduction::Tsp3ToPebbleReduction(const Tsp12Instance& g)
     : g_(g),
       b_(BuildIncidenceGraph(g.good())),
       flat_(b_.ToGraph()) {
+  const CsrGraph& csr = g_.good().csr();
   for (int v = 0; v < g_.num_nodes(); ++v) {
-    JP_CHECK_MSG(g_.good().Degree(v) >= 1,
+    JP_CHECK_MSG(csr.Degree(v) >= 1,
                  "isolated node: not a valid PEBBLE reduction input");
   }
 }
@@ -27,11 +29,9 @@ std::vector<int> Tsp3ToPebbleReduction::LiftTourToEdgeOrder(
     const Tour& g_tour) const {
   JP_CHECK(IsValidTour(g_, g_tour));
 
-  // Incidence ids of each vertex.
-  std::vector<std::vector<int>> incidences_of(g_.num_nodes());
-  for (int b_edge = 0; b_edge < b_.num_edges(); ++b_edge) {
-    incidences_of[IncidenceVertex(b_edge)].push_back(b_edge);
-  }
+  // The incidence ids of vertex v are B's edges at left vertex v, in id
+  // order: its CSR row.
+  const CsrGraph& incidences = flat_.csr();
   // incidence_id(v, e): which of edge e's two incidences belongs to v.
   auto incidence_id = [&](int v, int g_edge) {
     return (g_.good().edge(g_edge).u == v) ? 2 * g_edge : 2 * g_edge + 1;
@@ -48,11 +48,12 @@ std::vector<int> Tsp3ToPebbleReduction::LiftTourToEdgeOrder(
     // two incidences of the shared edge are adjacent in L(B)).
     int last_incidence = -1;
     if (i + 1 < g_tour.size() && g_.IsGood(v, g_tour[i + 1])) {
-      const int shared = g_.good().FindEdge(v, g_tour[i + 1]);
+      const int shared = static_cast<int>(
+          g_.good().csr().FindEdge(v, g_tour[i + 1]));
       last_incidence = incidence_id(v, shared);
     }
-    for (int inc : incidences_of[v]) {
-      if (emitted[inc] || inc == last_incidence) continue;
+    for (const uint32_t inc : incidences.IncidentEdges(b_.FlatLeftId(v))) {
+      if (emitted[inc] || static_cast<int>(inc) == last_incidence) continue;
       emitted[inc] = true;
       order.push_back(inc);
     }
@@ -81,11 +82,7 @@ Tour Tsp3ToPebbleReduction::MapEdgeOrderBack(
   // internal order of the block is jump-free).
   std::vector<int> normalized;
   normalized.reserve(edge_order.size());
-  std::vector<bool> placed(b_.num_edges(), false);
-  std::vector<std::vector<int>> incidences_of(g_.num_nodes());
-  for (int b_edge = 0; b_edge < b_.num_edges(); ++b_edge) {
-    incidences_of[IncidenceVertex(b_edge)].push_back(b_edge);
-  }
+  const CsrGraph& incidences = flat_.csr();
   std::vector<bool> vertex_done(g_.num_nodes(), false);
   for (int inc : edge_order) {
     const int v = IncidenceVertex(inc);
@@ -94,8 +91,8 @@ Tour Tsp3ToPebbleReduction::MapEdgeOrderBack(
     // Emit v's whole clique, starting from the incidence that appeared
     // first (preserving the entry pairing when there is one).
     normalized.push_back(inc);
-    for (int other : incidences_of[v]) {
-      if (other != inc) normalized.push_back(other);
+    for (const uint32_t other : incidences.IncidentEdges(b_.FlatLeftId(v))) {
+      if (static_cast<int>(other) != inc) normalized.push_back(other);
     }
   }
   JP_CHECK(normalized.size() == edge_order.size());

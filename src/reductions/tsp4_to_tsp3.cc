@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/csr_graph.h"
 #include "reductions/diamond_gadget.h"
 #include "util/check.h"
 
@@ -21,9 +22,10 @@ Tsp4ToTsp3Reduction::Tsp4ToTsp3Reduction(const Tsp12Instance& g)
   base_id_.resize(n);
   corner_neighbor_.assign(n, {-1, -1, -1, -1});
 
+  const CsrGraph& csr = g_.good().csr();
   int next_id = 0;
   for (int u = 0; u < n; ++u) {
-    const int degree = g_.good().Degree(u);
+    const int degree = static_cast<int>(csr.Degree(u));
     JP_CHECK_MSG(degree <= 4, "input is not a TSP-4(1,2) instance");
     is_diamond_[u] = (degree == 4);
     base_id_[u] = next_id;
@@ -31,8 +33,10 @@ Tsp4ToTsp3Reduction::Tsp4ToTsp3Reduction(const Tsp12Instance& g)
     for (int k = 0; k < width; ++k) owner_.push_back(u);
     next_id += width;
     if (is_diamond_[u]) {
-      const std::vector<int> neighbors = g_.good().Neighbors(u);
-      for (int c = 0; c < 4; ++c) corner_neighbor_[u][c] = neighbors[c];
+      const CsrSpan neighbors = csr.Neighbors(u);
+      for (int c = 0; c < 4; ++c) {
+        corner_neighbor_[u][c] = static_cast<int>(neighbors[c]);
+      }
     }
   }
   h_ = BuildH();

@@ -302,7 +302,7 @@ void Connection::Run() {
     const bool want_read =
         !eof_ && !fatal_ &&
         static_cast<int64_t>(outbuf_.size() - outbuf_off_) <=
-            env_.options->max_outbuf_bytes;
+            ServeOptions::kMaxOutbufBytes;
 
     pollfd fds[2];
     fds[0].fd = wake_fds_[0];

@@ -9,13 +9,13 @@
 // and writes them as the socket drains — a worker never blocks on a
 // client, and a client never sees responses out of order.
 //
-// Robustness mechanics, each driven by a ServeOptions knob and exercised
-// by the fault-injection tests:
+// Robustness mechanics, each bounded by a ServeOptions knob or constant
+// and exercised by the fault-injection tests:
 //   - line framing with a streaming byte cap: a line past
 //     `max_line_bytes` is answered with a structured error the moment the
 //     cap trips and the rest of it is discarded as it arrives — the
 //     buffer never grows past the cap;
-//   - write backpressure: past `max_outbuf_bytes` of pending output the
+//   - write backpressure: past `kMaxOutbufBytes` of pending output the
 //     loop stops reading new requests until the client drains;
 //   - idle and write-stall timeouts close connections that go silent or
 //     stop consuming;

@@ -19,13 +19,6 @@ JsonlRequestRunner::Defaults DefaultsFrom(const ServeOptions& options) {
   return defaults;
 }
 
-WindowOptions WindowFrom(const ServeOptions& options) {
-  WindowOptions window;
-  window.num_buckets = options.window_buckets;
-  window.bucket_ms = options.window_bucket_ms;
-  return window;
-}
-
 // A correlation id as a filename fragment: anything outside
 // [A-Za-z0-9._-] becomes '_', so a hostile id cannot escape trace_dir.
 std::string SanitizeForFilename(const std::string& id) {
@@ -62,12 +55,7 @@ RequestRouter::RequestRouter(SolveEngine* engine, const ServeOptions& options,
       traces_sampled_(metrics_->FindOrCreateCounter("serve.traces_sampled")),
       inflight_gauge_(metrics_->FindOrCreateGauge("serve.inflight")),
       request_wall_us_(
-          metrics_->FindOrCreateHistogram("serve.request_wall_us")),
-      win_requests_(WindowFrom(options)),
-      win_solved_(WindowFrom(options)),
-      win_errors_(WindowFrom(options)),
-      win_rejected_(WindowFrom(options)),
-      win_wall_us_(WindowFrom(options)) {
+          metrics_->FindOrCreateHistogram("serve.request_wall_us")) {
   if (trace_sample_ > 0) {
     trace_writer_ = std::thread([this] { TraceWriterLoop(); });
   }

@@ -55,7 +55,7 @@ struct ServeOptions {
   int64_t max_line_bytes = int64_t{1} << 20;
   // Outbound bytes buffered before the loop stops reading new requests
   // from that socket (write backpressure).
-  int64_t max_outbuf_bytes = int64_t{4} << 20;
+  static constexpr int64_t kMaxOutbufBytes = int64_t{4} << 20;
 
   // --- Deadlines and drain -----------------------------------------------
   // Ceiling clamped onto every admitted request's deadline. This is what
@@ -85,11 +85,8 @@ struct ServeOptions {
   // the request's correlation id in the filename and stream.
   int64_t trace_sample = 0;
   std::string trace_dir = ".";
-  // Sliding-window telemetry ring shape (obs/timeseries.h): the /statusz
-  // window series and window gauges aggregate the trailing
-  // window_buckets * window_bucket_ms milliseconds.
-  int window_buckets = 60;
-  int64_t window_bucket_ms = 10000;
+  // The /statusz window series and gauges cover the default WindowOptions
+  // ring (obs/timeseries.h): the trailing 60 buckets of 10 s.
 
   // --- Determinism seams --------------------------------------------------
   // Milliseconds on an arbitrary monotone scale; tests inject

@@ -9,6 +9,7 @@
 #include "obs/solve_stats.h"
 #include "solver/dfs_tree_pebbler.h"
 #include "solver/greedy_walk_pebbler.h"
+#include "solver/ils_pebbler.h"
 #include "solver/ladder_planner.h"
 #include "solver/local_search_pebbler.h"
 #include "util/check.h"
@@ -133,9 +134,9 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
   Probe ladder_span = Probe::Span("ladder", "solver", ctx.trace());
 
   const ExactPebbler exact(options_.exact);
-  const IlsPebbler ils(options_.ils);
-  const LocalSearchPebbler local_search(options_.local_search,
-                                        options_.max_line_graph_edges);
+  const IlsPebbler ils;
+  const LocalSearchPebbler local_search(LocalSearchOptions(),
+                                        kMaxLineGraphEdges);
   const Pebbler* budgeted_rungs[] = {&exact, &ils, &local_search};
   constexpr int kNumBudgetedRungs = 3;
   static_assert(kNumBudgetedRungs == kNumPlannedRungs,
@@ -167,7 +168,7 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
     SolveBudget memory_only;
     memory_only.memory_limit_bytes = ctx.budget().memory_limit_bytes;
     BudgetContext dfs_ctx = ctx.Child(memory_only);
-    const DfsTreePebbler dfs(options_.max_line_graph_edges);
+    const DfsTreePebbler dfs(kMaxLineGraphEdges);
     order = dfs.PebbleWithOutcome(g, dfs_ctx, outcome);
   }
 

@@ -24,9 +24,7 @@
 #include <cstdint>
 
 #include "solver/exact_pebbler.h"
-#include "solver/ils_pebbler.h"
 #include "solver/pebbler.h"
-#include "tsp/local_search.h"
 
 namespace pebblejoin {
 
@@ -34,13 +32,13 @@ class LadderPlanner;
 
 class FallbackPebbler : public Pebbler {
  public:
+  // Soft cap on the materialized L(G) for the heuristic rungs; a budget
+  // memory ceiling tightens it further inside each rung. The ils and
+  // local-search rungs run with their default options.
+  static constexpr int64_t kMaxLineGraphEdges = 20'000'000;
+
   struct Options {
     ExactPebbler::Options exact;
-    IlsPebbler::Options ils;
-    LocalSearchOptions local_search;
-    // Soft cap on the materialized L(G) for the heuristic rungs; a budget
-    // memory ceiling tightens it further inside each rung.
-    int64_t max_line_graph_edges = 20'000'000;
     // Calibrated dispatch (solver/ladder_planner.h). Null — the default —
     // is the blind ladder: rung iteration starts at exact with no per-rung
     // caps, byte-identical to the pre-planner sequence. Non-null, each

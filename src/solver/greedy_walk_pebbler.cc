@@ -21,7 +21,7 @@ std::optional<std::vector<int>> GreedyWalkPebbler::PebbleConnected(
   // undeleted_degree[v]: undeleted edges incident to v.
   std::vector<int> undeleted_degree(g.num_vertices());
   for (int v = 0; v < g.num_vertices(); ++v) {
-    undeleted_degree[v] = g.Degree(v);
+    undeleted_degree[v] = static_cast<int>(csr.Degree(v));
   }
   // cursor[v]: scan position into v's incidence row, so that repeated
   // adjacent-edge searches over the run stay O(total degree) amortized...

@@ -192,7 +192,7 @@ LadderPlan LadderPlanner::Plan(const GraphFeatures& features,
   }
 
   const bool unlimited = remaining_deadline_ms < 0;
-  if (!unlimited && remaining_deadline_ms < options_.min_rung_deadline_ms) {
+  if (!unlimited && remaining_deadline_ms < kMinRungDeadlineMs) {
     // Nothing useful can run: go straight to the dfs-tree terminator,
     // which never takes the deadline (Theorem 3.1 is polynomial). The
     // blind ladder would burn three prompt-expiry round trips here.
@@ -209,11 +209,11 @@ LadderPlan LadderPlanner::Plan(const GraphFeatures& features,
   const int64_t exact_predicted_us = plan.predicted_us[kPlanExact];
   bool attempt_exact;
   if (unlimited) {
-    attempt_exact = exact_predicted_us <= options_.exact_unlimited_cap_us;
+    attempt_exact = exact_predicted_us <= kExactUnlimitedCapUs;
   } else {
     attempt_exact =
         static_cast<double>(exact_predicted_us) <=
-        options_.exact_deadline_share *
+        kExactDeadlineShare *
             static_cast<double>(remaining_deadline_ms) * 1000.0;
   }
   if (attempt_exact) {
@@ -221,8 +221,8 @@ LadderPlan LadderPlanner::Plan(const GraphFeatures& features,
     if (!unlimited) {
       // Cap the gamble at twice the prediction: a mispredicted grinder is
       // cut early and the anytime rungs inherit the rest of the deadline.
-      plan.exact_cap_ms = std::max(options_.exact_min_cap_ms,
-                                   2 * exact_predicted_us / 1000);
+      plan.exact_cap_ms =
+          std::max(kExactMinCapMs, 2 * exact_predicted_us / 1000);
       if (plan.exact_cap_ms < remaining_deadline_ms) {
         plan.budget_saved_ms = std::max<int64_t>(
             0, std::min(exact_predicted_us / 1000,

@@ -16,9 +16,9 @@
 // tools/calibrate_cost_model.py); a compiled-in default ships from a
 // committed run (cost_model.json at the repo root). Note the target is
 // time *burned by attempting*, not time-to-solve: an oversized instance
-// that the exact rung declines in microseconds (Options::max_edges) is
-// correctly labeled cheap — attempting it costs nothing, exactly like the
-// blind ladder.
+// that the exact rung declines in microseconds
+// (ExactPebbler::Options::max_edges) is correctly labeled cheap —
+// attempting it costs nothing, exactly like the blind ladder.
 //
 // Policy (deliberately conservative so the planner can only save budget,
 // never lose quality):
@@ -112,25 +112,21 @@ struct LadderPlan {
 
 class LadderPlanner {
  public:
-  struct Options {
-    // Exact is attempted only while its predicted burn fits this fraction
-    // of the remaining deadline.
-    double exact_deadline_share = 0.5;
-    // With no deadline at all, exact is still skipped beyond this
-    // predicted burn (it declines oversized instances on its own; this
-    // guards the mid-size region where branch and bound grinds).
-    int64_t exact_unlimited_cap_us = 10'000'000;
-    // When exact is attempted under a deadline, its child-context cap is
-    // max(this floor, 2 × prediction).
-    int64_t exact_min_cap_ms = 1;
-    // Deadlines below this skip every budgeted rung.
-    int64_t min_rung_deadline_ms = 1;
-  };
+  // Exact is attempted only while its predicted burn fits this fraction
+  // of the remaining deadline.
+  static constexpr double kExactDeadlineShare = 0.5;
+  // With no deadline at all, exact is still skipped beyond this predicted
+  // burn (it declines oversized instances on its own; this guards the
+  // mid-size region where branch and bound grinds).
+  static constexpr int64_t kExactUnlimitedCapUs = 10'000'000;
+  // When exact is attempted under a deadline, its child-context cap is
+  // max(this floor, 2 × prediction).
+  static constexpr int64_t kExactMinCapMs = 1;
+  // Deadlines below this skip every budgeted rung.
+  static constexpr int64_t kMinRungDeadlineMs = 1;
 
   LadderPlanner() : LadderPlanner(CostModel::BuiltIn()) {}
-  explicit LadderPlanner(CostModel model) : LadderPlanner(model, Options()) {}
-  LadderPlanner(CostModel model, Options options)
-      : model_(model), options_(options) {}
+  explicit LadderPlanner(CostModel model) : model_(model) {}
 
   // Plans one ladder descent given the instance features and the budget
   // still remaining (remaining_deadline_ms < 0 = unlimited). Pure; safe to
@@ -142,7 +138,6 @@ class LadderPlanner {
 
  private:
   CostModel model_;
-  Options options_;
 };
 
 // The budgeted-rung names in plan indexing order ("exact", "ils",

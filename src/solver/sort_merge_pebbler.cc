@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "graph/csr_graph.h"
 #include "graph/graph_properties.h"
 #include "util/check.h"
 
@@ -15,10 +16,11 @@ std::optional<std::vector<int>> SortMergePebbler::PebbleConnected(
   const std::optional<std::vector<int>> color = TwoColor(g);
   if (!color.has_value()) return std::nullopt;
 
+  const CsrGraph& csr = g.csr();
   std::vector<int> side_u;  // color 0
   std::vector<int> side_v;  // color 1
   for (int v = 0; v < g.num_vertices(); ++v) {
-    if (g.Degree(v) == 0) continue;  // defensively skip isolated vertices
+    if (csr.Degree(v) == 0) continue;  // defensively skip isolated vertices
     ((*color)[v] == 0 ? side_u : side_v).push_back(v);
   }
   const int64_t expected =

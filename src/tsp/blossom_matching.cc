@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/csr_graph.h"
 #include "util/check.h"
 
 namespace pebblejoin {
@@ -14,7 +15,7 @@ namespace {
 class BlossomSearch {
  public:
   explicit BlossomSearch(const Graph& g)
-      : g_(g),
+      : csr_(g.csr()),
         n_(g.num_vertices()),
         match_(n_, -1),
         parent_(n_, -1),
@@ -98,8 +99,8 @@ class BlossomSearch {
 
     for (size_t head = 0; head < queue.size(); ++head) {
       const int v = queue[head];
-      for (int e : g_.IncidentEdges(v)) {
-        const int to = g_.edge(e).Other(v);
+      for (uint32_t w : csr_.Neighbors(v)) {
+        const int to = static_cast<int>(w);
         if (base_[v] == base_[to] || match_[v] == to) continue;
         if (to == root || (match_[to] != -1 && parent_[match_[to]] != -1)) {
           // Odd cycle: contract the blossom.
@@ -131,7 +132,7 @@ class BlossomSearch {
     }
   }
 
-  const Graph& g_;
+  const CsrGraph& csr_;
   int n_;
   std::vector<int> match_;
   std::vector<int> parent_;
@@ -153,13 +154,14 @@ bool IsValidMatching(const Graph& g, const Matching& matching) {
   if (static_cast<int>(matching.match.size()) != g.num_vertices()) {
     return false;
   }
+  const CsrGraph& csr = g.csr();
   int matched = 0;
   for (int v = 0; v < g.num_vertices(); ++v) {
     const int w = matching.match[v];
     if (w == -1) continue;
     if (w < 0 || w >= g.num_vertices() || w == v) return false;
     if (matching.match[w] != v) return false;
-    if (!g.HasEdge(v, w)) return false;
+    if (!csr.HasEdge(v, w)) return false;
     ++matched;
   }
   return matched == 2 * matching.size;

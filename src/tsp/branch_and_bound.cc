@@ -199,12 +199,7 @@ BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
   SearchContext ctx;
   ctx.instance = &instance;
   ctx.n = n;
-  ctx.adj.assign(n, 0);
-  const CsrGraph& csr = instance.good().csr();
-  for (uint32_t e = 0; e < csr.num_edges(); ++e) {
-    ctx.adj[csr.EdgeU(e)] |= uint64_t{1} << csr.EdgeV(e);
-    ctx.adj[csr.EdgeV(e)] |= uint64_t{1} << csr.EdgeU(e);
-  }
+  ctx.adj = instance.good().csr().NeighborMasks();
   ctx.node_budget = options.node_budget;
   ctx.budget = &budget;
   ctx.use_component_bound = options.use_component_bound;

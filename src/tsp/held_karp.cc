@@ -32,14 +32,7 @@ std::optional<TspPathResult> HeldKarpSolve(const Tsp12Instance& instance,
     return result;
   }
 
-  // Adjacency bitmasks of the good graph, streamed from the flat CSR
-  // endpoint arrays.
-  std::vector<uint32_t> adj(n, 0);
-  const CsrGraph& csr = instance.good().csr();
-  for (uint32_t e = 0; e < csr.num_edges(); ++e) {
-    adj[csr.EdgeU(e)] |= uint32_t{1} << csr.EdgeV(e);
-    adj[csr.EdgeV(e)] |= uint32_t{1} << csr.EdgeU(e);
-  }
+  const std::vector<uint64_t> adj = instance.good().csr().NeighborMasks();
 
   constexpr uint8_t kInf = std::numeric_limits<uint8_t>::max();
   // dp[mask * n + v] = min jumps of a path visiting exactly `mask`, ending

@@ -18,7 +18,9 @@ Tour NearestNeighborTour(const Tsp12Instance& instance, int start) {
   Bitset visited(n);
   // remaining_degree[v]: number of unvisited good neighbors of v.
   std::vector<int> remaining_degree(n);
-  for (int v = 0; v < n; ++v) remaining_degree[v] = good.Degree(v);
+  for (int v = 0; v < n; ++v) {
+    remaining_degree[v] = static_cast<int>(csr.Degree(v));
+  }
 
   Tour tour;
   tour.reserve(n);

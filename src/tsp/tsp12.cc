@@ -8,9 +8,10 @@
 namespace pebblejoin {
 
 Tsp12Instance::Tsp12Instance(Graph good) : good_(std::move(good)) {
+  // Frozen here for every size, so IsGood() never freezes.
+  const CsrGraph& csr = good_.csr();
   const int n = good_.num_vertices();
   if (n > kAdjMatrixMaxNodes) return;
-  const CsrGraph& csr = good_.csr();
   matrix_stride_ = n;
   adj_matrix_.Assign(static_cast<size_t>(n) * n, false);
   const uint32_t m = csr.num_edges();

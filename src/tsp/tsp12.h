@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "graph/csr_graph.h"
 #include "graph/graph.h"
 #include "util/bitset.h"
 
@@ -26,7 +27,7 @@ class Tsp12Instance {
   // Instances whose good graph has at most this many nodes get a dense
   // adjacency matrix (one bit per ordered pair, ≤ 2 MiB),
   // making IsGood() — the innermost predicate of local search and 2-opt —
-  // a single word load instead of an O(deg) incidence scan.
+  // a single word load instead of an O(deg) scan of a CSR row.
   static constexpr int kAdjMatrixMaxNodes = 4096;
 
   // `good` defines the weight-1 edges; all other pairs weigh 2.
@@ -40,7 +41,8 @@ class Tsp12Instance {
     if (matrix_stride_ > 0) {
       return adj_matrix_.Test(static_cast<size_t>(u) * matrix_stride_ + v);
     }
-    return good_.HasEdge(u, v);
+    return good_.csr().HasEdge(static_cast<uint32_t>(u),
+                               static_cast<uint32_t>(v));
   }
 
   // Maximum good-degree; the instance belongs to TSP-k(1,2) for any k >= this.

@@ -10,6 +10,8 @@
 #include "solver/exact_pebbler.h"
 #include "util/random.h"
 
+#include "graph_test_util.h"
+
 namespace pebblejoin {
 namespace {
 
@@ -83,8 +85,8 @@ TEST(EnumerateTest, AllResultsConnectedSpanningDistinct) {
     for (const BipartiteGraph& g : classes) {
       EXPECT_EQ(g.num_edges(), edges);
       EXPECT_TRUE(IsConnectedIgnoringIsolated(g.ToGraph()));
-      for (int l = 0; l < 3; ++l) EXPECT_GE(g.LeftDegree(l), 1);
-      for (int r = 0; r < 3; ++r) EXPECT_GE(g.RightDegree(r), 1);
+      for (int l = 0; l < 3; ++l) EXPECT_GE(LeftDegree(g, l), 1);
+      for (int r = 0; r < 3; ++r) EXPECT_GE(RightDegree(g, r), 1);
       EXPECT_TRUE(keys.insert(CanonicalBipartiteKey(g)).second);
     }
   }

@@ -3,6 +3,8 @@
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 
+#include "graph_test_util.h"
+
 namespace pebblejoin {
 namespace {
 
@@ -108,7 +110,7 @@ TEST(ComponentsTest, RandomGraphComponentsPartitionEdges) {
     }
     int non_isolated = 0;
     for (int v = 0; v < g.num_vertices(); ++v) {
-      if (g.Degree(v) > 0) ++non_isolated;
+      if (Degree(g, v) > 0) ++non_isolated;
     }
     EXPECT_EQ(total_vertices, static_cast<size_t>(non_isolated));
   }
@@ -127,7 +129,7 @@ TEST(ComponentsTest, LocalIndexInvertsVerticesOf) {
       }
     }
     for (int v = 0; v < g.num_vertices(); ++v) {
-      if (g.Degree(v) > 0) continue;
+      if (Degree(g, v) > 0) continue;
       ++isolated_seen;
       EXPECT_EQ(d.local_index[v], -1) << seed;
     }

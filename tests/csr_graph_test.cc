@@ -1,11 +1,11 @@
-// The CSR graph core: the frozen view must mirror the mutable Graph
+// The CSR graph core: the frozen view must mirror the Graph's edge list
 // exactly (same degrees, same insertion-ordered incidence rows, same
-// FindEdge answers), be published once under concurrent first access,
-// follow copies / moves / mutation correctly, and drive ExtractComponent,
-// BuildLineGraph, BuildIncidenceGraph and the graph properties to exactly
-// the results of small reference builders written here on
-// Graph::IncidentEdges — the determinism contract the solve goldens rest
-// on.
+// FindEdge answers, the same first repeated edge), be published once under
+// concurrent first access, follow copies / moves / mutation correctly, and
+// drive ExtractComponent, BuildLineGraph, BuildIncidenceGraph and the graph
+// properties to exactly the results of small reference builders written
+// here on incidence lists built straight from the edge list — the
+// determinism contract the solve goldens rest on.
 
 #include <algorithm>
 #include <array>
@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -49,18 +51,45 @@ Graph RandomInstance(uint64_t seed) {
   return RandomBipartiteWithEdges(left, right, m, rng()).ToGraph();
 }
 
-// --- Reference builders over Graph::IncidentEdges -------------------------
+// --- Reference builders over plain incidence lists -----------------------
+
+// vertex -> incident edge ids, appended in edge-id (insertion) order.
+using Incidence = std::vector<std::vector<int>>;
+
+Incidence ReferenceIncidence(const Graph& g) {
+  Incidence incident(g.num_vertices());
+  for (int e = 0; e < g.num_edges(); ++e) {
+    incident[g.edge(e).u].push_back(e);
+    incident[g.edge(e).v].push_back(e);
+  }
+  return incident;
+}
+
+std::vector<int> ReferenceNeighbors(const Graph& g, const Incidence& inc,
+                                    int v) {
+  std::vector<int> out;
+  for (int e : inc[v]) out.push_back(g.edge(e).Other(v));
+  return out;
+}
+
+int ReferenceFindEdge(const Graph& g, const Incidence& inc, int u, int v) {
+  for (int e : inc[u]) {
+    if (g.edge(e).Other(u) == v) return e;
+  }
+  return -1;
+}
 
 // Stack DFS from each unvisited non-isolated vertex, neighbors in
 // incidence order; edges bucketed by component in edge-id order; each
 // vertex's local index is its pop position within its component.
 ComponentDecomposition ReferenceComponents(const Graph& g) {
+  const Incidence inc = ReferenceIncidence(g);
   ComponentDecomposition out;
   out.component_of.assign(g.num_vertices(), -1);
   out.local_index.assign(g.num_vertices(), -1);
   std::vector<int> stack;
   for (int start = 0; start < g.num_vertices(); ++start) {
-    if (g.Degree(start) == 0 || out.component_of[start] != -1) continue;
+    if (inc[start].empty() || out.component_of[start] != -1) continue;
     const int c = out.num_components++;
     out.vertices_of.emplace_back();
     out.edges_of.emplace_back();
@@ -71,7 +100,7 @@ ComponentDecomposition ReferenceComponents(const Graph& g) {
       stack.pop_back();
       out.local_index[v] = static_cast<int>(out.vertices_of[c].size());
       out.vertices_of[c].push_back(v);
-      for (int e : g.IncidentEdges(v)) {
+      for (int e : inc[v]) {
         const int w = g.edge(e).Other(v);
         if (out.component_of[w] == -1) {
           out.component_of[w] = c;
@@ -86,12 +115,10 @@ ComponentDecomposition ReferenceComponents(const Graph& g) {
   return out;
 }
 
-// L(G) by pair enumeration within each incidence list, with the checked
-// AddEdge (a duplicate pair would abort).
+// L(G) by pair enumeration within each incidence list.
 Graph ReferenceLineGraph(const Graph& g) {
   Graph line(g.num_edges());
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    const std::vector<int>& inc = g.IncidentEdges(v);
+  for (const std::vector<int>& inc : ReferenceIncidence(g)) {
     for (size_t i = 0; i < inc.size(); ++i) {
       for (size_t j = i + 1; j < inc.size(); ++j) {
         line.AddEdge(inc[i], inc[j]);
@@ -112,6 +139,7 @@ BipartiteGraph ReferenceIncidenceGraph(const Graph& g) {
 
 // Stack DFS 2-coloring, neighbors in incidence order.
 std::optional<std::vector<int>> ReferenceTwoColor(const Graph& g) {
+  const Incidence inc = ReferenceIncidence(g);
   std::vector<int> color(g.num_vertices(), -1);
   std::vector<int> stack;
   for (int start = 0; start < g.num_vertices(); ++start) {
@@ -121,7 +149,7 @@ std::optional<std::vector<int>> ReferenceTwoColor(const Graph& g) {
     while (!stack.empty()) {
       const int v = stack.back();
       stack.pop_back();
-      for (int e : g.IncidentEdges(v)) {
+      for (int e : inc[v]) {
         const int w = g.edge(e).Other(v);
         if (color[w] == -1) {
           color[w] = 1 - color[v];
@@ -138,14 +166,18 @@ std::optional<std::vector<int>> ReferenceTwoColor(const Graph& g) {
 // First (center, i < j < k) in scan order whose three neighbors are
 // pairwise non-adjacent.
 std::optional<std::array<int, 4>> ReferenceClaw(const Graph& g) {
+  const Incidence inc = ReferenceIncidence(g);
+  const auto adjacent = [&](int a, int b) {
+    return ReferenceFindEdge(g, inc, a, b) != -1;
+  };
   for (int center = 0; center < g.num_vertices(); ++center) {
-    const std::vector<int> nbrs = g.Neighbors(center);
+    const std::vector<int> nbrs = ReferenceNeighbors(g, inc, center);
     const int d = static_cast<int>(nbrs.size());
     for (int i = 0; i < d; ++i) {
       for (int j = i + 1; j < d; ++j) {
-        if (g.HasEdge(nbrs[i], nbrs[j])) continue;
+        if (adjacent(nbrs[i], nbrs[j])) continue;
         for (int k = j + 1; k < d; ++k) {
-          if (!g.HasEdge(nbrs[i], nbrs[k]) && !g.HasEdge(nbrs[j], nbrs[k])) {
+          if (!adjacent(nbrs[i], nbrs[k]) && !adjacent(nbrs[j], nbrs[k])) {
             return std::array<int, 4>{center, nbrs[i], nbrs[j], nbrs[k]};
           }
         }
@@ -157,12 +189,14 @@ std::optional<std::array<int, 4>> ReferenceClaw(const Graph& g) {
 
 // --- The view itself ------------------------------------------------------
 
-// The core invariant: every CSR accessor agrees with the Graph it froze.
+// The core invariant: every CSR accessor agrees with the edge list it
+// froze.
 TEST(CsrGraphTest, MirrorsGraphExactly) {
   for (uint64_t seed = 0; seed < 200; ++seed) {
     SCOPED_TRACE(std::string("seed=") + std::to_string(seed));
     const Graph g = RandomInstance(seed);
     const CsrGraph csr(g);
+    const Incidence inc = ReferenceIncidence(g);
 
     ASSERT_EQ(csr.num_vertices(), static_cast<uint32_t>(g.num_vertices()));
     ASSERT_EQ(csr.num_edges(), static_cast<uint32_t>(g.num_edges()));
@@ -174,34 +208,75 @@ TEST(CsrGraphTest, MirrorsGraphExactly) {
     }
     for (int v = 0; v < g.num_vertices(); ++v) {
       SCOPED_TRACE(std::string("v=") + std::to_string(v));
-      ASSERT_EQ(csr.Degree(v), static_cast<uint32_t>(g.Degree(v)));
+      ASSERT_EQ(csr.Degree(v), inc[v].size());
       // Incidence rows preserve Graph insertion order, element for element.
-      const std::vector<int>& incident = g.IncidentEdges(v);
+      const std::vector<int>& incident = inc[v];
       const CsrSpan row = csr.IncidentEdges(v);
       ASSERT_EQ(row.size, incident.size());
       for (size_t i = 0; i < incident.size(); ++i) {
         EXPECT_EQ(row[i], static_cast<uint32_t>(incident[i]));
       }
-      const std::vector<int> neighbors = g.Neighbors(v);
+      const std::vector<int> neighbors = ReferenceNeighbors(g, inc, v);
       const CsrSpan nbr = csr.Neighbors(v);
       ASSERT_EQ(nbr.size, neighbors.size());
       for (size_t i = 0; i < neighbors.size(); ++i) {
         EXPECT_EQ(nbr[i], static_cast<uint32_t>(neighbors[i]));
       }
     }
-    // Edge probes agree on every pair, present or absent.
+    // Edge probes and neighbor bitmasks agree on every pair, present or
+    // absent.
+    const std::vector<uint64_t> masks = csr.NeighborMasks();
     for (int u = 0; u < g.num_vertices(); ++u) {
+      EXPECT_EQ(masks[u] >> u & 1, 0u);
       for (int v = 0; v < g.num_vertices(); ++v) {
         if (u == v) continue;
-        EXPECT_EQ(csr.FindEdge(u, v), static_cast<int64_t>(g.FindEdge(u, v)));
-        EXPECT_EQ(csr.HasEdge(u, v), g.HasEdge(u, v));
+        const int reference = ReferenceFindEdge(g, inc, u, v);
+        EXPECT_EQ(csr.FindEdge(u, v), static_cast<int64_t>(reference));
+        EXPECT_EQ(csr.HasEdge(u, v), reference != -1);
+        EXPECT_EQ((masks[u] >> v & 1) == 1, reference != -1);
       }
     }
+    EXPECT_EQ(csr.FirstRepeatedEdge(), -1);
   }
 }
 
+// The repeated-edge scan against a set of unordered pairs: the first edge
+// id whose pair was seen before, or -1.
+TEST(CsrGraphTest, FirstRepeatedEdgeMatchesReference) {
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE(std::string("seed=") + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const int n = 2 + static_cast<int>(rng() % 7);
+    const int m = static_cast<int>(rng() % 12);
+    Graph g(n);
+    std::set<std::pair<int, int>> seen;
+    int64_t expected = -1;
+    for (int e = 0; e < m; ++e) {
+      const int u = static_cast<int>(rng() % n);
+      const int v = (u + 1 + static_cast<int>(rng() % (n - 1))) % n;
+      g.AddEdge(u, v);
+      const bool fresh = seen.insert({std::min(u, v), std::max(u, v)}).second;
+      if (!fresh && expected == -1) expected = e;
+    }
+    EXPECT_EQ(CsrGraph(g).FirstRepeatedEdge(), expected);
+  }
+  // A repeat that reverses the endpoints, found from the later row.
+  Graph g(4);
+  g.AddEdge(2, 3);
+  g.AddEdge(0, 1);
+  g.AddEdge(3, 2);
+  g.AddEdge(1, 0);
+  EXPECT_EQ(CsrGraph(g).FirstRepeatedEdge(), 2);
+}
+
 TEST(CsrGraphTest, BuildCsrIsIdempotentAndMutationInvalidates) {
-  Graph g = CompleteBipartite(3, 4).ToGraph();
+  // K_{3,4} plus one isolated right vertex w for the mutations below.
+  BipartiteGraph b(3, 5);
+  for (int l = 0; l < 3; ++l) {
+    for (int r = 0; r < 4; ++r) b.AddEdge(l, r);
+  }
+  Graph g = b.ToGraph();
+  const int w = b.FlatRightId(4);
   const CsrGraph* view = &g.csr();
   EXPECT_EQ(&g.csr(), view);  // cached: same frozen view
   g.BuildCsr();
@@ -209,13 +284,12 @@ TEST(CsrGraphTest, BuildCsrIsIdempotentAndMutationInvalidates) {
   EXPECT_EQ(view->num_edges(), 12u);
 
   // A mutation drops the view; the next access freezes the new adjacency.
-  const int w = g.AddVertices(1);
-  EXPECT_EQ(g.csr().num_vertices(), static_cast<uint32_t>(g.num_vertices()));
   g.AddEdge(0, w);
+  EXPECT_EQ(g.csr().num_vertices(), 8u);
   EXPECT_EQ(g.csr().num_edges(), 13u);
   EXPECT_EQ(g.csr().Degree(w), 1u);
   EXPECT_EQ(g.csr().FindEdge(0, w), 12);
-  g.AddEdgeUnchecked(1, w);
+  g.AddEdge(1, w);
   EXPECT_EQ(g.csr().num_edges(), 14u);
   EXPECT_EQ(g.csr().Degree(w), 2u);
 }
@@ -247,8 +321,9 @@ TEST(CsrGraphTest, CopyAndAssignmentPreserveCsrness) {
 }
 
 // The thread-safe publication contract: concurrent first calls on one
-// unfrozen const graph all return the single published view. Runs under
-// ThreadSanitizer in CI (ctest -L tsan).
+// unfrozen const graph all return the single published view, each racing
+// freezer running its own repeated-edge scan. Runs under ThreadSanitizer
+// in CI (ctest -L tsan).
 TEST(CsrGraphTest, ConcurrentFirstAccessPublishesOneView) {
   constexpr int kThreads = 8;
   for (uint64_t round = 0; round < 20; ++round) {
@@ -329,9 +404,14 @@ TEST(CsrGraphTest, LineGraphIdenticalAcrossBuildPaths) {
     ASSERT_EQ(line.DebugString(), reference.DebugString());
     // Per-vertex incidence order matches too (DebugString only covers
     // edge order).
+    const Incidence line_inc = ReferenceIncidence(line);
+    const Incidence reference_inc = ReferenceIncidence(reference);
     for (int v = 0; v < line.num_vertices(); ++v) {
-      ASSERT_EQ(line.IncidentEdges(v), reference.IncidentEdges(v));
+      const CsrSpan row = line.csr().IncidentEdges(v);
+      ASSERT_EQ(std::vector<int>(row.begin(), row.end()), reference_inc[v]);
+      ASSERT_EQ(line_inc[v], reference_inc[v]);
     }
+    EXPECT_EQ(line.csr().FirstRepeatedEdge(), -1);
   }
 }
 
@@ -354,11 +434,13 @@ TEST(CsrGraphTest, GraphPropertiesIdenticalAcrossLayouts) {
     const Graph g = RandomInstance(seed);
     EXPECT_EQ(TwoColor(g), ReferenceTwoColor(g));
 
+    const Incidence inc = ReferenceIncidence(g);
     int max_degree = 0;
     int non_isolated = 0;
     for (int v = 0; v < g.num_vertices(); ++v) {
-      max_degree = std::max(max_degree, g.Degree(v));
-      if (g.Degree(v) > 0) ++non_isolated;
+      const int degree = static_cast<int>(inc[v].size());
+      max_degree = std::max(max_degree, degree);
+      if (degree > 0) ++non_isolated;
     }
     EXPECT_EQ(MaxDegree(g), max_degree);
     EXPECT_EQ(NumNonIsolatedVertices(g), non_isolated);
@@ -366,7 +448,9 @@ TEST(CsrGraphTest, GraphPropertiesIdenticalAcrossLayouts) {
     ASSERT_EQ(histogram.size(), static_cast<size_t>(max_degree + 1));
     for (int d = 0; d <= max_degree; ++d) {
       int count = 0;
-      for (int v = 0; v < g.num_vertices(); ++v) count += g.Degree(v) == d;
+      for (int v = 0; v < g.num_vertices(); ++v) {
+        count += static_cast<int>(inc[v].size()) == d;
+      }
       EXPECT_EQ(histogram[d], count) << "degree " << d;
     }
   }

@@ -8,6 +8,8 @@
 #include "join/workload.h"
 #include "pebble/scheme_verifier.h"
 
+#include "graph_test_util.h"
+
 namespace pebblejoin {
 namespace {
 
@@ -21,7 +23,7 @@ void ExpectCompleteResults(const KeyRelation& left, const KeyRelation& right,
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
               sorted.end());
   for (const auto& [i, j] : sorted) {
-    EXPECT_TRUE(expected.HasEdge(i, j)) << i << "," << j;
+    EXPECT_TRUE(HasEdge(expected, i, j)) << i << "," << j;
   }
 }
 

@@ -5,6 +5,8 @@
 #include "gtest/gtest.h"
 #include "join/join_graph_builder.h"
 
+#include "graph_test_util.h"
+
 namespace pebblejoin {
 namespace {
 
@@ -54,9 +56,9 @@ TEST(IntervalBuilderTest, PointIntervalsActAsEquijoin) {
   for (int k : {2, 5, 7}) s.Add(Interval{1.0 * k, 1.0 * k});
   const BipartiteGraph g = BuildIntervalOverlapJoinGraph(r, s);
   EXPECT_EQ(g.num_edges(), 3);  // two 2s match one 2; one 5 matches one 5
-  EXPECT_TRUE(g.HasEdge(1, 0));
-  EXPECT_TRUE(g.HasEdge(2, 0));
-  EXPECT_TRUE(g.HasEdge(3, 1));
+  EXPECT_TRUE(HasEdge(g, 1, 0));
+  EXPECT_TRUE(HasEdge(g, 2, 0));
+  EXPECT_TRUE(HasEdge(g, 3, 1));
 }
 
 // The hub/spoke/private structure of the worst-case family cannot be built

@@ -9,6 +9,8 @@
 #include "solver/local_search_pebbler.h"
 #include "solver/sort_merge_pebbler.h"
 
+#include "graph_test_util.h"
+
 namespace pebblejoin {
 namespace {
 
@@ -75,8 +77,8 @@ TEST(PageJoinGraphTest, PreservesCrossPageEdges) {
   const PageLayout right = SequentialLayout(4, 2);
   const BipartiteGraph pages = BuildPageJoinGraph(tuples, left, right);
   EXPECT_EQ(pages.num_edges(), 2);  // diagonal page pairs only
-  EXPECT_TRUE(pages.HasEdge(0, 0));
-  EXPECT_TRUE(pages.HasEdge(1, 1));
+  EXPECT_TRUE(HasEdge(pages, 0, 0));
+  EXPECT_TRUE(HasEdge(pages, 1, 1));
 }
 
 TEST(PageScheduleTest, FetchCountVerifiedAndBounded) {

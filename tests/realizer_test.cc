@@ -5,6 +5,8 @@
 #include "join/join_graph_builder.h"
 #include "join/predicates.h"
 
+#include "graph_test_util.h"
+
 namespace pebblejoin {
 namespace {
 
@@ -37,7 +39,7 @@ TEST(SetContainmentRealizerTest, LemmaConstructionShape) {
     EXPECT_EQ(inst.left.tuple(i).elements(), std::vector<int>{i});
   }
   // Right tuple j is the adjacency set of right vertex j.
-  EXPECT_EQ(inst.right.tuple(0).size(), target.RightDegree(0));
+  EXPECT_EQ(inst.right.tuple(0).size(), RightDegree(target, 0));
 }
 
 TEST(SetContainmentRealizerTest, EmptyGraph) {
