@@ -77,7 +77,6 @@ void RunSeedAblation() {
     const Graph g =
         RandomConnectedBipartite(m / 3, m / 3, m, 23 + m).ToGraph();
     const Tsp12Instance line(BuildLineGraph(g));
-    const LocalSearchOptions options;
     BudgetContext unlimited{SolveBudget{}};
 
     Tour greedy_tour = *greedy.PebbleConnected(g);
@@ -86,9 +85,9 @@ void RunSeedAblation() {
     const int64_t jg = TourJumps(line, greedy_tour);
     const int64_t jd = TourJumps(line, dfs_tour);
     const int64_t jm = TourJumps(line, matching_tour);
-    LocalSearchImprove(line, &greedy_tour, options, unlimited);
-    LocalSearchImprove(line, &dfs_tour, options, unlimited);
-    LocalSearchImprove(line, &matching_tour, options, unlimited);
+    LocalSearchImprove(line, &greedy_tour, unlimited);
+    LocalSearchImprove(line, &dfs_tour, unlimited);
+    LocalSearchImprove(line, &matching_tour, unlimited);
 
     table.AddRow({FormatInt(m), FormatInt(TourJumps(line, greedy_tour)),
                   FormatInt(TourJumps(line, dfs_tour)),
@@ -120,13 +119,12 @@ void RunMoveSetAblation() {
       seed_total += TourJumps(line, seed);
 
       Tour two = seed;
-      LocalSearchOptions options;
       BudgetContext unlimited{SolveBudget{}};
-      TwoOptImprove(line, &two, options, unlimited);
+      TwoOptImprove(line, &two, unlimited);
       two_total += TourJumps(line, two);
 
       Tour both = seed;
-      LocalSearchImprove(line, &both, options, unlimited);
+      LocalSearchImprove(line, &both, unlimited);
       both_total += TourJumps(line, both);
     }
     table.AddRow({FormatInt(m), FormatDouble(1.0 * seed_total / kTrials, 2),

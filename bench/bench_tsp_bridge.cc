@@ -80,9 +80,8 @@ void RunLadder(BenchReport* report) {
           TourJumps(inst, BestNearestNeighborTour(inst, 8, trial)));
       Tour cover_tour = BestGreedyPathCoverTour(inst, 4, trial);
       cover += static_cast<double>(TourJumps(inst, cover_tour));
-      LocalSearchOptions options;
       BudgetContext unlimited{SolveBudget{}};
-      LocalSearchImprove(inst, &cover_tour, options, unlimited);
+      LocalSearchImprove(inst, &cover_tour, unlimited);
       improved += static_cast<double>(TourJumps(inst, cover_tour));
       best += static_cast<double>(HeldKarpSolve(inst, unlimited)->jumps);
     }

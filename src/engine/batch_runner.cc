@@ -1,7 +1,6 @@
 #include "engine/batch_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <istream>
 #include <ostream>
@@ -20,13 +19,6 @@ BatchRunner::BatchRunner(SolveEngine* engine, Options options)
   JP_CHECK(engine_ != nullptr);
   JP_CHECK_MSG(options_.threads >= 1, "threads must be >= 1");
   JP_CHECK_MSG(options_.block_lines >= 1, "block_lines must be >= 1");
-}
-
-int64_t BatchRunner::NowMs() const {
-  if (options_.clock) return options_.clock();
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 std::string BatchRunner::RunLine(const JsonlRequestRunner& runner,

@@ -53,13 +53,13 @@
 #define PEBBLEJOIN_ENGINE_BATCH_RUNNER_H_
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 
 #include "engine/admission.h"
 #include "engine/jsonl_request.h"
 #include "engine/solve_engine.h"
+#include "util/clock.h"
 
 namespace pebblejoin {
 
@@ -84,9 +84,9 @@ class BatchRunner {
     // blocks; the block size only bounds how far reading runs ahead of
     // writing.
     int block_lines = 64;
-    // Milliseconds on an arbitrary monotone scale; tests inject
-    // FakeClock::AsFunction(). nullptr uses the real steady clock.
-    std::function<int64_t()> clock;
+    // Borrowed, must outlive the runner; tests inject a FakeClock.
+    // nullptr uses the steady clock.
+    const Clock* clock = nullptr;
     // Live progress cadence, on the same clock: after a block completes,
     // a report is due once this many milliseconds passed since the last
     // one. 0 reports after every block (what the FakeClock tests pin);
@@ -141,7 +141,7 @@ class BatchRunner {
                       const std::string& line, int64_t line_number,
                       LineOutcome* outcome);
 
-  int64_t NowMs() const;
+  int64_t NowMs() const { return pebblejoin::NowMs(options_.clock); }
 
   SolveEngine* engine_;  // borrowed
   Options options_;

@@ -225,19 +225,8 @@ std::string JsonlRequestRunner::Dispatch(const std::string& line,
   const SolveResult result = engine_->Solve(request);
   outcome->disposition = Disposition::kSolved;
   outcome->wall_us = result.analysis.stats.solve_wall_us;
-  for (const SolveOutcome& component : result.analysis.solution.outcomes) {
-    if (component.degraded()) {
-      outcome->degraded = true;
-      break;
-    }
-  }
-  // Distinct solvers in first-use order: the answer's provenance.
-  for (const SolveOutcome& component : result.analysis.solution.outcomes) {
-    const std::string& name = component.winner;
-    if (outcome->provenance.find(name) != std::string::npos) continue;
-    if (!outcome->provenance.empty()) outcome->provenance += ",";
-    outcome->provenance += name;
-  }
+  outcome->degraded = result.analysis.solution.FirstDegraded() != nullptr;
+  outcome->provenance = result.analysis.solution.Winners();
   return AnalysisJson(result.analysis);
 }
 

@@ -17,15 +17,9 @@ namespace pebblejoin {
 
 namespace {
 
-FallbackPebbler::Options LadderOptions(const AnalyzerOptions& defaults) {
+// The calibrated ladder: the default ladder, consulting `planner`.
+FallbackPebbler::Options PlannedLadderOptions(const LadderPlanner* planner) {
   FallbackPebbler::Options ladder;
-  ladder.exact = defaults.exact;
-  return ladder;
-}
-
-FallbackPebbler::Options CalibratedLadderOptions(
-    const AnalyzerOptions& defaults, const LadderPlanner* planner) {
-  FallbackPebbler::Options ladder = LadderOptions(defaults);
   ladder.planner = planner;
   return ladder;
 }
@@ -35,11 +29,8 @@ FallbackPebbler::Options CalibratedLadderOptions(
 SolveEngine::SolveEngine(Options options)
     : options_(options),
       own_metrics_(/*enabled=*/true),
-      exact_(options.defaults.exact),
-      fallback_(LadderOptions(options.defaults)),
       planner_(options.defaults.cost_model),
-      calibrated_fallback_(
-          CalibratedLadderOptions(options.defaults, &planner_)) {
+      calibrated_fallback_(PlannedLadderOptions(&planner_)) {
   JP_CHECK_MSG(options_.defaults.threads >= 1, "threads must be >= 1");
 }
 
@@ -255,14 +246,10 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
     std::string dump_reason;
     if (budget_ctx.stopped()) {
       dump_reason = BudgetStopName(budget_ctx.stop_reason());
-    } else {
-      for (const SolveOutcome& outcome : analysis.solution.outcomes) {
-        if (outcome.degraded()) {
-          dump_reason =
-              std::string("degraded:") + RungStatusName(outcome.degradation);
-          break;
-        }
-      }
+    } else if (const SolveOutcome* degraded =
+                   analysis.solution.FirstDegraded()) {
+      dump_reason =
+          std::string("degraded:") + RungStatusName(degraded->degradation);
     }
     if (!dump_reason.empty()) log->DumpFlightRecorder(dump_reason);
     // Tail capture: a request over the slow threshold journals what ran —
@@ -272,18 +259,11 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
     // INT64_MAX, so scaling it to microseconds could overflow.
     if (defaults.slow_request_ms >= 0 &&
         stats.solve_wall_us / 1000 >= defaults.slow_request_ms) {
-      std::string solvers;
-      for (const SolveOutcome& outcome : analysis.solution.outcomes) {
-        const std::string& name = outcome.winner;
-        if (solvers.find(name) != std::string::npos) continue;
-        if (!solvers.empty()) solvers += ",";
-        solvers += name;
-      }
       std::vector<LogField> slow_fields = {
           LogField::Num("wall_us", stats.solve_wall_us),
           LogField::Num("threshold_ms", defaults.slow_request_ms),
           LogField::Num("cost", analysis.solution.effective_cost),
-          LogField::Str("solvers", solvers)};
+          LogField::Str("solvers", analysis.solution.Winners())};
       for (const SolveOutcome& outcome : analysis.solution.outcomes) {
         if (!outcome.plan.active) continue;
         slow_fields.push_back(

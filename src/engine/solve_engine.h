@@ -104,7 +104,6 @@ struct AnalyzerOptions {
   // Coefficients behind kCalibrated: the compiled-in calibration run by
   // default, or a file loaded via `--cost-model` (LoadCostModelFile).
   CostModel cost_model = CostModel::BuiltIn();
-  ExactPebbler::Options exact;
   // Worker threads for the per-component fan-out (Lemma 2.2 additivity
   // makes components independent). 1 = sequential on the calling thread.
   // The analysis output is byte-identical for every value; threads only

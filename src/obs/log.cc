@@ -1,21 +1,10 @@
 #include "obs/log.h"
 
-#include <chrono>
 #include <ostream>
 
 #include "obs/json.h"
 
 namespace pebblejoin {
-
-namespace {
-
-int64_t SteadyNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 const char* LogLevelName(LogLevel level) {
   switch (level) {
@@ -50,31 +39,33 @@ bool ParseLogLevel(const std::string& name, LogLevel* level) {
   return true;
 }
 
+void WriteLogFieldJson(const LogField& field, JsonWriter* json) {
+  switch (field.kind) {
+    case LogField::Kind::kInt:
+      json->Field(field.key, field.num);
+      break;
+    case LogField::Kind::kStr:
+      json->Field(field.key, field.str);
+      break;
+    case LogField::Kind::kBool:
+      json->Field(field.key, field.num != 0);
+      break;
+  }
+}
+
 void WriteLogEventJson(const LogEvent& event, JsonWriter* json) {
   json->BeginObject();
   json->Field("ts_us", event.ts_us);
   json->Field("level", LogLevelName(event.level));
   json->Field("event", event.name);
-  for (const LogField& field : event.fields) {
-    switch (field.kind) {
-      case LogField::Kind::kInt:
-        json->Field(field.key, field.num);
-        break;
-      case LogField::Kind::kStr:
-        json->Field(field.key, field.str);
-        break;
-      case LogField::Kind::kBool:
-        json->Field(field.key, field.num != 0);
-        break;
-    }
-  }
+  for (const LogField& field : event.fields) WriteLogFieldJson(field, json);
   if (event.worker >= 0) json->Field("worker", event.worker);
   json->EndObject();
 }
 
 Journal::Journal(Options options)
-    : min_level_(options.min_level), clock_(std::move(options.clock_us)) {
-  if (!clock_) epoch_us_ = SteadyNowUs();
+    : min_level_(options.min_level), clock_(options.clock) {
+  if (clock_ == nullptr) epoch_us_ = Clock::SteadyNowUs();
 }
 
 bool Journal::AttachFile(const std::string& path, std::string* error) {
@@ -90,8 +81,7 @@ bool Journal::AttachFile(const std::string& path, std::string* error) {
 void Journal::AttachStream(std::ostream* out) { out_ = out; }
 
 int64_t Journal::NowUs() const {
-  if (clock_) return clock_();
-  return SteadyNowUs() - epoch_us_;
+  return pebblejoin::NowUs(clock_) - epoch_us_;
 }
 
 void Journal::Write(const LogEvent& event) {
@@ -121,17 +111,18 @@ int64_t Journal::lines_written() const {
 EventLog::EventLog(Journal* journal, int capacity)
     : journal_(journal), capacity_(capacity < 1 ? 1 : capacity) {}
 
-EventLog::EventLog(int capacity, std::function<int64_t()> clock_us)
-    : clock_(std::move(clock_us)), capacity_(capacity < 1 ? 1 : capacity) {}
+EventLog EventLog::WorkerLog() const {
+  EventLog worker(journal_, capacity_);
+  worker.tee_ = false;
+  return worker;
+}
 
 void EventLog::AddBaseField(LogField field) {
   base_.push_back(std::move(field));
 }
 
 int64_t EventLog::NowUs() const {
-  if (clock_) return clock_();
-  if (journal_ != nullptr) return journal_->NowUs();
-  return 0;
+  return journal_ != nullptr ? journal_->NowUs() : 0;
 }
 
 void EventLog::Emit(LogLevel level, std::string name, LogFields fields) {
@@ -141,7 +132,7 @@ void EventLog::Emit(LogLevel level, std::string name, LogFields fields) {
   event.ts_us = NowUs();
   for (const LogField& field : base_) event.fields.push_back(field);
   for (LogField& field : fields) event.fields.push_back(std::move(field));
-  if (journal_ != nullptr) journal_->Write(event);
+  if (tee_ && journal_ != nullptr) journal_->Write(event);
   Retain(std::move(event));
 }
 
@@ -159,7 +150,7 @@ void EventLog::MergeFrom(const EventLog& other, int worker) {
     LogEvent event = child;
     if (event.worker < 0) event.worker = worker;
     for (const LogField& field : base_) event.fields.push_back(field);
-    if (journal_ != nullptr) journal_->Write(event);
+    if (tee_ && journal_ != nullptr) journal_->Write(event);
     Retain(std::move(event));
   }
   // Events a slice's own ring already evicted are gone for good; account
@@ -169,7 +160,9 @@ void EventLog::MergeFrom(const EventLog& other, int worker) {
 }
 
 void EventLog::DumpFlightRecorder(const std::string& reason) {
-  if (journal_ == nullptr || !journal_->Passes(LogLevel::kWarn)) return;
+  if (!tee_ || journal_ == nullptr || !journal_->Passes(LogLevel::kWarn)) {
+    return;
+  }
   LogEvent header;
   header.level = LogLevel::kWarn;
   header.name = "flight_recorder.dump";

@@ -6,11 +6,12 @@
 //   - `Journal` is the process- or session-level sink: a thread-safe,
 //     leveled JSONL writer. Every event becomes one JSON object on one
 //     line, so journals stream, tail, and grep like any production log.
-//     The clock is injectable (tests pin byte-stable lines); the default
-//     steady clock is rebased so timestamps start near zero. A journal
-//     with no attached sink drops everything — emission sites stay one
-//     predicted branch, the same "near-zero when off" contract the
-//     MetricsRegistry handles keep.
+//     The Clock (util/clock.h) is injectable (tests pin byte-stable
+//     lines); the default steady clock is rebased so timestamps start near
+//     zero, and an injected clock is not rebased. A journal with no
+//     attached sink drops everything — emission sites stay one predicted
+//     branch, the same "near-zero when off" contract the MetricsRegistry
+//     handles keep.
 //
 //   - `EventLog` is the per-solve carrier threaded through BudgetContext
 //     next to SolveStats and TraceSession. It tees passing events into
@@ -34,12 +35,13 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <iosfwd>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/clock.h"
 
 namespace pebblejoin {
 
@@ -101,6 +103,10 @@ struct LogEvent {
   LogFields fields;
 };
 
+// Writes one field as a JSON key/value pair of its kind — the one field
+// writer behind journal lines and trace span args.
+void WriteLogFieldJson(const LogField& field, JsonWriter* json);
+
 // Serializes one event as one JSON object:
 // {"ts_us":N,"level":"info","event":"name",<fields...>[,"worker":N]}.
 // Field keys are emitted in insertion order; see docs/observability.md
@@ -113,9 +119,9 @@ class Journal {
  public:
   struct Options {
     LogLevel min_level = LogLevel::kInfo;
-    // Microseconds on an arbitrary monotone scale; tests inject a fake.
-    // nullptr uses the real steady clock rebased to construction time.
-    std::function<int64_t()> clock_us;
+    // Borrowed, must outlive the journal; tests inject one. nullptr uses
+    // the steady clock rebased to construction time.
+    const Clock* clock = nullptr;
   };
 
   Journal() : Journal(Options()) {}
@@ -154,8 +160,8 @@ class Journal {
 
  private:
   LogLevel min_level_;
-  std::function<int64_t()> clock_;
-  int64_t epoch_us_ = 0;  // subtracted from real-clock reads
+  const Clock* clock_;    // borrowed; null reads the steady clock
+  int64_t epoch_us_ = 0;  // subtracted from steady-clock reads
   std::ofstream file_;    // backing storage when AttachFile was used
   std::ostream* out_ = nullptr;
 
@@ -175,11 +181,12 @@ class EventLog {
   // disabled — the ring still records) and uses the journal's clock.
   EventLog(Journal* journal, int capacity);
 
-  // Buffer-only child for one worker slice: no journal tee; events reach
-  // the journal when the owner calls MergeFrom after the join barrier.
-  // `clock_us` should follow the parent's timeline.
-  EventLog(int capacity, std::function<int64_t()> clock_us);
+  // Buffer-only child for one worker slice, on this log's timeline (the
+  // journal's clock) with this log's capacity: no journal tee; events
+  // reach the journal when the owner calls MergeFrom after the join.
+  EventLog WorkerLog() const;
 
+  EventLog(EventLog&&) = default;
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
 
@@ -216,8 +223,8 @@ class EventLog {
  private:
   void Retain(LogEvent event);
 
-  Journal* journal_ = nullptr;           // borrowed; may be null
-  std::function<int64_t()> clock_;       // child logs only
+  Journal* journal_ = nullptr;  // borrowed; may be null; the timeline
+  bool tee_ = true;             // false for buffer-only worker logs
   int capacity_;
   LogFields base_;
   std::deque<LogEvent> ring_;

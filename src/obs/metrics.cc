@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "obs/json.h"
-
 namespace pebblejoin {
 
 int64_t PercentileOfSamples(std::vector<int64_t> samples, double q) {
@@ -66,17 +64,6 @@ void HistogramCell::Reset() {
   for (int i = 0; i < kNumBuckets; ++i) {
     buckets[i].store(0, std::memory_order_relaxed);
   }
-}
-
-int64_t HistogramCell::ApproxQuantile(double q) const {
-  const int64_t n = count.load(std::memory_order_relaxed);
-  if (n <= 0) return -1;
-  int64_t snapshot[kNumBuckets];
-  for (int i = 0; i < kNumBuckets; ++i) {
-    snapshot[i] = buckets[i].load(std::memory_order_relaxed);
-  }
-  return InterpolateQuantile(snapshot, n, min.load(std::memory_order_relaxed),
-                             max.load(std::memory_order_relaxed), q);
 }
 
 int64_t InterpolateQuantile(
@@ -147,64 +134,6 @@ void MetricsRegistry::RecordExemplar(const std::string& name, int64_t value,
   Exemplar& exemplar = exemplars_[name];
   exemplar.value = value;
   exemplar.request_id = request_id;
-}
-
-void MetricsRegistry::WriteSnapshotJson(JsonWriter* json) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  json->BeginObject();
-
-  json->Key("counters");
-  json->BeginObject();
-  for (const auto& [name, cell] : counters_) {
-    json->Field(name, cell->value.load(std::memory_order_relaxed));
-  }
-  json->EndObject();
-
-  json->Key("gauges");
-  json->BeginObject();
-  for (const auto& [name, cell] : gauges_) {
-    json->Field(name, cell->value.load(std::memory_order_relaxed));
-  }
-  json->EndObject();
-
-  json->Key("histograms");
-  json->BeginObject();
-  for (const auto& [name, cell] : histograms_) {
-    const int64_t count = cell->count.load(std::memory_order_relaxed);
-    json->Key(name);
-    json->BeginObject();
-    json->Field("count", count);
-    json->Field("sum", cell->sum.load(std::memory_order_relaxed));
-    if (count > 0) {
-      json->Field("min", cell->min.load(std::memory_order_relaxed));
-      json->Field("max", cell->max.load(std::memory_order_relaxed));
-      json->Field("p50", cell->ApproxQuantile(0.50));
-      json->Field("p95", cell->ApproxQuantile(0.95));
-      json->Field("p99", cell->ApproxQuantile(0.99));
-    }
-    json->Key("buckets");
-    json->BeginObject();
-    for (int i = 0; i < obs_internal::HistogramCell::kNumBuckets; ++i) {
-      const int64_t n = cell->buckets[i].load(std::memory_order_relaxed);
-      if (n == 0) continue;
-      // Key = exclusive upper bound of the bucket ("1" holds zeros; the
-      // last bucket is open-ended and keyed INT64_MAX).
-      const int64_t upper =
-          i == 0 ? 1 : (i >= 63 ? INT64_MAX : int64_t{1} << i);
-      json->Field(std::to_string(upper), n);
-    }
-    json->EndObject();
-    json->EndObject();
-  }
-  json->EndObject();
-
-  json->EndObject();
-}
-
-std::string MetricsRegistry::SnapshotJson() const {
-  JsonWriter json;
-  WriteSnapshotJson(&json);
-  return json.TakeString();
 }
 
 namespace {

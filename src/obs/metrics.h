@@ -3,8 +3,8 @@
 //
 // Two-layer design: SolveStats (obs/solve_stats.h) is the lock-free
 // per-request sink the solver hot paths write; MetricsRegistry is the
-// process-wide aggregation those sinks fold into (JoinAnalyzer does the
-// fold after every solve). Long-running servers read the registry; a single
+// process-wide aggregation those sinks fold into (the engine does the fold
+// after every solve). Long-running servers read the registry; a single
 // CLI run reads the per-request stats.
 //
 // Cost model:
@@ -34,13 +34,11 @@
 
 namespace pebblejoin {
 
-class JsonWriter;
-
 // Nearest-rank percentile of exact samples: the smallest sample such that
 // at least q of the data is <= it (q in [0,1]). Sorts a copy; returns -1
 // on an empty vector. Used where the raw samples are still at hand (per
 // component wall clocks, batch line latencies) — exact, unlike the
-// bucket-interpolated HistogramCell estimate.
+// bucket-interpolated InterpolateQuantile estimate.
 int64_t PercentileOfSamples(std::vector<int64_t> samples, double q);
 
 namespace obs_internal {
@@ -68,11 +66,6 @@ struct HistogramCell {
 
   // Back to the empty state, with relaxed stores.
   void Reset();
-
-  // Estimated q-quantile (q in [0,1]) from the bucket counts
-  // (InterpolateQuantile). Returns -1 when empty. Relaxed reads; same
-  // consistency caveat as the JSON snapshot.
-  int64_t ApproxQuantile(double q) const;
 };
 
 // The quantile estimate every histogram reports: walks `buckets` (laid
@@ -130,25 +123,19 @@ class Gauge {
   obs_internal::GaugeCell* cell_ = nullptr;
 };
 
-// Handle to a named histogram. RecordMicros is the method name ScopedTimer
-// (util/stopwatch.h) expects of its sink.
+// Handle to a named histogram.
 class Histogram {
  public:
   Histogram() = default;
   void Record(int64_t value) {
     if (cell_ != nullptr) cell_->Record(value);
   }
-  void RecordMicros(int64_t micros) { Record(micros); }
   int64_t Count() const {
     return cell_ != nullptr ? cell_->count.load(std::memory_order_relaxed)
                             : 0;
   }
   int64_t Sum() const {
     return cell_ != nullptr ? cell_->sum.load(std::memory_order_relaxed) : 0;
-  }
-  // Estimated q-quantile; -1 on a null handle or an empty histogram.
-  int64_t ApproxQuantile(double q) const {
-    return cell_ != nullptr ? cell_->ApproxQuantile(q) : -1;
   }
   bool is_noop() const { return cell_ == nullptr; }
 
@@ -187,22 +174,16 @@ class MetricsRegistry {
   void RecordExemplar(const std::string& name, int64_t value,
                       const std::string& request_id);
 
-  // Snapshot of every registered metric as one JSON object:
-  // {"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,
-  // "sum":..,"min":..,"max":..,"buckets":{"<upper>":n,...}},...}}.
-  // Values are read relaxed; under concurrent writers the snapshot is a
-  // consistent-enough monotone view, not a linearizable cut.
-  void WriteSnapshotJson(JsonWriter* json) const;
-  std::string SnapshotJson() const;
-
-  // OpenMetrics text exposition (the Prometheus scrape format): one
-  // `# TYPE` line per metric family, counter samples with the `_total`
-  // suffix, histograms as cumulative `_bucket{le="..."}` series ending at
-  // le="+Inf" plus `_sum`/`_count`, and a terminal `# EOF`. Names are
-  // prefixed `pebblejoin_` with dots mapped to underscores
-  // (`solve.wall_us` -> `pebblejoin_solve_wall_us`). Deterministic order
-  // (the registry maps are sorted). Lintable with
+  // OpenMetrics text exposition (the Prometheus scrape format), the
+  // registry's one rendering: one `# TYPE` line per metric family,
+  // counter samples with the `_total` suffix, histograms as cumulative
+  // `_bucket{le="..."}` series ending at le="+Inf" plus `_sum`/`_count`,
+  // and a terminal `# EOF`. Names are prefixed `pebblejoin_` with dots
+  // mapped to underscores (`solve.wall_us` -> `pebblejoin_solve_wall_us`).
+  // Deterministic order (the registry maps are sorted). Lintable with
   // tools/openmetrics_lint.py; conventions in docs/observability.md.
+  // Values are read relaxed; under concurrent writers the text is a
+  // consistent-enough monotone view, not a linearizable cut.
   void WriteOpenMetrics(std::ostream* out) const;
   std::string OpenMetricsText() const;
 

@@ -2,12 +2,14 @@
 //
 // A probe covers the span from its construction to Stop() (or its
 // destruction) and feeds up to three sinks from that one span: wall
-// microseconds off the steady clock; given an available PerfCounterGroup
-// (obs/prof.h), the PerfCounts delta; given a TraceSession (obs/trace.h),
-// one complete span carrying the args added before Stop(). Timed() reads
-// the wall clock. Span() only traces, and reads no clock without a
-// session. Counters() only adds the counter delta into a sink, so an early
-// return from a solver hot loop still flushes.
+// microseconds; given an available PerfCounterGroup (obs/prof.h), the
+// PerfCounts delta; given a TraceSession (obs/trace.h), one complete span
+// carrying the args added before Stop(). It reads one clock at each end:
+// the session's when it has one, so the span's dur is the probe's wall_us,
+// else the steady Clock (util/clock.h). Timed() measures wall time. Span()
+// only traces, and reads no clock without a session. Counters() only adds
+// the counter delta into a sink, so an early return from a solver hot loop
+// still flushes.
 //
 // Probes nest: each snapshots its sources on construction. Journal events
 // are not a sink; each site's Emit reads the elapsed time off Stop(). With
@@ -19,13 +21,12 @@
 #ifndef PEBBLEJOIN_OBS_PROBE_H_
 #define PEBBLEJOIN_OBS_PROBE_H_
 
-#include <chrono>
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "obs/prof.h"
 #include "obs/trace.h"
+#include "util/clock.h"
 
 namespace pebblejoin {
 
@@ -87,25 +88,22 @@ class Probe {
   const ProbeSample& Stop() {
     if (stopped_) return sample_;
     stopped_ = true;
-    if (timed_) {
-      sample_.wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                            Clock::now() - wall_start_)
-                            .count();
-    }
+    const int64_t elapsed_us = timed_ || trace_ != nullptr
+                                   ? NowUs() - start_us_
+                                   : 0;
+    if (timed_) sample_.wall_us = elapsed_us;
     if (perf_ != nullptr) {
       sample_.perf = perf_->Read() - perf_start_;
       if (counts_sink_ != nullptr) *counts_sink_ += sample_.perf;
     }
     if (trace_ != nullptr) {
-      trace_->Complete(name_, category_, trace_start_us_,
-                       trace_->NowUs() - trace_start_us_, std::move(args_));
+      trace_->Complete(name_, category_, start_us_, elapsed_us,
+                       std::move(args_));
     }
     return sample_;
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   Probe(const char* name, const char* category, TraceSession* trace,
         PerfCounterGroup* perf, PerfCounts* counts_sink, bool timed)
       : name_(name),
@@ -114,9 +112,13 @@ class Probe {
         perf_(perf != nullptr && perf->available() ? perf : nullptr),
         counts_sink_(counts_sink),
         timed_(timed) {
-    if (trace_ != nullptr) trace_start_us_ = trace_->NowUs();
     if (perf_ != nullptr) perf_start_ = perf_->Read();
-    if (timed_) wall_start_ = Clock::now();
+    if (timed_ || trace_ != nullptr) start_us_ = NowUs();
+  }
+
+  // The session's clock when tracing, else the steady clock.
+  int64_t NowUs() const {
+    return trace_ != nullptr ? trace_->NowUs() : Clock::SteadyNowUs();
   }
 
   const char* name_;
@@ -126,8 +128,7 @@ class Probe {
   PerfCounts* counts_sink_;
   bool timed_;
   bool stopped_ = false;
-  Clock::time_point wall_start_;
-  int64_t trace_start_us_ = 0;
+  int64_t start_us_ = 0;  // on NowUs()'s clock
   PerfCounts perf_start_;
   TraceArgs args_;
   ProbeSample sample_;

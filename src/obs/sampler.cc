@@ -1,6 +1,5 @@
 #include "obs/sampler.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -152,8 +151,6 @@ std::string FrameName(const char* symbol) {
 
 }  // namespace
 
-SamplingProfiler::SamplingProfiler(Options options) : options_(options) {}
-
 SamplingProfiler::~SamplingProfiler() { Stop(); }
 
 bool SamplingProfiler::Supported() { return true; }
@@ -166,8 +163,8 @@ bool SamplingProfiler::Start() {
     return false;
   }
   auto* slab = new SamplerSlab();
-  slab->max_samples = std::max(1, options_.max_samples);
-  slab->max_depth = std::max(2, options_.max_depth);
+  slab->max_samples = kMaxSamples;
+  slab->max_depth = kMaxDepth;
   slab->addrs.assign(
       static_cast<size_t>(slab->max_samples) * slab->max_depth, nullptr);
   slab->depths.assign(slab->max_samples, 0);
@@ -191,9 +188,8 @@ bool SamplingProfiler::Start() {
   g_slab.store(slab, std::memory_order_release);
 
   itimerval timer;
-  const int interval_ms = std::max(1, options_.interval_ms);
-  timer.it_interval.tv_sec = interval_ms / 1000;
-  timer.it_interval.tv_usec = (interval_ms % 1000) * 1000;
+  timer.it_interval.tv_sec = kIntervalMs / 1000;
+  timer.it_interval.tv_usec = (kIntervalMs % 1000) * 1000;
   timer.it_value = timer.it_interval;
   if (setitimer(ITIMER_PROF, &timer, nullptr) != 0) {
     reason_ = std::string("setitimer(ITIMER_PROF) failed: ") +
@@ -276,8 +272,6 @@ void SamplingProfiler::Stop() {
 }
 
 #else  // !PEBBLEJOIN_SAMPLER_SUPPORTED
-
-SamplingProfiler::SamplingProfiler(Options options) : options_(options) {}
 
 SamplingProfiler::~SamplingProfiler() = default;
 

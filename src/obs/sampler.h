@@ -70,19 +70,16 @@ class StackAggregator {
 
 class SamplingProfiler {
  public:
-  struct Options {
-    // CPU-time between samples. ITIMER_PROF rounds up to the kernel tick,
-    // so values below ~4ms mostly raise overhead, not resolution.
-    int interval_ms = 10;
-    // Preallocated sample slab: samples beyond this are dropped (and
-    // counted in dropped_samples()), never allocated for in the handler.
-    int max_samples = 1 << 16;
-    // Deepest stack recorded per sample; deeper frames are truncated.
-    int max_depth = 64;
-  };
+  // CPU-time between samples. ITIMER_PROF rounds up to the kernel tick,
+  // so values below ~4ms mostly raise overhead, not resolution.
+  static constexpr int kIntervalMs = 10;
+  // Preallocated sample slab: samples beyond this are dropped (and
+  // counted in dropped_samples()), never allocated for in the handler.
+  static constexpr int kMaxSamples = 1 << 16;
+  // Deepest stack recorded per sample; deeper frames are truncated.
+  static constexpr int kMaxDepth = 64;
 
-  SamplingProfiler() : SamplingProfiler(Options()) {}
-  explicit SamplingProfiler(Options options);
+  SamplingProfiler() = default;
   ~SamplingProfiler();
 
   SamplingProfiler(const SamplingProfiler&) = delete;
@@ -114,7 +111,6 @@ class SamplingProfiler {
   static bool Supported();
 
  private:
-  Options options_;
   std::string reason_;
   bool active_ = false;
   int64_t sample_count_ = 0;

@@ -173,7 +173,7 @@ void SolveStats::PublishTo(MetricsRegistry* registry) const {
   for (size_t i = 0; i < published; ++i) {
     registry->FindOrCreateCounter(FieldNames()[i].metric).Add(values[i]);
   }
-  registry->FindOrCreateHistogram("solve.wall_us").RecordMicros(solve_wall_us);
+  registry->FindOrCreateHistogram("solve.wall_us").Record(solve_wall_us);
 }
 
 Probe HotLoopCounters(const BudgetContext& budget,

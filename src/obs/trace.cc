@@ -1,30 +1,19 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <cstdio>
 
 #include "obs/json.h"
 
 namespace pebblejoin {
 
-namespace {
-
-int64_t SteadyNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+TraceSession::TraceSession(const Clock* clock) : clock_(clock) {
+  if (clock_ == nullptr) epoch_us_ = Clock::SteadyNowUs();
 }
 
-}  // namespace
-
-TraceSession::TraceSession(std::function<int64_t()> clock_us)
-    : clock_(std::move(clock_us)) {
-  if (!clock_) epoch_us_ = SteadyNowUs();
-}
-
-int64_t TraceSession::NowUs() const {
-  if (clock_) return clock_();
-  return SteadyNowUs() - epoch_us_;
+TraceSession TraceSession::WorkerSession() const {
+  TraceSession worker(clock_);
+  worker.epoch_us_ = epoch_us_;
+  return worker;
 }
 
 void TraceSession::Instant(const std::string& name,
@@ -77,15 +66,7 @@ void TraceSession::WriteJson(JsonWriter* json) const {
     if (!event.args.empty()) {
       json->Key("args");
       json->BeginObject();
-      for (const TraceArg& arg : event.args) {
-        if (arg.is_number) {
-          json->Key(arg.key);
-          // Already rendered via std::to_string, emit verbatim as a number.
-          json->Int(std::stoll(arg.value));
-        } else {
-          json->Field(arg.key, arg.value);
-        }
-      }
+      for (const TraceArg& arg : event.args) WriteLogFieldJson(arg, json);
       json->EndObject();
     }
     json->EndObject();

@@ -7,9 +7,9 @@
 // SolveStats sink); instrumentation sites record spans through a Probe
 // (obs/probe.h), so a null session costs one branch.
 //
-// Timestamps come from an injectable microsecond clock — pass a callable in
-// tests for byte-stable golden output; the default is the steady clock,
-// rebased so traces start near zero.
+// Timestamps come from a Clock (util/clock.h) — tests inject one for
+// byte-stable golden output; the default is the steady clock, rebased so
+// traces start near zero. An injected clock is not rebased.
 //
 // Not thread-safe: one session per request thread, matching BudgetContext.
 
@@ -17,41 +17,34 @@
 #define PEBBLEJOIN_OBS_TRACE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/log.h"
+#include "util/clock.h"
 
 namespace pebblejoin {
 
 class JsonWriter;
 
-// One key/value annotation on a trace event. Numeric args render as JSON
-// numbers (counters read better in the trace viewer); string args as JSON
-// strings.
-struct TraceArg {
-  static TraceArg Num(std::string key, int64_t value) {
-    return TraceArg{std::move(key), std::to_string(value), /*is_number=*/true};
-  }
-  static TraceArg Str(std::string key, std::string value) {
-    return TraceArg{std::move(key), std::move(value), /*is_number=*/false};
-  }
-
-  std::string key;
-  std::string value;
-  bool is_number = false;
-};
-
-using TraceArgs = std::vector<TraceArg>;
+// One key/value annotation on a trace event: the journal's typed field, so
+// numbers render as JSON numbers (counters read better in the trace viewer)
+// and strings as JSON strings, through the journal's field writer.
+using TraceArg = LogField;
+using TraceArgs = LogFields;
 
 class TraceSession {
  public:
-  // `clock_us` returns microseconds on an arbitrary monotone scale; null
-  // uses the real steady clock rebased to the session start.
-  TraceSession() : TraceSession(nullptr) {}
-  explicit TraceSession(std::function<int64_t()> clock_us);
+  // `clock` is borrowed and must outlive the session; null uses the steady
+  // clock rebased to the session start.
+  explicit TraceSession(const Clock* clock = nullptr);
 
-  int64_t NowUs() const;
+  // An empty session on this one's timeline (same clock, same epoch) for
+  // one worker slice; MergeFrom folds it back after the join.
+  TraceSession WorkerSession() const;
+
+  int64_t NowUs() const { return pebblejoin::NowUs(clock_) - epoch_us_; }
 
   // Records an instant event at NowUs().
   void Instant(const std::string& name, const std::string& category,
@@ -63,9 +56,9 @@ class TraceSession {
 
   // Appends every event of `other` to this session, preserving timestamps
   // and appending `tag` to each event's args. This is how parallel solves
-  // stay traceable: each worker records into its own session (sessions are
-  // single-threaded) with a clock tied to the parent's timeline, and the
-  // driver merges them after the join barrier tagged with the worker id.
+  // stay traceable: each worker records into its own WorkerSession()
+  // (sessions are single-threaded), and the driver merges them after the
+  // join barrier tagged with the worker id.
   void MergeFrom(const TraceSession& other, const TraceArg& tag);
 
   size_t num_events() const { return events_.size(); }
@@ -87,8 +80,8 @@ class TraceSession {
     TraceArgs args;
   };
 
-  std::function<int64_t()> clock_;
-  int64_t epoch_us_ = 0;  // subtracted from real-clock reads
+  const Clock* clock_;    // borrowed; null reads the steady clock
+  int64_t epoch_us_ = 0;  // subtracted from steady-clock reads
   std::vector<Event> events_;
 };
 

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "obs/log.h"
-#include "obs/probe.h"
 #include "serve/fault_injector.h"
 #include "serve/request_router.h"
 #include "util/check.h"
@@ -37,7 +36,7 @@ constexpr size_t kReadBudgetPerWake = size_t{64} << 10;
 Connection::Connection(int fd, int64_t id, const ConnectionEnv& env)
     : fd_(fd), id_(id), env_(env) {
   JP_CHECK(env_.options != nullptr && env_.router != nullptr &&
-           env_.injector != nullptr && env_.clock_ms && env_.phase != nullptr &&
+           env_.injector != nullptr && env_.phase != nullptr &&
            env_.drain_deadline_ms != nullptr);
   SetNonBlocking(fd_);
   const int one = 1;
@@ -73,10 +72,10 @@ void Connection::SubmitSolve(std::string line, int64_t line_number) {
     ++inflight_;
   }
   auto task = [this, line = std::move(line), line_number, seq]() {
-    // The request's wall clock comes off the probe in microseconds; the
-    // injectable millisecond clock only drives admission and the windows.
-    Probe probe = Probe::Timed("request", "serve");
-    const int64_t start_ms = NowMs();
+    // One server-clock read at each end: the start is the admission time,
+    // the end the completion time, and their difference the request's
+    // wall microseconds.
+    const int64_t start_us = NowUs();
     JsonlRequestRunner::Outcome outcome;
     // Generated correlation id for lines without a client "id": stable,
     // unique per (connection, line), and never echoed in the response.
@@ -87,10 +86,10 @@ void Connection::SubmitSolve(std::string line, int64_t line_number) {
                   static_cast<long long>(id_),
                   static_cast<long long>(line_number));
     std::string response =
-        env_.router->RunSolve(line, line_number, start_ms, fallback_id,
-                              &outcome);
-    const int64_t wall_us = probe.Stop().wall_us;
-    env_.router->RecordCompletion(outcome, wall_us, NowMs());
+        env_.router->RunSolve(line, line_number, start_us / 1000,
+                              fallback_id, &outcome);
+    const int64_t end_us = NowUs();
+    env_.router->RecordCompletion(outcome, end_us - start_us, end_us / 1000);
     env_.router->ReleaseSolve(id_);
     response += '\n';
     {

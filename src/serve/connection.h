@@ -36,7 +36,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -63,7 +62,7 @@ struct ConnectionEnv {
   Journal* journal = nullptr;             // may be null
   int flight_recorder = 64;
   ThreadPool* pool = nullptr;             // null = solve inline
-  std::function<int64_t()> clock_ms;      // never null
+  const Clock* clock = nullptr;           // null = the steady clock
   const std::atomic<int>* phase = nullptr;
   const std::atomic<int64_t>* drain_deadline_ms = nullptr;
 };
@@ -110,7 +109,8 @@ class Connection {
   // be closed; deposits never touch the socket).
   void AwaitInflight();
 
-  int64_t NowMs() const { return env_.clock_ms(); }
+  int64_t NowUs() const { return pebblejoin::NowUs(env_.clock); }
+  int64_t NowMs() const { return pebblejoin::NowMs(env_.clock); }
   ServePhase Phase() const {
     return static_cast<ServePhase>(env_.phase->load(std::memory_order_acquire));
   }

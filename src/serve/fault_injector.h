@@ -7,8 +7,8 @@
 // without root, tc(8), or flaky timing. The default instance is a pure
 // passthrough to the real syscalls; tests arm counters that override the
 // next N calls. Clock skew, the remaining fault class, is injected through
-// ServeOptions::clock_ms (a skewed clock is just a clock function that
-// jumps), matching the FakeClock seam the budget layer already has.
+// ServeOptions::clock: a skewed clock is a FakeClock (util/clock.h) the
+// test advances in jumps, the same Clock every other layer reads.
 //
 // All knobs are atomics: arm them from the test thread while server
 // threads run — the counter decrements are exact, so "the next two accepts

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "obs/build_info.h"
@@ -16,12 +15,6 @@
 
 namespace pebblejoin {
 namespace {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -33,7 +26,6 @@ void SetNonBlocking(int fd) {
 LineServer::LineServer(SolveEngine* engine, ServeOptions options)
     : engine_(engine),
       options_(std::move(options)),
-      clock_(options_.clock_ms ? options_.clock_ms : SteadyNowMs),
       injector_(options_.injector != nullptr ? options_.injector
                                              : &default_injector_),
       conns_opened_(
@@ -47,7 +39,7 @@ LineServer::LineServer(SolveEngine* engine, ServeOptions options)
       conns_active_(
           engine->metrics()->FindOrCreateGauge("serve.conns_active")) {
   JP_CHECK(engine_ != nullptr);
-  router_.emplace(engine_, options_, clock_());
+  router_.emplace(engine_, options_, NowMs());
 }
 
 LineServer::~LineServer() {
@@ -153,7 +145,7 @@ void LineServer::AcceptLoop() {
   env.journal = engine_->defaults().journal;
   env.flight_recorder = engine_->defaults().flight_recorder;
   env.pool = pool_;
-  env.clock_ms = clock_;
+  env.clock = options_.clock;
   env.phase = &phase_;
   env.drain_deadline_ms = &drain_deadline_ms_;
 

@@ -37,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -108,11 +107,10 @@ class LineServer {
   // Acceptor thread only.
   void Reap();
   void WakeAcceptor();
-  int64_t NowMs() const { return clock_(); }
+  int64_t NowMs() const { return pebblejoin::NowMs(options_.clock); }
 
   SolveEngine* engine_;  // borrowed
   ServeOptions options_;
-  std::function<int64_t()> clock_;
   FaultInjector default_injector_;
   FaultInjector* injector_;  // borrowed or &default_injector_
   std::optional<RequestRouter> router_;

@@ -14,18 +14,18 @@
 //   - drain: `drain_ms` is the graceful-shutdown budget, and
 //     `request_deadline_cap_ms` clamps every admitted solve so no request
 //     can outlive it — the invariant that makes drain finite;
-//   - determinism: `clock_ms` and `injector` are the fault-injection
-//     seams the torture tests drive (util/budget.h FakeClock and
+//   - determinism: `clock` and `injector` are the fault-injection seams
+//     the torture tests drive (util/clock.h FakeClock and
 //     serve/fault_injector.h).
 
 #ifndef PEBBLEJOIN_SERVE_SERVE_OPTIONS_H_
 #define PEBBLEJOIN_SERVE_SERVE_OPTIONS_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "join/predicates.h"
+#include "util/clock.h"
 
 namespace pebblejoin {
 
@@ -89,10 +89,11 @@ struct ServeOptions {
   // ring (obs/timeseries.h): the trailing 60 buckets of 10 s.
 
   // --- Determinism seams --------------------------------------------------
-  // Milliseconds on an arbitrary monotone scale; tests inject
-  // FakeClock::AsFunction() (clock skew included — skew is just a clock
-  // that jumps). nullptr uses the real steady clock.
-  std::function<int64_t()> clock_ms;
+  // The server clock: timeouts, drain, admission, the windows and request
+  // wall times. Borrowed, must outlive the server; tests inject a
+  // FakeClock (clock skew included — skew is just a clock that jumps).
+  // nullptr uses the steady clock.
+  const Clock* clock = nullptr;
   // Syscall seam for the accept/read/write paths. Borrowed, may be null
   // (real syscalls). Must outlive the server.
   FaultInjector* injector = nullptr;

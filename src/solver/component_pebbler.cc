@@ -1,5 +1,6 @@
 #include "solver/component_pebbler.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -23,15 +24,40 @@ struct ComponentPebbler::ComponentResult {
   std::vector<int> edge_order;  // original edge ids, in solve order
   SolveOutcome outcome;
   SolveStats stats;  // per-component sink, merged deterministically
-  // Worker-local trace session (null when the request has no trace); its
-  // events merge into the parent session tagged with `worker`.
+  // Worker-local trace session on the parent's timeline (null when the
+  // request has no trace); its events merge into the parent session
+  // tagged with `worker`.
   std::unique_ptr<TraceSession> trace;
-  // Worker-local buffer-only event log (null when the request carries
-  // none); merged into the parent log tagged with `worker`.
+  // Worker-local buffer-only event log on the parent's timeline (null
+  // when the request carries none); merged into the parent log tagged
+  // with `worker`.
   std::unique_ptr<EventLog> log;
   int64_t wall_us = 0;
   int worker = -1;  // ThreadPool::CurrentWorkerId(); -1 = calling thread
 };
+
+std::string PebbleSolution::Winners() const {
+  std::string winners;
+  std::vector<const std::string*> seen;
+  for (const SolveOutcome& outcome : outcomes) {
+    const std::string& name = outcome.winner;
+    if (std::any_of(seen.begin(), seen.end(),
+                    [&name](const std::string* s) { return *s == name; })) {
+      continue;
+    }
+    seen.push_back(&name);
+    if (!winners.empty()) winners += ",";
+    winners += name;
+  }
+  return winners;
+}
+
+const SolveOutcome* PebbleSolution::FirstDegraded() const {
+  for (const SolveOutcome& outcome : outcomes) {
+    if (outcome.degraded()) return &outcome;
+  }
+  return nullptr;
+}
 
 ComponentPebbler::ComponentPebbler(const Pebbler* primary,
                                    const Pebbler* fallback)
@@ -57,13 +83,12 @@ void ComponentPebbler::SolveComponent(const Graph& g,
   BudgetContext slice = parent.WorkerSlice();
   slice.set_stats(&result->stats);
   if (TraceSession* parent_trace = parent.trace()) {
-    result->trace = std::make_unique<TraceSession>(
-        [parent_trace] { return parent_trace->NowUs(); });
+    result->trace =
+        std::make_unique<TraceSession>(parent_trace->WorkerSession());
     slice.set_trace(result->trace.get());
   }
   if (EventLog* parent_log = parent.log()) {
-    result->log = std::make_unique<EventLog>(
-        parent_log->capacity(), [parent_log] { return parent_log->NowUs(); });
+    result->log = std::make_unique<EventLog>(parent_log->WorkerLog());
     slice.set_log(result->log.get());
   }
 

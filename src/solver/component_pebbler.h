@@ -49,6 +49,12 @@ struct PebbleSolution {
   // both the sequential and the parallel path (under parallelism the sum
   // exceeds the request's wall clock — that is the speedup).
   std::vector<int64_t> component_wall_us;
+
+  // The request summaries every surface reports, defined once: the
+  // distinct winners in first-use order, comma-joined ("exact,ils"), and
+  // the first component whose outcome was budget-cut (null when none was).
+  std::string Winners() const;
+  const SolveOutcome* FirstDegraded() const;
 };
 
 // Wraps a primary Pebbler with a fallback (defaulting to the greedy walk,

@@ -135,8 +135,7 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
 
   const ExactPebbler exact(options_.exact);
   const IlsPebbler ils;
-  const LocalSearchPebbler local_search(LocalSearchOptions(),
-                                        kMaxLineGraphEdges);
+  const LocalSearchPebbler local_search(kMaxLineGraphEdges);
   const Pebbler* budgeted_rungs[] = {&exact, &ils, &local_search};
   constexpr int kNumBudgetedRungs = 3;
   static_assert(kNumBudgetedRungs == kNumPlannedRungs,

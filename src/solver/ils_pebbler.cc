@@ -46,8 +46,7 @@ std::optional<std::vector<int>> IlsPebbler::PebbleConnected(
 
   // Baseline: the full local-search pipeline. It is itself budget-aware and
   // only declines when no seed could be built before the deadline.
-  const LocalSearchPebbler local(options_.descent,
-                                 options_.max_line_graph_edges);
+  const LocalSearchPebbler local(options_.max_line_graph_edges);
   std::optional<std::vector<int>> best = local.PebbleConnected(g, budget);
   if (!best.has_value()) return std::nullopt;
   int64_t best_jumps = JumpsOfEdgeOrder(g, *best);
@@ -73,7 +72,7 @@ std::optional<std::vector<int>> IlsPebbler::PebbleConnected(
     if (budget.Expired()) break;
     ++iterations;
     Tour candidate = DoubleBridge(*best, &rng);
-    LocalSearchImprove(instance, &candidate, options_.descent, budget);
+    LocalSearchImprove(instance, &candidate, budget);
     const int64_t jumps = TourJumps(instance, candidate);
     if (jumps < best_jumps) {
       best_jumps = jumps;

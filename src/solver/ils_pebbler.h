@@ -23,7 +23,6 @@ class IlsPebbler : public Pebbler {
   struct Options {
     int iterations = 30;          // perturb+descend rounds
     uint64_t seed = 1;            // perturbation randomness
-    LocalSearchOptions descent;   // inner local-search effort
     int64_t max_line_graph_edges = 20'000'000;
   };
 

@@ -44,7 +44,7 @@ std::optional<std::vector<int>> LocalSearchPebbler::PebbleConnected(
   if (!line.has_value()) return seed;
   const Tsp12Instance instance(*std::move(line));
   Tour tour = *std::move(seed);
-  LocalSearchImprove(instance, &tour, options_, budget);
+  LocalSearchImprove(instance, &tour, budget);
   return tour;
 }
 

@@ -19,9 +19,8 @@ class LocalSearchPebbler : public Pebbler {
  public:
   using Pebbler::PebbleConnected;
 
-  explicit LocalSearchPebbler(LocalSearchOptions options = {},
-                              int64_t max_line_graph_edges = 20'000'000)
-      : options_(options), max_line_graph_edges_(max_line_graph_edges) {}
+  explicit LocalSearchPebbler(int64_t max_line_graph_edges = 20'000'000)
+      : max_line_graph_edges_(max_line_graph_edges) {}
 
   std::string name() const override { return "local-search"; }
   // Deadline-aware and anytime: under a budget it returns its best incumbent
@@ -31,7 +30,6 @@ class LocalSearchPebbler : public Pebbler {
       const Graph& g, BudgetContext& budget) const override;
 
  private:
-  LocalSearchOptions options_;
   int64_t max_line_graph_edges_;
 };
 

@@ -208,8 +208,7 @@ BranchAndBoundResult BranchAndBoundSolve(const Tsp12Instance& instance,
   // Prime the incumbent with a strong heuristic tour so pruning bites early —
   // and so a budget cut at any point still leaves a valid tour to return.
   Tour incumbent = BestGreedyPathCoverTour(instance, 4, /*seed=*/1);
-  LocalSearchOptions ls;
-  LocalSearchImprove(instance, &incumbent, ls, budget);
+  LocalSearchImprove(instance, &incumbent, budget);
   ctx.best_tour = incumbent;
   ctx.best_jumps = TourJumps(instance, incumbent);
 

@@ -9,6 +9,11 @@ namespace pebblejoin {
 
 namespace {
 
+// Most full improvement passes per improver (each pass scans all moves).
+constexpr int kMaxPasses = 50;
+// Longest segment an Or-opt move relocates.
+constexpr int kMaxSegmentLength = 3;
+
 // 1 if the pair (u, v) is a jump, 0 otherwise; boundary positions (index -1
 // or n) contribute 0.
 inline int JumpAt(const Tsp12Instance& instance, const Tour& tour, int i) {
@@ -29,7 +34,6 @@ inline void FlushLocalSearchStats(const BudgetContext& budget, int64_t passes,
 }  // namespace
 
 int64_t TwoOptImprove(const Tsp12Instance& instance, Tour* tour,
-                      const LocalSearchOptions& options,
                       BudgetContext& budget) {
   JP_CHECK(tour != nullptr);
   const int n = static_cast<int>(tour->size());
@@ -38,7 +42,7 @@ int64_t TwoOptImprove(const Tsp12Instance& instance, Tour* tour,
   int64_t passes = 0;
   int64_t moves = 0;
 
-  for (int pass = 0; pass < options.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++passes;
     bool improved = false;
     // Reverse (*tour)[i..j]. Affected pairs: (i-1, i) and (j, j+1) become
@@ -75,7 +79,6 @@ int64_t TwoOptImprove(const Tsp12Instance& instance, Tour* tour,
 }
 
 int64_t OrOptImprove(const Tsp12Instance& instance, Tour* tour,
-                     const LocalSearchOptions& options,
                      BudgetContext& budget) {
   JP_CHECK(tour != nullptr);
   const int n = static_cast<int>(tour->size());
@@ -84,10 +87,10 @@ int64_t OrOptImprove(const Tsp12Instance& instance, Tour* tour,
   int64_t passes = 0;
   int64_t moves = 0;
 
-  for (int pass = 0; pass < options.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++passes;
     bool improved = false;
-    for (int len = 1; len <= options.max_segment_length; ++len) {
+    for (int len = 1; len <= kMaxSegmentLength; ++len) {
       for (int i = 0; i + len <= n; ++i) {
         if (budget.Expired()) {
           FlushLocalSearchStats(budget, passes, moves);
@@ -155,18 +158,17 @@ int64_t OrOptImprove(const Tsp12Instance& instance, Tour* tour,
 }
 
 int64_t LocalSearchImprove(const Tsp12Instance& instance, Tour* tour,
-                           const LocalSearchOptions& options,
                            BudgetContext& budget) {
   // Hardware counters for the combined 2-opt/Or-opt improvement loop. This
   // is the one entry point both LocalSearchPebbler and IlsPebbler funnel
   // through, so ls_cycles covers every local-search consumer.
   Probe perf_probe = HotLoopCounters(budget, &SolveStats::ls_perf);
   int64_t removed = 0;
-  for (int round = 0; round < options.max_passes; ++round) {
+  for (int round = 0; round < kMaxPasses; ++round) {
     if (budget.Expired()) break;
     const int64_t before = removed;
-    removed += TwoOptImprove(instance, tour, options, budget);
-    removed += OrOptImprove(instance, tour, options, budget);
+    removed += TwoOptImprove(instance, tour, budget);
+    removed += OrOptImprove(instance, tour, budget);
     if (removed == before) break;
   }
   return removed;

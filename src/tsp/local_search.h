@@ -17,34 +17,26 @@
 
 namespace pebblejoin {
 
-// Options controlling the search effort.
-struct LocalSearchOptions {
-  // Maximum number of full improvement passes (each pass scans all moves).
-  int max_passes = 50;
-  // Maximum relocated segment length for Or-opt moves.
-  int max_segment_length = 3;
-};
-
 // All three improvers are anytime algorithms: `tour` is mutated only by
 // complete, cost-decreasing moves, so when the `budget` deadline cuts a
 // search short the tour left behind is always a valid incumbent — just
 // possibly less improved.
 
+// Each improver makes at most 50 full passes (each pass scans all moves),
+// and Or-opt relocates segments of at most 3 vertices.
+
 // Improves `tour` in place with first-improvement 2-opt until no 2-opt move
 // helps or the pass/deadline budget is exhausted. Returns jumps removed.
 int64_t TwoOptImprove(const Tsp12Instance& instance, Tour* tour,
-                      const LocalSearchOptions& options,
                       BudgetContext& budget);
 
 // Improves `tour` in place with Or-opt segment relocation. Returns the
 // number of jumps removed.
 int64_t OrOptImprove(const Tsp12Instance& instance, Tour* tour,
-                     const LocalSearchOptions& options,
                      BudgetContext& budget);
 
 // Alternates 2-opt and Or-opt until neither helps. Returns jumps removed.
 int64_t LocalSearchImprove(const Tsp12Instance& instance, Tour* tour,
-                           const LocalSearchOptions& options,
                            BudgetContext& budget);
 
 }  // namespace pebblejoin

@@ -15,7 +15,7 @@
 // Cancellation is cooperative: solvers poll, notice, and return either a
 // valid incumbent or std::nullopt — they are never interrupted mid-update,
 // so incumbents are always verifier-valid. For deterministic fault-injection
-// tests the context accepts a fake clock (see FakeClock) and a forced-expiry
+// tests the context accepts a FakeClock (util/clock.h) and a forced-expiry
 // point (ForceExpireAfterPolls).
 //
 // One request keeps one ledger of budget state — the stop latch and when it
@@ -28,11 +28,10 @@
 #define PEBBLEJOIN_UTIL_BUDGET_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <utility>
+
+#include "util/clock.h"
 
 namespace pebblejoin {
 
@@ -90,23 +89,6 @@ struct SolveBudget {
   bool has_memory_limit() const { return memory_limit_bytes >= 0; }
 };
 
-// A deterministic fake clock for fault-injection tests. Time only moves when
-// the test calls AdvanceMs.
-class FakeClock {
- public:
-  int64_t NowMs() const { return now_ms_; }
-  void AdvanceMs(int64_t ms) { now_ms_ += ms; }
-
-  // A callable suitable for BudgetContext's clock parameter. The returned
-  // function references this object, which must outlive the context.
-  std::function<int64_t()> AsFunction() {
-    return [this]() { return now_ms_; };
-  }
-
- private:
-  int64_t now_ms_ = 0;
-};
-
 // Mutable per-request state threaded through every solver's hot loop.
 //
 // The request-wide accounting lives in one private ledger: the stop latch
@@ -131,11 +113,11 @@ class BudgetContext {
   explicit BudgetContext(const SolveBudget& budget)
       : BudgetContext(budget, nullptr) {}
 
-  // `clock` returns milliseconds on an arbitrary but monotone scale; pass
-  // FakeClock::AsFunction() in tests. nullptr uses the real steady clock.
-  BudgetContext(const SolveBudget& budget, std::function<int64_t()> clock)
+  // `clock` is borrowed and must outlive the context and every context
+  // made from it; tests pass a FakeClock. nullptr uses the steady clock.
+  BudgetContext(const SolveBudget& budget, const Clock* clock)
       : budget_(budget),
-        clock_(std::move(clock)),
+        clock_(clock),
         start_ms_(NowMs()),
         ledger_(std::make_shared<Ledger>()) {}
 
@@ -366,12 +348,7 @@ class BudgetContext {
   // Copying shares the ledger, so it is WorkerSlice's alone.
   BudgetContext(const BudgetContext&) = default;
 
-  int64_t NowMs() const {
-    if (clock_) return clock_();
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
+  int64_t NowMs() const { return pebblejoin::NowMs(clock_); }
 
   // Latches the stop reason on the ledger, first writer wins, and records
   // the time-to-stop of the first latch only.
@@ -387,7 +364,7 @@ class BudgetContext {
   }
 
   SolveBudget budget_;
-  std::function<int64_t()> clock_;
+  const Clock* clock_ = nullptr;  // borrowed; null reads the steady clock
   int64_t start_ms_ = 0;
   std::shared_ptr<Ledger> ledger_;
   int64_t polls_until_check_ = 1;  // first poll always reads the clock

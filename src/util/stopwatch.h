@@ -4,34 +4,28 @@
 #ifndef PEBBLEJOIN_UTIL_STOPWATCH_H_
 #define PEBBLEJOIN_UTIL_STOPWATCH_H_
 
-#include <chrono>
 #include <cstdint>
+
+#include "util/clock.h"
 
 namespace pebblejoin {
 
-// Measures elapsed wall time from construction (or the last Restart()).
+// Measures elapsed wall time on the steady Clock from construction (or
+// the last Restart()).
 class Stopwatch {
  public:
-  Stopwatch() : start_(Clock::now()) {}
+  Stopwatch() : start_us_(Clock::SteadyNowUs()) {}
 
-  void Restart() { start_ = Clock::now(); }
+  void Restart() { start_us_ = Clock::SteadyNowUs(); }
 
   // Elapsed time in seconds.
-  double ElapsedSeconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
+  double ElapsedSeconds() const { return ElapsedMicros() / 1e6; }
 
-  // Elapsed time in whole microseconds, read straight off the clock's
-  // integer ticks (no round-trip through a double of seconds).
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               Clock::now() - start_)
-        .count();
-  }
+  // Elapsed time in whole microseconds.
+  int64_t ElapsedMicros() const { return Clock::SteadyNowUs() - start_us_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start_;
+  int64_t start_us_;
 };
 
 }  // namespace pebblejoin

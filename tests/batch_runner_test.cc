@@ -208,7 +208,7 @@ TEST(BatchRunnerTest, RejectAdmissionDropsLinesOnceThePoolIsDry) {
   BatchRunner::Options options;
   options.batch_deadline_ms = 0;  // dry from the start
   options.admission = BatchRunner::Admission::kReject;
-  options.clock = clock.AsFunction();
+  options.clock = &clock;
   BatchRunner::Summary summary;
   const std::vector<std::string> lines = RunBatch(input, options, &summary);
   ASSERT_EQ(lines.size(), 3u);
@@ -228,7 +228,7 @@ TEST(BatchRunnerTest, QueueAdmissionStillSolvesUnderADryPool) {
   BatchRunner::Options options;
   options.batch_deadline_ms = 0;
   options.admission = BatchRunner::Admission::kQueue;
-  options.clock = clock.AsFunction();
+  options.clock = &clock;
   BatchRunner::Summary summary;
   const std::vector<std::string> lines = RunBatch(input, options, &summary);
   ASSERT_EQ(lines.size(), 2u);
@@ -243,7 +243,19 @@ TEST(BatchRunnerTest, QueueAdmissionStillSolvesUnderADryPool) {
 TEST(BatchRunnerTest, PoolDrainsMidBatchUnderReject) {
   // 30ms pool, one 20ms tick per solved line: the third line finds the
   // pool dry and is rejected while the first two solved.
-  FakeClock clock;
+  // Every read returns the time, then advances it by one 20ms tick.
+  class TickingClock : public Clock {
+   public:
+    int64_t NowUs() const override {
+      const int64_t now = now_us_;
+      now_us_ += 20000;
+      return now;
+    }
+
+   private:
+    mutable int64_t now_us_ = 0;
+  };
+  TickingClock clock;
   const BipartiteGraph g = WorstCaseFamily(4);
   const std::string input = Line(g) + "\n" + Line(g) + "\n" + Line(g) + "\n";
 
@@ -251,11 +263,7 @@ TEST(BatchRunnerTest, PoolDrainsMidBatchUnderReject) {
   options.batch_deadline_ms = 30;
   options.admission = BatchRunner::Admission::kReject;
   options.block_lines = 1;  // admission decided line by line
-  options.clock = [&clock] {
-    const int64_t now = clock.NowMs();
-    clock.AdvanceMs(20);
-    return now;
-  };
+  options.clock = &clock;
   BatchRunner::Summary summary;
   const std::vector<std::string> lines = RunBatch(input, options, &summary);
   ASSERT_EQ(lines.size(), 3u);
@@ -273,7 +281,7 @@ TEST(BatchRunnerTest, ProgressReportsArePinnedUnderAFakeClock) {
   const std::string input = Line(g) + "\n\n" + Line(g) + "\n" + Line(g);
 
   BatchRunner::Options options;
-  options.clock = clock.AsFunction();
+  options.clock = &clock;
   options.block_lines = 1;
   options.progress_every_ms = 0;
   options.expected_lines = 3;
@@ -307,7 +315,7 @@ TEST(BatchRunnerTest, ProgressCadenceFollowsTheClock) {
   for (int i = 0; i < 5; ++i) input += Line(g) + "\n";
 
   BatchRunner::Options options;
-  options.clock = clock.AsFunction();
+  options.clock = &clock;
   options.block_lines = 1;
   options.progress_every_ms = 100;
   std::ostringstream progress;
@@ -321,21 +329,30 @@ TEST(BatchRunnerTest, ProgressCadenceFollowsTheClock) {
 
 TEST(BatchRunnerTest, SummaryLatencyPercentilesAreExact) {
   // Latencies 10, 20, 30ms via a clock advancing a growing step per line.
-  FakeClock clock;
+  class LineLatencyClock : public Clock {
+   public:
+    int64_t NowUs() const override {
+      const int64_t now = now_us_;
+      // Reads: batch start, then per line start/end. Advance only between
+      // a line's start and end read: 10ms for line 1, 20 for line 2, ...
+      if (reads_ >= 1 && reads_ % 2 == 1) {
+        now_us_ += 10000 * ((reads_ + 1) / 2);
+      }
+      ++reads_;
+      return now;
+    }
+
+   private:
+    mutable int64_t now_us_ = 0;
+    mutable int64_t reads_ = 0;
+  };
+  LineLatencyClock clock;
   const BipartiteGraph g = WorstCaseFamily(4);
   const std::string input = Line(g) + "\n" + Line(g) + "\n" + Line(g) + "\n";
 
   BatchRunner::Options options;
   options.block_lines = 1;
-  int64_t reads = 0;
-  options.clock = [&clock, &reads] {
-    const int64_t now = clock.NowMs();
-    // Reads: batch start, then per line start/end. Advance only between a
-    // line's start and end read: 10ms for line 1, 20 for line 2, ...
-    if (reads >= 1 && reads % 2 == 1) clock.AdvanceMs(10 * ((reads + 1) / 2));
-    ++reads;
-    return now;
-  };
+  options.clock = &clock;
   BatchRunner::Summary summary;
   RunBatch(input, options, &summary);
   EXPECT_EQ(summary.latency_p50_ms, 20);

@@ -1,5 +1,6 @@
 #include "util/budget.h"
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -34,7 +35,7 @@ TEST(BudgetContextTest, FirstPollCatchesAlreadyExpiredDeadline) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 0;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   // The contract every solver's prompt-return guarantee rests on: an
   // already-expired deadline is noticed on the very first poll.
   EXPECT_TRUE(ctx.Expired());
@@ -45,7 +46,7 @@ TEST(BudgetContextTest, DeadlineExpiryIsSticky) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 10;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   EXPECT_FALSE(ctx.Expired());
   clock.AdvanceMs(100);
   EXPECT_TRUE(ctx.ExpiredNow());
@@ -59,7 +60,7 @@ TEST(BudgetContextTest, AmortizedPollReadsClockEveryStride) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 10;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   ASSERT_FALSE(ctx.Expired());  // first poll reads the clock
   clock.AdvanceMs(100);         // deadline now long gone
   // The next kPollStride - 1 polls are amortized away without a clock read.
@@ -74,7 +75,7 @@ TEST(BudgetContextTest, ExpiredNowBypassesAmortization) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 10;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   ASSERT_FALSE(ctx.Expired());
   clock.AdvanceMs(11);
   EXPECT_TRUE(ctx.ExpiredNow());
@@ -82,7 +83,7 @@ TEST(BudgetContextTest, ExpiredNowBypassesAmortization) {
 
 TEST(BudgetContextTest, ElapsedMsFollowsClock) {
   FakeClock clock;
-  BudgetContext ctx(SolveBudget{}, clock.AsFunction());
+  BudgetContext ctx(SolveBudget{}, &clock);
   EXPECT_EQ(ctx.ElapsedMs(), 0);
   clock.AdvanceMs(42);
   EXPECT_EQ(ctx.ElapsedMs(), 42);
@@ -140,10 +141,10 @@ TEST(BudgetContextTest, ChildKeepsEverythingButTheBudget) {
   FakeClock clock;
   SolveBudget parent_budget;
   parent_budget.node_budget = 5;
-  BudgetContext parent(parent_budget, clock.AsFunction());
+  BudgetContext parent(parent_budget, &clock);
   SolveStats stats;
   TraceSession trace;
-  EventLog log(/*capacity=*/8, [] { return int64_t{0}; });
+  EventLog log(/*journal=*/nullptr, /*capacity=*/8);
   const GraphFeatures features;
   parent.set_stats(&stats);
   parent.set_trace(&trace);
@@ -166,11 +167,22 @@ TEST(BudgetContextTest, ChildKeepsEverythingButTheBudget) {
   EXPECT_EQ(child.nodes_charged(), 0);
   EXPECT_EQ(child.polls(), 0);
 
+  // Child and WorkerSlice both keep the injected clock: a slice counts
+  // from its root's start, a child from the moment it was made, and a
+  // slice of the child from the child's.
+  BudgetContext parent_slice = parent.WorkerSlice();
+  BudgetContext child_slice = child.WorkerSlice();
+  EXPECT_EQ(parent_slice.ElapsedMs(), 40);
+  EXPECT_EQ(child.ElapsedMs(), 0);
+  EXPECT_EQ(child_slice.ElapsedMs(), 0);
+
   // The deadline runs on the parent's injected clock, counted from the
   // moment the child was made.
   EXPECT_FALSE(child.ExpiredNow());
   clock.AdvanceMs(9);
   EXPECT_FALSE(child.ExpiredNow());
+  EXPECT_EQ(parent_slice.ElapsedMs(), 49);
+  EXPECT_EQ(child_slice.ElapsedMs(), 9);
   clock.AdvanceMs(1);
   EXPECT_TRUE(child.ExpiredNow());
   EXPECT_EQ(child.stop_reason(), BudgetStop::kDeadlineExpired);
@@ -203,6 +215,38 @@ TEST(BudgetContextTest, FoldChildAddsPollsAndNodesButNotTheStop) {
   EXPECT_EQ(root.stop_reason(), BudgetStop::kNodeBudgetExhausted);
 }
 
+// --- FakeClock -------------------------------------------------------------
+
+TEST(FakeClockTest, AdvancesWhileFourThreadsRead) {
+  // The serve tests advance a FakeClock from the test thread while server
+  // threads read it: every reader sees a monotone clock, and no advance
+  // is lost.
+  FakeClock clock;
+  constexpr int kReaders = 4;
+  constexpr int kAdvances = 20000;
+  std::atomic<bool> done{false};
+  std::atomic<int> backwards{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&clock, &done, &backwards] {
+      int64_t last = 0;
+      for (int reads = 0; reads < 1000 || !done.load(); ++reads) {
+        const int64_t now = clock.NowUs();
+        if (now < last) backwards.fetch_add(1);
+        last = now;
+      }
+    });
+  }
+  for (int i = 0; i < kAdvances; ++i) clock.AdvanceUs(1);
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(backwards.load(), 0);
+  EXPECT_EQ(clock.NowUs(), kAdvances);
+  EXPECT_EQ(clock.NowMs(), kAdvances / 1000);
+  clock.AdvanceMs(3);
+  EXPECT_EQ(clock.NowUs(), kAdvances + 3000);
+}
+
 // --- Worker slices: one ledger per request ---------------------------------
 
 TEST(WorkerSliceTest, KeepsBudgetClockAndFlagsButNotTheSinks) {
@@ -210,7 +254,7 @@ TEST(WorkerSliceTest, KeepsBudgetClockAndFlagsButNotTheSinks) {
   SolveBudget budget;
   budget.deadline_ms = 10;
   budget.node_budget = 5;
-  BudgetContext root(budget, clock.AsFunction());
+  BudgetContext root(budget, &clock);
   SolveStats stats;
   const GraphFeatures features;
   root.set_stats(&stats);
@@ -284,7 +328,7 @@ TEST(WorkerSliceTest, TimeToStopIsTheFirstLatchNotTheJoin) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 5;
-  BudgetContext root(budget, clock.AsFunction());
+  BudgetContext root(budget, &clock);
   BudgetContext slice = root.WorkerSlice();
   clock.AdvanceMs(5);
   ASSERT_TRUE(slice.ExpiredNow());

@@ -120,7 +120,7 @@ TEST(ComponentPebblerTest, ExpiredDeadlineStillSolvesEveryComponent) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 0;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   // The fallback runs unbudgeted, so the whole request still terminates
   // with a verified scheme.
   const PebbleSolution solution = driver.Solve(g, &ctx);

@@ -198,7 +198,7 @@ TEST(SolveEngineTest, PoolIsCreatedLazilyAndReused) {
 }
 
 TEST(SolveEngineTest, PublishesIntoOwnRegistryNotTheGlobalDefault) {
-  const std::string before = MetricsRegistry::Default()->SnapshotJson();
+  const std::string before = MetricsRegistry::Default()->OpenMetricsText();
   SolveEngine engine;
   const BipartiteGraph g = WorstCaseFamily(5);
   SolveRequest request;
@@ -209,7 +209,7 @@ TEST(SolveEngineTest, PublishesIntoOwnRegistryNotTheGlobalDefault) {
                 .Get(),
             0);
   // ...and the process-global default saw nothing.
-  EXPECT_EQ(MetricsRegistry::Default()->SnapshotJson(), before);
+  EXPECT_EQ(MetricsRegistry::Default()->OpenMetricsText(), before);
 }
 
 TEST(SolveEngineTest, InjectedRegistryReceivesThePublish) {

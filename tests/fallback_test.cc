@@ -48,7 +48,7 @@ TEST(ExpiredDeadlineTest, EverySolverReturnsPromptly) {
     FakeClock clock;
     SolveBudget budget;
     budget.deadline_ms = 0;  // expired before the solve starts
-    BudgetContext ctx(budget, clock.AsFunction());
+    BudgetContext ctx(budget, &clock);
     const auto order = solver->PebbleConnected(g, &ctx);
     if (order.has_value()) {
       EXPECT_TRUE(OrderIsValid(g, *order)) << solver->name();
@@ -65,7 +65,7 @@ TEST(ExpiredDeadlineTest, LadderStillEmitsValidScheme) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 0;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   SolveOutcome outcome;
   const auto order = fallback.PebbleWithOutcome(g, &ctx, &outcome);
   ASSERT_TRUE(order.has_value());
@@ -94,7 +94,7 @@ TEST(ExpiredDeadlineTest, MemoryCapDescendsToGreedySafetyNet) {
   SolveBudget budget;
   budget.deadline_ms = 0;
   budget.memory_limit_bytes = 1024;  // 64 line-graph edges at most
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   SolveOutcome outcome;
   const auto order = fallback.PebbleWithOutcome(g, &ctx, &outcome);
   ASSERT_TRUE(order.has_value());
@@ -249,7 +249,7 @@ TEST(FallbackTest, SummaryNamesRungsAndWinner) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 0;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   SolveOutcome outcome;
   ASSERT_TRUE(fallback.PebbleWithOutcome(g, &ctx, &outcome).has_value());
   const std::string summary = outcome.Summary();

@@ -207,7 +207,7 @@ TEST(CalibratedLadderTest, CappedExactSpendsOnlyTheNodesLeft) {
   SolveBudget budget;
   budget.deadline_ms = 1'000'000;
   budget.node_budget = 20;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   ASSERT_TRUE(ctx.ChargeNodes(15));  // what earlier components spent
 
   SolveOutcome outcome;

@@ -24,21 +24,32 @@
 namespace pebblejoin {
 namespace {
 
+// A clock that returns its time and then advances it by `step_us`, so
+// every read is one tick. Atomic: concurrent writers read the clock
+// outside the journal lock.
+class SteppingClock : public Clock {
+ public:
+  explicit SteppingClock(int64_t step_us) : step_us_(step_us) {}
+  int64_t NowUs() const override { return next_us_.fetch_add(step_us_); }
+
+ private:
+  const int64_t step_us_;
+  mutable std::atomic<int64_t> next_us_{0};
+};
+
 // A journal writing into a string, on a microsecond tick clock that
 // advances by `step_us` per read — byte-stable golden lines.
 struct TestJournal {
   explicit TestJournal(LogLevel min_level = LogLevel::kDebug,
                        int64_t step_us = 10)
-      : journal(MakeOptions(min_level, step_us)) {
+      : clock(step_us), journal(MakeOptions(min_level)) {
     journal.AttachStream(&sink);
   }
 
-  Journal::Options MakeOptions(LogLevel min_level, int64_t step_us) {
+  Journal::Options MakeOptions(LogLevel min_level) {
     Journal::Options options;
     options.min_level = min_level;
-    options.clock_us = [this, step_us] {
-      return next_us.fetch_add(step_us);
-    };
+    options.clock = &clock;
     return options;
   }
 
@@ -50,8 +61,7 @@ struct TestJournal {
     return lines;
   }
 
-  // Atomic: concurrent writers read the clock outside the journal lock.
-  std::atomic<int64_t> next_us{0};
+  SteppingClock clock;
   std::ostringstream sink;
   Journal journal;
 };
@@ -181,8 +191,8 @@ TEST(EventLogTest, MergeTagsWorkersAndTeesInMergeOrder) {
   EventLog parent(&t.journal, 8);
   // Buffer-only children on the parent's timeline: nothing reaches the
   // journal until the merge, so the journal order is the merge order.
-  EventLog child_a(8, [&parent] { return parent.NowUs(); });
-  EventLog child_b(8, [&parent] { return parent.NowUs(); });
+  EventLog child_a = parent.WorkerLog();
+  EventLog child_b = parent.WorkerLog();
   child_b.Emit(LogLevel::kInfo, "b.first", {});
   child_a.Emit(LogLevel::kInfo, "a.first", {});
   EXPECT_EQ(t.journal.lines_written(), 0);
@@ -199,7 +209,7 @@ TEST(EventLogTest, MergeTagsWorkersAndTeesInMergeOrder) {
 
 TEST(EventLogTest, MergeCarriesChildDropCounts) {
   EventLog parent(/*journal=*/nullptr, /*capacity=*/8);
-  EventLog child(/*capacity=*/2, [] { return int64_t{0}; });
+  EventLog child(/*journal=*/nullptr, /*capacity=*/2);
   for (int i = 0; i < 5; ++i) child.Emit(LogLevel::kDebug, "e", {});
   parent.MergeFrom(child, /*worker=*/3);
   EXPECT_EQ(parent.events().size(), 2u);  // only what the child retained

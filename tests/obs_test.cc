@@ -19,10 +19,12 @@
 #include "obs/metrics.h"
 #include "obs/probe.h"
 #include "obs/solve_stats.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "solver/exact_pebbler.h"
 #include "tsp/tsp12.h"
 #include "util/budget.h"
+#include "util/clock.h"
 
 #ifndef PEBBLEJOIN_STATS_GOLDEN_FILE
 #error "PEBBLEJOIN_STATS_GOLDEN_FILE must name tests/golden/solve_stats_golden.txt"
@@ -184,9 +186,8 @@ TEST(MetricsRegistryTest, DisabledRegistryMintsNoOpHandles) {
   EXPECT_EQ(counter.Get(), 0);
   EXPECT_EQ(gauge.Get(), 0);
   EXPECT_EQ(histogram.Count(), 0);
-  // Nothing registered: the snapshot stays empty.
-  EXPECT_EQ(registry.SnapshotJson(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
+  // Nothing registered: the exposition is just its terminator.
+  EXPECT_EQ(registry.OpenMetricsText(), "# EOF\n");
 }
 
 TEST(MetricsRegistryTest, CountersSurviveConcurrentIncrements) {
@@ -209,24 +210,36 @@ TEST(MetricsRegistryTest, CountersSurviveConcurrentIncrements) {
 TEST(MetricsRegistryTest, HistogramTracksCountSumMinMax) {
   MetricsRegistry registry(/*enabled=*/true);
   Histogram h = registry.FindOrCreateHistogram("latency_us");
-  h.RecordMicros(0);
-  h.RecordMicros(3);
-  h.RecordMicros(100);
+  h.Record(0);
+  h.Record(3);
+  h.Record(100);
   EXPECT_EQ(h.Count(), 3);
   EXPECT_EQ(h.Sum(), 103);
-  const std::string snapshot = registry.SnapshotJson();
-  EXPECT_NE(snapshot.find("\"latency_us\""), std::string::npos);
-  EXPECT_NE(snapshot.find("\"min\":0"), std::string::npos);
-  EXPECT_NE(snapshot.find("\"max\":100"), std::string::npos);
+  const std::string text = registry.OpenMetricsText();
+  EXPECT_NE(text.find("pebblejoin_latency_us_sum 103\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("pebblejoin_latency_us_count 3\n"), std::string::npos);
+  // Min and max live on the cell, where the windows' quantile clamp reads
+  // them.
+  obs_internal::HistogramCell cell;
+  for (const int64_t v : {3, 0, 100}) cell.Record(v);
+  EXPECT_EQ(cell.min.load(), 0);
+  EXPECT_EQ(cell.max.load(), 100);
+  cell.Reset();
+  EXPECT_EQ(cell.min.load(), INT64_MAX);
+  EXPECT_EQ(cell.max.load(), INT64_MIN);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsValidForRegisteredMetrics) {
   MetricsRegistry registry(/*enabled=*/true);
   registry.FindOrCreateCounter("a").Add(2);
   registry.FindOrCreateGauge("b").Set(-7);
-  const std::string snapshot = registry.SnapshotJson();
-  EXPECT_NE(snapshot.find("\"a\":2"), std::string::npos);
-  EXPECT_NE(snapshot.find("\"b\":-7"), std::string::npos);
+  EXPECT_EQ(registry.OpenMetricsText(),
+            "# TYPE pebblejoin_a counter\n"
+            "pebblejoin_a_total 2\n"
+            "# TYPE pebblejoin_b gauge\n"
+            "pebblejoin_b -7\n"
+            "# EOF\n");
 }
 
 TEST(SolveStatsTest, PublishToFoldsIntoRegistry) {
@@ -246,10 +259,11 @@ TEST(SolveStatsTest, PublishToFoldsIntoRegistry) {
 // --- TraceSession ---------------------------------------------------------
 
 TEST(TraceSessionTest, GoldenChromeTraceJson) {
-  int64_t now = 100;
-  TraceSession trace([&now]() { return now; });
+  FakeClock clock;
+  clock.AdvanceUs(100);
+  TraceSession trace(&clock);
   trace.Instant("dispatch", "solver", {TraceArg::Str("method", "held-karp")});
-  now = 150;
+  clock.AdvanceUs(50);
   trace.Complete("exact", "rung", /*start_us=*/100, /*duration_us=*/50,
                  {TraceArg::Num("cost", 12)});
   EXPECT_EQ(trace.num_events(), 2u);
@@ -265,13 +279,14 @@ TEST(TraceSessionTest, GoldenChromeTraceJson) {
 }
 
 TEST(TraceSessionTest, SpanRecordsItsLifetime) {
-  int64_t now = 10;
-  TraceSession trace([&now]() { return now; });
+  FakeClock clock;
+  clock.AdvanceUs(10);
+  TraceSession trace(&clock);
   {
     Probe span = Probe::Span("work", "test", &trace);
     span.AddNum("n", 3);
     span.AddStr("kind", "leaf");
-    now = 35;
+    clock.AdvanceUs(25);
   }
   EXPECT_EQ(trace.num_events(), 1u);
   EXPECT_EQ(trace.ToJson(),
@@ -283,21 +298,34 @@ TEST(TraceSessionTest, SpanRecordsItsLifetime) {
 }
 
 TEST(TraceSessionTest, SpanEndsAtStopNotAtScopeExit) {
-  int64_t now = 0;
-  TraceSession trace([&now]() { return now; });
+  FakeClock clock;
+  TraceSession trace(&clock);
   {
     Probe probe = Probe::Timed("rung", "test", &trace);
-    now = 7;
+    clock.AdvanceUs(7);
     probe.AddNum("cost", 4);
     probe.Stop();
     probe.AddNum("late", 1);  // after Stop: not carried
-    now = 100;
+    clock.AdvanceUs(93);
   }  // the destructor records nothing more
   EXPECT_EQ(trace.num_events(), 1u);
   const std::string json = trace.ToJson();
   EXPECT_NE(json.find("\"dur\":7"), std::string::npos) << json;
   EXPECT_NE(json.find("\"cost\":4"), std::string::npos) << json;
   EXPECT_EQ(json.find("late"), std::string::npos) << json;
+}
+
+TEST(TraceSessionTest, TracedProbeWallIsItsSpanDuration) {
+  // A traced probe reads the session's clock at both ends, so its wall_us
+  // is exactly the span's dur — a FakeClock's 1234 us here, which no read
+  // of the steady clock would return.
+  FakeClock clock;
+  TraceSession trace(&clock);
+  Probe probe = Probe::Timed("stage", "test", &trace);
+  clock.AdvanceUs(1234);
+  EXPECT_EQ(probe.Stop().wall_us, 1234);
+  const std::string json = trace.ToJson();
+  EXPECT_NE(json.find("\"dur\":1234,"), std::string::npos) << json;
 }
 
 TEST(TraceSessionTest, NullSessionSpanIsNoOp) {
@@ -324,7 +352,7 @@ TEST(StatsThreadingTest, ExactSolveCountersAreDeterministic) {
   SolveStats runs[2];
   for (SolveStats& stats : runs) {
     FakeClock clock;
-    BudgetContext budget(SolveBudget{}, clock.AsFunction());
+    BudgetContext budget(SolveBudget{}, &clock);
     budget.set_stats(&stats);
     const ExactPebbler exact;
     ASSERT_TRUE(exact.PebbleConnected(g, &budget).has_value());
@@ -539,45 +567,60 @@ TEST(JsonValueTest, DuplicateKeysKeepTheLastValue) {
 // --- Histogram buckets and percentiles ------------------------------------
 
 TEST(HistogramTest, BucketBoundariesArePinned) {
-  // Bucket 0 holds zeros (snapshot key "1" = exclusive upper bound);
-  // bucket i holds [2^(i-1), 2^i) and is keyed "2^i". These boundaries
-  // are load-bearing: the OpenMetrics `le` labels and the quantile
-  // estimator both derive from them.
+  // Bucket 0 holds zeros; bucket i holds [2^(i-1), 2^i), rendered as the
+  // inclusive OpenMetrics bound le="2^i - 1". These boundaries are
+  // load-bearing: the `le` labels and the quantile estimator both derive
+  // from them.
   MetricsRegistry registry(/*enabled=*/true);
   Histogram h = registry.FindOrCreateHistogram("b");
-  h.Record(0);   // bucket 0, key "1"
-  h.Record(1);   // bucket 1, key "2"
-  h.Record(2);   // bucket 2, key "4"
-  h.Record(3);   // bucket 2, key "4"
-  h.Record(4);   // bucket 3, key "8"
-  h.Record(7);   // bucket 3, key "8"
-  h.Record(8);   // bucket 4, key "16"
-  const std::string snapshot = registry.SnapshotJson();
-  EXPECT_NE(snapshot.find("\"buckets\":{\"1\":1,\"2\":1,\"4\":2,\"8\":2,"
-                          "\"16\":1}"),
-            std::string::npos)
-      << snapshot;
+  h.Record(0);   // bucket 0, le="0"
+  h.Record(1);   // bucket 1, le="1"
+  h.Record(2);   // bucket 2, le="3"
+  h.Record(3);   // bucket 2, le="3"
+  h.Record(4);   // bucket 3, le="7"
+  h.Record(7);   // bucket 3, le="7"
+  h.Record(8);   // bucket 4, le="15"
+  EXPECT_EQ(registry.OpenMetricsText(),
+            "# TYPE pebblejoin_b histogram\n"
+            "pebblejoin_b_bucket{le=\"0\"} 1\n"
+            "pebblejoin_b_bucket{le=\"1\"} 2\n"
+            "pebblejoin_b_bucket{le=\"3\"} 4\n"
+            "pebblejoin_b_bucket{le=\"7\"} 6\n"
+            "pebblejoin_b_bucket{le=\"15\"} 7\n"
+            "pebblejoin_b_bucket{le=\"+Inf\"} 7\n"
+            "pebblejoin_b_sum 25\n"
+            "pebblejoin_b_count 7\n"
+            "# EOF\n");
+}
+
+// The quantile estimate the windows report, over one recorded cell.
+int64_t CellQuantile(const obs_internal::HistogramCell& cell, double q) {
+  int64_t buckets[obs_internal::HistogramCell::kNumBuckets];
+  for (int i = 0; i < obs_internal::HistogramCell::kNumBuckets; ++i) {
+    buckets[i] = cell.buckets[i].load();
+  }
+  return obs_internal::InterpolateQuantile(buckets, cell.count.load(),
+                                           cell.min.load(), cell.max.load(),
+                                           q);
 }
 
 TEST(HistogramTest, ApproxQuantileIsExactWhenOneValueFillsOneBucket) {
-  MetricsRegistry registry(/*enabled=*/true);
-  Histogram h = registry.FindOrCreateHistogram("one");
-  for (int i = 0; i < 10; ++i) h.Record(5);
+  obs_internal::HistogramCell cell;
+  for (int i = 0; i < 10; ++i) cell.Record(5);
   // All samples in one bucket with min == max: the clamp makes the
   // estimate exact at every quantile.
-  EXPECT_EQ(h.ApproxQuantile(0.0), 5);
-  EXPECT_EQ(h.ApproxQuantile(0.5), 5);
-  EXPECT_EQ(h.ApproxQuantile(0.99), 5);
-  EXPECT_EQ(h.ApproxQuantile(1.0), 5);
+  EXPECT_EQ(CellQuantile(cell, 0.0), 5);
+  EXPECT_EQ(CellQuantile(cell, 0.5), 5);
+  EXPECT_EQ(CellQuantile(cell, 0.99), 5);
+  EXPECT_EQ(CellQuantile(cell, 1.0), 5);
 }
 
 TEST(HistogramTest, ApproxQuantileIsMonotoneAndWithinObservedRange) {
-  MetricsRegistry registry(/*enabled=*/true);
-  Histogram h = registry.FindOrCreateHistogram("spread");
-  for (int64_t v : {1, 2, 4, 9, 17, 33, 120, 700, 5000, 40000}) h.Record(v);
-  const int64_t p50 = h.ApproxQuantile(0.50);
-  const int64_t p95 = h.ApproxQuantile(0.95);
-  const int64_t p99 = h.ApproxQuantile(0.99);
+  obs_internal::HistogramCell cell;
+  for (int64_t v : {1, 2, 4, 9, 17, 33, 120, 700, 5000, 40000}) cell.Record(v);
+  const int64_t p50 = CellQuantile(cell, 0.50);
+  const int64_t p95 = CellQuantile(cell, 0.95);
+  const int64_t p99 = CellQuantile(cell, 0.99);
   EXPECT_LE(p50, p95);
   EXPECT_LE(p95, p99);
   EXPECT_GE(p50, 1);
@@ -585,19 +628,20 @@ TEST(HistogramTest, ApproxQuantileIsMonotoneAndWithinObservedRange) {
 }
 
 TEST(HistogramTest, EmptyHistogramQuantileIsMinusOne) {
-  MetricsRegistry registry(/*enabled=*/true);
-  EXPECT_EQ(registry.FindOrCreateHistogram("empty").ApproxQuantile(0.5), -1);
-  EXPECT_EQ(Histogram().ApproxQuantile(0.5), -1);  // null handle
-}
-
-TEST(HistogramTest, SnapshotCarriesPercentilesOnlyWhenNonEmpty) {
+  // An empty histogram has no quantile: OpenMetrics renders no finite
+  // bucket and a zero count, and the windowed view that reports quantiles
+  // gives its -1 sentinel.
   MetricsRegistry registry(/*enabled=*/true);
   registry.FindOrCreateHistogram("empty");
-  EXPECT_EQ(registry.SnapshotJson().find("\"p50\""), std::string::npos);
-  registry.FindOrCreateHistogram("full").Record(6);
-  const std::string snapshot = registry.SnapshotJson();
-  EXPECT_NE(snapshot.find("\"p50\":6"), std::string::npos) << snapshot;
-  EXPECT_NE(snapshot.find("\"p99\":6"), std::string::npos);
+  EXPECT_EQ(registry.OpenMetricsText(),
+            "# TYPE pebblejoin_empty histogram\n"
+            "pebblejoin_empty_bucket{le=\"+Inf\"} 0\n"
+            "pebblejoin_empty_sum 0\n"
+            "pebblejoin_empty_count 0\n"
+            "# EOF\n");
+  EXPECT_EQ(Histogram().Count(), 0);  // null handle
+  const WindowedHistogram window;
+  EXPECT_EQ(window.Aggregate(/*now_ms=*/0, window.window_span_ms()).p50, -1);
 }
 
 TEST(PercentileOfSamplesTest, NearestRankIsExact) {

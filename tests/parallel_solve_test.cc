@@ -148,7 +148,7 @@ TEST(ParallelBudgetTest, ForcedExpiryMidFanOutStaysCoherent) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 1'000'000;  // present but never reached by the clock
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
   SolveStats stats;
   ctx.set_stats(&stats);
   ctx.ForceExpireAfterPolls(64);
@@ -199,7 +199,7 @@ TEST(ParallelBudgetTest, AlreadyExpiredDeadlineCancelsEveryWorker) {
   FakeClock clock;
   SolveBudget budget;
   budget.deadline_ms = 0;
-  BudgetContext ctx(budget, clock.AsFunction());
+  BudgetContext ctx(budget, &clock);
 
   const PebbleSolution solution = driver.Solve(flat, &ctx);
   EXPECT_TRUE(ctx.stopped());

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,6 +40,7 @@
 #include "serve/fault_injector.h"
 #include "serve/line_server.h"
 #include "serve/serve_options.h"
+#include "util/clock.h"
 #include "util/thread_pool.h"
 
 #include "json_test_util.h"
@@ -53,15 +53,6 @@ std::string Line(const BipartiteGraph& g, const std::string& extra = "") {
   return "{\"graph\": \"" + JsonEscape(SerializeBipartiteGraph(g)) + "\"" +
          extra + "}";
 }
-
-// A FakeClock that is safe to advance while server threads read it —
-// util/budget.h's FakeClock is single-threaded by design.
-struct SharedClock {
-  std::atomic<int64_t> now_ms{0};
-  std::function<int64_t()> AsFunction() {
-    return [this] { return now_ms.load(std::memory_order_relaxed); };
-  }
-};
 
 // Fast-tick defaults for tests: ephemeral port, 5 ms event-loop tick.
 ServeOptions TestOptions(FaultInjector* injector = nullptr) {
@@ -530,9 +521,9 @@ TEST(ServeTest, BrokenPipeClosesOnlyThatConnection) {
 TEST(ServeTest, StalledWriterIsTimedOutNotWedgedOn) {
   SolveEngine engine;
   FaultInjector injector;
-  SharedClock clock;
+  FakeClock clock;
   ServeOptions options = TestOptions(&injector);
-  options.clock_ms = clock.AsFunction();
+  options.clock = &clock;
   options.idle_timeout_ms = -1;  // isolate the write-stall path
   options.write_stall_timeout_ms = 50;
   LineServer server(&engine, options);
@@ -545,7 +536,7 @@ TEST(ServeTest, StalledWriterIsTimedOutNotWedgedOn) {
   // Give the solve real time to finish and the flush to hit the stall,
   // then advance the fake clock past the stall budget.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  clock.now_ms.fetch_add(10000);
+  clock.AdvanceMs(10000);
 
   EXPECT_TRUE(client.WaitForEof())
       << "a stalled writer must be closed, not waited on";
@@ -558,9 +549,9 @@ TEST(ServeTest, StalledWriterIsTimedOutNotWedgedOn) {
 
 TEST(ServeTest, IdleConnectionIsTimedOutUnderAFakeClock) {
   SolveEngine engine;
-  SharedClock clock;
+  FakeClock clock;
   ServeOptions options = TestOptions();
-  options.clock_ms = clock.AsFunction();
+  options.clock = &clock;
   options.idle_timeout_ms = 100;
   LineServer server(&engine, options);
   START_SERVER(server);
@@ -568,7 +559,7 @@ TEST(ServeTest, IdleConnectionIsTimedOutUnderAFakeClock) {
   TestClient client(server.port());
   ASSERT_TRUE(client.connected());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  clock.now_ms.fetch_add(10000);
+  clock.AdvanceMs(10000);
   EXPECT_TRUE(client.WaitForEof());
 
   server.BeginDrain();
@@ -578,13 +569,21 @@ TEST(ServeTest, IdleConnectionIsTimedOutUnderAFakeClock) {
 }
 
 TEST(ServeTest, RequestWallClockIsMicrosecondsNotTheMillisecondClock) {
-  // The injected millisecond clock never moves, so a request wall clock
-  // derived from it would record 0; the histogram must still see real
-  // microseconds.
+  // The injected server clock advances 1 us per read, so the request's two
+  // reads sit a few microseconds apart: a wall time measured in
+  // microseconds is small but positive, while one measured on a
+  // millisecond clock would be 0 or a multiple of 1000.
+  class MicrosecondTickClock : public Clock {
+   public:
+    int64_t NowUs() const override { return next_us_.fetch_add(1) + 1; }
+
+   private:
+    mutable std::atomic<int64_t> next_us_{0};
+  };
   SolveEngine engine;
-  SharedClock clock;
+  MicrosecondTickClock clock;
   ServeOptions options = TestOptions();
-  options.clock_ms = clock.AsFunction();
+  options.clock = &clock;
   LineServer server(&engine, options);
   START_SERVER(server);
 
@@ -599,6 +598,7 @@ TEST(ServeTest, RequestWallClockIsMicrosecondsNotTheMillisecondClock) {
       engine.metrics()->FindOrCreateHistogram("serve.request_wall_us");
   EXPECT_EQ(wall.Count(), 1);
   EXPECT_GT(wall.Sum(), 0);
+  EXPECT_LT(wall.Sum(), 1000);
 
   server.BeginDrain();
   server.Wait();

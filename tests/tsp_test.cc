@@ -192,11 +192,10 @@ TEST(LocalSearchTest, NeverInvalidatesAndNeverWorsens) {
     const Tsp12Instance inst(RandomGraph(14, 0.25, seed));
     Tour tour = NearestNeighborTour(inst, 0);
     const int64_t before = TourCost(inst, tour);
-    const LocalSearchOptions options;
     BudgetContext unlimited{SolveBudget{}};
-    TwoOptImprove(inst, &tour, options, unlimited);
+    TwoOptImprove(inst, &tour, unlimited);
     EXPECT_TRUE(IsValidTour(inst, tour));
-    OrOptImprove(inst, &tour, options, unlimited);
+    OrOptImprove(inst, &tour, unlimited);
     EXPECT_TRUE(IsValidTour(inst, tour));
     EXPECT_LE(TourCost(inst, tour), before);
   }
@@ -207,9 +206,8 @@ TEST(LocalSearchTest, ImprovementCountMatchesCostDelta) {
     const Tsp12Instance inst(RandomGraph(12, 0.3, seed));
     Tour tour = GreedyPathCoverTour(inst, seed);
     const int64_t before = TourCost(inst, tour);
-    const LocalSearchOptions options;
     BudgetContext unlimited{SolveBudget{}};
-    const int64_t removed = LocalSearchImprove(inst, &tour, options, unlimited);
+    const int64_t removed = LocalSearchImprove(inst, &tour, unlimited);
     EXPECT_EQ(before - TourCost(inst, tour), removed);
   }
 }
@@ -220,9 +218,8 @@ TEST(LocalSearchTest, FixesAnObviousTwoOptMove) {
   for (int i = 0; i + 1 < 6; ++i) good.AddEdge(i, i + 1);
   const Tsp12Instance inst(good);
   Tour tour{0, 1, 3, 2, 4, 5};
-  const LocalSearchOptions options;
   BudgetContext unlimited{SolveBudget{}};
-  TwoOptImprove(inst, &tour, options, unlimited);
+  TwoOptImprove(inst, &tour, unlimited);
   EXPECT_EQ(TourJumps(inst, tour), 0);
 }
 

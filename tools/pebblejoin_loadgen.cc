@@ -42,7 +42,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -53,13 +52,11 @@
 #include <thread>
 #include <vector>
 
+#include "util/clock.h"
+
 namespace {
 
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+int64_t NowMs() { return pebblejoin::NowMs(nullptr); }
 
 bool ParseI64(const char* token, int64_t* out) {
   if (token == nullptr || *token == '\0') return false;
