@@ -16,6 +16,14 @@
 #include "util/thread_pool.h"
 
 namespace pebblejoin {
+namespace {
+
+// Tasks per pool worker the fan-out aims for: enough that a worker that
+// drew heavy components is not left waiting on the others, few enough
+// that per-task queueing stays small next to the solves.
+constexpr int kFanoutTasksPerWorker = 4;
+
+}  // namespace
 
 // Everything one component solve produces, buffered per component so the
 // merge can run in component-index order regardless of which worker
@@ -57,6 +65,37 @@ const SolveOutcome* PebbleSolution::FirstDegraded() const {
     if (outcome.degraded()) return &outcome;
   }
   return nullptr;
+}
+
+std::vector<int> CutFanoutTasks(const ComponentDecomposition& decomp,
+                                int workers) {
+  JP_CHECK(workers >= 1);
+  int64_t total_edges = 0;
+  for (const std::vector<int>& edges : decomp.edges_of) {
+    total_edges += static_cast<int64_t>(edges.size());
+  }
+  const int64_t tasks = int64_t{kFanoutTasksPerWorker} * workers;
+  const int64_t task_edges =
+      std::max<int64_t>(1, (total_edges + tasks - 1) / tasks);
+
+  std::vector<int> bounds = {0};
+  int64_t open_edges = 0;  // edges in the task not yet closed
+  for (int c = 0; c < decomp.num_components; ++c) {
+    const int64_t edges = static_cast<int64_t>(decomp.edges_of[c].size());
+    if (edges >= task_edges && open_edges > 0) {
+      bounds.push_back(c);  // a heavy component does not join a task
+      open_edges = 0;
+    }
+    open_edges += edges;
+    if (open_edges >= task_edges) {
+      bounds.push_back(c + 1);
+      open_edges = 0;
+    }
+  }
+  if (bounds.back() != decomp.num_components) {
+    bounds.push_back(decomp.num_components);
+  }
+  return bounds;
 }
 
 ComponentPebbler::ComponentPebbler(const Pebbler* primary,
@@ -156,14 +195,21 @@ PebbleSolution ComponentPebbler::SolveDecomposed(
     std::vector<ComponentResult> results(num_components);
     // Fan-out policy: components fan out over the borrowed pool only. A
     // caller that is itself a pool worker solves sequentially — a worker
-    // that waits on a ParallelFor of its own pool deadlocks.
+    // that waits on a ParallelFor of its own pool deadlocks. One pool task
+    // per range of components, not per component: a light component's
+    // solve costs about as much as queueing a task for it.
     const bool fan_out = options_.threads > 1 && num_components > 1 &&
                          options_.pool->num_threads() > 1 &&
                          ThreadPool::CurrentWorkerId() == -1;
     if (fan_out) {
-      options_.pool->ParallelFor(num_components, [&](int c) {
-        SolveComponent(g, decomp, c, *parent, &results[c]);
-      });
+      const std::vector<int> bounds =
+          CutFanoutTasks(decomp, options_.pool->num_threads());
+      options_.pool->ParallelFor(
+          static_cast<int>(bounds.size()) - 1, [&](int task) {
+            for (int c = bounds[task]; c < bounds[task + 1]; ++c) {
+              SolveComponent(g, decomp, c, *parent, &results[c]);
+            }
+          });
     } else {
       for (int c = 0; c < num_components; ++c) {
         SolveComponent(g, decomp, c, *parent, &results[c]);

@@ -4,18 +4,19 @@
 //
 // Lemma 2.2 is also a parallelism license: components share no vertices, so
 // their solves are embarrassingly parallel. With Options::threads > 1 the
-// driver fans components out across the borrowed Options::pool (the
+// driver cuts the components, in index order, into edge-balanced tasks
+// (CutFanoutTasks) and runs the tasks on the borrowed Options::pool (the
 // engine's long-lived one — the driver never builds a pool of its own).
-// Each component takes a worker slice of the request's BudgetContext where
-// it runs: the slice shares the request's budget ledger, so one slow
-// component cannot starve the rest, a deadline noticed by any worker
-// cancels all of them, and the request's polls, nodes and stop need no
-// merge. Each component also records into its own SolveStats sink,
-// TraceSession and event log, which are merged in component-index order
-// after the join barrier. The sequential path runs the exact same
-// slice-and-merge machinery inline, which is what makes the output — edge
-// order, scheme, costs, stats, AnalysisJson — byte-identical across thread
-// counts.
+// A task solves its components one after another; each component still
+// takes its own worker slice of the request's BudgetContext where it runs.
+// The slice shares the request's budget ledger, so one slow component
+// cannot starve the rest, a deadline noticed by any worker cancels all of
+// them, and the request's polls, nodes and stop need no merge. Each
+// component also records into its own SolveStats sink, TraceSession and
+// event log, which are merged in component-index order after the join
+// barrier. The sequential path runs the exact same slice-and-merge
+// machinery inline, which is what makes the output — edge order, scheme,
+// costs, stats, AnalysisJson — byte-identical across thread counts.
 
 #ifndef PEBBLEJOIN_SOLVER_COMPONENT_PEBBLER_H_
 #define PEBBLEJOIN_SOLVER_COMPONENT_PEBBLER_H_
@@ -32,6 +33,15 @@ namespace pebblejoin {
 
 struct ComponentDecomposition;
 class ThreadPool;
+
+// The fan-out's task cut. Returns bounds b with b.front() == 0 and
+// b.back() == decomp.num_components; task t solves components
+// [b[t], b[t+1]). Tasks are contiguous and in index order. A task closes
+// once it holds at least ⌈m / (4 · workers)⌉ edges, m being the
+// decomposition's edge total, and a component at or above that size forms
+// a task of its own.
+std::vector<int> CutFanoutTasks(const ComponentDecomposition& decomp,
+                                int workers);
 
 // Outcome of pebbling a whole graph.
 struct PebbleSolution {
@@ -92,10 +102,11 @@ class ComponentPebbler {
   PebbleSolution Solve(const Graph& g) const { return Solve(g, nullptr); }
 
   // The solve stage alone: fans the components of `decomp` (which must be
-  // FindComponents(g)) across the workers and merges edge order,
-  // provenance, stats and trace deterministically in component-index
-  // order. The returned solution has no scheme and no costs yet — run
-  // VerifyAndCost on it (the verify stage) to finish.
+  // FindComponents(g)) across the workers, in the tasks CutFanoutTasks
+  // cuts, and merges edge order, provenance, stats and trace
+  // deterministically in component-index order. The returned solution has
+  // no scheme and no costs yet — run VerifyAndCost on it (the verify
+  // stage) to finish.
   PebbleSolution SolveDecomposed(const Graph& g,
                                  const ComponentDecomposition& decomp,
                                  BudgetContext* budget) const;

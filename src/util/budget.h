@@ -21,8 +21,10 @@
 // One request keeps one ledger of budget state — the stop latch and when it
 // latched, the node total, the poll total, the forced-expiry point — behind
 // its root BudgetContext. Parallel workers run on slices that share the
-// root's ledger, so their accounting is the request's from the first poll;
-// a Child (a sub-solve under other limits) keeps a ledger of its own.
+// root's ledger, so a stop or a node charge is the request's at once; a
+// Child (a sub-solve under other limits) keeps a ledger of its own. Polls
+// are the exception: they are the hot path, so each context counts its own
+// and writes them to the ledger only when it must (see Expired()).
 
 #ifndef PEBBLEJOIN_UTIL_BUDGET_H_
 #define PEBBLEJOIN_UTIL_BUDGET_H_
@@ -30,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "util/clock.h"
 
@@ -97,12 +100,17 @@ struct SolveBudget {
 // ledger; its worker slices (WorkerSlice) share it, so a stop latched by one
 // worker cancels every other worker at its next poll, the node budget is
 // one ceiling for the whole fan-out, and ForceExpireAfterPolls reaches
-// whichever worker polls next. After the workers finish, the root's
-// polls(), nodes_charged(), stopped() and stop_reason() already cover them
-// — there is nothing to merge back. A Child starts a ledger of its own.
+// whichever worker polls next. After the workers finish and their slices
+// are destroyed, the root's polls(), nodes_charged(), stopped() and
+// stop_reason() already cover them — there is nothing to merge back. A
+// Child starts a ledger of its own.
 //
-// Each context is used by one thread at a time; only the ledger is shared,
-// and it is all atomics (latching is first-writer-wins).
+// Each context is used by one thread at a time; only the ledger is shared.
+// Its stop, node and forced-expiry fields are atomics that every poll or
+// charge reads or writes (latching is first-writer-wins). Its poll total
+// is not written per poll: each context keeps a count of polls it has not
+// yet written, so workers polling in parallel do not all write one cache
+// line.
 class BudgetContext {
  public:
   // Deadline polls between real clock reads. The contract tests rely on
@@ -121,6 +129,8 @@ class BudgetContext {
         start_ms_(NowMs()),
         ledger_(std::make_shared<Ledger>()) {}
 
+  // Moving hands the pending polls over. Destroying a context, or
+  // move-assigning over it, writes its own to its ledger first (LedgerRef).
   BudgetContext(BudgetContext&&) = default;
   BudgetContext& operator=(BudgetContext&&) = default;
 
@@ -132,17 +142,21 @@ class BudgetContext {
   // every kPollStride calls. Sticky: once expired, stays expired. Also
   // reports a stop latched on the ledger by any other slice, and honors the
   // ledger's forced-expiry point.
+  //
+  // The poll is counted on this context and written to the ledger only
+  // when the context first answers a stop, and on every poll while a
+  // forced-expiry point is armed, so the forced point numbers the
+  // request's polls exactly.
   bool Expired() {
     if (stop_seen_) return true;
-    const int64_t poll =
-        ledger_->polls.fetch_add(1, std::memory_order_relaxed) + 1;
+    ++ledger_.pending;
     if (stopped()) {
-      stop_seen_ = true;
+      SeeStop();
       return true;
     }
     const int64_t forced_at =
         ledger_->forced_expire_at_poll.load(std::memory_order_relaxed);
-    if (forced_at >= 0 && poll >= forced_at) {
+    if (forced_at >= 0 && ledger_.Flush() >= forced_at) {
       LatchStop(BudgetStop::kDeadlineExpired);
       return true;
     }
@@ -155,7 +169,7 @@ class BudgetContext {
   // Unamortized deadline check (always reads the clock).
   bool ExpiredNow() {
     if (stopped()) {
-      stop_seen_ = true;
+      SeeStop();
       return true;
     }
     if (!budget_.has_deadline()) return false;
@@ -175,7 +189,7 @@ class BudgetContext {
     const int64_t total =
         ledger_->nodes.fetch_add(n, std::memory_order_relaxed) + n;
     if (stopped()) {
-      stop_seen_ = true;
+      SeeStop();
       return false;
     }
     if (budget_.has_node_budget() && total > budget_.node_budget) {
@@ -267,10 +281,12 @@ class BudgetContext {
   void set_features(const GraphFeatures* features) { features_ = features; }
   const GraphFeatures* features() const { return features_; }
 
-  // Number of Expired() polls on the ledger so far (amortized and forced
-  // alike), plus those folded in by FoldChild.
+  // Number of Expired() polls (amortized and forced alike), plus those
+  // folded in by FoldChild: the ledger's total plus this context's own
+  // pending count. A slice's polls reach its root's count once the slice
+  // answers a stop or is destroyed.
   int64_t polls() const {
-    return ledger_->polls.load(std::memory_order_relaxed);
+    return ledger_->polls.load(std::memory_order_relaxed) + ledger_.pending;
   }
 
   // Elapsed milliseconds from the root's construction to the moment the
@@ -285,9 +301,11 @@ class BudgetContext {
   // Deterministically forces Expired() to report a deadline expiry on the
   // ledger's `n`-th poll from now (n >= 1), regardless of the clock — on
   // whichever slice makes that poll. Test-only hook for proving that every
-  // hot loop both polls and unwinds cleanly.
+  // hot loop both polls and unwinds cleanly. Arm it before the slices
+  // poll: a slice's polls from before the arming are counted when it next
+  // polls.
   void ForceExpireAfterPolls(int64_t n) {
-    ledger_->forced_expire_at_poll.store(polls() + n,
+    ledger_->forced_expire_at_poll.store(ledger_.Flush() + n,
                                          std::memory_order_relaxed);
   }
 
@@ -326,12 +344,12 @@ class BudgetContext {
     return slice;
   }
 
-  // Adds a finished child's polls and node charges to this context's
-  // ledger. The child's own stop is not adopted — a capped rung's local
-  // deadline frees the rest of the request's — but its nodes count against
-  // this budget and can exhaust it.
+  // Adds a finished child's polls (its pending ones included) and node
+  // charges to this context's. The child's own stop is not adopted — a
+  // capped rung's local deadline frees the rest of the request's — but its
+  // nodes count against this budget and can exhaust it.
   void FoldChild(const BudgetContext& child) {
-    ledger_->polls.fetch_add(child.polls(), std::memory_order_relaxed);
+    ledger_.pending += child.polls();
     if (child.nodes_charged() > 0) ChargeNodes(child.nodes_charged());
   }
 
@@ -345,15 +363,62 @@ class BudgetContext {
     std::atomic<int64_t> forced_expire_at_poll{-1};
   };
 
+  // A context's share of a ledger plus the polls it has counted and not yet
+  // written there. Copying shares the ledger with nothing pending; moving
+  // hands the pending polls over; destroying or move-assigning over a ref
+  // writes its own first, so every poll lands on its ledger exactly once.
+  struct LedgerRef {
+    explicit LedgerRef(std::shared_ptr<Ledger> shared)
+        : ledger(std::move(shared)) {}
+    LedgerRef(const LedgerRef& other) : ledger(other.ledger) {}
+    LedgerRef(LedgerRef&& other) noexcept
+        : ledger(std::move(other.ledger)),
+          pending(std::exchange(other.pending, 0)) {}
+    LedgerRef& operator=(const LedgerRef&) = delete;
+    LedgerRef& operator=(LedgerRef&& other) noexcept {
+      if (this != &other) {
+        Flush();
+        ledger = std::move(other.ledger);
+        pending = std::exchange(other.pending, 0);
+      }
+      return *this;
+    }
+    ~LedgerRef() { Flush(); }
+
+    Ledger* operator->() const { return ledger.get(); }
+
+    // Writes the pending polls to the ledger; returns its poll total. A
+    // moved-from ref has no ledger and nothing pending.
+    int64_t Flush() {
+      if (pending == 0) {
+        return ledger == nullptr
+                   ? 0
+                   : ledger->polls.load(std::memory_order_relaxed);
+      }
+      const int64_t n = std::exchange(pending, 0);
+      return ledger->polls.fetch_add(n, std::memory_order_relaxed) + n;
+    }
+
+    std::shared_ptr<Ledger> ledger;
+    int64_t pending = 0;
+  };
+
   // Copying shares the ledger, so it is WorkerSlice's alone.
   BudgetContext(const BudgetContext&) = default;
 
   int64_t NowMs() const { return pebblejoin::NowMs(clock_); }
 
+  // This context answers a stop from now on; its polls so far go to the
+  // ledger, and later ones are not counted.
+  void SeeStop() {
+    stop_seen_ = true;
+    ledger_.Flush();
+  }
+
   // Latches the stop reason on the ledger, first writer wins, and records
   // the time-to-stop of the first latch only.
   void LatchStop(BudgetStop reason) {
-    stop_seen_ = true;
+    SeeStop();
     const int64_t elapsed_ms = NowMs() - start_ms_;
     int expected = static_cast<int>(BudgetStop::kNone);
     if (ledger_->stop.compare_exchange_strong(
@@ -366,10 +431,10 @@ class BudgetContext {
   SolveBudget budget_;
   const Clock* clock_ = nullptr;  // borrowed; null reads the steady clock
   int64_t start_ms_ = 0;
-  std::shared_ptr<Ledger> ledger_;
+  LedgerRef ledger_;
   int64_t polls_until_check_ = 1;  // first poll always reads the clock
   // Whether this context has already answered a stop; its later polls are
-  // not counted on the ledger.
+  // not counted.
   bool stop_seen_ = false;
   SolveDecline decline_ = SolveDecline::kNone;
   SolveStats* stats_ = nullptr;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/features.h"
@@ -373,6 +374,81 @@ TEST(WorkerSliceTest, ConcurrentSlicesShareOneLedger) {
   const int64_t went_on = int64_t{kThreads} * kPollsEach - answered_stopped;
   EXPECT_GE(root.polls(), went_on);
   EXPECT_LE(root.polls(), went_on + kThreads);
+}
+
+// --- Poll counting: each context counts its own, and each poll lands once --
+
+TEST(LedgerTest, SlicePollsReachTheRootWhenTheSliceIsDestroyed) {
+  BudgetContext root{SolveBudget{}};
+  {
+    BudgetContext slice = root.WorkerSlice();
+    for (int i = 0; i < 5; ++i) ASSERT_FALSE(slice.Expired());
+    EXPECT_EQ(slice.polls(), 5);
+    // Still pending on the slice: the hot path wrote nothing shared.
+    EXPECT_EQ(root.polls(), 0);
+  }
+  EXPECT_EQ(root.polls(), 5);
+}
+
+TEST(LedgerTest, MovedContextsCountEachPollOnce) {
+  BudgetContext root{SolveBudget{}};
+  BudgetContext other_root{SolveBudget{}};
+  {
+    BudgetContext a = root.WorkerSlice();
+    for (int i = 0; i < 3; ++i) ASSERT_FALSE(a.Expired());
+    // Moving hands the pending polls over; the moved-from context writes
+    // none when it is destroyed.
+    BudgetContext b = std::move(a);
+    ASSERT_FALSE(b.Expired());
+    EXPECT_EQ(b.polls(), 4);
+
+    // Move-assigning over a context writes its own pending polls to its
+    // own ledger first, then takes the source's.
+    BudgetContext c = other_root.WorkerSlice();
+    for (int i = 0; i < 2; ++i) ASSERT_FALSE(c.Expired());
+    c = std::move(b);
+    EXPECT_EQ(other_root.polls(), 2);
+    EXPECT_EQ(c.polls(), 4);
+    ASSERT_FALSE(c.Expired());
+  }
+  EXPECT_EQ(root.polls(), 5);
+  EXPECT_EQ(other_root.polls(), 2);
+}
+
+TEST(LedgerTest, FoldChildIncludesTheChildsPendingPolls) {
+  BudgetContext root{SolveBudget{}};
+  BudgetContext slice = root.WorkerSlice();
+  BudgetContext child = slice.Child(SolveBudget{});
+  for (int i = 0; i < 3; ++i) ASSERT_FALSE(child.Expired());
+  slice.FoldChild(child);
+  EXPECT_EQ(slice.polls(), 3);
+  ASSERT_FALSE(slice.Expired());
+  EXPECT_EQ(slice.polls(), 4);
+}
+
+TEST(LedgerTest, ForcedExpiryNumbersTheRequestsPollsAcrossThreads) {
+  // While a forced-expiry point is armed every poll goes to the ledger, so
+  // exactly the request's n-th poll latches, whichever thread makes it:
+  // n - 1 polls answer false, then each thread's next poll answers true.
+  constexpr int kThreads = 4;
+  constexpr int64_t kForcedAt = 5'000;
+  BudgetContext root{SolveBudget{}};
+  root.ForceExpireAfterPolls(kForcedAt);
+  std::vector<int64_t> went_on(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&root, &went_on, t] {
+      BudgetContext slice = root.WorkerSlice();
+      while (!slice.Expired()) ++went_on[t];
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(root.stop_reason(), BudgetStop::kDeadlineExpired);
+  int64_t total_went_on = 0;
+  for (int64_t n : went_on) total_went_on += n;
+  EXPECT_EQ(total_went_on, kForcedAt - 1);
+  EXPECT_EQ(root.polls(), kForcedAt - 1 + kThreads);
 }
 
 TEST(BudgetStopTest, Names) {

@@ -1,5 +1,8 @@
 #include "solver/component_pebbler.h"
 
+#include <utility>
+#include <vector>
+
 #include "graph/components.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -213,6 +216,59 @@ TEST(ComponentPebblerTest, BorrowedPoolIsDroppedOnPoolWorkers) {
   pool.Drain();
   EXPECT_EQ(from_worker.edge_order, base.edge_order);
   EXPECT_EQ(from_worker.effective_cost, base.effective_cost);
+}
+
+// --- The fan-out's task cut ---------------------------------------------
+
+// A decomposition with the given component sizes, in edges; the cut reads
+// nothing else.
+ComponentDecomposition SizedComponents(const std::vector<int>& sizes) {
+  ComponentDecomposition decomp;
+  decomp.num_components = static_cast<int>(sizes.size());
+  int next_edge = 0;
+  for (int size : sizes) {
+    std::vector<int> edges(static_cast<size_t>(size));
+    for (int& e : edges) e = next_edge++;
+    decomp.edges_of.push_back(std::move(edges));
+  }
+  return decomp;
+}
+
+TEST(CutFanoutTasksTest, RangesAreContiguousInOrderAndCoverEveryComponent) {
+  const std::vector<int> sizes = {3, 1, 7, 2, 2, 40, 1, 1, 5, 9, 2, 6, 1};
+  for (int workers : {1, 2, 3, 4, 8, 64}) {
+    const std::vector<int> bounds =
+        CutFanoutTasks(SizedComponents(sizes), workers);
+    ASSERT_GE(bounds.size(), 2u) << "workers=" << workers;
+    EXPECT_EQ(bounds.front(), 0);
+    EXPECT_EQ(bounds.back(), static_cast<int>(sizes.size()));
+    for (size_t t = 0; t + 1 < bounds.size(); ++t) {
+      EXPECT_LT(bounds[t], bounds[t + 1]) << "workers=" << workers;
+    }
+  }
+}
+
+TEST(CutFanoutTasksTest, HeavyComponentFormsItsOwnTask) {
+  // m = 106 on 4 workers: tasks close at ⌈106 / 16⌉ = 7 edges, and the
+  // 100-edge component at index 3 does not share its task.
+  const std::vector<int> bounds =
+      CutFanoutTasks(SizedComponents({1, 1, 1, 100, 1, 1, 1}), 4);
+  EXPECT_EQ(bounds, (std::vector<int>{0, 3, 4, 7}));
+}
+
+TEST(CutFanoutTasksTest, EqualComponentsGiveFourTasksPerWorker) {
+  const ComponentDecomposition decomp =
+      SizedComponents(std::vector<int>(1024, 14));
+  EXPECT_EQ(CutFanoutTasks(decomp, 4).size() - 1, 16u);
+  EXPECT_EQ(CutFanoutTasks(decomp, 1).size() - 1, 4u);
+  // More tasks wanted than components: one component per task.
+  EXPECT_EQ(CutFanoutTasks(SizedComponents({2, 2, 2}), 8),
+            (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(CutFanoutTasksTest, NoComponentsNoTasks) {
+  EXPECT_EQ(CutFanoutTasks(ComponentDecomposition{}, 4),
+            (std::vector<int>{0}));
 }
 
 TEST(ComponentPebblerTest, StagedSeamsComposeToSolve) {

@@ -41,6 +41,22 @@ BipartiteGraph ManyComponentGraph() {
   return g;
 }
 
+// 1,024 small components, as in the library-components benchmark: enough
+// that the fan-out cuts them into several components per pool task.
+BipartiteGraph ThousandComponentGraph() {
+  constexpr int kComponents = 1024;
+  constexpr int kSide = 4;
+  BipartiteGraph g(kComponents * kSide, kComponents * kSide);
+  for (int c = 0; c < kComponents; ++c) {
+    const BipartiteGraph part =
+        RandomConnectedBipartite(kSide, kSide, 7 + c % 6, /*seed=*/c);
+    for (const BipartiteGraph::Edge& e : part.edges()) {
+      g.AddEdge(c * kSide + e.left, c * kSide + e.right);
+    }
+  }
+  return g;
+}
+
 // The solver that answered each component, in component-index order.
 std::vector<std::string> Winners(const PebbleSolution& solution) {
   std::vector<std::string> winners;
@@ -78,6 +94,29 @@ TEST(ParallelDeterminismTest, IdenticalOutputAcrossThreadCounts) {
     // must be byte-identical.
     EXPECT_EQ(FormatAnalysis(run), base_text) << "threads=" << threads;
     EXPECT_EQ(NormalizeTimings(AnalysisJson(run)), base_json)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ParallelDeterminismTest, ThousandComponentsIdenticalAcrossThreadCounts) {
+  // The default (auto) solver over many light components, which the
+  // fan-out packs several to a task: the JSON and the raw poll count, which
+  // NormalizeTimings zeroes, are the same at every thread count.
+  const BipartiteGraph g = ThousandComponentGraph();
+  AnalyzerOptions options;
+  options.threads = 1;
+  const JoinAnalysis base =
+      JoinAnalyzer(options).AnalyzeJoinGraph(g, PredicateClass::kGeneral);
+  ASSERT_EQ(base.solution.num_components, 1024);
+  ASSERT_GT(base.stats.budget_polls, 0);
+  const std::string base_json = NormalizeTimings(AnalysisJson(base));
+  for (int threads : {4, 8}) {
+    options.threads = threads;
+    const JoinAnalysis run =
+        JoinAnalyzer(options).AnalyzeJoinGraph(g, PredicateClass::kGeneral);
+    EXPECT_EQ(NormalizeTimings(AnalysisJson(run)), base_json)
+        << "threads=" << threads;
+    EXPECT_EQ(run.stats.budget_polls, base.stats.budget_polls)
         << "threads=" << threads;
   }
 }
