@@ -7,12 +7,13 @@
 // counters, one string field, and an async-written sampled trace, none
 // of it on the solve's critical path.
 //
-// One in-process LineServer per configuration, loopback TCP clients
+// One in-process LineServer per configuration, driven by the loopback
+// client `pebblejoin loadgen` uses (serve/loopback_client.h): TCP clients
 // replaying the same mixed request corpus with a bounded pipelining
 // window (below the server's per-connection in-flight cap, so nothing is
 // shed and every line is solved). Reported per cell: wall clock, solved
-// lines per second, and the p50/p95 enqueue-to-response latency a client
-// observes.
+// lines per second, and the nearest-rank p50/p95 enqueue-to-response
+// latency a client observes.
 //
 // Expected shape: throughput grows with server threads while solve work
 // is the bottleneck and with client count while the single-connection
@@ -25,22 +26,17 @@
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
-
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <deque>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/solve_engine.h"
@@ -50,15 +46,17 @@
 #include "obs/bench_report.h"
 #include "obs/json.h"
 #include "serve/line_server.h"
+#include "serve/loopback_client.h"
 #include "serve/serve_options.h"
-#include "util/stopwatch.h"
 #include "util/table.h"
 
 namespace pebblejoin {
 namespace {
 
 constexpr int kCorpusLines = 96;
-constexpr int kWindow = 4;  // below per_conn_inflight: nothing is shed
+constexpr int kWindow = 4;   // below per_conn_inflight: nothing is shed
+constexpr int kRepeat = 32;  // E23: 32 x 96 = 3072 lines per pass, so the
+                             // per-pass wall is ~100x any fixed cost
 
 std::vector<std::string> MakeCorpus() {
   std::vector<std::string> corpus;
@@ -82,83 +80,8 @@ std::vector<std::string> MakeCorpus() {
   return corpus;
 }
 
-struct ClientStats {
-  bool ok = false;
-  int64_t errors = 0;                // responses carrying "error"
-  std::vector<double> latencies_ms;  // enqueue-to-response per line
-};
-
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-// One blocking client: window-bounded pipelining over its line share.
-void RunClient(int port, const std::vector<std::string>* lines,
-               ClientStats* stats) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::deque<double> send_ms;
-  std::string inbox;
-  size_t sent = 0;
-  size_t received = 0;
-  char buf[4096];
-  while (received < lines->size()) {
-    while (sent < lines->size() && sent - received < kWindow) {
-      const std::string out = (*lines)[sent] + "\n";
-      size_t off = 0;
-      while (off < out.size()) {
-        const ssize_t n =
-            ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
-        if (n <= 0 && errno != EINTR) {
-          ::close(fd);
-          return;
-        }
-        if (n > 0) off += static_cast<size_t>(n);
-      }
-      send_ms.push_back(MsSince(t0));
-      ++sent;
-    }
-    size_t nl;
-    while ((nl = inbox.find('\n')) == std::string::npos) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n <= 0 && errno != EINTR) {
-        ::close(fd);
-        return;
-      }
-      if (n > 0) inbox.append(buf, static_cast<size_t>(n));
-    }
-    const std::string line = inbox.substr(0, nl);
-    inbox.erase(0, nl + 1);
-    stats->latencies_ms.push_back(MsSince(t0) - send_ms.front());
-    send_ms.pop_front();
-    if (line.find("\"error\"") != std::string::npos) ++stats->errors;
-    ++received;
-  }
-  ::close(fd);
-  stats->ok = true;
-}
-
-double Percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return -1.0;
-  std::sort(samples.begin(), samples.end());
-  const size_t rank = static_cast<size_t>(q * (samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
-}
+// Milliseconds with two decimals, from microseconds.
+std::string FormatUsAsMs(int64_t us) { return FormatDouble(us / 1000.0, 2); }
 
 void RunServeSweep(BenchReport* report) {
   std::printf(
@@ -183,47 +106,26 @@ void RunServeSweep(BenchReport* report) {
         return;
       }
 
-      // Deterministic round-robin split of the corpus over the clients.
-      std::vector<std::vector<std::string>> shares(clients);
-      for (int i = 0; i < kCorpusLines; ++i) {
-        shares[i % clients].push_back(corpus[i]);
-      }
-
-      Stopwatch timer;
-      std::vector<ClientStats> stats(clients);
-      std::vector<std::thread> workers;
-      workers.reserve(clients);
-      for (int c = 0; c < clients; ++c) {
-        workers.emplace_back(RunClient, server.port(), &shares[c], &stats[c]);
-      }
-      for (std::thread& t : workers) t.join();
-      const double wall_ms = timer.ElapsedMicros() / 1000.0;
-
+      LoadOptions load;
+      load.port = server.port();
+      load.clients = clients;
+      load.window = kWindow;
+      const LoadResult result = RunLoad(corpus, load);
       server.BeginDrain();
       server.Wait();
-
-      bool all_ok = true;
-      int64_t errors = 0;
-      std::vector<double> latencies;
-      for (const ClientStats& s : stats) {
-        all_ok = all_ok && s.ok;
-        errors += s.errors;
-        latencies.insert(latencies.end(), s.latencies_ms.begin(),
-                         s.latencies_ms.end());
-      }
-      if (!all_ok) {
+      if (!result.ok()) {
         std::fprintf(stderr, "bench_serve: a client failed mid-run\n");
         return;
       }
+      const double wall_ms = result.wall_us / 1000.0;
       table.AddRow({FormatInt(clients), FormatInt(threads),
                     FormatInt(kCorpusLines), FormatDouble(wall_ms, 2),
                     FormatDouble(wall_ms > 0
                                      ? kCorpusLines / (wall_ms / 1000.0)
                                      : 0.0,
                                  1),
-                    FormatDouble(Percentile(latencies, 0.50), 2),
-                    FormatDouble(Percentile(latencies, 0.95), 2),
-                    FormatInt(errors)});
+                    FormatUsAsMs(result.p50_us), FormatUsAsMs(result.p95_us),
+                    FormatInt(result.errors)});
     }
   }
   std::fputs(table.Render().c_str(), stdout);
@@ -262,8 +164,9 @@ std::string HttpGet(int port, const std::string& target) {
 }
 
 // One measured pass of the fixed load profile (1 client x 1 engine
-// thread over `lines`); with `trace_sample` > 0, every surface is armed
-// (ids, window accounting, 1-in-`trace_sample` tracing, SLO targets) and
+// thread, `corpus` replayed kRepeat times); with `trace_sample` > 0, every
+// surface is armed (client ids on every line, window accounting,
+// 1-in-`trace_sample` tracing, SLO targets) and
 // /statusz + /metrics are scraped outside the timed region to confirm
 // they render from the freshly written rings. Scrapes are deliberately
 // NOT concurrent with the timed window: a scrape is a cadence cost
@@ -271,18 +174,17 @@ std::string HttpGet(int port, const std::string& target) {
 // and at a production scrape interval (>= 10 s, matching the ring's
 // bucket width) the expected number of scrapes inside a ~200 ms pass is
 // zero — a fast poller would over-represent scrape frequency by ~2
-// orders of magnitude. Returns the wall clock in ms, or -1 on a client
-// failure.
-double RunOverheadPass(const std::vector<std::string>& lines,
-                       int64_t trace_sample, const std::string& trace_dir,
-                       std::vector<double>* latencies) {
+// orders of magnitude. Returns nullopt when a client fails, a response
+// carries an error, or a surface fails to render.
+std::optional<LoadResult> RunOverheadPass(
+    const std::vector<std::string>& corpus, int64_t trace_sample,
+    const std::string& trace_dir) {
   // Serial profile on purpose: one client, one engine thread. Every
   // microsecond a surface spends on the request path lands directly on
   // the wall clock — concurrency would let spare cores absorb exactly
   // the cost this experiment exists to expose, and on the single-core CI
   // host the 12-thread E20 profile adds ~±7% scheduler jitter that
   // swamps a ~1% effect.
-  constexpr int kClients = 1;
   const bool obs = trace_sample > 0;
   SolveEngine engine;
   ServeOptions options;
@@ -299,12 +201,7 @@ double RunOverheadPass(const std::vector<std::string>& lines,
   std::string error;
   if (!server.Start(&error)) {
     std::fprintf(stderr, "bench_serve: %s\n", error.c_str());
-    return -1.0;
-  }
-
-  std::vector<std::vector<std::string>> shares(kClients);
-  for (size_t i = 0; i < lines.size(); ++i) {
-    shares[i % kClients].push_back(lines[i]);
+    return std::nullopt;
   }
 
   if (obs) {
@@ -312,15 +209,12 @@ double RunOverheadPass(const std::vector<std::string>& lines,
     (void)HttpGet(server.port(), "/statusz");
   }
 
-  Stopwatch timer;
-  std::vector<ClientStats> stats(kClients);
-  std::vector<std::thread> workers;
-  workers.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    workers.emplace_back(RunClient, server.port(), &shares[c], &stats[c]);
-  }
-  for (std::thread& t : workers) t.join();
-  const double wall_ms = timer.ElapsedMicros() / 1000.0;
+  LoadOptions load;
+  load.port = server.port();
+  load.window = kWindow;
+  load.repeat = kRepeat;
+  load.ids = obs;
+  LoadResult result = RunLoad(corpus, load);
 
   if (obs) {
     // Post-pass scrape: the surfaces must render from the rings the pass
@@ -331,45 +225,25 @@ double RunOverheadPass(const std::vector<std::string>& lines,
         metrics.find("pebblejoin_serve_window_requests") ==
             std::string::npos) {
       std::fprintf(stderr, "bench_serve: live surfaces failed to render\n");
-      return -1.0;
+      return std::nullopt;
     }
   }
   server.BeginDrain();
   server.Wait();
 
-  for (const ClientStats& s : stats) {
-    if (!s.ok || s.errors != 0) {
-      std::fprintf(stderr, "bench_serve: overhead client failed\n");
-      return -1.0;
-    }
-    latencies->insert(latencies->end(), s.latencies_ms.begin(),
-                      s.latencies_ms.end());
+  if (!result.ok() || result.errors != 0) {
+    std::fprintf(stderr, "bench_serve: overhead client failed\n");
+    return std::nullopt;
   }
-  return wall_ms;
+  return result;
 }
 
 void RunObsOverhead(BenchReport* report) {
-  constexpr int kRepeat = 32;  // 32 x 96 = 3072 lines per pass, so the
-                               // per-pass wall is ~100x any fixed cost
-  constexpr int kPasses = 9;   // best-of-9 per mode: noise only ever adds
-                               // wall time, so min converges to true cost
-                               // (the single-core CI host jitters ~5%)
-
-  // The observability-on corpus carries a client id on every line; the
-  // off corpus is the id-less baseline.
-  const std::vector<std::string> base = MakeCorpus();
-  std::vector<std::string> plain;
-  std::vector<std::string> with_ids;
-  for (int r = 0; r < kRepeat; ++r) {
-    for (size_t i = 0; i < base.size(); ++i) {
-      plain.push_back(base[i]);
-      std::string tagged = base[i];
-      const size_t brace = tagged.rfind('}');
-      tagged.insert(brace, ", \"id\": \"b" +
-                               std::to_string(r * base.size() + i) + "\"");
-      with_ids.push_back(std::move(tagged));
-    }
-  }
+  constexpr int kPasses = 9;  // best-of-9 per mode: noise only ever adds
+                              // wall time, so min converges to true cost
+                              // (the single-core CI host jitters ~5%)
+  const std::vector<std::string> corpus = MakeCorpus();
+  const int64_t lines = kRepeat * static_cast<int64_t>(corpus.size());
 
   char trace_dir_template[] = "/tmp/pebblejoin-bench-traces-XXXXXX";
   const char* trace_dir = ::mkdtemp(trace_dir_template);
@@ -383,8 +257,8 @@ void RunObsOverhead(BenchReport* report) {
       "throughput) and the aggressive 1-in-64, which prices the sampling\n"
       "knob itself: one trace costs ~150 us to serialize and write —\n"
       "several solves' worth of CPU — so its share is sample_rate-bound.\n"
-      "%zu lines per pass, best of %d passes per mode.\n\n",
-      plain.size(), kPasses);
+      "%lld lines per pass, best of %d passes per mode.\n\n",
+      static_cast<long long>(lines), kPasses);
 
   // Mode 0: all surfaces off. Mode 1: the realistic config the <2% claim
   // is about. Mode 2: same but sampling 16x hotter.
@@ -397,18 +271,14 @@ void RunObsOverhead(BenchReport* report) {
   // on each mode's noise-free floor. (A paired per-iteration median was
   // tried and rejected: the first mode of an iteration runs coldest, and
   // that position bias skews every pairwise delta the same way.)
-  double wall[kModes] = {-1.0, -1.0, -1.0};
-  std::vector<double> lat[kModes];
+  std::optional<LoadResult> best[kModes];
   for (int pass = 0; pass < kPasses; ++pass) {
     for (int mode = 0; mode < kModes; ++mode) {
-      std::vector<double> pass_lat;
-      const double ms =
-          RunOverheadPass(mode == 0 ? plain : with_ids, kTraceSample[mode],
-                          trace_dir, &pass_lat);
-      if (ms < 0) return;
-      if (wall[mode] < 0 || ms < wall[mode]) {
-        wall[mode] = ms;
-        lat[mode] = std::move(pass_lat);
+      std::optional<LoadResult> result =
+          RunOverheadPass(corpus, kTraceSample[mode], trace_dir);
+      if (!result.has_value()) return;
+      if (!best[mode].has_value() || result->wall_us < best[mode]->wall_us) {
+        best[mode] = std::move(result);
       }
     }
   }
@@ -427,20 +297,18 @@ void RunObsOverhead(BenchReport* report) {
 
   TablePrinter table({"mode", "lines", "wall_ms", "lines_per_s", "p50_ms",
                       "p95_ms", "delta_pct"});
+  const double off_ms = best[0]->wall_us / 1000.0;
   for (int mode = 0; mode < kModes; ++mode) {
+    const double wall_ms = best[mode]->wall_us / 1000.0;
     const double delta_pct =
-        (mode > 0 && wall[0] > 0) ? (wall[mode] - wall[0]) / wall[0] * 100.0
-                                  : 0.0;
-    table.AddRow(
-        {kModeNames[mode], FormatInt(static_cast<int64_t>(plain.size())),
-         FormatDouble(wall[mode], 2),
-         FormatDouble(wall[mode] > 0
-                          ? plain.size() / (wall[mode] / 1000.0)
-                          : 0.0,
-                      1),
-         FormatDouble(Percentile(lat[mode], 0.50), 2),
-         FormatDouble(Percentile(lat[mode], 0.95), 2),
-         FormatDouble(delta_pct, 2)});
+        (mode > 0 && off_ms > 0) ? (wall_ms - off_ms) / off_ms * 100.0 : 0.0;
+    table.AddRow({kModeNames[mode], FormatInt(lines),
+                  FormatDouble(wall_ms, 2),
+                  FormatDouble(wall_ms > 0 ? lines / (wall_ms / 1000.0) : 0.0,
+                               1),
+                  FormatUsAsMs(best[mode]->p50_us),
+                  FormatUsAsMs(best[mode]->p95_us),
+                  FormatDouble(delta_pct, 2)});
   }
   std::fputs(table.Render().c_str(), stdout);
   report->AddTable("obs_overhead", table);

@@ -86,7 +86,7 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
   TraceSession* trace =
       request.trace != nullptr ? request.trace : defaults.trace;
   int threads = request.threads.value_or(defaults.threads);
-  const bool perf_on = request.perf.value_or(defaults.perf);
+  const bool perf_on = defaults.perf;
   JP_CHECK_MSG(threads >= 1, "threads must be >= 1");
   // A request already running on a pool worker (a batch fan-out task) is
   // solved sequentially: fanning out again on the same pool would have the

@@ -181,7 +181,6 @@ struct SolveRequest {
   std::optional<PlannerChoice> planner;
   std::optional<SolveBudget> budget;
   std::optional<int> threads;
-  std::optional<bool> perf;
   // Per-request trace sink; overrides the engine default when non-null.
   TraceSession* trace = nullptr;
   // Input-line attribution for journal events (>= 0 stamps a "line" base

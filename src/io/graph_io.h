@@ -3,13 +3,14 @@
 // A deliberately simple line-oriented format (DIMACS-flavored) so that
 // instances can be generated, stored, diffed, and fed to the CLI tool:
 //
-//   bipartite <left> <right> <edges>     graph <vertices> <edges>
-//   <l> <r>                              <u> <v>
-//   ...                                  ...
+//   bipartite <left> <right> <edges>
+//   <l> <r>
+//   ...
 //
-// Lines starting with '#' are comments; blank lines are ignored. Parsers
-// return std::nullopt on malformed input (no exceptions), with a
-// best-effort error description through the optional *error out-param.
+// '#' starts a comment that runs to the end of the line; blank lines are
+// ignored. The parser returns std::nullopt on malformed input (no
+// exceptions), with a one-line error description through the optional
+// *error out-param.
 
 #ifndef PEBBLEJOIN_IO_GRAPH_IO_H_
 #define PEBBLEJOIN_IO_GRAPH_IO_H_
@@ -24,20 +25,16 @@ namespace pebblejoin {
 
 // Serializes to the text format above.
 std::string SerializeBipartiteGraph(const BipartiteGraph& g);
+
+// Writes a general graph as "graph <vertices> <edges>" and then one "u v"
+// pair per line. Nothing parses it back: it pins generator output in
+// tests.
 std::string SerializeGraph(const Graph& g);
 
 // Parses the text format. On failure returns nullopt and, when `error` is
 // non-null, stores a one-line description.
 std::optional<BipartiteGraph> ParseBipartiteGraph(const std::string& text,
                                                   std::string* error);
-std::optional<Graph> ParseGraph(const std::string& text, std::string* error);
-
-// File helpers. Reading returns nullopt on I/O or parse errors; writing
-// returns false on I/O errors.
-std::optional<BipartiteGraph> ReadBipartiteGraphFile(const std::string& path,
-                                                     std::string* error);
-bool WriteTextFile(const std::string& path, const std::string& contents);
-std::optional<std::string> ReadTextFile(const std::string& path);
 
 }  // namespace pebblejoin
 

@@ -6,10 +6,6 @@
 
 namespace pebblejoin {
 
-PebblingBounds ComputeBounds(const Graph& g) {
-  return ComputeBounds(FindComponents(g));
-}
-
 PebblingBounds ComputeBounds(const ComponentDecomposition& decomp) {
   PebblingBounds bounds;
   bounds.betti_zero = decomp.num_components;

@@ -30,9 +30,8 @@ struct PebblingBounds {
   int64_t upper_dfs_bound = 0;  // Σ_c (m_c + ⌊(m_c−1)/4⌋) (Theorem 3.1)
 };
 
-// Computes the bounds over all connected components.
-PebblingBounds ComputeBounds(const Graph& g);
-// The same, read off `decomp` = FindComponents(g) in O(β₀).
+// Computes the bounds over all connected components of g, read off
+// `decomp` = FindComponents(g) in O(β₀).
 PebblingBounds ComputeBounds(const ComponentDecomposition& decomp);
 
 // Theorem 3.1's per-component bound for a connected graph with m >= 1 edges.

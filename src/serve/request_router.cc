@@ -124,18 +124,6 @@ std::string RequestRouter::RunSolve(const std::string& line,
   }
 
   std::string response = runner_.Run(line, line_number, context, outcome);
-  requests_.Increment();
-  switch (outcome->disposition) {
-    case JsonlRequestRunner::Disposition::kSolved:
-      solved_.Increment();
-      break;
-    case JsonlRequestRunner::Disposition::kError:
-      errors_.Increment();
-      break;
-    case JsonlRequestRunner::Disposition::kRejected:
-      rejected_.Increment();
-      break;
-  }
 
   if (trace.has_value() &&
       outcome->disposition == JsonlRequestRunner::Disposition::kSolved) {
@@ -214,30 +202,36 @@ void RequestRouter::FlushTraces() {
 std::string RequestRouter::RejectRecord(int64_t line_number,
                                         const std::string& reason,
                                         int64_t now_ms) {
-  requests_.Increment();
-  rejected_.Increment();
-  win_requests_.Add(now_ms);
-  win_rejected_.Add(now_ms);
+  Count(JsonlRequestRunner::Disposition::kRejected, now_ms);
   return JsonlErrorRecord(line_number, "rejected: " + reason);
+}
+
+void RequestRouter::Count(JsonlRequestRunner::Disposition disposition,
+                          int64_t now_ms) {
+  requests_.Increment();
+  win_requests_.Add(now_ms);
+  switch (disposition) {
+    case JsonlRequestRunner::Disposition::kSolved:
+      solved_.Increment();
+      win_solved_.Add(now_ms);
+      break;
+    case JsonlRequestRunner::Disposition::kError:
+      errors_.Increment();
+      win_errors_.Add(now_ms);
+      break;
+    case JsonlRequestRunner::Disposition::kRejected:
+      rejected_.Increment();
+      win_rejected_.Add(now_ms);
+      break;
+  }
 }
 
 void RequestRouter::RecordCompletion(
     const JsonlRequestRunner::Outcome& outcome, int64_t wall_us,
     int64_t now_ms) {
+  Count(outcome.disposition, now_ms);
   request_wall_us_.Record(wall_us);
-  win_requests_.Add(now_ms);
   win_wall_us_.Record(now_ms, wall_us);
-  switch (outcome.disposition) {
-    case JsonlRequestRunner::Disposition::kSolved:
-      win_solved_.Add(now_ms);
-      break;
-    case JsonlRequestRunner::Disposition::kError:
-      win_errors_.Add(now_ms);
-      break;
-    case JsonlRequestRunner::Disposition::kRejected:
-      win_rejected_.Add(now_ms);
-      break;
-  }
   metrics_->RecordExemplar("serve.request_wall_us", wall_us,
                            outcome.request_id);
   if (outcome.disposition != JsonlRequestRunner::Disposition::kSolved) return;

@@ -121,9 +121,10 @@ class RequestRouter {
   std::string RejectRecord(int64_t line_number, const std::string& reason,
                            int64_t now_ms);
 
-  // Folds one finished solve into the cumulative histogram, the sliding
-  // windows, the exemplar, and the recent-request ring. `wall_us` is the
-  // connection-observed wall clock (queue time included).
+  // Folds one finished solve into the request counters, the cumulative
+  // histogram, the sliding windows, the exemplar, and the recent-request
+  // ring. `wall_us` is the connection-observed wall clock (queue time
+  // included).
   void RecordCompletion(const JsonlRequestRunner::Outcome& outcome,
                         int64_t wall_us, int64_t now_ms);
 
@@ -165,6 +166,11 @@ class RequestRouter {
     std::string path;
     TraceSession session;
   };
+
+  // Counts one answered request, by disposition, in the cumulative
+  // counters and their sliding-window twins: the one place either set is
+  // bumped.
+  void Count(JsonlRequestRunner::Disposition disposition, int64_t now_ms);
 
   // Pushes the current window aggregates into the serve.window_* gauges so
   // a /metrics scrape exposes them alongside the cumulative series.

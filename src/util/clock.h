@@ -5,8 +5,8 @@
 // The base class reads the steady clock; FakeClock only moves when a test
 // advances it. Every clock injection point (BudgetContext, BatchRunner,
 // ServeOptions, Journal, TraceSession) takes a borrowed `const Clock*`,
-// and null means the steady clock. Nothing else in src/ or tools/ names a
-// std::chrono clock.
+// and null means the steady clock. Nothing else in src/, tools/ or bench/
+// names a std::chrono clock (CI greps for it).
 //
 // A read is one virtual call: no allocation, no std::function. Tests that
 // script a clock read by read subclass Clock and override NowUs().

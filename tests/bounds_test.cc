@@ -1,5 +1,6 @@
 #include "pebble/bounds.h"
 
+#include "graph/components.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "solver/exact_pebbler.h"
@@ -9,7 +10,7 @@ namespace {
 
 TEST(BoundsTest, ConnectedGraphBounds) {
   const Graph g = WorstCaseFamily(4).ToGraph();  // m = 8, connected
-  const PebblingBounds b = ComputeBounds(g);
+  const PebblingBounds b = ComputeBounds(FindComponents(g));
   EXPECT_EQ(b.num_edges, 8);
   EXPECT_EQ(b.betti_zero, 1);
   EXPECT_EQ(b.lower, 8);
@@ -19,7 +20,7 @@ TEST(BoundsTest, ConnectedGraphBounds) {
 
 TEST(BoundsTest, SumsOverComponents) {
   const Graph g = MatchingGraph(5).ToGraph();
-  const PebblingBounds b = ComputeBounds(g);
+  const PebblingBounds b = ComputeBounds(FindComponents(g));
   EXPECT_EQ(b.betti_zero, 5);
   EXPECT_EQ(b.lower, 5);
   EXPECT_EQ(b.upper_general, 5);    // Σ (2·1 − 1)
@@ -27,7 +28,7 @@ TEST(BoundsTest, SumsOverComponents) {
 }
 
 TEST(BoundsTest, EmptyGraph) {
-  const PebblingBounds b = ComputeBounds(Graph(3));
+  const PebblingBounds b = ComputeBounds(FindComponents(Graph(3)));
   EXPECT_EQ(b.num_edges, 0);
   EXPECT_EQ(b.lower, 0);
   EXPECT_EQ(b.upper_general, 0);
@@ -90,7 +91,7 @@ TEST(BoundsPropertyTest, ExactCostRespectsBoundsOnRandomGraphs) {
   for (uint64_t seed = 1; seed <= 30; ++seed) {
     const Graph g =
         RandomConnectedBipartite(4, 4, 7 + seed % 6, seed).ToGraph();
-    const PebblingBounds b = ComputeBounds(g);
+    const PebblingBounds b = ComputeBounds(FindComponents(g));
     const auto cost = exact.OptimalEffectiveCost(g);
     if (!cost.has_value()) continue;
     ++solved;

@@ -211,6 +211,19 @@ expect_code "serve negative threads exits 2" 2 serve --threads -1
 expect_code "calibrate zero instances exits 2" 2 calibrate --instances 0
 expect_code "calibrate zero rung deadline exits 2" 2 \
   calibrate --rung-deadline-ms 0
+# loadgen rejects bad flags before it opens the corpus or a socket, and an
+# unreadable corpus before it connects. Client counts out of range are
+# checked only here, as flag rejections: no client is ever started.
+expect_code "loadgen port out of range exits 2" 2 loadgen --port 70000
+expect_code "loadgen without --port exits 2" 2 \
+  loadgen --jsonl /nonexistent/in.jsonl
+expect_code "loadgen without --jsonl exits 2" 2 loadgen --port 9
+expect_code "loadgen zero clients exits 2" 2 \
+  loadgen --port 9 --jsonl /nonexistent/in.jsonl --clients 0
+expect_code "loadgen too many clients exits 2" 2 \
+  loadgen --port 9 --jsonl /nonexistent/in.jsonl --clients 1025
+expect_code "loadgen unreadable corpus exits 66" 66 \
+  loadgen --port 9 --jsonl /nonexistent/in.jsonl
 # Each command accepts only the flags Usage() lists for it.
 expect_code "batch takes no --json" 2 batch --jsonl - --json
 expect_code "serve takes no --profile-out" 2 serve --profile-out x

@@ -63,14 +63,6 @@ void ExpectBipartiteErrors(const std::vector<ErrorCase>& cases) {
   }
 }
 
-void ExpectGraphErrors(const std::vector<ErrorCase>& cases) {
-  for (const ErrorCase& c : cases) {
-    std::string error;
-    EXPECT_FALSE(ParseGraph(c.text, &error).has_value()) << c.text;
-    EXPECT_EQ(error, c.error) << c.text;
-  }
-}
-
 TEST(BipartiteIoTest, RejectsMalformedInput) {
   ExpectBipartiteErrors({
       {"", "expected header: bipartite <left> <right> <edges>"},
@@ -140,6 +132,8 @@ TEST(BipartiteIoTest, VertexCapRejectsOneOverTheLimit) {
        "line 1: header vertex counts too large"},
       {"# leading comment\nbipartite 0 134217729 0\n",
        "line 2: header vertex counts too large"},
+      {"\n# c\nbipartite 0 134217729 0\n",
+       "line 3: header vertex counts too large"},
   });
 }
 
@@ -169,6 +163,12 @@ TEST(BipartiteIoTest, ErrorsNameTheOffendingLine) {
       {"\n# c\nbipartite 2 2 2 # h\n0 1\n\n# c\n0\n1\n",
        "line 7: duplicate edge at position 1"},
       {"\n\n# c\nbipartite x 2 0\n", "line 4: malformed header numbers"},
+      // A comment and a blank line inside the edge list, and a comment
+      // glued to the token before it.
+      {"bipartite 3 3 4\n0 1\n1 2\n# c\n\n0 1\n2 0\n",
+       "line 6: duplicate edge at position 2"},
+      {"bipartite 2 2 2\n0 1#c\n0 1\n",
+       "line 3: duplicate edge at position 1"},
   });
 }
 
@@ -178,96 +178,6 @@ TEST(BipartiteIoTest, LengthMismatchReportsBothCounts) {
        "edge list length does not match header (2 edge tokens for 4 "
        "declared edges)"},
   });
-}
-
-TEST(GraphIoTest, MalformedInputCorpus) {
-  ExpectGraphErrors({
-      {"", "expected header: graph <vertices> <edges>"},
-      {"graph", "expected header: graph <vertices> <edges>"},
-      {"graph 3", "expected header: graph <vertices> <edges>"},
-      {"graph 3 zzz", "line 1: malformed header numbers"},
-      {"graph 3 1\n0\n",
-       "edge list length does not match header (0 edge tokens for 1 "
-       "declared edges)"},
-      {"graph 3 1\n0 1 2\n",
-       "edge list length does not match header (1 edge tokens for 1 "
-       "declared edges)"},
-      {"graph 3 2147483647\n0 1\n",
-       "edge list length does not match header (1 edge tokens for "
-       "2147483647 declared edges)"},
-      {"graph 2000000000 0\n", "line 1: header vertex count too large"},
-      // self loop
-      {"graph 3 1\n0 0\n", "line 2: edge 0 out of range"},
-      // duplicate
-      {"graph 3 2\n0 1\n0 1\n", "line 3: duplicate edge at position 1"},
-      // wrong header keyword
-      {"bipartite 2 2 0\n", "expected header: graph <vertices> <edges>"},
-  });
-}
-
-TEST(GraphIoTest, DuplicateEdgesAreUnordered) {
-  ExpectGraphErrors({
-      // {1, 0} repeats {0, 1}.
-      {"graph 3 2\n0 1\n1 0\n", "line 3: duplicate edge at position 1"},
-      {"graph 4 4\n0 1\n1 2\n# c\n\n2 1\n3 0\n",
-       "line 6: duplicate edge at position 2"},
-  });
-}
-
-TEST(GraphIoTest, FirstErrorInInputOrderWins) {
-  ExpectGraphErrors({
-      // A duplicate at position 2, then an out-of-range edge at 3.
-      {"graph 4 4\n0 1\n1 2\n1 0\n0 4\n",
-       "line 4: duplicate edge at position 2"},
-      // A self-loop at position 1, then a duplicate at 2.
-      {"graph 4 3\n0 1\n2 2\n0 1\n", "line 3: edge 1 out of range"},
-  });
-}
-
-TEST(GraphIoTest, VertexCapRejectsOneOverTheLimit) {
-  ExpectGraphErrors({
-      {"graph 134217729 0\n", "line 1: header vertex count too large"},
-      {"\n# c\ngraph 134217729 0\n", "line 3: header vertex count too large"},
-  });
-}
-
-TEST(GraphIoTest, RoundTripsRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 15; ++seed) {
-    const Graph g = RandomGraph(10, 0.3, seed);
-    std::string error;
-    const auto parsed = ParseGraph(SerializeGraph(g), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    ASSERT_EQ(parsed->num_edges(), g.num_edges());
-    for (int e = 0; e < g.num_edges(); ++e) {
-      EXPECT_EQ(parsed->edge(e).u, g.edge(e).u);
-      EXPECT_EQ(parsed->edge(e).v, g.edge(e).v);
-    }
-  }
-}
-
-TEST(GraphIoTest, RejectsSelfLoopsAndRange) {
-  ExpectGraphErrors({
-      {"graph 3 1\n1 1\n", "line 2: edge 0 out of range"},
-      {"graph 3 1\n0 3\n", "line 2: edge 0 out of range"},
-      {"graph 3 1\n-1 2\n", "line 2: edge 0 out of range"},
-  });
-}
-
-TEST(FileIoTest, WriteThenRead) {
-  const std::string path = testing::TempDir() + "/pebblejoin_io_test.txt";
-  const BipartiteGraph g = WorstCaseFamily(4);
-  ASSERT_TRUE(WriteTextFile(path, SerializeBipartiteGraph(g)));
-  std::string error;
-  const auto parsed = ReadBipartiteGraphFile(path, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_TRUE(parsed->SameEdgeSet(g));
-}
-
-TEST(FileIoTest, MissingFileFails) {
-  std::string error;
-  EXPECT_FALSE(
-      ReadBipartiteGraphFile("/nonexistent/nope.txt", &error).has_value());
-  EXPECT_FALSE(ReadTextFile("/nonexistent/nope.txt").has_value());
 }
 
 TEST(DotExportTest, ContainsAllVerticesAndEdges) {

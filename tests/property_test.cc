@@ -6,6 +6,7 @@
 #include <string>
 #include <tuple>
 
+#include "graph/components.h"
 #include "graph/generators.h"
 #include "graph/hamiltonian.h"
 #include "join/interval.h"
@@ -133,7 +134,7 @@ TEST_P(SolverFamilyPropertyTest, SchemeValidAndWithinBounds) {
     ASSERT_TRUE(verdict.valid) << verdict.error;
 
     // Lemma 2.3 window.
-    const PebblingBounds bounds = ComputeBounds(g);
+    const PebblingBounds bounds = ComputeBounds(FindComponents(g));
     EXPECT_GE(solution.effective_cost, bounds.lower);
     EXPECT_LE(solution.effective_cost, bounds.upper_general);
 

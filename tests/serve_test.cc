@@ -39,6 +39,7 @@
 #include "obs/json.h"
 #include "serve/fault_injector.h"
 #include "serve/line_server.h"
+#include "serve/loopback_client.h"
 #include "serve/serve_options.h"
 #include "util/clock.h"
 #include "util/thread_pool.h"
@@ -230,6 +231,98 @@ TEST(ServeTest, RoundTripMatchesSingleShotEngineOutput) {
   EXPECT_EQ(summary.responses, 3);
   EXPECT_EQ(summary.rejected_lines, 0);
   EXPECT_FALSE(summary.aborted);
+}
+
+// The one loopback client (`pebblejoin loadgen`, bench_serve): two
+// pipelined clients with ids on. The replies come back in corpus order,
+// each echoing the id it was sent with and otherwise identical to the
+// single-shot engine's answer for its line's graph.
+TEST(LoopbackClientTest, TwoClientsReturnCorpusOrderAndEchoEveryId) {
+  std::vector<BipartiteGraph> graphs;
+  std::vector<std::string> corpus;
+  for (int n = 3; n < 13; ++n) {  // distinct sizes: a swap cannot pass
+    graphs.push_back(WorstCaseFamily(n));
+    corpus.push_back(Line(graphs.back()));
+  }
+  SolveEngine engine;
+  ServeOptions options = TestOptions();
+  options.threads = 2;
+  LineServer server(&engine, options);
+  START_SERVER(server);
+
+  LoadOptions load;
+  load.port = server.port();
+  load.clients = 2;
+  load.window = 4;
+  load.ids = true;
+  const LoadResult result = RunLoad(corpus, load);
+  ASSERT_TRUE(result.client_errors.empty()) << result.client_errors[0];
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.lines, 10);
+  EXPECT_EQ(result.responses, 10);
+  EXPECT_EQ(result.errors, 0);
+  EXPECT_EQ(result.id_mismatches, 0);
+  ASSERT_EQ(result.replies.size(), corpus.size());
+  for (size_t g = 0; g < corpus.size(); ++g) {
+    // Line g was client g % 2's (g / 2)-th line.
+    std::string id = "c";
+    id += std::to_string(g % 2);
+    id += 'x';
+    id += std::to_string(g / 2);
+    const LoadReply& reply = result.replies[g];
+    EXPECT_EQ(reply.id, id);
+    const std::string lead = "{\"id\":\"" + id + "\",";
+    ASSERT_EQ(reply.response.rfind(lead, 0), 0u) << reply.response;
+    std::string unstamped = "{";
+    unstamped.append(reply.response, lead.size());
+    SolveEngine fresh;
+    SolveRequest single;
+    single.graph = &graphs[g];
+    EXPECT_EQ(NormalizeTimings(unstamped),
+              NormalizeTimings(AnalysisJson(fresh.Solve(single).analysis)))
+        << "line " << g;
+  }
+
+  server.BeginDrain();
+  const LineServer::Summary summary = server.Wait();
+  EXPECT_EQ(summary.connections, 2);
+  EXPECT_EQ(summary.responses, 10);
+}
+
+// A server that never answers: the client gives up at its timeout with
+// an error instead of hanging.
+TEST(LoopbackClientTest, SilentServerTimesOutInsteadOfHanging) {
+  // Nobody accepts on this socket, but the kernel completes the
+  // handshake, so the client connects and sends and no response comes.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), len),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 4), 0);
+  ASSERT_EQ(
+      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  LoadOptions load;
+  load.port = ntohs(addr.sin_port);
+  load.timeout_ms = 200;
+  const int64_t start_us = Clock::SteadyNowUs();
+  const LoadResult result = RunLoad({Line(WorstCaseFamily(3))}, load);
+  const int64_t elapsed_ms = (Clock::SteadyNowUs() - start_us) / 1000;
+  ::close(listen_fd);
+
+  EXPECT_FALSE(result.ok());
+  ASSERT_EQ(result.client_errors.size(), 1u);
+  EXPECT_NE(result.client_errors[0].find("timed out waiting for responses"),
+            std::string::npos)
+      << result.client_errors[0];
+  EXPECT_EQ(result.responses, 0);
+  EXPECT_TRUE(result.replies.empty());
+  EXPECT_GE(elapsed_ms, 200);
+  EXPECT_LT(elapsed_ms, 10000);
 }
 
 TEST(ServeTest, BlankAndMalformedLinesFollowBatchSemantics) {

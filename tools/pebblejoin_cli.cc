@@ -20,6 +20,12 @@
 // port; the bound address is announced on stderr as "serving on
 // HOST:PORT". Protocol, flags, and failure modes: docs/serving.md.
 //
+// `loadgen` is serve's matching client: --clients connections replay a
+// JSONL corpus (--repeat times) with at most --window lines in flight
+// each, capture the responses in corpus order (--out), and check that
+// each line got exactly one response. --ids stamps every line with a
+// correlation id and fails the run unless every response echoes it.
+//
 // Budget flags (analyze/solve/batch/serve): --deadline-ms N, --memory-mb N,
 // --node-budget N. Giving any of them without an explicit --solver selects
 // the fallback ladder, which degrades gracefully instead of refusing.
@@ -71,7 +77,8 @@
 // stderr and exits nonzero. JP_CHECK aborts are reserved for library bugs.
 // Exit codes are distinct by failure class: 0 success, 1 runtime failure
 // (unparsable graph, unwritable output), 2 bad flags, 64 usage (no or
-// unknown command), 66 missing input file.
+// unknown command), 66 missing input file. loadgen also exits 1 when a
+// client fails or a response misses its id.
 
 #include <csignal>
 #include <unistd.h>
@@ -88,6 +95,7 @@
 #include <iostream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -96,8 +104,10 @@
 #include "core/analyzer.h"
 #include "core/report.h"
 #include "engine/batch_runner.h"
+#include "engine/jsonl_request.h"
 #include "engine/names.h"
 #include "serve/line_server.h"
+#include "serve/loopback_client.h"
 #include "obs/build_info.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -113,6 +123,7 @@
 #include "pebble/cost_model.h"
 #include "solver/ladder_planner.h"
 #include "util/check.h"
+#include "util/parse_int.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -170,6 +181,10 @@ int Usage() {
       "                   [--predicate NAME] [--journal FILE]\n"
       "                   [--log-level LEVEL] [--flight-recorder N]\n"
       "                   [--metrics-out FILE] [--perf-stats]\n"
+      "  pebblejoin loadgen --port P --jsonl IN.jsonl [--host H]\n"
+      "                     [--clients N] [--window W] [--repeat R]\n"
+      "                     [--timeout-ms N] [--ids] [--out OUT.jsonl]\n"
+      "                     [--latency-out FILE]\n"
       "budget flags: --deadline-ms N  --memory-mb N  --node-budget N\n"
       "telemetry flags: --json  --stats  --trace-out FILE  --journal FILE\n"
       "                 --log-level LEVEL  --flight-recorder N\n"
@@ -190,17 +205,15 @@ int Fail(const std::string& message) {
   return kExitBadFlags;
 }
 
-// Strict integer parsing: the whole token must be a base-10 integer in
-// range. atoi's silent zero on garbage is exactly the failure mode the
-// malformed-input audit exists to remove.
-bool ParseInt64(const char* token, int64_t* out) {
-  if (token == nullptr || *token == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(token, &end, 10);
-  if (errno == ERANGE || end == token || *end != '\0') return false;
-  *out = value;
-  return true;
+// Reads a strict base-10 integer (util/parse_int.h) in [lo, hi] into
+// `*out`; false, leaving `*out` alone, otherwise.
+template <typename T>
+bool ParseArg(const char* token, T* out,
+              int64_t lo = std::numeric_limits<T>::min(),
+              int64_t hi = std::numeric_limits<T>::max()) {
+  const std::optional<int64_t> value = ParseInt(token, lo, hi);
+  if (value.has_value()) *out = static_cast<T>(*value);
+  return value.has_value();
 }
 
 bool ParseDouble(const char* token, double* out) {
@@ -210,14 +223,6 @@ bool ParseDouble(const char* token, double* out) {
   const double value = std::strtod(token, &end);
   if (errno == ERANGE || end == token || *end != '\0') return false;
   *out = value;
-  return true;
-}
-
-bool ParseInt32(const char* token, int* out) {
-  int64_t wide = 0;
-  if (!ParseInt64(token, &wide)) return false;
-  if (wide < INT32_MIN || wide > INT32_MAX) return false;
-  *out = static_cast<int>(wide);
   return true;
 }
 
@@ -293,12 +298,7 @@ Flag Int(const char* name, T* out, std::string error,
          int64_t hi = std::numeric_limits<T>::max()) {
   return {name, true,
           [out, lo, hi](const char* value) {
-            int64_t parsed = 0;
-            if (!ParseInt64(value, &parsed) || parsed < lo || parsed > hi) {
-              return false;
-            }
-            *out = static_cast<T>(parsed);
-            return true;
+            return ParseArg(value, out, lo, hi);
           },
           std::move(error)};
 }
@@ -326,9 +326,7 @@ Flag Threads(int* out) {
   return {"--threads", true,
           [out](const char* value) {
             int threads = 0;
-            if (!ParseInt32(value, &threads) || threads < 0 || threads > 4096) {
-              return false;
-            }
+            if (!ParseArg(value, &threads, 0, 4096)) return false;
             *out = threads == 0 ? ThreadPool::DefaultThreads() : threads;
             return true;
           },
@@ -373,9 +371,7 @@ void AddRequestFlags(RequestFlags* flags, PredicateClass* predicate,
        {"--memory-mb", true,
         [budget](const char* value) {
           int64_t mb = 0;
-          if (!ParseInt64(value, &mb) || mb < 0 || mb > (int64_t{1} << 40)) {
-            return false;
-          }
+          if (!ParseArg(value, &mb, 0, int64_t{1} << 40)) return false;
           budget->memory_limit_bytes = mb << 20;
           return true;
         },
@@ -449,16 +445,16 @@ bool AttachJournal(const RequestFlags& flags, Journal* journal,
   return true;
 }
 
-// Writes one registry as OpenMetrics text to `path`. Returns false (after
-// printing the error) when the file cannot be written.
-bool WriteMetricsFile(const std::string& path, MetricsRegistry* registry) {
+// Writes `text` to `path`. Returns false (after printing the error) when
+// the file cannot be written.
+bool WriteOutputFile(const std::string& path, const std::string& text) {
   std::ofstream out(path);
   if (!out.is_open()) {
-    std::fprintf(stderr, "error: cannot open metrics file '%s'\n",
+    std::fprintf(stderr, "error: cannot open output file '%s'\n",
                  path.c_str());
     return false;
   }
-  registry->WriteOpenMetrics(&out);
+  out << text;
   out.flush();
   if (!out.good()) {
     std::fprintf(stderr, "error: writing '%s' failed\n", path.c_str());
@@ -521,7 +517,7 @@ int CmdGen(int argc, char** argv) {
   const std::string family = argv[2];
   if (family == "worstcase") {
     int n = 0;
-    if (argc != 4 || !ParseInt32(argv[3], &n)) {
+    if (argc != 4 || !ParseArg(argv[3], &n)) {
       return Fail("gen worstcase needs one integer argument <n>");
     }
     if (n < 3) return Fail("gen worstcase needs n >= 3");
@@ -530,7 +526,7 @@ int CmdGen(int argc, char** argv) {
   }
   if (family == "complete") {
     int k = 0, l = 0;
-    if (argc != 5 || !ParseInt32(argv[3], &k) || !ParseInt32(argv[4], &l)) {
+    if (argc != 5 || !ParseArg(argv[3], &k) || !ParseArg(argv[4], &l)) {
       return Fail("gen complete needs two integer arguments <k> <l>");
     }
     if (k < 1 || l < 1) return Fail("gen complete needs k >= 1 and l >= 1");
@@ -541,9 +537,9 @@ int CmdGen(int argc, char** argv) {
   if (family == "random") {
     int left = 0, right = 0, m = 0;
     int64_t seed = 0;
-    if ((argc != 7 && argc != 8) || !ParseInt32(argv[3], &left) ||
-        !ParseInt32(argv[4], &right) || !ParseInt32(argv[5], &m) ||
-        !ParseInt64(argv[6], &seed)) {
+    if ((argc != 7 && argc != 8) || !ParseArg(argv[3], &left) ||
+        !ParseArg(argv[4], &right) || !ParseArg(argv[5], &m) ||
+        !ParseArg(argv[6], &seed)) {
       return Fail("gen random needs <left> <right> <m> <seed> integers");
     }
     bool connected = false;
@@ -619,7 +615,8 @@ bool RunAnalysis(const AnalysisFlags& flags, const BipartiteGraph& g,
     }
   }
   return metrics_out.empty() ||
-         WriteMetricsFile(metrics_out, MetricsRegistry::Default());
+         WriteOutputFile(metrics_out,
+                         MetricsRegistry::Default()->OpenMetricsText());
 }
 
 // Prints solve's human output: the provenance header in comments, then
@@ -996,9 +993,7 @@ int CmdBatch(int argc, char** argv) {
       std::string count_line;
       int64_t expected = 0;
       while (std::getline(counter, count_line)) {
-        if (count_line.find_first_not_of(" \t\r") != std::string::npos) {
-          ++expected;
-        }
+        if (!JsonlLineIsBlank(count_line)) ++expected;
       }
       options.expected_lines = expected;
     }
@@ -1039,7 +1034,8 @@ int CmdBatch(int argc, char** argv) {
                static_cast<long long>(summary.latency_p95_ms),
                static_cast<long long>(summary.latency_p99_ms));
   if (!flags.metrics_out.empty() &&
-      !WriteMetricsFile(flags.metrics_out, engine.metrics())) {
+      !WriteOutputFile(flags.metrics_out,
+                       engine.metrics()->OpenMetricsText())) {
     return kExitRuntime;
   }
   if (out_file.is_open() && !out_file.good()) {
@@ -1169,10 +1165,105 @@ int CmdServe(int argc, char** argv) {
                static_cast<long long>(summary.rejected_lines),
                summary.aborted ? ", aborted" : "");
   if (!flags.metrics_out.empty() &&
-      !WriteMetricsFile(flags.metrics_out, engine.metrics())) {
+      !WriteOutputFile(flags.metrics_out,
+                       engine.metrics()->OpenMetricsText())) {
     return kExitRuntime;
   }
   return summary.aborted ? kExitRuntime : 0;
+}
+
+// `loadgen` replays a JSONL corpus against a running `serve` through the
+// loopback client (serve/loopback_client.h). Exit 0 iff every client
+// connected, sent its share and got every response inside --timeout-ms,
+// and under --ids every response echoed the id it was sent with. --out
+// writes the responses and --latency-out one
+// {"id":...,"latency_ms":N,"error":bool} record per request, both in
+// corpus order and only on success; a p50/p95 summary goes to stderr.
+int CmdLoadgen(int argc, char** argv) {
+  LoadOptions load;
+  load.clients = 4;
+  std::string jsonl_path;
+  std::string out_path;
+  std::string latency_out_path;
+  if (!ParseFlags(
+          argc, argv,
+          {Text("--host", &load.host, "--host needs an IPv4 address"),
+           Int("--port", &load.port, "--port needs an integer in [1, 65535]",
+               1, 65535),
+           Text("--jsonl", &jsonl_path, "--jsonl needs a file path"),
+           Text("--out", &out_path, "--out needs a file path"),
+           Int("--clients", &load.clients,
+               "--clients needs an integer in [1, 1024]", 1, 1024),
+           Int("--window", &load.window,
+               "--window needs an integer in [1, 1024]", 1, 1024),
+           Int("--repeat", &load.repeat,
+               "--repeat needs an integer in [1, 100000]", 1, 100000),
+           Int("--timeout-ms", &load.timeout_ms,
+               "--timeout-ms needs an integer in [1, 1099511627776]", 1,
+               int64_t{1} << 40),
+           Switch("--ids", &load.ids),
+           Text("--latency-out", &latency_out_path,
+                "--latency-out needs a file path")})) {
+    return kExitBadFlags;
+  }
+  if (load.port == 0 || jsonl_path.empty()) {
+    return Fail("loadgen needs --port P and --jsonl FILE");
+  }
+  std::ifstream in(jsonl_path);
+  if (!in.is_open()) {
+    std::fprintf(stderr, "error: cannot open input file '%s'\n",
+                 jsonl_path.c_str());
+    return kExitMissingInput;
+  }
+  std::vector<std::string> corpus;
+  for (std::string line; std::getline(in, line);) {
+    if (!JsonlLineIsBlank(line)) corpus.push_back(std::move(line));
+  }
+  if (corpus.empty()) {
+    std::fprintf(stderr, "error: no non-blank lines in '%s'\n",
+                 jsonl_path.c_str());
+    return kExitRuntime;
+  }
+
+  const LoadResult result = RunLoad(corpus, load);
+  for (const std::string& error : result.client_errors) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+  }
+  if (result.id_mismatches > 0) {
+    std::fprintf(stderr,
+                 "error: %lld responses did not echo the id they were "
+                 "sent with\n",
+                 static_cast<long long>(result.id_mismatches));
+  }
+  if (result.ok() && !out_path.empty()) {
+    std::string text;
+    for (const LoadReply& reply : result.replies) {
+      text += reply.response;
+      text += '\n';
+    }
+    if (!WriteOutputFile(out_path, text)) return kExitRuntime;
+  }
+  if (result.ok() && !latency_out_path.empty()) {
+    std::string text;
+    for (const LoadReply& reply : result.replies) {
+      text += '{';
+      if (load.ids) text += "\"id\":\"" + reply.id + "\",";
+      text += "\"latency_ms\":" + std::to_string(reply.latency_us / 1000);
+      text += reply.error ? ",\"error\":true}\n" : ",\"error\":false}\n";
+    }
+    if (!WriteOutputFile(latency_out_path, text)) return kExitRuntime;
+  }
+  const auto ms = [](int64_t us) { return us < 0 ? -1LL : us / 1000; };
+  std::fprintf(stderr,
+               "loadgen: %d clients, %lld lines, %lld responses, %lld "
+               "errors, %lld id mismatches, p50=%lldms p95=%lldms, "
+               "wall=%lldms\n",
+               load.clients, static_cast<long long>(result.lines),
+               static_cast<long long>(result.responses),
+               static_cast<long long>(result.errors),
+               static_cast<long long>(result.id_mismatches),
+               ms(result.p50_us), ms(result.p95_us), ms(result.wall_us));
+  return result.ok() ? 0 : kExitRuntime;
 }
 
 int Main(int argc, char** argv) {
@@ -1193,6 +1284,7 @@ int Main(int argc, char** argv) {
   if (command == "calibrate") return CmdCalibrate(argc, argv);
   if (command == "batch") return CmdBatch(argc, argv);
   if (command == "serve") return CmdServe(argc, argv);
+  if (command == "loadgen") return CmdLoadgen(argc, argv);
   return Usage();
 }
 
