@@ -93,7 +93,7 @@ std::optional<BipartiteGraph> ParseBipartiteGraph(const std::string& text,
   int counts[3] = {};  // the side sizes, then the edge count
   for (size_t i = 1; i < header; ++i) {
     const auto count =
-        ParseInt(tokens[i].text.c_str(), 0, std::numeric_limits<int>::max());
+        ParseInt(tokens[i].text, 0, std::numeric_limits<int>::max());
     if (!count) {
       SetError(error, AtLine(tokens[0]) + "malformed header numbers");
       return std::nullopt;
@@ -125,8 +125,8 @@ std::optional<BipartiteGraph> ParseBipartiteGraph(const std::string& text,
   Graph flat(left + right);
   int out_of_range = -1;
   for (int e = 0; e < edges && out_of_range == -1; ++e) {
-    const auto l = ParseInt(tokens[pair_at(e)].text.c_str(), 0, left - 1);
-    const auto r = ParseInt(tokens[pair_at(e) + 1].text.c_str(), 0, right - 1);
+    const auto l = ParseInt(tokens[pair_at(e)].text, 0, left - 1);
+    const auto r = ParseInt(tokens[pair_at(e) + 1].text, 0, right - 1);
     if (!l || !r) {
       out_of_range = e;
     } else {

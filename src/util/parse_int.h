@@ -4,8 +4,8 @@
 // Strict means the whole token is one base-10 integer with an optional
 // leading sign ('+' included) and nothing after it, within [lo, hi];
 // leading whitespace is skipped, as strtoll skips it. An
-// empty token, trailing bytes ("3x", "1e1"), hex ("0x1") and anything that
-// overflows int64 are rejected. atoi's silent zero on garbage is exactly
+// empty token, trailing bytes ("3x", "1e1", an embedded NUL as in
+// "0\0zz"), hex ("0x1") and anything that overflows int64 are rejected. atoi's silent zero on garbage is exactly
 // the failure this exists to rule out.
 
 #ifndef PEBBLEJOIN_UTIL_PARSE_INT_H_
@@ -16,17 +16,20 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <string>
 
 namespace pebblejoin {
 
 inline std::optional<int64_t> ParseInt(
-    const char* token, int64_t lo = std::numeric_limits<int64_t>::min(),
+    const std::string& token, int64_t lo = std::numeric_limits<int64_t>::min(),
     int64_t hi = std::numeric_limits<int64_t>::max()) {
-  if (token == nullptr || *token == '\0') return std::nullopt;
+  if (token.empty()) return std::nullopt;
+  // strtoll stops at a NUL, so "whole token" is checked against the
+  // token's length, not against its terminator.
   errno = 0;
   char* end = nullptr;
-  const long long value = std::strtoll(token, &end, 10);
-  if (errno != 0 || end == token || *end != '\0') return std::nullopt;
+  const long long value = std::strtoll(token.c_str(), &end, 10);
+  if (errno != 0 || end != token.c_str() + token.size()) return std::nullopt;
   if (value < lo || value > hi) return std::nullopt;
   return value;
 }

@@ -51,9 +51,11 @@ TEST(BipartiteIoTest, CommentsAndBlankLinesIgnored) {
 // Each case pins the exact diagnostic bytes: the CLI, batch and serve
 // surface them verbatim.
 struct ErrorCase {
-  const char* text;
+  std::string text;  // a std::string, so a case can carry a NUL byte
   const char* error;
 };
+
+using namespace std::string_literals;
 
 void ExpectBipartiteErrors(const std::vector<ErrorCase>& cases) {
   for (const ErrorCase& c : cases) {
@@ -121,6 +123,12 @@ TEST(BipartiteIoTest, MalformedInputCorpus) {
       // wrong header keyword
       {"graph 2 1\n0 1\n",
        "expected header: bipartite <left> <right> <edges>"},
+      // a NUL inside a token ends neither the token nor the number
+      // (JSONL's \u0000 decodes to one)
+      {"bipartite 1 1 1\n0 0\0zz\n"s,
+       "line 2: edge 0 out of range"},
+      {"bipartite 1\0x 1 0\n"s,
+       "line 1: malformed header numbers"},
   });
 }
 

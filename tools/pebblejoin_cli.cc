@@ -211,6 +211,7 @@ template <typename T>
 bool ParseArg(const char* token, T* out,
               int64_t lo = std::numeric_limits<T>::min(),
               int64_t hi = std::numeric_limits<T>::max()) {
+  if (token == nullptr) return false;
   const std::optional<int64_t> value = ParseInt(token, lo, hi);
   if (value.has_value()) *out = static_cast<T>(*value);
   return value.has_value();
@@ -445,22 +446,27 @@ bool AttachJournal(const RequestFlags& flags, Journal* journal,
   return true;
 }
 
-// Writes `text` to `path`. Returns false (after printing the error) when
-// the file cannot be written.
-bool WriteOutputFile(const std::string& path, const std::string& text) {
+// Opens `path` and lets `write` stream into it. Returns false (after
+// printing the error) when the file cannot be written.
+bool WriteOutputFile(const std::string& path,
+                     const std::function<void(std::ostream&)>& write) {
   std::ofstream out(path);
   if (!out.is_open()) {
     std::fprintf(stderr, "error: cannot open output file '%s'\n",
                  path.c_str());
     return false;
   }
-  out << text;
+  write(out);
   out.flush();
   if (!out.good()) {
     std::fprintf(stderr, "error: writing '%s' failed\n", path.c_str());
     return false;
   }
   return true;
+}
+
+bool WriteOutputFile(const std::string& path, const std::string& text) {
+  return WriteOutputFile(path, [&text](std::ostream& out) { out << text; });
 }
 
 // Arms the SIGPROF sampling profiler when --profile-out was given. An
@@ -1235,23 +1241,24 @@ int CmdLoadgen(int argc, char** argv) {
                  "sent with\n",
                  static_cast<long long>(result.id_mismatches));
   }
-  if (result.ok() && !out_path.empty()) {
-    std::string text;
-    for (const LoadReply& reply : result.replies) {
-      text += reply.response;
-      text += '\n';
-    }
-    if (!WriteOutputFile(out_path, text)) return kExitRuntime;
+  if (result.ok() && !out_path.empty() &&
+      !WriteOutputFile(out_path, [&result](std::ostream& out) {
+        for (const LoadReply& reply : result.replies) {
+          out << reply.response << '\n';
+        }
+      })) {
+    return kExitRuntime;
   }
-  if (result.ok() && !latency_out_path.empty()) {
-    std::string text;
-    for (const LoadReply& reply : result.replies) {
-      text += '{';
-      if (load.ids) text += "\"id\":\"" + reply.id + "\",";
-      text += "\"latency_ms\":" + std::to_string(reply.latency_us / 1000);
-      text += reply.error ? ",\"error\":true}\n" : ",\"error\":false}\n";
-    }
-    if (!WriteOutputFile(latency_out_path, text)) return kExitRuntime;
+  if (result.ok() && !latency_out_path.empty() &&
+      !WriteOutputFile(latency_out_path, [&](std::ostream& out) {
+        for (const LoadReply& reply : result.replies) {
+          out << '{';
+          if (load.ids) out << "\"id\":\"" << reply.id << "\",";
+          out << "\"latency_ms\":" << reply.latency_us / 1000
+              << (reply.error ? ",\"error\":true}\n" : ",\"error\":false}\n");
+        }
+      })) {
+    return kExitRuntime;
   }
   const auto ms = [](int64_t us) { return us < 0 ? -1LL : us / 1000; };
   std::fprintf(stderr,
