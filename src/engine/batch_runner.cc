@@ -1,16 +1,17 @@
 #include "engine/batch_runner.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <istream>
+#include <optional>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "engine/jsonl_request.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
+#include "util/ordered_window.h"
 
 namespace pebblejoin {
 
@@ -18,13 +19,11 @@ BatchRunner::BatchRunner(SolveEngine* engine, Options options)
     : engine_(engine), options_(options) {
   JP_CHECK(engine_ != nullptr);
   JP_CHECK_MSG(options_.threads >= 1, "threads must be >= 1");
-  JP_CHECK_MSG(options_.block_lines >= 1, "block_lines must be >= 1");
 }
 
-std::string BatchRunner::RunLine(const JsonlRequestRunner& runner,
-                                 const DeadlineAdmission& admission,
-                                 const std::string& line, int64_t line_number,
-                                 LineOutcome* outcome) {
+BatchRunner::LineResult BatchRunner::RunLine(
+    const JsonlRequestRunner& runner, const DeadlineAdmission& admission,
+    const std::string& line, int64_t line_number) {
   // The first clock read doubles as the admission time (the same read the
   // latency measurement takes) — under fan-out that is the worker's start,
   // which is exactly the admission semantics a shared pool implies.
@@ -39,11 +38,13 @@ std::string BatchRunner::RunLine(const JsonlRequestRunner& runner,
   std::snprintf(fallback_id, sizeof(fallback_id), "L%lld",
                 static_cast<long long>(line_number));
   context.fallback_id = std::string(fallback_id);
-  JsonlRequestRunner::Outcome line_outcome;
-  std::string result = runner.Run(line, line_number, context, &line_outcome);
-  outcome->kind = line_outcome.disposition;
-  outcome->degraded = line_outcome.degraded;
-  outcome->latency_ms = NowMs() - start_ms;
+  JsonlRequestRunner::Outcome outcome;
+  LineResult result;
+  result.text = runner.Run(line, line_number, context, &outcome);
+  result.number = line_number;
+  result.kind = outcome.disposition;
+  result.degraded = outcome.degraded;
+  result.latency_ms = NowMs() - start_ms;
   return result;
 }
 
@@ -78,7 +79,7 @@ BatchRunner::Summary BatchRunner::Run(std::istream& in, std::ostream& out) {
   int64_t last_progress_ms = batch_start_ms_;
 
   // One progress report: a stderr-style line on options_.progress plus a
-  // "batch.progress" journal event. Runs after a block, on the owning
+  // "batch.progress" journal event. Runs after a written line, on the owning
   // thread, entirely on the injectable clock — deterministic under
   // FakeClock, which is what the batch_runner tests pin.
   const auto report_progress = [&]() {
@@ -118,54 +119,37 @@ BatchRunner::Summary BatchRunner::Run(std::istream& in, std::ostream& out) {
     }
   };
 
-  // Block ids are global line numbers (1-based, blank lines included) so
-  // error records point at the line the user can see in the input file.
-  struct PendingLine {
-    std::string text;
-    int64_t number = 0;
-  };
-  int64_t next_line_number = 0;
-  std::string line;
-  bool eof = false;
-
-  while (!eof) {
-    std::vector<PendingLine> block;
-    block.reserve(static_cast<size_t>(options_.block_lines));
-    while (static_cast<int>(block.size()) < options_.block_lines) {
-      if (!std::getline(in, line)) {
-        eof = true;
-        break;
+  // Lines stream through one ordered window, each answer written once it
+  // and every line before it are done. Two lines in flight per thread:
+  // enough that a worker finishing a line finds the next one queued, few
+  // enough that finished answers do not pile up behind a slow line. A line
+  // is dispatched once the next line (or EOF) has been read, so a batch
+  // whose only line meets EOF runs it on the calling thread, no pool.
+  constexpr int kLinesInFlightPerThread = 2;
+  const size_t max_in_flight =
+      static_cast<size_t>(kLinesInFlightPerThread * options_.threads);
+  std::optional<OrderedWindow<LineResult>> window;
+  // Writes answers in input order until at most `keep` lines are left in
+  // the window: every answer already done, then, blocking, the oldest.
+  // `out` is flushed whenever no finished answer is left to write, and a
+  // progress report follows a written answer when one is due.
+  const auto write_answers = [&](size_t keep) {
+    bool unflushed = false;
+    LineResult result;
+    for (;;) {
+      if (!window->TryTake(&result)) {
+        if (window->size() <= keep) break;
+        if (unflushed) out.flush();
+        unflushed = false;
+        result = window->Take();
       }
-      ++next_line_number;
-      if (JsonlLineIsBlank(line)) continue;
-      block.push_back(PendingLine{line, next_line_number});
-    }
-    if (block.empty()) continue;
-    summary.lines_read += static_cast<int64_t>(block.size());
-
-    const int n = static_cast<int>(block.size());
-    std::vector<std::string> results(n);
-    std::vector<LineOutcome> outcomes(n);
-    const auto run_one = [&](int i) {
-      results[i] =
-          RunLine(runner, admission, block[i].text, block[i].number,
-                  &outcomes[i]);
-    };
-    const int threads = std::min(options_.threads, n);
-    if (threads > 1) {
-      engine_->EnsurePool(threads)->ParallelFor(n, run_one);
-    } else {
-      for (int i = 0; i < n; ++i) run_one(i);
-    }
-
-    // Emit in input order regardless of completion order.
-    for (int i = 0; i < n; ++i) {
-      out << results[i] << '\n';
-      latencies_ms.push_back(outcomes[i].latency_ms);
-      switch (outcomes[i].kind) {
+      out << result.text << '\n';
+      unflushed = true;
+      latencies_ms.push_back(result.latency_ms);
+      switch (result.kind) {
         case LineKind::kSolved:
           ++summary.solved;
-          if (outcomes[i].degraded) ++summary.degraded;
+          if (result.degraded) ++summary.degraded;
           break;
         case LineKind::kError:
           ++summary.errors;
@@ -175,7 +159,7 @@ BatchRunner::Summary BatchRunner::Run(std::istream& in, std::ostream& out) {
           if (batch_log.has_value()) {
             batch_log->Emit(
                 LogLevel::kWarn, "batch.reject",
-                {LogField::Num("line", block[i].number),
+                {LogField::Num("line", result.number),
                  LogField::Str("reason", "batch deadline exhausted")});
             if (!dumped_on_reject) {
               batch_log->DumpFlightRecorder("batch-line-rejected");
@@ -184,18 +168,47 @@ BatchRunner::Summary BatchRunner::Run(std::istream& in, std::ostream& out) {
           }
           break;
       }
-    }
-    out.flush();
-
-    if (options_.progress_every_ms >= 0) {
-      const int64_t now_ms = NowMs();
-      if (options_.progress_every_ms == 0 ||
-          now_ms - last_progress_ms >= options_.progress_every_ms) {
-        report_progress();
-        last_progress_ms = now_ms;
+      if (options_.progress_every_ms >= 0) {
+        const int64_t now_ms = NowMs();
+        if (options_.progress_every_ms == 0 ||
+            now_ms - last_progress_ms >= options_.progress_every_ms) {
+          report_progress();
+          last_progress_ms = now_ms;
+        }
       }
     }
+    if (unflushed) out.flush();
+  };
+
+  // Reads the next non-blank line; false at EOF. Line numbers are 1-based
+  // and count blank lines, so error records point at the line the user
+  // can see in the input file.
+  int64_t line_number = 0;
+  const auto read_line = [&](std::string* text) {
+    while (std::getline(in, *text)) {
+      ++line_number;
+      if (!JsonlLineIsBlank(*text)) return true;
+    }
+    return false;
+  };
+  std::string next;
+  for (bool more = read_line(&next); more;) {
+    ++summary.lines_read;
+    std::string text = std::move(next);
+    const int64_t number = line_number;
+    more = read_line(&next);
+    if (!window.has_value()) {
+      window.emplace(more && options_.threads > 1
+                         ? engine_->EnsurePool(options_.threads)
+                         : nullptr);
+    }
+    window->Submit([this, &runner, &admission, text = std::move(text),
+                    number] {
+      return RunLine(runner, admission, text, number);
+    });
+    write_answers(max_in_flight - 1);
   }
+  if (window.has_value()) write_answers(0);
 
   summary.latency_p50_ms = PercentileOfSamples(latencies_ms, 0.50);
   summary.latency_p95_ms = PercentileOfSamples(latencies_ms, 0.95);

@@ -18,6 +18,9 @@
 //
 //   {"line": N, "error": "<one-line reason>"}
 //
+// N counts lines, blank ones included, on the stream that sent them: the
+// line's place in the file for batch, on its own connection for serve.
+//
 // A well-formed line yields exactly the document `pebblejoin analyze
 // --json` prints for the same graph and flags — byte-identical, which is
 // what the batch round-trip tests and the serve-vs-batch CI diff pin.

@@ -17,7 +17,6 @@
 #include "serve/fault_injector.h"
 #include "serve/request_router.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace pebblejoin {
 namespace {
@@ -34,7 +33,7 @@ constexpr size_t kReadBudgetPerWake = size_t{64} << 10;
 }  // namespace
 
 Connection::Connection(int fd, int64_t id, const ConnectionEnv& env)
-    : fd_(fd), id_(id), env_(env) {
+    : fd_(fd), id_(id), env_(env), window_(env.pool, [this] { Wake(); }) {
   JP_CHECK(env_.options != nullptr && env_.router != nullptr &&
            env_.injector != nullptr && env_.phase != nullptr &&
            env_.drain_deadline_ms != nullptr);
@@ -60,18 +59,8 @@ void Connection::Wake() {
   (void)!::write(wake_fds_[1], &byte, 1);
 }
 
-void Connection::Deposit(int64_t seq, std::string response) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  completions_[seq] = std::move(response);
-}
-
 void Connection::SubmitSolve(std::string line, int64_t line_number) {
-  const int64_t seq = next_submit_seq_++;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++inflight_;
-  }
-  auto task = [this, line = std::move(line), line_number, seq]() {
+  window_.Submit([this, line = std::move(line), line_number] {
     // One server-clock read at each end: the start is the admission time,
     // the end the completion time, and their difference the request's
     // wall microseconds.
@@ -92,32 +81,11 @@ void Connection::SubmitSolve(std::string line, int64_t line_number) {
     env_.router->RecordCompletion(outcome, end_us - start_us, end_us / 1000);
     env_.router->ReleaseSolve(id_);
     response += '\n';
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      completions_[seq] = std::move(response);
-    }
-    // Destruction barrier: the connection cannot be torn down until
-    // inflight_ reaches zero, so the wake-pipe write must happen while
-    // our slot still pins the object, and the decrement + notify must
-    // stay under the mutex — AwaitInflight re-checks the predicate under
-    // that same mutex, so it cannot return (and the acceptor cannot
-    // destroy us) while this notify is still in flight.
-    Wake();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --inflight_;
-      inflight_cv_.notify_all();
-    }
-  };
-  if (env_.pool != nullptr) {
-    env_.pool->Submit(task);
-  } else {
-    task();
-  }
+    return response;
+  });
 }
 
 void Connection::HandleLine() {
-  ++line_number_;
   ++lines_;
   switch (RequestRouter::Classify(cur_line_)) {
     case RequestRouter::LineClass::kBlank:
@@ -126,8 +94,7 @@ void Connection::HandleLine() {
       // One-shot HTTP exchange on the JSONL port: answer, flush, close.
       // The rest of the request (headers) is read and discarded so the
       // client can finish sending before it sees our close.
-      const int64_t seq = next_submit_seq_++;
-      Deposit(seq, env_.router->HttpResponse(cur_line_, NowMs()));
+      window_.Push(env_.router->HttpResponse(cur_line_, NowMs()));
       discard_input_ = true;
       close_after_flush_ = true;
       return;
@@ -137,14 +104,13 @@ void Connection::HandleLine() {
       if (!env_.router->AdmitSolve(id_, &reason)) {
         ++rejected_;
         log_->Emit(LogLevel::kWarn, "request.reject",
-                   {LogField::Num("line", line_number_),
+                   {LogField::Num("line", lines_),
                     LogField::Str("reason", reason)});
-        const int64_t seq = next_submit_seq_++;
-        Deposit(seq, env_.router->RejectRecord(line_number_, reason, NowMs()) +
-                         "\n");
+        window_.Push(env_.router->RejectRecord(lines_, reason, NowMs()) +
+                     "\n");
         return;
       }
-      SubmitSolve(cur_line_, line_number_);
+      SubmitSolve(cur_line_, lines_);
       return;
     }
   }
@@ -170,18 +136,16 @@ void Connection::HandleBytes(const char* data, size_t n) {
     if (cap > 0 && static_cast<int64_t>(cur_line_.size()) > cap) {
       // Answer now and eat the rest as it streams in: the per-line buffer
       // never exceeds the cap no matter how much the client sends.
-      ++line_number_;
       ++lines_;
       log_->Emit(LogLevel::kWarn, "request.reject",
-                 {LogField::Num("line", line_number_),
+                 {LogField::Num("line", lines_),
                   LogField::Str("reason", "line too long"),
                   LogField::Num("cap_bytes", cap)});
-      const int64_t seq = next_submit_seq_++;
-      Deposit(seq, env_.router->RejectRecord(
-                       line_number_,
-                       "line exceeds " + std::to_string(cap) + " bytes",
-                       NowMs()) +
-                       "\n");
+      window_.Push(
+          env_.router->RejectRecord(
+              lines_, "line exceeds " + std::to_string(cap) + " bytes",
+              NowMs()) +
+          "\n");
       ++rejected_;
       discarding_line_ = true;
       cur_line_.clear();
@@ -190,13 +154,10 @@ void Connection::HandleBytes(const char* data, size_t n) {
 }
 
 void Connection::CollectCompletions() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = completions_.find(next_write_seq_);
-  while (it != completions_.end()) {
-    if (!fatal_) outbuf_ += it->second;
+  std::string response;
+  while (window_.TryTake(&response)) {
+    if (!fatal_) outbuf_ += response;
     ++responses_;
-    completions_.erase(it);
-    it = completions_.find(++next_write_seq_);
   }
 }
 
@@ -223,11 +184,6 @@ bool Connection::FlushSome() {
     outbuf_off_ = 0;
   }
   return true;
-}
-
-void Connection::AwaitInflight() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
 }
 
 void Connection::Run() {
@@ -261,11 +217,7 @@ void Connection::Run() {
     if (!FlushSome()) break;
 
     const bool flushed = outbuf_off_ >= outbuf_.size();
-    bool quiescent;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      quiescent = inflight_ == 0 && completions_.empty();
-    }
+    const bool quiescent = window_.empty();
     if (quiescent && flushed &&
         (eof_ || discard_input_ || close_after_flush_)) {
       if (close_reason_ == "eof" && !eof_) {
@@ -347,13 +299,13 @@ void Connection::Run() {
   }
 
   // Epilogue. Order matters: close the socket first (the peer learns
-  // immediately), then join in-flight deposits — pool tasks never touch
-  // the socket, only the completion map, so this is safe; and they are
+  // immediately), then wait for in-flight solves — pool tasks never touch
+  // the socket, only the window, so this is safe; and they are
   // deadline-capped, so it is bounded.
   ::shutdown(fd_, SHUT_RDWR);
   ::close(fd_);
   fd_closed_ = true;
-  AwaitInflight();
+  window_.AwaitAll();
   fatal_ = true;  // anything still undelivered is discarded, not written
   CollectCompletions();
   partial_tail_bytes_ = static_cast<int64_t>(cur_line_.size());

@@ -2,12 +2,12 @@
 //
 // The threading contract that keeps a stalled socket from ever wedging a
 // pool worker: the connection thread does ALL socket I/O. Solves run as
-// ThreadPool tasks (or inline when the server is single-threaded) that
-// only compute, deposit their response into a per-connection completion
-// map keyed by submission sequence, and poke the loop through a wake
-// pipe. The loop stitches completed responses back into submission order
-// and writes them as the socket drains — a worker never blocks on a
-// client, and a client never sees responses out of order.
+// tasks of the connection's OrderedWindow (util/ordered_window.h) — on the
+// engine pool, or inline when the server is single-threaded — that only
+// compute, land their response in the window, and poke the loop through a
+// wake pipe. The loop takes responses back in submission order and writes
+// them as the socket drains — a worker never blocks on a client, and a
+// client never sees responses out of order.
 //
 // Robustness mechanics, each bounded by a ServeOptions knob or constant
 // and exercised by the fault-injection tests:
@@ -21,8 +21,8 @@
 //     stop consuming;
 //   - drain/abort phases (from LineServer) stop reads, let bounded
 //     in-flight work finish, then close; past the drain deadline the
-//     socket is force-closed but the loop still joins its in-flight
-//     deposits (memory safety — pool tasks hold a pointer to this).
+//     socket is force-closed but the loop still waits for its in-flight
+//     solves (memory safety — pool tasks hold a pointer to this).
 //
 // Every accepted line gets exactly one response line; blank lines get
 // none; bytes after the last newline were never a request and are dropped
@@ -34,20 +34,17 @@
 #define PEBBLEJOIN_SERVE_CONNECTION_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "serve/serve_options.h"
+#include "util/ordered_window.h"
 
 namespace pebblejoin {
 
 class FaultInjector;
 class Journal;
 class RequestRouter;
-class ThreadPool;
 
 // The server phase a connection keys its lifecycle off (LineServer owns
 // the atomic).
@@ -77,7 +74,7 @@ class Connection {
   Connection& operator=(const Connection&) = delete;
 
   // Thread body. Returns only when the socket is closed AND every solve
-  // this connection submitted has deposited its result.
+  // this connection submitted has landed its result.
   void Run();
 
   // Pokes the event loop out of poll() (thread-safe; server threads call
@@ -97,17 +94,12 @@ class Connection {
   void HandleBytes(const char* data, size_t n);
   // Dispatches one complete line (cur_line_, newline stripped).
   void HandleLine();
-  // Queues one solve: pool task or inline.
+  // Queues one solve on the window.
   void SubmitSolve(std::string line, int64_t line_number);
-  // Called from pool tasks: files a finished response under `seq`.
-  void Deposit(int64_t seq, std::string response);
   // Moves in-order completions into the write buffer.
   void CollectCompletions();
   // One write attempt; false on a fatal socket error.
   bool FlushSome();
-  // Blocks until every submitted solve has deposited (socket may already
-  // be closed; deposits never touch the socket).
-  void AwaitInflight();
 
   int64_t NowUs() const { return pebblejoin::NowUs(env_.clock); }
   int64_t NowMs() const { return pebblejoin::NowMs(env_.clock); }
@@ -130,15 +122,10 @@ class Connection {
   bool eof_ = false;
   bool fatal_ = false;            // socket error; stop reads AND writes
   bool close_after_flush_ = false;
-  int64_t line_number_ = 0;
 
-  // --- Ordered completion (shared with pool tasks) -----------------------
-  std::mutex mutex_;
-  std::condition_variable inflight_cv_;
-  std::map<int64_t, std::string> completions_;
-  int64_t next_submit_seq_ = 0;
-  int64_t next_write_seq_ = 0;
-  int64_t inflight_ = 0;  // submitted solves not yet deposited
+  // --- Responses in submission order (solves land here from the pool) ---
+  // Every response line, newline included; Wake() is the landing hook.
+  OrderedWindow<std::string> window_;
 
   // --- Write side (connection thread only) -------------------------------
   std::string outbuf_;
@@ -149,7 +136,7 @@ class Connection {
   int64_t last_write_progress_ms_ = 0;
 
   // --- Stats -------------------------------------------------------------
-  int64_t lines_ = 0;      // complete lines seen (blank lines included)
+  int64_t lines_ = 0;      // lines seen, blank included: the "line" number
   int64_t responses_ = 0;  // response lines written into outbuf
   int64_t rejected_ = 0;
   int64_t partial_tail_bytes_ = 0;  // bytes after the last newline at close

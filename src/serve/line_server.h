@@ -86,7 +86,7 @@ class LineServer {
   void BeginDrain();
 
   // Force-close everything; Wait() returns as soon as bounded in-flight
-  // work has deposited. Thread-safe.
+  // work has finished. Thread-safe.
   void Abort();
 
   // Blocks until the server has fully stopped (every connection thread

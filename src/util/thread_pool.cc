@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/ordered_window.h"
 
 namespace pebblejoin {
 
@@ -47,39 +48,22 @@ void ThreadPool::Submit(std::function<void()> task) {
     queue_not_full_.wait(
         lock, [this] { return queue_.size() < queue_capacity_; });
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   queue_not_empty_.notify_one();
 }
 
-void ThreadPool::Drain() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    all_idle_.wait(lock, [this] { return in_flight_ == 0; });
-    error = std::exchange(first_error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   JP_CHECK(n >= 0);
-  // Per-index slots so the rethrown exception is the lowest index, not
-  // whichever worker lost the race to fail first.
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
+  OrderedWindow<bool> window(this);
   for (int i = 0; i < n; ++i) {
-    Submit([&fn, &errors, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-      }
+    window.Submit([&fn, i] {
+      fn(i);
+      return true;
     });
   }
-  Drain();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  // In index order, so the first rethrown exception is the lowest index's;
+  // on a throw the window's destructor still waits for the rest.
+  for (int i = 0; i < n; ++i) window.Take();
 }
 
 void ThreadPool::WorkerLoop(int worker_id) {
@@ -95,17 +79,7 @@ void ThreadPool::WorkerLoop(int worker_id) {
       queue_.pop_front();
     }
     queue_not_full_.notify_one();
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_idle_.notify_all();
-    }
+    task();
   }
 }
 

@@ -8,17 +8,13 @@
 //   - *Bounded queue.* Submit blocks once `queue_capacity` closures are
 //     waiting, so a producer can never race ahead of the workers by an
 //     unbounded amount of memory.
-//   - *Exception propagation.* A task that throws never kills a worker;
-//     the exception is captured and rethrown on the owning thread from
-//     Drain() / ParallelFor() — ParallelFor deterministically rethrows the
-//     lowest-index failure regardless of thread interleaving.
 //   - *Graceful shutdown.* The destructor lets already-queued tasks finish
 //     before joining the workers; nothing is dropped.
 //
 // The pool is intentionally dumb: no work stealing, no priorities, no
-// futures. Callers that need per-task results write into caller-owned
-// slots (one per index) and read them after ParallelFor returns, which is
-// exactly the deterministic-merge pattern ComponentPebbler uses.
+// results. Callers submit through an OrderedWindow (util/ordered_window.h),
+// which keeps results and exceptions in submission order and waits for its
+// own tasks only; ParallelFor is a window over the indices 0..n-1.
 
 #ifndef PEBBLEJOIN_UTIL_THREAD_POOL_H_
 #define PEBBLEJOIN_UTIL_THREAD_POOL_H_
@@ -26,7 +22,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -48,21 +43,17 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues one task; blocks while the queue is at capacity. A task that
-  // throws has its exception captured — the first one is rethrown from the
-  // next Drain() on the owning thread. Must not be called from inside a
-  // pool task once the queue is full (the worker would block on itself).
+  // Enqueues one task; blocks while the queue is at capacity. The task
+  // must not throw (OrderedWindow catches for the tasks it submits). Must
+  // not be called from inside a pool task once the queue is full (the
+  // worker would block on itself).
   void Submit(std::function<void()> task);
 
-  // Blocks until every task submitted so far has finished, then rethrows
-  // the first Submit-level task exception, if any was captured.
-  void Drain();
-
-  // Runs fn(0) .. fn(n-1) across the pool and blocks until all complete.
-  // When calls threw, rethrows the exception of the lowest index — a
-  // deterministic choice regardless of which worker failed first. Must not
-  // be called from inside a pool task (it would deadlock waiting on its
-  // own worker).
+  // Runs fn(0) .. fn(n-1) across the pool and blocks until those n calls
+  // complete; other work on the pool is not waited for. When calls threw,
+  // rethrows the exception of the lowest index — a deterministic choice
+  // regardless of which worker failed first. Must not be called from
+  // inside a pool task (it would deadlock waiting on its own worker).
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
   // Index of the pool worker running the current thread, or -1 off-pool
@@ -80,11 +71,8 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable queue_not_empty_;
   std::condition_variable queue_not_full_;
-  std::condition_variable all_idle_;
   std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  // queued + currently executing
   bool shutting_down_ = false;
-  std::exception_ptr first_error_;
   std::vector<std::thread> workers_;
 };
 

@@ -190,13 +190,59 @@ TEST(BatchRunnerTest, ThreadCountDoesNotChangeTheOutput) {
   BatchRunner::Options sequential;
   BatchRunner::Options wide;
   wide.threads = 4;
-  wide.block_lines = 5;  // exercise the block boundary too
   const std::vector<std::string> a = RunBatch(input, sequential);
   const std::vector<std::string> b = RunBatch(input, wide);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(NormalizeTimings(a[i]), NormalizeTimings(b[i]))
         << "line " << i;
+  }
+}
+
+TEST(BatchRunnerTest, LinesOfMixedSizesStreamInInputOrderAtEveryWidth) {
+  // 40 lines, more than the window holds at 4 or 8 threads, alternating a
+  // graph of a few hundred edges with tiny ones, so later lines finish
+  // before earlier ones and must wait for them.
+  std::string input;
+  for (int i = 0; i < 40; ++i) {
+    const BipartiteGraph g =
+        i % 3 == 0 ? RandomConnectedBipartite(40, 40, 400, /*seed=*/i)
+                   : RandomConnectedBipartite(3, 3, 5, /*seed=*/i);
+    input += Line(g) + "\n";
+  }
+  const std::vector<std::string> sequential =
+      RunBatch(input, BatchRunner::Options());
+  ASSERT_EQ(sequential.size(), 40u);
+  for (int threads : {4, 8}) {
+    BatchRunner::Options wide;
+    wide.threads = threads;
+    BatchRunner::Summary summary;
+    const std::vector<std::string> lines = RunBatch(input, wide, &summary);
+    EXPECT_EQ(summary.solved, 40);
+    ASSERT_EQ(lines.size(), sequential.size()) << "threads=" << threads;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(NormalizeTimings(lines[i]), NormalizeTimings(sequential[i]))
+          << "threads=" << threads << " line " << i;
+    }
+  }
+}
+
+TEST(BatchRunnerTest, AOneLineBatchStartsNoPool) {
+  // The only line meets EOF before it is dispatched, so it runs on the
+  // calling thread; a second line is what makes a wide batch borrow the
+  // pool.
+  const BipartiteGraph g = WorstCaseFamily(4);
+  BatchRunner::Options options;
+  options.threads = 4;
+  for (int lines : {1, 2}) {
+    SolveEngine engine;
+    BatchRunner runner(&engine, options);
+    std::string text;
+    for (int i = 0; i < lines; ++i) text += Line(g) + "\n";
+    std::istringstream in(text);
+    std::ostringstream out;
+    EXPECT_EQ(runner.Run(in, out).solved, lines);
+    EXPECT_EQ(engine.pool() != nullptr, lines > 1) << "lines=" << lines;
   }
 }
 
@@ -262,7 +308,6 @@ TEST(BatchRunnerTest, PoolDrainsMidBatchUnderReject) {
   BatchRunner::Options options;
   options.batch_deadline_ms = 30;
   options.admission = BatchRunner::Admission::kReject;
-  options.block_lines = 1;  // admission decided line by line
   options.clock = &clock;
   BatchRunner::Summary summary;
   const std::vector<std::string> lines = RunBatch(input, options, &summary);
@@ -274,15 +319,14 @@ TEST(BatchRunnerTest, PoolDrainsMidBatchUnderReject) {
 }
 
 TEST(BatchRunnerTest, ProgressReportsArePinnedUnderAFakeClock) {
-  // Frozen clock, one-line blocks, cadence 0: one deterministic progress
-  // line after every block, byte-for-byte.
+  // Frozen clock, cadence 0: one deterministic progress line after every
+  // written line, byte-for-byte.
   FakeClock clock;
   const BipartiteGraph g = WorstCaseFamily(4);
   const std::string input = Line(g) + "\n\n" + Line(g) + "\n" + Line(g);
 
   BatchRunner::Options options;
   options.clock = &clock;
-  options.block_lines = 1;
   options.progress_every_ms = 0;
   options.expected_lines = 3;
   std::ostringstream progress;
@@ -308,7 +352,7 @@ TEST(BatchRunnerTest, ProgressReportsArePinnedUnderAFakeClock) {
 TEST(BatchRunnerTest, ProgressCadenceFollowsTheClock) {
   // A frozen clock never accumulates the 100ms cadence, so a positive
   // cadence on it produces no reports at all — the cadence runs on the
-  // injected clock, not on wall time or block count.
+  // injected clock, not on wall time or line count.
   FakeClock clock;
   const BipartiteGraph g = WorstCaseFamily(4);
   std::string input;
@@ -316,7 +360,6 @@ TEST(BatchRunnerTest, ProgressCadenceFollowsTheClock) {
 
   BatchRunner::Options options;
   options.clock = &clock;
-  options.block_lines = 1;
   options.progress_every_ms = 100;
   std::ostringstream progress;
   options.progress = &progress;
@@ -351,7 +394,6 @@ TEST(BatchRunnerTest, SummaryLatencyPercentilesAreExact) {
   const std::string input = Line(g) + "\n" + Line(g) + "\n" + Line(g) + "\n";
 
   BatchRunner::Options options;
-  options.block_lines = 1;
   options.clock = &clock;
   BatchRunner::Summary summary;
   RunBatch(input, options, &summary);

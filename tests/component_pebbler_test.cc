@@ -13,6 +13,7 @@
 #include "solver/local_search_pebbler.h"
 #include "solver/sort_merge_pebbler.h"
 #include "util/budget.h"
+#include "util/ordered_window.h"
 #include "util/thread_pool.h"
 
 namespace pebblejoin {
@@ -211,9 +212,9 @@ TEST(ComponentPebblerTest, BorrowedPoolIsDroppedOnPoolWorkers) {
   borrowed.threads = 2;
   borrowed.pool = &pool;
   const ComponentPebbler nested(&greedy, nullptr, borrowed);
-  PebbleSolution from_worker;
-  pool.Submit([&] { from_worker = nested.Solve(g); });
-  pool.Drain();
+  OrderedWindow<PebbleSolution> window(&pool);
+  window.Submit([&] { return nested.Solve(g); });
+  const PebbleSolution from_worker = window.Take();
   EXPECT_EQ(from_worker.edge_order, base.edge_order);
   EXPECT_EQ(from_worker.effective_cost, base.effective_cost);
 }

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,6 +32,7 @@
 #include <fstream>
 
 #include "core/report.h"
+#include "engine/batch_runner.h"
 #include "engine/solve_engine.h"
 #include "serve/request_router.h"
 #include "graph/bipartite_graph.h"
@@ -42,7 +44,7 @@
 #include "serve/loopback_client.h"
 #include "serve/serve_options.h"
 #include "util/clock.h"
-#include "util/thread_pool.h"
+#include "util/ordered_window.h"
 
 #include "json_test_util.h"
 
@@ -350,6 +352,71 @@ TEST(ServeTest, BlankAndMalformedLinesFollowBatchSemantics) {
   EXPECT_EQ(summary.responses, 2);
 }
 
+TEST(ServeTest, LineNumbersCountLinesOnTheirOwnStream) {
+  // "line" counts lines, blank ones included, on the stream that sent
+  // them: one connection carrying the whole corpus gets batch's records
+  // byte for byte (timings aside), and a connection carrying the tail of
+  // the corpus numbers its lines from 1.
+  const std::vector<std::string> corpus = {
+      Line(WorstCaseFamily(4)), "", "not json",
+      Line(CompleteBipartite(2, 3)), "{\"graph\": \"garbage text\"}"};
+  std::string all;
+  for (const std::string& line : corpus) all += line + "\n";
+
+  SolveEngine batch_engine;
+  BatchRunner runner(&batch_engine, BatchRunner::Options());
+  std::istringstream batch_in(all);
+  std::ostringstream batch_out;
+  runner.Run(batch_in, batch_out);
+  std::vector<std::string> batch;
+  std::istringstream batch_lines(batch_out.str());
+  for (std::string line; std::getline(batch_lines, line);) {
+    batch.push_back(line);
+  }
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_NE(batch[1].find("{\"line\":3,\"error\":"), std::string::npos)
+      << batch[1];
+
+  SolveEngine engine;
+  LineServer server(&engine, TestOptions());
+  START_SERVER(server);
+  {
+    TestClient client(server.port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.Send(all));
+    for (const std::string& expected : batch) {
+      std::string response;
+      ASSERT_TRUE(client.ReadLine(&response));
+      EXPECT_EQ(NormalizeTimings(response), NormalizeTimings(expected));
+      if (expected.rfind("{\"line\":", 0) == 0) {
+        EXPECT_EQ(response, expected);  // error records carry no timings
+      }
+    }
+  }
+  {
+    // Lines 1-2 of the corpus on one connection, lines 3-5 on another:
+    // "not json" is line 1 of the second stream.
+    TestClient head(server.port());
+    TestClient tail(server.port());
+    ASSERT_TRUE(head.connected() && tail.connected());
+    ASSERT_TRUE(head.Send(corpus[0] + "\n" + corpus[1] + "\n"));
+    ASSERT_TRUE(
+        tail.Send(corpus[2] + "\n" + corpus[3] + "\n" + corpus[4] + "\n"));
+    std::string response;
+    ASSERT_TRUE(head.ReadLine(&response));
+    EXPECT_EQ(NormalizeTimings(response), NormalizeTimings(batch[0]));
+    ASSERT_TRUE(tail.ReadLine(&response));
+    EXPECT_EQ(response.rfind("{\"line\":1,\"error\":", 0), 0u) << response;
+    ASSERT_TRUE(tail.ReadLine(&response));
+    EXPECT_EQ(NormalizeTimings(response), NormalizeTimings(batch[2]));
+    ASSERT_TRUE(tail.ReadLine(&response));
+    EXPECT_EQ(response.rfind("{\"line\":3,\"error\":", 0), 0u) << response;
+  }
+  server.BeginDrain();
+  const LineServer::Summary summary = server.Wait();
+  EXPECT_EQ(summary.responses, 8);
+}
+
 TEST(ServeTest, OversizedLineIsShedWithAStructuredError) {
   SolveEngine engine;
   ServeOptions options = TestOptions();
@@ -380,18 +447,22 @@ TEST(ServeTest, OversizedLineIsShedWithAStructuredError) {
 
 // Parks `n` tasks on the engine's pool so admitted solves cannot complete
 // until Release() — which makes the in-flight caps deterministic to hit.
+// The destructor releases them and waits until they let go of the blocker.
 class PoolBlocker {
  public:
-  PoolBlocker(SolveEngine* engine, int n) {
-    ThreadPool* pool = engine->EnsurePool(n);
+  PoolBlocker(SolveEngine* engine, int n) : parked_(engine->EnsurePool(n)) {
     for (int i = 0; i < n; ++i) {
-      pool->Submit([this] {
+      parked_.Submit([this] {
         std::unique_lock<std::mutex> lock(mutex_);
         cv_.wait(lock, [this] { return released_; });
+        return true;
       });
     }
   }
-  ~PoolBlocker() { Release(); }
+  ~PoolBlocker() {
+    Release();
+    parked_.AwaitAll();
+  }
 
   void Release() {
     {
@@ -405,6 +476,7 @@ class PoolBlocker {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool released_ = false;
+  OrderedWindow<bool> parked_;
 };
 
 TEST(ServeTest, PerConnectionInflightCapShedsTheThirdPipelinedLine) {

@@ -1,11 +1,13 @@
 // ThreadPool contract tests: bounded-queue backpressure, deterministic
-// exception propagation, worker-id tagging, and graceful shutdown. The
-// stress cases double as ThreadSanitizer fodder (ctest -L tsan).
+// exception propagation, worker-id tagging, graceful shutdown, and a
+// ParallelFor that waits for its own tasks only. The stress cases double
+// as ThreadSanitizer fodder (ctest -L tsan).
 
 #include "util/thread_pool.h"
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -14,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/ordered_window.h"
+
 namespace pebblejoin {
 namespace {
 
@@ -21,10 +25,14 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   std::atomic<int> count{0};
   {
     ThreadPool pool(4);
+    OrderedWindow<bool> window(&pool);
     for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+      window.Submit([&count] {
+        count.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      });
     }
-    pool.Drain();
+    window.AwaitAll();
     EXPECT_EQ(count.load(), 100);
   }
 }
@@ -36,7 +44,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
     for (int i = 0; i < 50; ++i) {
       pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
     }
-    // No Drain(): the destructor must finish the queue, not drop it.
+    // No wait: the destructor must finish the queue, not drop it.
   }
   EXPECT_EQ(count.load(), 50);
 }
@@ -97,12 +105,31 @@ TEST(ThreadPoolTest, ParallelForRecoversAfterException) {
   EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPoolTest, DrainRethrowsFirstSubmittedError) {
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForOtherSubmitters) {
+  // One worker is parked on a task another caller submitted; ParallelFor
+  // must return once its own four calls are done, while that task is still
+  // parked. The timeout turns a wait on the whole pool into a failure
+  // instead of a hang.
   ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("submitted boom"); });
-  EXPECT_THROW(pool.Drain(), std::runtime_error);
-  // The error is consumed: a second Drain is clean.
-  pool.Drain();
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  OrderedWindow<bool> parked(&pool);
+  parked.Submit([opened] {
+    opened.wait();
+    return true;
+  });
+  std::atomic<int> calls{0};
+  std::future<void> parallel_for = std::async(std::launch::async, [&] {
+    pool.ParallelFor(4, [&calls](int) {
+      calls.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  const bool returned = parallel_for.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  gate.set_value();
+  parallel_for.get();
+  EXPECT_TRUE(returned) << "ParallelFor waited for a task it did not submit";
+  EXPECT_EQ(calls.load(), 4);
 }
 
 TEST(ThreadPoolTest, BoundedQueueBackpressure) {
@@ -112,18 +139,23 @@ TEST(ThreadPoolTest, BoundedQueueBackpressure) {
   std::atomic<int> done{0};
   {
     ThreadPool pool(1, /*queue_capacity=*/2);
-    pool.Submit([&] {
+    OrderedWindow<bool> gated(&pool);
+    gated.Submit([&] {
       while (!release.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       done.fetch_add(1, std::memory_order_relaxed);
+      return true;
     });
     // These fill the queue; the submitting thread may block on the last
-    // ones until the gate opens, which is the point.
+    // ones until the gate opens, which is the point. Its window waits for
+    // its eight tasks before the thread ends.
     std::thread producer([&] {
+      OrderedWindow<bool> window(&pool);
       for (int i = 0; i < 8; ++i) {
-        pool.Submit([&done] {
+        window.Submit([&done] {
           done.fetch_add(1, std::memory_order_relaxed);
+          return true;
         });
       }
     });
@@ -131,7 +163,7 @@ TEST(ThreadPoolTest, BoundedQueueBackpressure) {
     EXPECT_LT(done.load(), 9);  // gate still closed: nothing finished
     release.store(true, std::memory_order_release);
     producer.join();
-    pool.Drain();
+    gated.AwaitAll();
   }
   EXPECT_EQ(done.load(), 9);
 }
@@ -163,10 +195,14 @@ TEST(ThreadPoolTest, ConcurrentStress) {
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads, /*queue_capacity=*/16);
     std::atomic<long> sum{0};
+    OrderedWindow<bool> window(&pool);
     for (int i = 0; i < 500; ++i) {
-      pool.Submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
+      window.Submit([&sum, i] {
+        sum.fetch_add(i, std::memory_order_relaxed);
+        return true;
+      });
     }
-    pool.Drain();
+    window.AwaitAll();
     EXPECT_EQ(sum.load(), 500L * 499 / 2) << "threads=" << threads;
   }
 }

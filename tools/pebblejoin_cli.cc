@@ -56,7 +56,7 @@
 //
 // batch additionally takes --progress-every-ms N: live progress lines on
 // stderr (and batch.progress journal events) at that cadence, 0 = after
-// every block.
+// every line.
 //
 // --threads N (analyze/solve) fans the per-component solves out across N
 // worker threads (0 = one per hardware thread). The output is byte-
