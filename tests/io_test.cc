@@ -180,6 +180,73 @@ TEST(BipartiteIoTest, ErrorsNameTheOffendingLine) {
   });
 }
 
+// The tokenizer's edges: which bytes separate tokens, which end a line,
+// and what an endpoint token may look like (util/parse_int.h's rules).
+TEST(BipartiteIoTest, TokenizerEdgeCasesThatParse) {
+  struct Accepted {
+    std::string text;
+    std::vector<BipartiteGraph::Edge> edges;
+  };
+  const std::vector<Accepted> cases = {
+      // CRLF line ends, with a comment before one of them.
+      {"bipartite 2 2 2 # h\r\n0 0\r\n1 1\r\n", {{0, 0}, {1, 1}}},
+      // \v, \f and \r separate tokens like a space or a tab.
+      {"bipartite\v2\f2\r2\n0\v1\f1\r0\n", {{0, 1}, {1, 0}}},
+      // An explicit sign is accepted, as strtoll accepts it; "-0" is 0.
+      {"bipartite +4 4 2\n+3 -0\n-0 +3\n", {{3, 0}, {0, 3}}},
+      // Leading zeros do not count towards overflow.
+      {"bipartite 2 2 1\n00000000000000000001 0\n", {{1, 0}}},
+      // A header count glued to '#', and the count on a later line.
+      {"bipartite 2 2 1#c\n0 1\n", {{0, 1}}},
+      {"bipartite 2 2#c\n1\n0 1\n", {{0, 1}}},
+  };
+  for (const Accepted& c : cases) {
+    std::string error;
+    const auto parsed = ParseBipartiteGraph(c.text, &error);
+    ASSERT_TRUE(parsed.has_value()) << c.text << ": " << error;
+    ASSERT_EQ(parsed->num_edges(), static_cast<int>(c.edges.size()))
+        << c.text;
+    for (int e = 0; e < parsed->num_edges(); ++e) {
+      EXPECT_EQ(parsed->edge(e).left, c.edges[e].left) << c.text;
+      EXPECT_EQ(parsed->edge(e).right, c.edges[e].right) << c.text;
+    }
+  }
+}
+
+TEST(BipartiteIoTest, TokenizerEdgeCasesThatFail) {
+  ExpectBipartiteErrors({
+      // CRLF keeps line numbers; a lone \r does not end a line.
+      {"bipartite 2 2 2\r\n0 0\r\n0 0\r\n",
+       "line 3: duplicate edge at position 1"},
+      {"bipartite 2 2 2\r0 0\r0 0\r", "line 1: duplicate edge at position 1"},
+      // One sign only.
+      {"bipartite 2 2 1\n+-1 0\n", "line 2: edge 0 out of range"},
+      {"bipartite 2 2 1\n0 -+1\n", "line 2: edge 0 out of range"},
+      {"bipartite 2 2 1\n+ 0\n", "line 2: edge 0 out of range"},
+      {"bipartite 2 2 1\n0 -\n", "line 2: edge 0 out of range"},
+      // 20 digits overflow int64: out of range, not wrapped.
+      {"bipartite 2 2 1\n0 18446744073709551616\n",
+       "line 2: edge 0 out of range"},
+      {"bipartite 2 2 1\n0 -18446744073709551616\n",
+       "line 2: edge 0 out of range"},
+      {"bipartite 2 18446744073709551617 0\n",
+       "line 1: malformed header numbers"},
+      // A NUL inside an edge token, at either end.
+      {"bipartite 2 2 1\n0\0 1\n"s, "line 2: edge 0 out of range"},
+      {"bipartite 2 2 1\n0 \0"s "1\n", "line 2: edge 0 out of range"},
+      // A header count glued to '#' leaves the header short.
+      {"bipartite 2 2#1\n", "expected header: bipartite <left> <right> <edges>"},
+      // An odd trailing token after an out-of-range pair: the length
+      // error wins, as it does over a repeat.
+      {"bipartite 2 2 1\n0 9\n1\n",
+       "edge list length does not match header (1 edge tokens for 1 "
+       "declared edges)"},
+      {"bipartite 2 2 2\n0 0\n0 0\n1\n",
+       "edge list length does not match header (2 edge tokens for 2 "
+       "declared edges)"},
+  });
+}
+
 TEST(BipartiteIoTest, LengthMismatchReportsBothCounts) {
   ExpectBipartiteErrors({
       {"bipartite 3 3 4\n0 1\n1 2\n",
