@@ -16,8 +16,9 @@
 // enumeration, greedy scans) visits one fixed sequence, which is what the
 // committed solve goldens (tests/solve_golden_test.cc) pin.
 // Freezing also finds the first edge repeating an earlier endpoint pair
-// (FirstRepeatedEdge()): the one check of the simple-graph invariant, for
-// Graph::csr() and the text parsers alike.
+// (FirstRepeatedEdge()): the check of the simple-graph invariant for
+// Graph::csr(). The text parser runs the same scan on its parsed pairs
+// (io/graph_io.cc), without building this view.
 //
 // A CsrGraph is immutable after construction and safe to read from many
 // threads. Graph::csr() freezes one on first access and caches it until

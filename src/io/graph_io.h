@@ -17,6 +17,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "graph/bipartite_graph.h"
 #include "graph/graph.h"
@@ -33,7 +34,7 @@ std::string SerializeGraph(const Graph& g);
 
 // Parses the text format. On failure returns nullopt and, when `error` is
 // non-null, stores a one-line description.
-std::optional<BipartiteGraph> ParseBipartiteGraph(const std::string& text,
+std::optional<BipartiteGraph> ParseBipartiteGraph(std::string_view text,
                                                   std::string* error);
 
 }  // namespace pebblejoin
