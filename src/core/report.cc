@@ -1,11 +1,32 @@
 #include "core/report.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace pebblejoin {
+
+namespace {
+
+// Nearest-rank p50/p95/p99 of the per-component wall clocks (-1 when there
+// are none), from one sorted copy.
+struct ComponentWallPercentiles {
+  explicit ComponentWallPercentiles(std::vector<int64_t> samples) {
+    std::sort(samples.begin(), samples.end());
+    p50 = PercentileOfSorted(samples, 0.50);
+    p95 = PercentileOfSorted(samples, 0.95);
+    p99 = PercentileOfSorted(samples, 0.99);
+  }
+  int64_t p50;
+  int64_t p95;
+  int64_t p99;
+};
+
+}  // namespace
 
 std::string FormatAnalysis(const JoinAnalysis& analysis) {
   return FormatAnalysis(analysis, /*with_stats=*/false);
@@ -70,15 +91,12 @@ std::string FormatAnalysis(const JoinAnalysis& analysis, bool with_stats) {
   if (with_stats && !analysis.solution.component_wall_us.empty()) {
     // Exact nearest-rank percentiles over the per-component wall clocks —
     // the tail profile of the fan-out, not just its sum.
+    const ComponentWallPercentiles wall(analysis.solution.component_wall_us);
     std::snprintf(
         line, sizeof(line),
         "component wall : p50=%lldus p95=%lldus p99=%lldus (%zu components)\n",
-        static_cast<long long>(
-            PercentileOfSamples(analysis.solution.component_wall_us, 0.50)),
-        static_cast<long long>(
-            PercentileOfSamples(analysis.solution.component_wall_us, 0.95)),
-        static_cast<long long>(
-            PercentileOfSamples(analysis.solution.component_wall_us, 0.99)),
+        static_cast<long long>(wall.p50), static_cast<long long>(wall.p95),
+        static_cast<long long>(wall.p99),
         analysis.solution.component_wall_us.size());
     out += line;
   }
@@ -222,12 +240,10 @@ void WriteAnalysisJson(const JoinAnalysis& analysis, JsonWriter* json) {
   // Per-component wall-clock percentiles (-1 on an empty graph). The
   // `_us` suffix keeps them inside the timing-normalization contract
   // (tools/json_normalize.py, tests/json_test_util.h).
-  json->Field("component_wall_p50_us",
-              PercentileOfSamples(analysis.solution.component_wall_us, 0.50));
-  json->Field("component_wall_p95_us",
-              PercentileOfSamples(analysis.solution.component_wall_us, 0.95));
-  json->Field("component_wall_p99_us",
-              PercentileOfSamples(analysis.solution.component_wall_us, 0.99));
+  const ComponentWallPercentiles wall(analysis.solution.component_wall_us);
+  json->Field("component_wall_p50_us", wall.p50);
+  json->Field("component_wall_p95_us", wall.p95);
+  json->Field("component_wall_p99_us", wall.p99);
   json->Key("solver_used");
   json->BeginArray();
   for (const SolveOutcome& outcome : analysis.solution.outcomes) {

@@ -1,47 +1,62 @@
 #include "obs/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
 namespace pebblejoin {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
+namespace {
+
+// Appends `s` escaped to `*out`, copying each run of bytes that need no
+// escape in one append.
+void AppendEscaped(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // first byte not yet appended
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\b':
-        out += "\\b";
+        *out += "\\b";
         break;
       case '\f':
-        out += "\\f";
+        *out += "\\f";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        const char escape[] = {'\\', 'u',           '0',
+                               '0',  kHex[c >> 4], kHex[c & 0xf]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendEscaped(s, &out);
   return out;
 }
 
@@ -78,24 +93,27 @@ void JsonWriter::EndArray() {
   out_ += ']';
 }
 
-void JsonWriter::Key(const std::string& name) {
+void JsonWriter::Key(std::string_view name) {
   BeforeValue();
   out_ += '"';
-  out_ += JsonEscape(name);
+  AppendEscaped(name, &out_);
   out_ += "\":";
   pending_key_ = true;
 }
 
-void JsonWriter::String(const std::string& value) {
+void JsonWriter::String(std::string_view value) {
   BeforeValue();
   out_ += '"';
-  out_ += JsonEscape(value);
+  AppendEscaped(value, &out_);
   out_ += '"';
 }
 
 void JsonWriter::Int(int64_t value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  char buf[24];
+  const std::to_chars_result end =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  out_.append(buf, end.ptr);
 }
 
 void JsonWriter::Double(double value) {
@@ -119,27 +137,22 @@ void JsonWriter::Null() {
   out_ += "null";
 }
 
-void JsonWriter::Field(const std::string& name, const std::string& value) {
+void JsonWriter::Field(std::string_view name, std::string_view value) {
   Key(name);
   String(value);
 }
 
-void JsonWriter::Field(const std::string& name, const char* value) {
-  Key(name);
-  String(value);
-}
-
-void JsonWriter::Field(const std::string& name, int64_t value) {
+void JsonWriter::Field(std::string_view name, int64_t value) {
   Key(name);
   Int(value);
 }
 
-void JsonWriter::Field(const std::string& name, double value) {
+void JsonWriter::Field(std::string_view name, double value) {
   Key(name);
   Double(value);
 }
 
-void JsonWriter::Field(const std::string& name, bool value) {
+void JsonWriter::Field(std::string_view name, bool value) {
   Key(name);
   Bool(value);
 }

@@ -13,13 +13,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pebblejoin {
 
 // Escapes `s` for inclusion inside a JSON string literal (quotes, control
 // characters, backslashes). Does not add the surrounding quotes.
-std::string JsonEscape(const std::string& s);
+std::string JsonEscape(std::string_view s);
 
 class JsonWriter {
  public:
@@ -28,10 +29,11 @@ class JsonWriter {
   void BeginArray();
   void EndArray();
 
-  // Emits `"name":` — must be followed by a value or container.
-  void Key(const std::string& name);
+  // Emits `"name":` — must be followed by a value or container. Keys and
+  // strings are escaped straight into the document.
+  void Key(std::string_view name);
 
-  void String(const std::string& value);
+  void String(std::string_view value);
   void Int(int64_t value);
   // Non-finite doubles are emitted as null (JSON has no NaN/Infinity).
   void Double(double value);
@@ -39,16 +41,21 @@ class JsonWriter {
   void Null();
 
   // Convenience: Key + scalar in one call.
-  void Field(const std::string& name, const std::string& value);
-  void Field(const std::string& name, const char* value);
-  void Field(const std::string& name, int64_t value);
+  void Field(std::string_view name, std::string_view value);
+  // Without it a literal value would bind to the bool overload: a pointer
+  // converts to bool by a standard conversion, to string_view only by a
+  // user-defined one.
+  void Field(std::string_view name, const char* value) {
+    Field(name, std::string_view(value));
+  }
+  void Field(std::string_view name, int64_t value);
   // Plain ints appear all over the analysis structs; without this delegate
   // the int64/double/bool overloads are ambiguous for them.
-  void Field(const std::string& name, int value) {
+  void Field(std::string_view name, int value) {
     Field(name, static_cast<int64_t>(value));
   }
-  void Field(const std::string& name, double value);
-  void Field(const std::string& name, bool value);
+  void Field(std::string_view name, double value);
+  void Field(std::string_view name, bool value);
 
   // The document built so far. TakeString moves it out and resets.
   const std::string& str() const { return out_; }

@@ -7,13 +7,17 @@
 namespace pebblejoin {
 
 int64_t PercentileOfSamples(std::vector<int64_t> samples, double q) {
-  if (samples.empty()) return -1;
   std::sort(samples.begin(), samples.end());
+  return PercentileOfSorted(samples, q);
+}
+
+int64_t PercentileOfSorted(const std::vector<int64_t>& sorted, double q) {
+  if (sorted.empty()) return -1;
   q = std::min(1.0, std::max(0.0, q));
   auto rank = static_cast<size_t>(
-      std::ceil(q * static_cast<double>(samples.size())));
-  rank = std::min(samples.size(), std::max<size_t>(1, rank));
-  return samples[rank - 1];
+      std::ceil(q * static_cast<double>(sorted.size())));
+  rank = std::min(sorted.size(), std::max<size_t>(1, rank));
+  return sorted[rank - 1];
 }
 
 namespace obs_internal {

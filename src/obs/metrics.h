@@ -40,6 +40,9 @@ namespace pebblejoin {
 // component wall clocks, batch line latencies) — exact, unlike the
 // bucket-interpolated InterpolateQuantile estimate.
 int64_t PercentileOfSamples(std::vector<int64_t> samples, double q);
+// The same rank of samples already in ascending order: sort once, then ask
+// for several percentiles.
+int64_t PercentileOfSorted(const std::vector<int64_t>& sorted, double q);
 
 namespace obs_internal {
 
