@@ -25,6 +25,9 @@
 // input order, once it and every line before it are done. Each task runs
 // its request sequentially (the engine's nested-fan-out guard), so batch
 // parallelism comes from lines in flight, not from component fan-out.
+// Read from a file descriptor (Run(int, ...), what `--jsonl -` uses), an
+// answer that lands while the reader waits for the next line is written
+// then, not when the next line arrives.
 //
 // Budget admission: `batch_deadline_ms` is one aggregate wall-clock pool
 // for the whole batch, enforced through the shared DeadlineAdmission
@@ -63,6 +66,8 @@
 #include "util/clock.h"
 
 namespace pebblejoin {
+
+class FdReader;
 
 class BatchRunner {
  public:
@@ -121,6 +126,12 @@ class BatchRunner {
   // input order. Flushes `out` whenever no finished answer is left to
   // write.
   Summary Run(std::istream& in, std::ostream& out);
+  // The same over the file descriptor `in_fd` (`--jsonl -` passes stdin),
+  // read through a util/fd_reader.h FdReader: one read(2) of at most
+  // 64 KiB per refill. While the reader waits for input, every answer
+  // that landed in order is written, so a producer that waits for answers
+  // before it sends more gets them.
+  Summary Run(int in_fd, std::ostream& out);
 
  private:
   using LineKind = JsonlRequestRunner::Disposition;
@@ -140,6 +151,10 @@ class BatchRunner {
   LineResult RunLine(const JsonlRequestRunner& runner,
                      const DeadlineAdmission& admission,
                      const std::string& line, int64_t line_number);
+
+  // Both Runs. With `reader` (the FdReader under `in`), landed answers
+  // are written while it waits.
+  Summary Stream(std::istream& in, std::ostream& out, FdReader* reader);
 
   int64_t NowMs() const { return pebblejoin::NowMs(options_.clock); }
 

@@ -3,9 +3,16 @@
 // invariance of the output, and budget admission (queue vs reject) against
 // a deterministic fake clock. Runs under ThreadSanitizer in CI.
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +26,7 @@
 #include "io/graph_io.h"
 #include "obs/json.h"
 #include "util/budget.h"
+#include "util/fd_reader.h"
 
 #include "json_test_util.h"
 
@@ -243,6 +251,108 @@ TEST(BatchRunnerTest, AOneLineBatchStartsNoPool) {
     std::ostringstream out;
     EXPECT_EQ(runner.Run(in, out).solved, lines);
     EXPECT_EQ(engine.pool() != nullptr, lines > 1) << "lines=" << lines;
+  }
+}
+
+// An output stream whose flushes publish what was written so far, so a
+// test thread can wait for answers while the runner is still running.
+class FlushedOutput : public std::stringbuf {
+ public:
+  // True once `lines` answers were flushed; false after `timeout`.
+  bool WaitForLines(size_t lines, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return flushed_.wait_for(lock, timeout, [&] {
+      return static_cast<size_t>(std::count(published_.begin(),
+                                            published_.end(), '\n')) >=
+             lines;
+    });
+  }
+
+ protected:
+  int sync() override {
+    std::lock_guard<std::mutex> lock(mu_);
+    published_ = str();
+    flushed_.notify_all();
+    return 0;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable flushed_;
+  std::string published_;
+};
+
+void WriteAll(int fd, const std::string& bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    ASSERT_GT(n, 0);
+    done += static_cast<size_t>(n);
+  }
+}
+
+TEST(BatchRunnerTest, APipedAnswerIsWrittenWhileTheReaderWaits) {
+  // Line 1 is dispatched once line 2 is read; the reader then waits for
+  // line 3 on a pipe that stays open. Line 1's answer must not wait for
+  // more input.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  SolveEngine engine;
+  BatchRunner::Options options;
+  options.threads = 4;
+  BatchRunner runner(&engine, options);
+  FlushedOutput out_buf;
+  std::ostream out(&out_buf);
+  BatchRunner::Summary summary;
+  std::thread batch([&] { summary = runner.Run(fds[0], out); });
+  const std::string line = Line(WorstCaseFamily(4)) + "\n";
+  WriteAll(fds[1], line);
+  WriteAll(fds[1], line);
+  const bool answered =
+      out_buf.WaitForLines(1, std::chrono::milliseconds(5000));
+  ::close(fds[1]);
+  batch.join();
+  ::close(fds[0]);
+  EXPECT_TRUE(answered) << "no answer while the pipe stayed open";
+  EXPECT_EQ(summary.solved, 2);
+  const std::vector<std::string> lines = SplitLines(out_buf.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(NormalizeTimings(lines[0]), NormalizeTimings(lines[1]));
+}
+
+TEST(BatchRunnerTest, APipeReadsLikeAStream) {
+  // A line longer than the reader's buffer spans refills, and a pipe fed
+  // in small writes answers as a stream fed all at once, blank and
+  // malformed lines included.
+  const BipartiteGraph big = CompleteBipartite(70, 300);
+  std::string input = Line(WorstCaseFamily(4)) + "\n\n" + Line(big) +
+                      "\nnot json\n" + Line(CompleteBipartite(2, 3));
+  ASSERT_GT(input.size(), 2 * FdReader::kBufferBytes);
+  BatchRunner::Options options;
+  for (int threads : {1, 4}) {
+    options.threads = threads;
+    const std::vector<std::string> expected = RunBatch(input, options);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    std::thread producer([&] {
+      for (size_t at = 0; at < input.size(); at += 1000) {
+        WriteAll(fds[1], input.substr(at, 1000));
+      }
+      ::close(fds[1]);
+    });
+    SolveEngine engine;
+    BatchRunner runner(&engine, options);
+    std::ostringstream out;
+    const BatchRunner::Summary summary = runner.Run(fds[0], out);
+    producer.join();
+    ::close(fds[0]);
+    EXPECT_EQ(summary.lines_read, 4) << "threads=" << threads;
+    const std::vector<std::string> lines = SplitLines(out.str());
+    ASSERT_EQ(lines.size(), expected.size()) << "threads=" << threads;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(NormalizeTimings(lines[i]), NormalizeTimings(expected[i]))
+          << "threads=" << threads << " line " << i;
+    }
   }
 }
 

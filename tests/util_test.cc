@@ -1,14 +1,59 @@
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/parse_int.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
 namespace pebblejoin {
 namespace {
+
+// strtoll's rules, whole token only.
+TEST(ParseIntTest, AcceptsWhatStrtollAcceptsOverTheWholeToken) {
+  using std::string_literals::operator""s;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const struct {
+    std::string token;
+    std::optional<int64_t> value;
+  } cases[] = {
+      {"0", 0},
+      {"-0", 0},
+      {"+7", 7},
+      {"007", 7},
+      {" \t\n\v\f\r42", 42},
+      {"-9223372036854775808", kMin},
+      {"9223372036854775807", kMax},
+      {"9223372036854775808", std::nullopt},
+      {"-9223372036854775809", std::nullopt},
+      {"18446744073709551616", std::nullopt},
+      {"", std::nullopt},
+      {" ", std::nullopt},
+      {"+", std::nullopt},
+      {"-", std::nullopt},
+      {"+-1", std::nullopt},
+      {"--1", std::nullopt},
+      {"- 1", std::nullopt},
+      {"1 ", std::nullopt},
+      {"3x", std::nullopt},
+      {"1e1", std::nullopt},
+      {"0x1", std::nullopt},
+      {"0\0zz"s, std::nullopt},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(ParseInt(c.token), c.value) << "'" << c.token << "'";
+  }
+  EXPECT_EQ(ParseInt("5", 0, 5), 5);
+  EXPECT_EQ(ParseInt("6", 0, 5), std::nullopt);
+  EXPECT_EQ(ParseInt("-1", 0, 5), std::nullopt);
+}
 
 TEST(SplitMix64Test, IsDeterministic) {
   uint64_t s1 = 42;

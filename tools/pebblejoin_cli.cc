@@ -979,6 +979,7 @@ int CmdBatch(int argc, char** argv) {
   const int finish_rc = FinishRequestFlags(&flags);
   if (finish_rc != 0) return finish_rc;
 
+  // "-" is read from fd 0 by the runner's FdReader, not through std::cin.
   std::ifstream in_file;
   if (in_path != "-") {
     in_file.open(in_path);
@@ -988,7 +989,6 @@ int CmdBatch(int argc, char** argv) {
       return kExitMissingInput;
     }
   }
-  std::istream& in = in_path == "-" ? std::cin : in_file;
 
   if (options.progress_every_ms >= 0) {
     options.progress = &std::cerr;
@@ -1025,7 +1025,9 @@ int CmdBatch(int argc, char** argv) {
   BatchRunner runner(&engine, options);
   SamplingProfiler profiler;
   StartProfiler(flags.profile_out, &profiler);
-  const BatchRunner::Summary summary = runner.Run(in, out);
+  const BatchRunner::Summary summary = in_file.is_open()
+                                           ? runner.Run(in_file, out)
+                                           : runner.Run(STDIN_FILENO, out);
   if (!FinishProfiler(flags.profile_out, &profiler)) return kExitRuntime;
   // Stdout is pure JSONL; the tallies go to stderr.
   std::fprintf(stderr,
