@@ -1,10 +1,13 @@
 #include "engine/batch_runner.h"
 
+#include <poll.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
-#include <functional>
-#include <istream>
 #include <optional>
 #include <ostream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,8 +15,9 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/fd_reader.h"
+#include "util/line_framer.h"
 #include "util/ordered_window.h"
+#include "util/wake_pipe.h"
 
 namespace pebblejoin {
 
@@ -50,22 +54,7 @@ BatchRunner::LineResult BatchRunner::RunLine(
   return result;
 }
 
-BatchRunner::Summary BatchRunner::Run(std::istream& in, std::ostream& out) {
-  return Stream(in, out, nullptr);
-}
-
 BatchRunner::Summary BatchRunner::Run(int in_fd, std::ostream& out) {
-  FdReader reader(in_fd);
-  std::istream in(&reader);
-  // The on-wake callback runs inside a refill, and std::istream swallows
-  // what a refill throws unless badbit is an exception: a line's rethrown
-  // error must leave Run here as it does from the stream overload.
-  in.exceptions(std::ios::badbit);
-  return Stream(in, out, &reader);
-}
-
-BatchRunner::Summary BatchRunner::Stream(std::istream& in, std::ostream& out,
-                                         FdReader* reader) {
   batch_start_ms_ = NowMs();
   Summary summary;
 
@@ -139,12 +128,14 @@ BatchRunner::Summary BatchRunner::Stream(std::istream& in, std::ostream& out,
   // Lines stream through one ordered window, each answer written once it
   // and every line before it are done. Two lines in flight per thread:
   // enough that a worker finishing a line finds the next one queued, few
-  // enough that finished answers do not pile up behind a slow line. A line
-  // is dispatched once the next line (or EOF) has been read, so a batch
-  // whose only line meets EOF runs it on the calling thread, no pool.
+  // enough that finished answers do not pile up behind a slow line.
   constexpr int kLinesInFlightPerThread = 2;
   const size_t max_in_flight =
       static_cast<size_t>(kLinesInFlightPerThread * options_.threads);
+  // Written by the window's landing hook, so the loop below wakes to write
+  // an answer while it waits for input. Declared before the window, which
+  // holds it until its last task let go.
+  WakePipe landed;
   std::optional<OrderedWindow<LineResult>> window;
   // Writes answers in input order until at most `keep` lines are left in
   // the window: every answer already done, then, blocking, the oldest.
@@ -196,44 +187,57 @@ BatchRunner::Summary BatchRunner::Stream(std::istream& in, std::ostream& out,
     }
     if (unflushed) out.flush();
   };
-  // While the reader waits for the next line, landed answers go out: the
-  // window's landing hook wakes it, and it writes what is done, in order.
-  if (reader != nullptr) {
-    reader->OnWake([&] {
-      if (window.has_value()) write_answers(window->size());
-    });
-  }
 
-  // Reads the next non-blank line; false at EOF. Line numbers are 1-based
-  // and count blank lines, so error records point at the line the user
-  // can see in the input file.
+  LineFramer framer;
+  std::vector<char> chunk(kReadChunkBytes);
+  std::string text;
+  // Line numbers are 1-based and count blank lines, so error records point
+  // at the line the user can see in the input file.
   int64_t line_number = 0;
-  const auto read_line = [&](std::string* text) {
-    while (std::getline(in, *text)) {
-      ++line_number;
-      if (!JsonlLineIsBlank(*text)) return true;
+  for (bool eof = false; !eof;) {
+    if (window.has_value() && !window->empty()) {
+      pollfd fds[2] = {{in_fd, POLLIN, 0}, {landed.fd(), POLLIN, 0}};
+      if (::poll(fds, 2, -1) < 0) {
+        if (errno == EINTR) continue;
+        summary.read_errno = errno;
+        break;
+      }
+      if (fds[1].revents != 0) {
+        landed.Drain();
+        write_answers(window->size());
+      }
+      if (fds[0].revents == 0) continue;
     }
-    return false;
-  };
-  std::string next;
-  for (bool more = read_line(&next); more;) {
-    ++summary.lines_read;
-    std::string text = std::move(next);
-    const int64_t number = line_number;
-    more = read_line(&next);
-    if (!window.has_value()) {
-      std::function<void()> on_done;
-      if (reader != nullptr) on_done = [reader] { reader->Wake(); };
-      window.emplace(more && options_.threads > 1
-                         ? engine_->EnsurePool(options_.threads)
-                         : nullptr,
-                     std::move(on_done));
+    const ssize_t n = ::read(in_fd, chunk.data(), chunk.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      summary.read_errno = errno;
+      break;
     }
-    window->Submit([this, &runner, &admission, text = std::move(text),
-                    number] {
-      return RunLine(runner, admission, text, number);
-    });
-    write_answers(max_in_flight - 1);
+    eof = n == 0;
+    framer.Feed(std::string_view(chunk.data(), static_cast<size_t>(n)));
+    // At EOF the bytes after the last newline are a line, as for getline.
+    if (eof && framer.partial_bytes() > 0) framer.Feed("\n");
+    while (framer.Next(&text) == LineFramer::Frame::kLine) {
+      const int64_t number = ++line_number;
+      if (JsonlLineIsBlank(text)) continue;
+      // The first line runs on the calling thread, so a one-line batch
+      // starts no pool; its answer is written before the second line is
+      // read, which leaves the window empty to rebuild on the pool.
+      ++summary.lines_read;
+      if (summary.lines_read == 1) {
+        window.emplace(nullptr);
+      } else if (summary.lines_read == 2 && options_.threads > 1) {
+        JP_CHECK(window->empty());
+        window.emplace(engine_->EnsurePool(options_.threads),
+                       [&landed] { landed.Wake(); });
+      }
+      window->Submit([this, &runner, &admission, text = std::move(text),
+                      number] {
+        return RunLine(runner, admission, text, number);
+      });
+      write_answers(max_in_flight - 1);
+    }
   }
   if (window.has_value()) write_answers(0);
 

@@ -20,14 +20,15 @@
 // `pebblejoin analyze --json` would print for the same graph and flags —
 // byte-identical, which is what the round-trip tests pin.
 //
-// Lines stream through one OrderedWindow (util/ordered_window.h) over the
-// engine's pool, at most 2 x threads in flight; each answer is written, in
-// input order, once it and every line before it are done. Each task runs
-// its request sequentially (the engine's nested-fan-out guard), so batch
-// parallelism comes from lines in flight, not from component fan-out.
-// Read from a file descriptor (Run(int, ...), what `--jsonl -` uses), an
-// answer that lands while the reader waits for the next line is written
-// then, not when the next line arrives.
+// One poll() loop reads a file or a pipe alike, waits for input and for
+// landed answers together, and dispatches each line (util/line_framer.h)
+// as soon as it is read; bytes after the last newline are a final line,
+// as for std::getline. Lines stream through one OrderedWindow
+// (util/ordered_window.h), at most 2 x threads in flight, and each answer
+// is written, in input order, once it and every line before it are done.
+// The first line runs on the calling thread, so a one-line batch starts
+// no pool. Each task runs its request sequentially (the engine's
+// nested-fan-out guard), so batch parallelism comes from lines in flight.
 //
 // Budget admission: `batch_deadline_ms` is one aggregate wall-clock pool
 // for the whole batch, enforced through the shared DeadlineAdmission
@@ -56,6 +57,7 @@
 #ifndef PEBBLEJOIN_ENGINE_BATCH_RUNNER_H_
 #define PEBBLEJOIN_ENGINE_BATCH_RUNNER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -66,8 +68,6 @@
 #include "util/clock.h"
 
 namespace pebblejoin {
-
-class FdReader;
 
 class BatchRunner {
  public:
@@ -116,21 +116,22 @@ class BatchRunner {
     int64_t latency_p50_ms = -1;
     int64_t latency_p95_ms = -1;
     int64_t latency_p99_ms = -1;
+    // errno of the read(2) that ended the input; 0 at a clean EOF.
+    int read_errno = 0;
   };
 
   // The engine is borrowed and must outlive the runner; its pool carries
   // the fan-out, its registry receives every line's stats.
   BatchRunner(SolveEngine* engine, Options options);
 
-  // Streams `in` to `out`, one result line per non-blank input line, in
-  // input order. Flushes `out` whenever no finished answer is left to
-  // write.
-  Summary Run(std::istream& in, std::ostream& out);
-  // The same over the file descriptor `in_fd` (`--jsonl -` passes stdin),
-  // read through a util/fd_reader.h FdReader: one read(2) of at most
-  // 64 KiB per refill. While the reader waits for input, every answer
-  // that landed in order is written, so a producer that waits for answers
-  // before it sends more gets them.
+  // Most bytes one read(2) of the input takes.
+  static constexpr size_t kReadChunkBytes = size_t{64} << 10;
+
+  // Streams the file descriptor `in_fd` (borrowed) to `out`, one result
+  // line per non-blank input line, in input order, flushing `out` whenever
+  // no finished answer is left to write. A failed read ends the input
+  // after the lines already read are answered; Summary::read_errno says
+  // why.
   Summary Run(int in_fd, std::ostream& out);
 
  private:
@@ -151,10 +152,6 @@ class BatchRunner {
   LineResult RunLine(const JsonlRequestRunner& runner,
                      const DeadlineAdmission& admission,
                      const std::string& line, int64_t line_number);
-
-  // Both Runs. With `reader` (the FdReader under `in`), landed answers
-  // are written while it waits.
-  Summary Stream(std::istream& in, std::ostream& out, FdReader* reader);
 
   int64_t NowMs() const { return pebblejoin::NowMs(options_.clock); }
 

@@ -8,9 +8,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-
 #include <cerrno>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "obs/log.h"
@@ -37,26 +37,17 @@ Connection::Connection(int fd, int64_t id, const ConnectionEnv& env)
   JP_CHECK(env_.options != nullptr && env_.router != nullptr &&
            env_.injector != nullptr && env_.phase != nullptr &&
            env_.drain_deadline_ms != nullptr);
+  framer_ = LineFramer(static_cast<size_t>(
+      std::max<int64_t>(0, env_.options->max_line_bytes)));
   SetNonBlocking(fd_);
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  JP_CHECK_MSG(::pipe(wake_fds_) == 0, "pipe() failed");
-  SetNonBlocking(wake_fds_[0]);
-  SetNonBlocking(wake_fds_[1]);
   last_read_ms_ = NowMs();
   last_write_progress_ms_ = last_read_ms_;
 }
 
 Connection::~Connection() {
   if (!fd_closed_) ::close(fd_);
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-}
-
-void Connection::Wake() {
-  const char byte = 1;
-  // A full pipe already guarantees a pending wake-up; EAGAIN is success.
-  (void)!::write(wake_fds_[1], &byte, 1);
 }
 
 void Connection::SubmitSolve(std::string line, int64_t line_number) {
@@ -85,18 +76,19 @@ void Connection::SubmitSolve(std::string line, int64_t line_number) {
   });
 }
 
-void Connection::HandleLine() {
+void Connection::HandleLine(std::string line) {
   ++lines_;
-  switch (RequestRouter::Classify(cur_line_)) {
+  switch (RequestRouter::Classify(line)) {
     case RequestRouter::LineClass::kBlank:
       return;  // counted, never answered — matches batch
     case RequestRouter::LineClass::kHttp: {
       // One-shot HTTP exchange on the JSONL port: answer, flush, close.
       // The rest of the request (headers) is read and discarded so the
       // client can finish sending before it sees our close.
-      window_.Push(env_.router->HttpResponse(cur_line_, NowMs()));
+      window_.Push(env_.router->HttpResponse(line, NowMs()));
       discard_input_ = true;
       close_after_flush_ = true;
+      framer_.Clear();
       return;
     }
     case RequestRouter::LineClass::kSolve: {
@@ -110,46 +102,37 @@ void Connection::HandleLine() {
                      "\n");
         return;
       }
-      SubmitSolve(cur_line_, lines_);
+      SubmitSolve(std::move(line), lines_);
       return;
     }
   }
 }
 
 void Connection::HandleBytes(const char* data, size_t n) {
-  const int64_t cap = env_.options->max_line_bytes;
-  for (size_t i = 0; i < n; ++i) {
-    if (discard_input_) return;
-    const char c = data[i];
-    if (c == '\n') {
-      if (discarding_line_) {
-        // The oversized line was already answered when the cap tripped.
-        discarding_line_ = false;
-      } else {
-        HandleLine();
-      }
-      cur_line_.clear();
+  if (discard_input_) return;
+  framer_.Feed(std::string_view(data, n));
+  std::string line;
+  while (!discard_input_) {
+    const LineFramer::Frame frame = framer_.Next(&line);
+    if (frame == LineFramer::Frame::kNone) return;
+    if (frame == LineFramer::Frame::kLine) {
+      HandleLine(std::move(line));
       continue;
     }
-    if (discarding_line_) continue;
-    cur_line_.push_back(c);
-    if (cap > 0 && static_cast<int64_t>(cur_line_.size()) > cap) {
-      // Answer now and eat the rest as it streams in: the per-line buffer
-      // never exceeds the cap no matter how much the client sends.
-      ++lines_;
-      log_->Emit(LogLevel::kWarn, "request.reject",
-                 {LogField::Num("line", lines_),
-                  LogField::Str("reason", "line too long"),
-                  LogField::Num("cap_bytes", cap)});
-      window_.Push(
-          env_.router->RejectRecord(
-              lines_, "line exceeds " + std::to_string(cap) + " bytes",
-              NowMs()) +
-          "\n");
-      ++rejected_;
-      discarding_line_ = true;
-      cur_line_.clear();
-    }
+    // Answered the moment the cap trips; the framer eats the rest of the
+    // line as it streams in, so it never holds much past the cap.
+    const int64_t cap = env_.options->max_line_bytes;
+    ++lines_;
+    log_->Emit(LogLevel::kWarn, "request.reject",
+               {LogField::Num("line", lines_),
+                LogField::Str("reason", "line too long"),
+                LogField::Num("cap_bytes", cap)});
+    window_.Push(
+        env_.router->RejectRecord(
+            lines_, "line exceeds " + std::to_string(cap) + " bytes",
+            NowMs()) +
+        "\n");
+    ++rejected_;
   }
 }
 
@@ -256,7 +239,7 @@ void Connection::Run() {
             ServeOptions::kMaxOutbufBytes;
 
     pollfd fds[2];
-    fds[0].fd = wake_fds_[0];
+    fds[0].fd = wake_.fd();
     fds[0].events = POLLIN;
     fds[0].revents = 0;
     fds[1].fd = fd_;
@@ -265,11 +248,7 @@ void Connection::Run() {
     fds[1].revents = 0;
     ::poll(fds, 2, env_.options->poll_tick_ms);
 
-    if (fds[0].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
+    if (fds[0].revents & POLLIN) wake_.Drain();
     if (want_read &&
         (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
       size_t budget = kReadBudgetPerWake;
@@ -308,7 +287,7 @@ void Connection::Run() {
   window_.AwaitAll();
   fatal_ = true;  // anything still undelivered is discarded, not written
   CollectCompletions();
-  partial_tail_bytes_ = static_cast<int64_t>(cur_line_.size());
+  partial_tail_bytes_ = static_cast<int64_t>(framer_.partial_bytes());
 
   log.Emit(LogLevel::kInfo, "conn.close",
            {LogField::Str("reason", close_reason_),

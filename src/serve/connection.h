@@ -5,16 +5,17 @@
 // tasks of the connection's OrderedWindow (util/ordered_window.h) — on the
 // engine pool, or inline when the server is single-threaded — that only
 // compute, land their response in the window, and poke the loop through a
-// wake pipe. The loop takes responses back in submission order and writes
-// them as the socket drains — a worker never blocks on a client, and a
-// client never sees responses out of order.
+// WakePipe (util/wake_pipe.h). The loop takes responses back in submission
+// order and writes them as the socket drains — a worker never blocks on a
+// client, and a client never sees responses out of order.
 //
 // Robustness mechanics, each bounded by a ServeOptions knob or constant
 // and exercised by the fault-injection tests:
-//   - line framing with a streaming byte cap: a line past
-//     `max_line_bytes` is answered with a structured error the moment the
-//     cap trips and the rest of it is discarded as it arrives — the
-//     buffer never grows past the cap;
+//   - line framing (util/line_framer.h, the framer batch uses too) with a
+//     streaming byte cap: a line past `max_line_bytes` is answered with a
+//     structured error the moment the cap trips and the rest of it is
+//     discarded as it arrives — the framer never holds more than the cap
+//     plus one read;
 //   - write backpressure: past `kMaxOutbufBytes` of pending output the
 //     loop stops reading new requests until the client drains;
 //   - idle and write-stall timeouts close connections that go silent or
@@ -38,7 +39,9 @@
 #include <string>
 
 #include "serve/serve_options.h"
+#include "util/line_framer.h"
 #include "util/ordered_window.h"
+#include "util/wake_pipe.h"
 
 namespace pebblejoin {
 
@@ -79,7 +82,7 @@ class Connection {
 
   // Pokes the event loop out of poll() (thread-safe; server threads call
   // it on drain/abort).
-  void Wake();
+  void Wake() { wake_.Wake(); }
 
   bool done() const { return done_.load(std::memory_order_acquire); }
   int64_t id() const { return id_; }
@@ -92,8 +95,8 @@ class Connection {
  private:
   // Feeds freshly read bytes through the line framer.
   void HandleBytes(const char* data, size_t n);
-  // Dispatches one complete line (cur_line_, newline stripped).
-  void HandleLine();
+  // Dispatches one complete line (newline stripped).
+  void HandleLine(std::string line);
   // Queues one solve on the window.
   void SubmitSolve(std::string line, int64_t line_number);
   // Moves in-order completions into the write buffer.
@@ -111,13 +114,12 @@ class Connection {
   const int64_t id_;
   const ConnectionEnv env_;
 
-  int wake_fds_[2] = {-1, -1};  // pipe; [0] polled, [1] written by Wake()
+  WakePipe wake_;                // polled; written by Wake()
   bool fd_closed_ = false;      // set by Run's epilogue (conn thread only)
   class EventLog* log_ = nullptr;  // Run's per-connection log, while alive
 
   // --- Line framing (connection thread only) -----------------------------
-  std::string cur_line_;
-  bool discarding_line_ = false;  // past the byte cap; eat until newline
+  LineFramer framer_;             // capped at max_line_bytes
   bool discard_input_ = false;    // drain/HTTP: ignore all further input
   bool eof_ = false;
   bool fatal_ = false;            // socket error; stop reads AND writes

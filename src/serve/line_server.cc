@@ -1,6 +1,5 @@
 #include "serve/line_server.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -14,14 +13,6 @@
 #include "util/thread_pool.h"
 
 namespace pebblejoin {
-namespace {
-
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
 
 LineServer::LineServer(SolveEngine* engine, ServeOptions options)
     : engine_(engine),
@@ -47,27 +38,17 @@ LineServer::~LineServer() {
     Abort();
     Wait();
   }
-  if (accept_wake_[0] >= 0) ::close(accept_wake_[0]);
-  if (accept_wake_[1] >= 0) ::close(accept_wake_[1]);
 }
 
 bool LineServer::Start(std::string* error) {
   JP_CHECK_MSG(!started_, "Start() called twice");
   if (!listener_.Open(options_.host, options_.port, error)) return false;
-  JP_CHECK_MSG(::pipe(accept_wake_) == 0, "pipe() failed");
-  SetNonBlocking(accept_wake_[0]);
-  SetNonBlocking(accept_wake_[1]);
   if (options_.threads > 1) {
     pool_ = engine_->EnsurePool(std::max(2, options_.threads));
   }
   started_ = true;
   acceptor_ = std::thread(&LineServer::AcceptLoop, this);
   return true;
-}
-
-void LineServer::WakeAcceptor() {
-  const char byte = 1;
-  (void)!::write(accept_wake_[1], &byte, 1);
 }
 
 void LineServer::BeginDrain() {
@@ -82,7 +63,7 @@ void LineServer::BeginDrain() {
       options_.drain_ms >= 0 ? now_ms + options_.drain_ms : int64_t{-1},
       std::memory_order_release);
   router_->BeginDrain(now_ms);
-  WakeAcceptor();
+  accept_wake_.Wake();
 }
 
 void LineServer::Abort() {
@@ -97,7 +78,7 @@ void LineServer::Abort() {
       break;
     }
   }
-  WakeAcceptor();
+  accept_wake_.Wake();
 }
 
 LineServer::Summary LineServer::Wait() {
@@ -154,18 +135,14 @@ void LineServer::AcceptLoop() {
     Reap();
 
     pollfd fds[2];
-    fds[0].fd = accept_wake_[0];
+    fds[0].fd = accept_wake_.fd();
     fds[0].events = POLLIN;
     fds[0].revents = 0;
     fds[1].fd = listener_.fd();
     fds[1].events = POLLIN;
     fds[1].revents = 0;
     ::poll(fds, 2, options_.poll_tick_ms);
-    if (fds[0].revents & POLLIN) {
-      char drain[64];
-      while (::read(accept_wake_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
+    if (fds[0].revents & POLLIN) accept_wake_.Drain();
     if ((fds[1].revents & POLLIN) == 0) continue;
 
     for (;;) {
@@ -225,15 +202,11 @@ void LineServer::AcceptLoop() {
     Reap();
     if (conns_.empty()) break;
     pollfd wake;
-    wake.fd = accept_wake_[0];
+    wake.fd = accept_wake_.fd();
     wake.events = POLLIN;
     wake.revents = 0;
     ::poll(&wake, 1, std::min(options_.poll_tick_ms, 10));
-    if (wake.revents & POLLIN) {
-      char drain[64];
-      while (::read(accept_wake_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
+    if (wake.revents & POLLIN) accept_wake_.Drain();
   }
   summary_.aborted = phase_.load(std::memory_order_acquire) ==
                      static_cast<int>(ServePhase::kAborting);

@@ -10,10 +10,11 @@
 //
 // Thread model:
 //   - one acceptor thread (owns the listener, the connection registry,
-//     and the server-level EventLog);
-//   - one event-loop thread per connection (owns that socket — see
-//     serve/connection.h for why a stalled client can never wedge a pool
-//     worker);
+//     and the server-level EventLog; polls the listener and a WakePipe,
+//     util/wake_pipe.h, that BeginDrain() and Abort() write);
+//   - one event-loop thread per connection (owns that socket and frames
+//     its lines with util/line_framer.h — see serve/connection.h for why a
+//     stalled client can never wedge a pool worker);
 //   - the engine's shared ThreadPool carries the solve fan-out when
 //     Options::threads > 1.
 //
@@ -50,6 +51,7 @@
 #include "serve/listener.h"
 #include "serve/request_router.h"
 #include "serve/serve_options.h"
+#include "util/wake_pipe.h"
 
 namespace pebblejoin {
 
@@ -106,7 +108,6 @@ class LineServer {
   // Joins finished connections, folding their stats into summary_.
   // Acceptor thread only.
   void Reap();
-  void WakeAcceptor();
   int64_t NowMs() const { return pebblejoin::NowMs(options_.clock); }
 
   SolveEngine* engine_;  // borrowed
@@ -120,7 +121,7 @@ class LineServer {
   std::atomic<int> phase_{static_cast<int>(ServePhase::kServing)};
   std::atomic<int64_t> drain_deadline_ms_{-1};
 
-  int accept_wake_[2] = {-1, -1};
+  WakePipe accept_wake_;  // pokes the acceptor out of poll()
   std::thread acceptor_;
   bool started_ = false;
   bool waited_ = false;

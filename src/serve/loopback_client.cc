@@ -12,12 +12,14 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/clock.h"
+#include "util/line_framer.h"
 
 namespace pebblejoin {
 namespace {
@@ -83,7 +85,7 @@ void RunClient(const LoadOptions& options, ClientRun* run) {
   size_t enqueued = 0;  // lines moved into the outbox
   std::string outbox;
   size_t outbox_off = 0;
-  std::string inbox;
+  LineFramer inbox;  // response lines
   std::deque<int64_t> enqueued_us;  // enqueue times of unanswered lines
   const int64_t deadline_us =
       Clock::SteadyNowUs() + options.timeout_ms * 1000;
@@ -132,7 +134,7 @@ void RunClient(const LoadOptions& options, ClientRun* run) {
     for (;;) {
       const ssize_t n = ::read(fd.get(), buf, sizeof(buf));
       if (n > 0) {
-        inbox.append(buf, static_cast<size_t>(n));
+        inbox.Feed(std::string_view(buf, static_cast<size_t>(n)));
         continue;
       }
       if (n == 0) closed = true;
@@ -143,9 +145,8 @@ void RunClient(const LoadOptions& options, ClientRun* run) {
     }
     // Consume the complete response lines.
     const int64_t arrived_us = Clock::SteadyNowUs();
-    size_t start = 0;
-    for (size_t nl; (nl = inbox.find('\n', start)) != std::string::npos;
-         start = nl + 1) {
+    std::string response;
+    while (inbox.Next(&response) == LineFramer::Frame::kLine) {
       if (enqueued_us.empty()) {
         run->error = "response for a line never sent" +
                      Progress(run->replies.size(), total);
@@ -153,12 +154,11 @@ void RunClient(const LoadOptions& options, ClientRun* run) {
       }
       LoadReply reply;
       if (!run->ids.empty()) reply.id = run->ids[run->replies.size()];
-      reply.response = inbox.substr(start, nl - start);
+      reply.response = std::move(response);
       reply.latency_us = arrived_us - enqueued_us.front();
       enqueued_us.pop_front();
       run->replies.push_back(std::move(reply));
     }
-    inbox.erase(0, start);
     if (closed && run->replies.size() < total) {
       run->error = "server closed the connection early" +
                    Progress(run->replies.size(), total);

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -26,7 +27,6 @@
 #include "io/graph_io.h"
 #include "obs/json.h"
 #include "util/budget.h"
-#include "util/fd_reader.h"
 
 #include "json_test_util.h"
 
@@ -47,15 +47,31 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
+// Runs `runner` over `input` read from a regular-file descriptor, as
+// `batch --jsonl FILE` reads it.
+BatchRunner::Summary RunFile(BatchRunner* runner, const std::string& input,
+                             std::ostream& out) {
+  FILE* file = std::tmpfile();
+  if (file == nullptr) {
+    ADD_FAILURE() << "tmpfile() failed";
+    return {};
+  }
+  // pwrite(2) leaves the offset at the start, where the runner reads.
+  EXPECT_EQ(::pwrite(fileno(file), input.data(), input.size(), 0),
+            static_cast<ssize_t>(input.size()));
+  const BatchRunner::Summary summary = runner->Run(fileno(file), out);
+  std::fclose(file);
+  return summary;
+}
+
 std::vector<std::string> RunBatch(
     const std::string& input, BatchRunner::Options options,
     BatchRunner::Summary* summary = nullptr,
     const AnalyzerOptions& engine_defaults = AnalyzerOptions()) {
   SolveEngine engine(SolveEngine::Options{engine_defaults});
   BatchRunner runner(&engine, options);
-  std::istringstream in(input);
   std::ostringstream out;
-  const BatchRunner::Summary s = runner.Run(in, out);
+  const BatchRunner::Summary s = RunFile(&runner, input, out);
   if (summary != nullptr) *summary = s;
   return SplitLines(out.str());
 }
@@ -236,9 +252,8 @@ TEST(BatchRunnerTest, LinesOfMixedSizesStreamInInputOrderAtEveryWidth) {
 }
 
 TEST(BatchRunnerTest, AOneLineBatchStartsNoPool) {
-  // The only line meets EOF before it is dispatched, so it runs on the
-  // calling thread; a second line is what makes a wide batch borrow the
-  // pool.
+  // The first line runs on the calling thread; a second line is what
+  // makes a wide batch borrow the pool.
   const BipartiteGraph g = WorstCaseFamily(4);
   BatchRunner::Options options;
   options.threads = 4;
@@ -247,9 +262,8 @@ TEST(BatchRunnerTest, AOneLineBatchStartsNoPool) {
     BatchRunner runner(&engine, options);
     std::string text;
     for (int i = 0; i < lines; ++i) text += Line(g) + "\n";
-    std::istringstream in(text);
     std::ostringstream out;
-    EXPECT_EQ(runner.Run(in, out).solved, lines);
+    EXPECT_EQ(RunFile(&runner, text, out).solved, lines);
     EXPECT_EQ(engine.pool() != nullptr, lines > 1) << "lines=" << lines;
   }
 }
@@ -292,42 +306,47 @@ void WriteAll(int fd, const std::string& bytes) {
 }
 
 TEST(BatchRunnerTest, APipedAnswerIsWrittenWhileTheReaderWaits) {
-  // Line 1 is dispatched once line 2 is read; the reader then waits for
-  // line 3 on a pipe that stays open. Line 1's answer must not wait for
-  // more input.
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  SolveEngine engine;
-  BatchRunner::Options options;
-  options.threads = 4;
-  BatchRunner runner(&engine, options);
-  FlushedOutput out_buf;
-  std::ostream out(&out_buf);
-  BatchRunner::Summary summary;
-  std::thread batch([&] { summary = runner.Run(fds[0], out); });
+  // A producer sends one line and waits with the pipe open: the answer
+  // must come without more input or EOF. So must the answer to a second
+  // line, which a wide batch runs on the pool while the reader waits.
   const std::string line = Line(WorstCaseFamily(4)) + "\n";
-  WriteAll(fds[1], line);
-  WriteAll(fds[1], line);
-  const bool answered =
-      out_buf.WaitForLines(1, std::chrono::milliseconds(5000));
-  ::close(fds[1]);
-  batch.join();
-  ::close(fds[0]);
-  EXPECT_TRUE(answered) << "no answer while the pipe stayed open";
-  EXPECT_EQ(summary.solved, 2);
-  const std::vector<std::string> lines = SplitLines(out_buf.str());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(NormalizeTimings(lines[0]), NormalizeTimings(lines[1]));
+  for (int threads : {1, 4}) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    SolveEngine engine;
+    BatchRunner::Options options;
+    options.threads = threads;
+    BatchRunner runner(&engine, options);
+    FlushedOutput out_buf;
+    std::ostream out(&out_buf);
+    BatchRunner::Summary summary;
+    std::thread batch([&] { summary = runner.Run(fds[0], out); });
+    WriteAll(fds[1], line);
+    const bool first = out_buf.WaitForLines(1, std::chrono::seconds(5));
+    WriteAll(fds[1], line);
+    const bool second = out_buf.WaitForLines(2, std::chrono::seconds(5));
+    ::close(fds[1]);
+    batch.join();
+    ::close(fds[0]);
+    EXPECT_TRUE(first) << "threads=" << threads
+                       << ": no answer to line 1 while the pipe stayed open";
+    EXPECT_TRUE(second) << "threads=" << threads
+                        << ": no answer to line 2 while the pipe stayed open";
+    EXPECT_EQ(summary.solved, 2);
+    const std::vector<std::string> lines = SplitLines(out_buf.str());
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(NormalizeTimings(lines[0]), NormalizeTimings(lines[1]));
+  }
 }
 
 TEST(BatchRunnerTest, APipeReadsLikeAStream) {
-  // A line longer than the reader's buffer spans refills, and a pipe fed
-  // in small writes answers as a stream fed all at once, blank and
-  // malformed lines included.
+  // A line longer than a read chunk spans reads, and a pipe fed in small
+  // writes answers as a regular file does, blank and malformed lines and
+  // an unterminated last line included.
   const BipartiteGraph big = CompleteBipartite(70, 300);
   std::string input = Line(WorstCaseFamily(4)) + "\n\n" + Line(big) +
                       "\nnot json\n" + Line(CompleteBipartite(2, 3));
-  ASSERT_GT(input.size(), 2 * FdReader::kBufferBytes);
+  ASSERT_GT(input.size(), 2 * BatchRunner::kReadChunkBytes);
   BatchRunner::Options options;
   for (int threads : {1, 4}) {
     options.threads = threads;

@@ -314,6 +314,22 @@ cmp -s "$WORK_DIR/seq_norm.jsonl" "$WORK_DIR/stdin_out.jsonl" \
 cmp -s "$WORK_DIR/seq_norm.jsonl" "$WORK_DIR/par_out.jsonl" \
   || note_failure "batch --threads 4 must match sequential output"
 
+# A failed read is an error, not an empty batch: a directory opens, but
+# read(2) fails on it, whether it is named or redirected to stdin.
+expect_read_error() {
+  local desc="$1" path="$2"; shift; shift
+  timeout 60 "$BIN" batch "$@" >/dev/null 2>"$WORK_DIR/read_err.txt"
+  local got=$?
+  if [ "$got" -ne 1 ]; then
+    note_failure "$desc: expected exit 1, got $got"
+  fi
+  grep -q "^error: reading '$path' failed: " "$WORK_DIR/read_err.txt" \
+    || note_failure "$desc: expected a read error on stderr"
+}
+expect_read_error "batch --jsonl DIR" "$WORK_DIR" --jsonl "$WORK_DIR" \
+  </dev/null
+expect_read_error "batch --jsonl - < DIR" "-" --jsonl - < "$WORK_DIR"
+
 # Admission: an exhausted batch pool rejects every line under --admission
 # reject, and still solves (degraded) under queue.
 "$BIN" batch --jsonl "$WORK_DIR/corpus.jsonl" --batch-deadline-ms 0 \

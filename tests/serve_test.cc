@@ -17,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -365,9 +366,13 @@ TEST(ServeTest, LineNumbersCountLinesOnTheirOwnStream) {
 
   SolveEngine batch_engine;
   BatchRunner runner(&batch_engine, BatchRunner::Options());
-  std::istringstream batch_in(all);
+  FILE* batch_in = std::tmpfile();
+  ASSERT_NE(batch_in, nullptr);
+  ASSERT_EQ(::pwrite(fileno(batch_in), all.data(), all.size(), 0),
+            static_cast<ssize_t>(all.size()));
   std::ostringstream batch_out;
-  runner.Run(batch_in, batch_out);
+  runner.Run(fileno(batch_in), batch_out);
+  std::fclose(batch_in);
   std::vector<std::string> batch;
   std::istringstream batch_lines(batch_out.str());
   for (std::string line; std::getline(batch_lines, line);) {

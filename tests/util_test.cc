@@ -4,9 +4,11 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/line_framer.h"
 #include "util/parse_int.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -53,6 +55,73 @@ TEST(ParseIntTest, AcceptsWhatStrtollAcceptsOverTheWholeToken) {
   EXPECT_EQ(ParseInt("5", 0, 5), 5);
   EXPECT_EQ(ParseInt("6", 0, 5), std::nullopt);
   EXPECT_EQ(ParseInt("-1", 0, 5), std::nullopt);
+}
+
+using Lines = std::vector<std::string>;
+
+// What a framer reports after `bytes` are fed, a too-long line as "!".
+Lines Frames(LineFramer* framer, std::string_view bytes) {
+  framer->Feed(bytes);
+  Lines frames;
+  std::string line;
+  for (LineFramer::Frame frame;
+       (frame = framer->Next(&line)) != LineFramer::Frame::kNone;) {
+    frames.push_back(frame == LineFramer::Frame::kLine ? line : "!");
+  }
+  return frames;
+}
+
+TEST(LineFramerTest, KeepsCarriageReturnsAndNulsInsideALine) {
+  using std::string_literals::operator""s;
+  LineFramer framer;
+  EXPECT_EQ(Frames(&framer, "a\r\n\0b\r\0\n"s), Lines({"a\r", "\0b\r\0"s}));
+}
+
+TEST(LineFramerTest, ALineFedByteByByteFramesAsOneFedWhole) {
+  const std::string input = "{\"graph\": \"1 2\"}\n\nsecond\n tail";
+  LineFramer whole;
+  const Lines expected = Frames(&whole, input);
+  EXPECT_EQ(expected, Lines({"{\"graph\": \"1 2\"}", "", "second"}));
+  LineFramer bytes;
+  Lines got;
+  for (const char& c : input) {
+    for (std::string& line : Frames(&bytes, std::string_view(&c, 1))) {
+      got.push_back(std::move(line));
+    }
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(bytes.partial_bytes(), whole.partial_bytes());
+}
+
+TEST(LineFramerTest, ALineExactlyAtTheCapPasses) {
+  LineFramer framer(4);
+  EXPECT_EQ(Frames(&framer, "abcd"), Lines());
+  EXPECT_EQ(Frames(&framer, "\nef\n"), Lines({"abcd", "ef"}));
+}
+
+TEST(LineFramerTest, ALineOverTheCapIsReportedOnceThenFramingResumes) {
+  LineFramer framer(4);
+  // Reported as soon as the fifth byte is in, before its newline.
+  EXPECT_EQ(Frames(&framer, "ok\nabcde"), Lines({"ok", "!"}));
+  EXPECT_EQ(framer.partial_bytes(), 0u);
+  EXPECT_EQ(Frames(&framer, "fgh"), Lines());
+  EXPECT_EQ(Frames(&framer, "ij\nnext\n"), Lines({"next"}));
+  // Also once when its newline comes in the same chunk.
+  EXPECT_EQ(Frames(&framer, "abcde\nx\n"), Lines({"!", "x"}));
+}
+
+TEST(LineFramerTest, ReportsThePartialTail) {
+  LineFramer framer;
+  EXPECT_EQ(Frames(&framer, "one\ntw"), Lines({"one"}));
+  EXPECT_EQ(framer.partial_bytes(), 2u);
+  EXPECT_EQ(Frames(&framer, "o"), Lines());
+  EXPECT_EQ(framer.partial_bytes(), 3u);
+  EXPECT_EQ(Frames(&framer, "\n"), Lines({"two"}));
+  EXPECT_EQ(framer.partial_bytes(), 0u);
+  framer.Feed("dropped\nbytes");
+  framer.Clear();
+  EXPECT_EQ(framer.partial_bytes(), 0u);
+  EXPECT_EQ(Frames(&framer, "three\n"), Lines({"three"}));
 }
 
 TEST(SplitMix64Test, IsDeterministic) {

@@ -81,6 +81,7 @@
 // client fails or a response misses its id.
 
 #include <csignal>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -123,6 +124,7 @@
 #include "pebble/cost_model.h"
 #include "solver/ladder_planner.h"
 #include "util/check.h"
+#include "util/line_framer.h"
 #include "util/parse_int.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -948,6 +950,26 @@ int CmdCalibrate(int argc, char** argv) {
   return 0;
 }
 
+// Non-blank lines in the file open at `fd`, framed and tested as the
+// runner does; pread(2) leaves the offset at the start for the runner.
+int64_t CountRequestLines(int fd) {
+  std::vector<char> chunk(BatchRunner::kReadChunkBytes);
+  LineFramer framer;
+  std::string line;
+  int64_t count = 0;
+  for (ssize_t n = 1, at = 0; n > 0; at += n) {
+    n = ::pread(fd, chunk.data(), chunk.size(), at);
+    // At the end (or a read error, the runner's to report) a newline
+    // makes an unterminated last line count.
+    framer.Feed(n > 0 ? std::string_view(chunk.data(), static_cast<size_t>(n))
+                      : std::string_view("\n"));
+    while (framer.Next(&line) == LineFramer::Frame::kLine) {
+      if (!JsonlLineIsBlank(line)) ++count;
+    }
+  }
+  return count;
+}
+
 int CmdBatch(int argc, char** argv) {
   std::string in_path;   // required; "-" = stdin
   std::string out_path;  // empty or "-" = stdout
@@ -979,30 +1001,27 @@ int CmdBatch(int argc, char** argv) {
   const int finish_rc = FinishRequestFlags(&flags);
   if (finish_rc != 0) return finish_rc;
 
-  // "-" is read from fd 0 by the runner's FdReader, not through std::cin.
-  std::ifstream in_file;
-  if (in_path != "-") {
-    in_file.open(in_path);
-    if (!in_file.is_open()) {
-      std::fprintf(stderr, "error: cannot open input file '%s'\n",
-                   in_path.c_str());
-      return kExitMissingInput;
-    }
+  // "-" is fd 0; a file gets its own descriptor, closed on return.
+  const int in_fd = in_path == "-"
+                        ? STDIN_FILENO
+                        : ::open(in_path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (in_fd < 0) {
+    std::fprintf(stderr, "error: cannot open input file '%s'\n",
+                 in_path.c_str());
+    return kExitMissingInput;
   }
+  struct CloseInput {
+    int fd;
+    ~CloseInput() {
+      if (fd != STDIN_FILENO) ::close(fd);
+    }
+  } close_input{in_fd};
 
   if (options.progress_every_ms >= 0) {
     options.progress = &std::cerr;
-    if (in_path != "-") {
-      // Pre-count non-blank lines so progress can say "done/total" and
-      // estimate time remaining. Same blank test as the runner's.
-      std::ifstream counter(in_path);
-      std::string count_line;
-      int64_t expected = 0;
-      while (std::getline(counter, count_line)) {
-        if (!JsonlLineIsBlank(count_line)) ++expected;
-      }
-      options.expected_lines = expected;
-    }
+    // Pre-count non-blank lines so progress can say "done/total" and
+    // estimate time remaining.
+    if (in_path != "-") options.expected_lines = CountRequestLines(in_fd);
   }
 
   std::ofstream out_file;
@@ -1025,10 +1044,13 @@ int CmdBatch(int argc, char** argv) {
   BatchRunner runner(&engine, options);
   SamplingProfiler profiler;
   StartProfiler(flags.profile_out, &profiler);
-  const BatchRunner::Summary summary = in_file.is_open()
-                                           ? runner.Run(in_file, out)
-                                           : runner.Run(STDIN_FILENO, out);
+  const BatchRunner::Summary summary = runner.Run(in_fd, out);
   if (!FinishProfiler(flags.profile_out, &profiler)) return kExitRuntime;
+  if (summary.read_errno != 0) {
+    std::fprintf(stderr, "error: reading '%s' failed: %s\n", in_path.c_str(),
+                 std::strerror(summary.read_errno));
+    return kExitRuntime;
+  }
   // Stdout is pure JSONL; the tallies go to stderr.
   std::fprintf(stderr,
                "batch: %lld lines, %lld solved, %lld errors, %lld rejected, "
