@@ -39,16 +39,6 @@ const char* PredicateNameList() { return "equijoin spatial sets general"; }
 
 const char* PlannerNameList() { return "ladder calibrated"; }
 
-const char* PlannerChoiceName(PlannerChoice planner) {
-  switch (planner) {
-    case PlannerChoice::kLadder:
-      return "ladder";
-    case PlannerChoice::kCalibrated:
-      return "calibrated";
-  }
-  return "?";
-}
-
 const char* SolverChoiceName(SolverChoice choice) {
   switch (choice) {
     case SolverChoice::kAuto:

@@ -35,9 +35,6 @@ const char* PlannerNameList();
 // The inverse of ParseSolverName: the wire spelling of `choice`.
 const char* SolverChoiceName(SolverChoice choice);
 
-// The inverse of ParsePlannerName: the wire spelling of `planner`.
-const char* PlannerChoiceName(PlannerChoice planner);
-
 }  // namespace pebblejoin
 
 #endif  // PEBBLEJOIN_ENGINE_NAMES_H_

@@ -102,7 +102,7 @@ struct AnalyzerOptions {
   // effective solver is kFallback.
   PlannerChoice planner = PlannerChoice::kLadder;
   // Coefficients behind kCalibrated: the compiled-in calibration run by
-  // default, or a file loaded via `--cost-model` (LoadCostModelFile).
+  // default, or a `--cost-model` file parsed by ParseCostModelJson.
   CostModel cost_model = CostModel::BuiltIn();
   // Worker threads for the per-component fan-out (Lemma 2.2 additivity
   // makes components independent). 1 = sequential on the calling thread.

@@ -5,6 +5,7 @@
 
 #include "obs/build_info.h"
 #include "obs/json.h"
+#include "util/file_io.h"
 
 namespace pebblejoin {
 
@@ -65,20 +66,11 @@ bool BenchReport::Finish() {
   json.EndArray();
   json.EndObject();
 
-  std::FILE* f = std::fopen(path_.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write bench JSON to '%s'\n",
-                 path_.c_str());
-    return false;
+  const FileStatus status = WriteStringToFile(path_, json.str());
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.Message(path_).c_str());
   }
-  const std::string& out = json.str();
-  const size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != out.size() || !close_ok) {
-    std::fprintf(stderr, "error: short write to '%s'\n", path_.c_str());
-    return false;
-  }
-  return true;
+  return status.ok();
 }
 
 BenchReport::~BenchReport() { Finish(); }

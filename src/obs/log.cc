@@ -68,16 +68,6 @@ Journal::Journal(Options options)
   if (clock_ == nullptr) epoch_us_ = Clock::SteadyNowUs();
 }
 
-bool Journal::AttachFile(const std::string& path, std::string* error) {
-  file_.open(path, std::ios::out | std::ios::trunc);
-  if (!file_) {
-    if (error != nullptr) *error = "cannot open journal file: " + path;
-    return false;
-  }
-  out_ = &file_;
-  return true;
-}
-
 void Journal::AttachStream(std::ostream* out) { out_ = out; }
 
 int64_t Journal::NowUs() const {

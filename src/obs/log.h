@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <iosfwd>
 #include <mutex>
 #include <string>
@@ -114,7 +113,7 @@ void WriteLogFieldJson(const LogField& field, JsonWriter* json);
 void WriteLogEventJson(const LogEvent& event, JsonWriter* json);
 
 // Thread-safe, leveled JSONL sink. Starts with no sink attached (every
-// write is dropped); attach a file or a borrowed stream to enable it.
+// write is dropped); attach a borrowed stream to enable it.
 class Journal {
  public:
   struct Options {
@@ -130,12 +129,8 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  // Opens `path` for writing and owns the stream. Returns false (with a
-  // one-line reason) when the file cannot be opened.
-  bool AttachFile(const std::string& path, std::string* error);
-
-  // Attaches a borrowed stream (e.g. &std::cerr, a test's ostringstream).
-  // Not owned; must outlive the journal.
+  // Attaches a borrowed stream (e.g. &std::cerr, the CLI's --journal file,
+  // a test's ostringstream). Not owned; must outlive the journal.
   void AttachStream(std::ostream* out);
 
   bool enabled() const { return out_ != nullptr; }
@@ -162,7 +157,6 @@ class Journal {
   LogLevel min_level_;
   const Clock* clock_;    // borrowed; null reads the steady clock
   int64_t epoch_us_ = 0;  // subtracted from steady-clock reads
-  std::ofstream file_;    // backing storage when AttachFile was used
   std::ostream* out_ = nullptr;
 
   mutable std::mutex mutex_;  // guards out_ writes and lines_

@@ -174,24 +174,24 @@ std::string EscapeLabelValue(const std::string& value) {
 
 }  // namespace
 
-void MetricsRegistry::WriteOpenMetrics(std::ostream* out) const {
+std::string MetricsRegistry::OpenMetricsText() const {
+  std::ostringstream out;
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, cell] : counters_) {
     const std::string metric = OpenMetricsName(name);
-    *out << "# TYPE " << metric << " counter\n";
-    *out << metric << "_total "
-         << cell->value.load(std::memory_order_relaxed) << "\n";
+    out << "# TYPE " << metric << " counter\n";
+    out << metric << "_total "
+        << cell->value.load(std::memory_order_relaxed) << "\n";
   }
   for (const auto& [name, cell] : gauges_) {
     const std::string metric = OpenMetricsName(name);
-    *out << "# TYPE " << metric << " gauge\n";
-    *out << metric << " " << cell->value.load(std::memory_order_relaxed)
-         << "\n";
+    out << "# TYPE " << metric << " gauge\n";
+    out << metric << " " << cell->value.load(std::memory_order_relaxed) << "\n";
   }
   for (const auto& [name, cell] : histograms_) {
     const std::string metric = OpenMetricsName(name);
     const int64_t count = cell->count.load(std::memory_order_relaxed);
-    *out << "# TYPE " << metric << " histogram\n";
+    out << "# TYPE " << metric << " histogram\n";
     int64_t cumulative = 0;
     for (int i = 0; i < obs_internal::HistogramCell::kNumBuckets - 1; ++i) {
       const int64_t n = cell->buckets[i].load(std::memory_order_relaxed);
@@ -201,29 +201,23 @@ void MetricsRegistry::WriteOpenMetrics(std::ostream* out) const {
       // makes le="2^i - 1" the exact inclusive boundary ("0" for the
       // zeros bucket). The last bucket is open-ended: +Inf covers it.
       const int64_t le = i == 0 ? 0 : (int64_t{1} << i) - 1;
-      *out << metric << "_bucket{le=\"" << le << "\"} " << cumulative
-           << "\n";
+      out << metric << "_bucket{le=\"" << le << "\"} " << cumulative << "\n";
     }
-    *out << metric << "_bucket{le=\"+Inf\"} " << count;
+    out << metric << "_bucket{le=\"+Inf\"} " << count;
     // Exemplar on the open-ended bucket (every sample falls inside it):
     // one traceable request id per histogram family.
     const auto exemplar = exemplars_.find(name);
     if (exemplar != exemplars_.end()) {
-      *out << " # {request_id=\""
-           << EscapeLabelValue(exemplar->second.request_id) << "\"} "
-           << exemplar->second.value;
+      out << " # {request_id=\""
+          << EscapeLabelValue(exemplar->second.request_id) << "\"} "
+          << exemplar->second.value;
     }
-    *out << "\n";
-    *out << metric << "_sum " << cell->sum.load(std::memory_order_relaxed)
-         << "\n";
-    *out << metric << "_count " << count << "\n";
+    out << "\n";
+    out << metric << "_sum " << cell->sum.load(std::memory_order_relaxed)
+        << "\n";
+    out << metric << "_count " << count << "\n";
   }
-  *out << "# EOF\n";
-}
-
-std::string MetricsRegistry::OpenMetricsText() const {
-  std::ostringstream out;
-  WriteOpenMetrics(&out);
+  out << "# EOF\n";
   return out.str();
 }
 

@@ -25,7 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -187,7 +186,6 @@ class MetricsRegistry {
   // tools/openmetrics_lint.py; conventions in docs/observability.md.
   // Values are read relaxed; under concurrent writers the text is a
   // consistent-enough monotone view, not a linearizable cut.
-  void WriteOpenMetrics(std::ostream* out) const;
   std::string OpenMetricsText() const;
 
  private:

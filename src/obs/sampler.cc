@@ -2,10 +2,11 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <unordered_map>
+
+#include "util/file_io.h"
 
 #if defined(__linux__) && __has_include(<execinfo.h>)
 #define PEBBLEJOIN_SAMPLER_SUPPORTED 1
@@ -286,18 +287,13 @@ void SamplingProfiler::Stop() {}
 
 #endif  // PEBBLEJOIN_SAMPLER_SUPPORTED
 
-bool SamplingProfiler::WriteFolded(const std::string& path) const {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  const std::string folded = Folded();
-  bool ok = std::fwrite(folded.data(), 1, folded.size(), out) ==
-            folded.size();
-  ok = std::fprintf(out, "# samples %lld dropped %lld\n",
-                    static_cast<long long>(sample_count_),
-                    static_cast<long long>(dropped_samples_)) > 0 &&
-       ok;
-  ok = std::fclose(out) == 0 && ok;
-  return ok;
+bool SamplingProfiler::WriteFolded(const std::string& path,
+                                   std::string* error) const {
+  const FileStatus status = WriteStringToFile(
+      path, Folded() + "# samples " + std::to_string(sample_count_) +
+                " dropped " + std::to_string(dropped_samples_) + "\n");
+  if (!status.ok() && error != nullptr) *error = status.Message(path);
+  return status.ok();
 }
 
 }  // namespace pebblejoin

@@ -104,8 +104,9 @@ class SamplingProfiler {
   std::string Folded() const { return aggregator_.Folded(); }
 
   // Writes Folded() to `path` with a trailing "# samples N dropped M"
-  // comment line. Returns false on IO failure.
-  bool WriteFolded(const std::string& path) const;
+  // comment line. On failure returns false and sets *error when given.
+  bool WriteFolded(const std::string& path,
+                   std::string* error = nullptr) const;
 
   // Whether this build can profile at all (Linux + <execinfo.h>).
   static bool Supported();

@@ -1,8 +1,7 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-
 #include "obs/json.h"
+#include "util/file_io.h"
 
 namespace pebblejoin {
 
@@ -49,54 +48,40 @@ void TraceSession::MergeFrom(const TraceSession& other, const TraceArg& tag) {
   }
 }
 
-void TraceSession::WriteJson(JsonWriter* json) const {
-  json->BeginObject();
-  json->Key("traceEvents");
-  json->BeginArray();
-  for (const Event& event : events_) {
-    json->BeginObject();
-    json->Field("name", event.name);
-    json->Field("cat", event.category);
-    json->Field("ph", std::string(1, event.phase));
-    json->Field("ts", event.ts_us);
-    if (event.phase == 'X') json->Field("dur", event.duration_us);
-    if (event.phase == 'i') json->Field("s", "t");  // thread-scoped instant
-    json->Field("pid", int64_t{1});
-    json->Field("tid", int64_t{1});
-    if (!event.args.empty()) {
-      json->Key("args");
-      json->BeginObject();
-      for (const TraceArg& arg : event.args) WriteLogFieldJson(arg, json);
-      json->EndObject();
-    }
-    json->EndObject();
-  }
-  json->EndArray();
-  json->Field("displayTimeUnit", "ms");
-  json->EndObject();
-}
-
 std::string TraceSession::ToJson() const {
   JsonWriter json;
-  WriteJson(&json);
+  json.BeginObject();
+  json.Key("traceEvents");
+  json.BeginArray();
+  for (const Event& event : events_) {
+    json.BeginObject();
+    json.Field("name", event.name);
+    json.Field("cat", event.category);
+    json.Field("ph", std::string(1, event.phase));
+    json.Field("ts", event.ts_us);
+    if (event.phase == 'X') json.Field("dur", event.duration_us);
+    if (event.phase == 'i') json.Field("s", "t");  // thread-scoped instant
+    json.Field("pid", int64_t{1});
+    json.Field("tid", int64_t{1});
+    if (!event.args.empty()) {
+      json.Key("args");
+      json.BeginObject();
+      for (const TraceArg& arg : event.args) WriteLogFieldJson(arg, &json);
+      json.EndObject();
+    }
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Field("displayTimeUnit", "ms");
+  json.EndObject();
   return json.TakeString();
 }
 
 bool TraceSession::WriteFile(const std::string& path,
                              std::string* error) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  const std::string json = ToJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != json.size() || !close_ok) {
-    if (error != nullptr) *error = "short write to '" + path + "'";
-    return false;
-  }
-  return true;
+  const FileStatus status = WriteStringToFile(path, ToJson());
+  if (!status.ok() && error != nullptr) *error = status.Message(path);
+  return status.ok();
 }
 
 }  // namespace pebblejoin

@@ -26,8 +26,6 @@
 
 namespace pebblejoin {
 
-class JsonWriter;
-
 // One key/value annotation on a trace event: the journal's typed field, so
 // numbers render as JSON numbers (counters read better in the trace viewer)
 // and strings as JSON strings, through the journal's field writer.
@@ -64,7 +62,6 @@ class TraceSession {
   size_t num_events() const { return events_.size(); }
 
   // Chrome trace JSON: {"traceEvents":[...],"displayTimeUnit":"ms"}.
-  void WriteJson(JsonWriter* json) const;
   std::string ToJson() const;
 
   // Writes ToJson() to `path`. On failure returns false and sets *error.

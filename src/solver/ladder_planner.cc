@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "obs/json_value.h"
 #include "util/check.h"
@@ -169,18 +167,6 @@ bool ParseCostModelJson(const std::string& text, CostModel* model,
   }
   *model = parsed;
   return true;
-}
-
-bool LoadCostModelFile(const std::string& path, CostModel* model,
-                       std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open cost model file: " + path;
-    return false;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return ParseCostModelJson(text.str(), model, error);
 }
 
 LadderPlan LadderPlanner::Plan(const GraphFeatures& features,

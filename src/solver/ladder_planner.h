@@ -86,11 +86,6 @@ struct CostModel {
 bool ParseCostModelJson(const std::string& text, CostModel* model,
                         std::string* error);
 
-// Reads and parses a cost-model file. Returns false with a one-line
-// *error when the file cannot be read or does not parse.
-bool LoadCostModelFile(const std::string& path, CostModel* model,
-                       std::string* error);
-
 // What the planner decided for one ladder descent.
 struct LadderPlan {
   // False = the inert default: FallbackPebbler runs the historical blind

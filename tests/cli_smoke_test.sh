@@ -314,21 +314,99 @@ cmp -s "$WORK_DIR/seq_norm.jsonl" "$WORK_DIR/stdin_out.jsonl" \
 cmp -s "$WORK_DIR/seq_norm.jsonl" "$WORK_DIR/par_out.jsonl" \
   || note_failure "batch --threads 4 must match sequential output"
 
-# A failed read is an error, not an empty batch: a directory opens, but
-# read(2) fails on it, whether it is named or redirected to stdin.
-expect_read_error() {
-  local desc="$1" path="$2"; shift; shift
-  timeout 60 "$BIN" batch "$@" >/dev/null 2>"$WORK_DIR/read_err.txt"
+# expect_file_error <desc> <regex> <command...>: exit 1 with exactly one
+# "error:" line on stderr, and that line matches <regex>.
+expect_file_error() {
+  local desc="$1" want="$2"; shift; shift
+  timeout 60 "$BIN" "$@" >/dev/null 2>"$WORK_DIR/file_err.txt"
   local got=$?
   if [ "$got" -ne 1 ]; then
     note_failure "$desc: expected exit 1, got $got"
   fi
-  grep -q "^error: reading '$path' failed: " "$WORK_DIR/read_err.txt" \
-    || note_failure "$desc: expected a read error on stderr"
+  if [ "$(grep -c '^error: ' "$WORK_DIR/file_err.txt")" -ne 1 ] \
+      || ! grep -Eq "$want" "$WORK_DIR/file_err.txt"; then
+    note_failure "$desc: expected one error line matching: $want"
+  fi
 }
-expect_read_error "batch --jsonl DIR" "$WORK_DIR" --jsonl "$WORK_DIR" \
+
+# A failed read is an error, not an empty input: a directory opens, but
+# read(2) fails on it, whether it is named or redirected to stdin.
+expect_read_error() {
+  local desc="$1" path="$2"; shift; shift
+  expect_file_error "$desc" "^error: reading '$path' failed: " "$@"
+}
+expect_read_error "batch --jsonl DIR" "$WORK_DIR" batch --jsonl "$WORK_DIR" \
   </dev/null
-expect_read_error "batch --jsonl - < DIR" "-" --jsonl - < "$WORK_DIR"
+expect_read_error "batch --jsonl - < DIR" "-" batch --jsonl - < "$WORK_DIR"
+expect_read_error "analyze < DIR" "-" analyze < "$WORK_DIR"
+expect_read_error "analyze --cost-model DIR" "$WORK_DIR" \
+  analyze --cost-model "$WORK_DIR" </dev/null
+expect_read_error "batch --cost-model DIR" "$WORK_DIR" \
+  batch --jsonl - --cost-model "$WORK_DIR" </dev/null
+expect_read_error "loadgen --jsonl DIR" "$WORK_DIR" \
+  loadgen --port 9 --jsonl "$WORK_DIR"
+
+# Every output file that cannot be created (a directory) or written
+# (/dev/full, where the host has one) is an error naming the file.
+expect_write_error() {
+  local desc="$1" path="$2"; shift; shift
+  expect_file_error "$desc" \
+    "^error: (cannot open '$path': |writing '$path' failed)" "$@"
+}
+printf '%s' "$GRAPH" > "$WORK_DIR/graph.txt"
+head -1 "$WORK_DIR/corpus.jsonl" > "$WORK_DIR/one.jsonl"
+WRITE_TARGETS="$WORK_DIR"
+[ -w /dev/full ] && WRITE_TARGETS="$WRITE_TARGETS /dev/full"
+for target in $WRITE_TARGETS; do
+  for flag in --trace-out --metrics-out --profile-out --journal; do
+    expect_write_error "analyze $flag $target" "$target" \
+      analyze "$flag" "$target" < "$WORK_DIR/graph.txt"
+  done
+  for flag in --out --journal; do
+    expect_write_error "batch $flag $target" "$target" \
+      batch --jsonl "$WORK_DIR/one.jsonl" "$flag" "$target"
+  done
+  expect_write_error "calibrate --out $target" "$target" \
+    calibrate --instances 1 --rung-deadline-ms 5 --out "$target"
+done
+
+# loadgen's outputs, against a listening serve whose --journal fails too
+# where /dev/full exists: serve then exits 1 after its drain.
+SERVE_JOURNAL="$WORK_DIR/serve_journal.jsonl"
+[ -w /dev/full ] && SERVE_JOURNAL=/dev/full
+"$BIN" serve --port 0 --threads 1 --journal "$SERVE_JOURNAL" \
+  2>"$WORK_DIR/serve_err.txt" &
+SERVE_PID=$!
+SERVE_PORT=""
+for _ in $(seq 100); do
+  SERVE_PORT=$(sed -n 's/^serving on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+    "$WORK_DIR/serve_err.txt")
+  [ -n "$SERVE_PORT" ] && break
+  sleep 0.1
+done
+if [ -z "$SERVE_PORT" ]; then
+  note_failure "serve --port 0 must announce its port"
+else
+  for target in $WRITE_TARGETS; do
+    for flag in --out --latency-out; do
+      expect_write_error "loadgen $flag $target" "$target" \
+        loadgen --port "$SERVE_PORT" --jsonl "$WORK_DIR/one.jsonl" \
+        --clients 1 "$flag" "$target"
+    done
+  done
+fi
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_RC=$?
+if [ "$SERVE_JOURNAL" = /dev/full ]; then
+  [ "$SERVE_RC" -eq 1 ] \
+    || note_failure "serve --journal /dev/full: expected exit 1, got $SERVE_RC"
+  [ "$(grep -c "^error: writing '/dev/full' failed" \
+      "$WORK_DIR/serve_err.txt")" -eq 1 ] \
+    || note_failure "serve --journal /dev/full must print one write error"
+elif [ "$SERVE_RC" -ne 0 ]; then
+  note_failure "serve drain: expected exit 0, got $SERVE_RC"
+fi
 
 # Admission: an exhausted batch pool rejects every line under --admission
 # reject, and still solves (degraded) under queue.

@@ -160,14 +160,6 @@ TEST(CostModelJsonTest, RejectsMalformedDocuments) {
       &model, &error));
 }
 
-TEST(CostModelJsonTest, MissingFileReportsError) {
-  CostModel model;
-  std::string error;
-  EXPECT_FALSE(
-      LoadCostModelFile("/nonexistent/cost_model.json", &model, &error));
-  EXPECT_FALSE(error.empty());
-}
-
 // End-to-end through the ladder: a planner-configured FallbackPebbler must
 // match the blind ladder's cost on instances where exact is attempted, and
 // must not regress when the planner skips exact (ils recovers the same

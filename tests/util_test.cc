@@ -1,13 +1,18 @@
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/file_io.h"
 #include "util/line_framer.h"
 #include "util/parse_int.h"
 #include "util/random.h"
@@ -301,6 +306,78 @@ TEST(FormatHelpersTest, FormatInt) {
 TEST(FormatHelpersTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(1.25, 2), "1.25");
   EXPECT_EQ(FormatDouble(1.0, 4), "1.0000");
+}
+
+// A pipe delivers its bytes in pieces; the reader keeps going to EOF.
+// Each piece is larger than the reader's 64 KiB chunk and the pipe buffer.
+TEST(FileIoTest, APipeFedInLargePiecesReadsBackWhole) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::string sent;
+  for (char c = 'a'; c < 'd'; ++c) sent += std::string(200 << 10, c);
+  std::thread writer([&sent, fd = fds[1]] {
+    for (size_t at = 0; at < sent.size(); at += 150 << 10) {
+      std::string_view piece = std::string_view(sent).substr(at, 150 << 10);
+      while (!piece.empty()) {
+        const ssize_t n = ::write(fd, piece.data(), piece.size());
+        if (n <= 0) return;
+        piece.remove_prefix(static_cast<size_t>(n));
+      }
+    }
+    ::close(fd);
+  });
+  std::string got = "kept:";
+  EXPECT_EQ(ReadFdToString(fds[0], &got), 0);
+  writer.join();
+  ::close(fds[0]);
+  EXPECT_EQ(got, "kept:" + sent);
+}
+
+TEST(FileIoTest, AMissingPathIsAnOpenError) {
+  std::string text;
+  const FileStatus status =
+      ReadFileToString("/nonexistent-dir/in.txt", &text);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.stage, FileStatus::kOpen);
+  EXPECT_EQ(status.error, ENOENT);
+  EXPECT_EQ(status.Message("/nonexistent-dir/in.txt"),
+            "cannot open '/nonexistent-dir/in.txt': No such file or "
+            "directory");
+}
+
+// A directory opens, but read(2) fails on it.
+TEST(FileIoTest, ADirectoryIsAReadError) {
+  std::string text;
+  const FileStatus status = ReadFileToString(testing::TempDir(), &text);
+  EXPECT_EQ(status.stage, FileStatus::kRead);
+  EXPECT_EQ(status.error, EISDIR);
+  EXPECT_EQ(status.Message("d"), "reading 'd' failed: Is a directory");
+}
+
+TEST(FileIoTest, WritingToDevFullFailsWithNoSpace) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const FileStatus status = WriteStringToFile("/dev/full", "x");
+  EXPECT_EQ(status.stage, FileStatus::kWrite);
+  EXPECT_EQ(status.error, ENOSPC);
+  EXPECT_EQ(status.Message("/dev/full"),
+            "writing '/dev/full' failed: No space left on device");
+}
+
+TEST(FileIoTest, WritingIntoAMissingDirectoryIsAnOpenError) {
+  const FileStatus status =
+      WriteStringToFile("/nonexistent-dir/out.txt", "x");
+  EXPECT_EQ(status.stage, FileStatus::kOpen);
+  EXPECT_EQ(status.error, ENOENT);
+}
+
+TEST(FileIoTest, AWriteTruncatesALongerFile) {
+  const std::string path = testing::TempDir() + "/file_io_truncate.txt";
+  ASSERT_TRUE(WriteStringToFile(path, "a much longer first version\n").ok());
+  ASSERT_TRUE(WriteStringToFile(path, "short\n").ok());
+  std::string text = "stale";
+  ASSERT_TRUE(ReadFileToString(path, &text).ok());
+  EXPECT_EQ(text, "short\n");
+  ::unlink(path.c_str());
 }
 
 }  // namespace

@@ -76,8 +76,9 @@
 // out-of-range parameter, unparsable graph — prints a one-line error to
 // stderr and exits nonzero. JP_CHECK aborts are reserved for library bugs.
 // Exit codes are distinct by failure class: 0 success, 1 runtime failure
-// (unparsable graph, unwritable output), 2 bad flags, 64 usage (no or
-// unknown command), 66 missing input file. loadgen also exits 1 when a
+// (unparsable graph; an input that cannot be read, an output or journal
+// that cannot be written), 2 bad flags, 64 usage (no or unknown command),
+// 66 a named input that cannot be opened. loadgen also exits 1 when a
 // client fails or a response misses its id.
 
 #include <csignal>
@@ -94,7 +95,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -124,9 +124,9 @@
 #include "pebble/cost_model.h"
 #include "solver/ladder_planner.h"
 #include "util/check.h"
+#include "util/file_io.h"
 #include "util/line_framer.h"
 #include "util/parse_int.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace pebblejoin {
@@ -134,10 +134,10 @@ namespace {
 
 // Exit codes, one per failure class, so scripts can branch on what went
 // wrong (asserted by tests/cli_smoke_test.sh).
-constexpr int kExitRuntime = 1;   // unparsable graph, unwritable output
+constexpr int kExitRuntime = 1;   // bad graph, unreadable or unwritable file
 constexpr int kExitBadFlags = 2;  // a command was given bad flags
 constexpr int kExitUsage = 64;    // no command, or an unknown one
-constexpr int kExitMissingInput = 66;  // a named input file does not exist
+constexpr int kExitMissingInput = 66;  // a named input cannot be opened
 
 int Usage() {
   std::fprintf(
@@ -201,9 +201,15 @@ int Usage() {
   return kExitUsage;
 }
 
+// Prints the one-line "error: " report; false, for `ok || Error(...)`.
+bool Error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return false;
+}
+
 // One-line bad-input report. Always nonzero.
 int Fail(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
+  Error(message);
   return kExitBadFlags;
 }
 
@@ -229,14 +235,14 @@ bool ParseDouble(const char* token, double* out) {
   return true;
 }
 
-std::string ReadStdin() {
-  std::string contents;
-  char buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), stdin)) > 0) {
-    contents.append(buffer, got);
-  }
-  return contents;
+// True when `status` is ok; otherwise prints its one-line error first.
+bool FileOk(const FileStatus& status, const std::string& path) {
+  return status.ok() || Error(status.Message(path));
+}
+
+// The exit code of a named input that could not be read.
+int InputExit(const FileStatus& status) {
+  return status.stage == FileStatus::kOpen ? kExitMissingInput : kExitRuntime;
 }
 
 // --- The flag table ---------------------------------------------------------
@@ -405,8 +411,8 @@ void AddTelemetryFlags(RequestFlags* flags, bool profiler, FlagTable* table) {
 // explicit --solver selects the fallback ladder ("give me the best scheme
 // you can inside these limits" — the ladder never refuses), and
 // --cost-model loads. Returns 0, kExitMissingInput when the cost-model file
-// cannot be read, or kExitBadFlags when it does not parse — the same
-// missing-vs-malformed split the graph inputs use.
+// cannot be opened, kExitRuntime when reading it fails, or kExitBadFlags
+// when it does not parse.
 int FinishRequestFlags(RequestFlags* flags) {
   const SolveBudget& budget = flags->defaults.budget;
   if (!flags->solver_set && (budget.has_deadline() ||
@@ -416,14 +422,9 @@ int FinishRequestFlags(RequestFlags* flags) {
   }
   const std::string& path = flags->cost_model_path;
   if (path.empty()) return 0;
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    std::fprintf(stderr, "error: cannot open cost-model file '%s'\n",
-                 path.c_str());
-    return kExitMissingInput;
-  }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+  std::string contents;
+  const FileStatus read = ReadFileToString(path, &contents);
+  if (!FileOk(read, path)) return InputExit(read);
   std::string error;
   if (!ParseCostModelJson(contents, &flags->defaults.cost_model, &error)) {
     return Fail("cost-model file '" + path + "': " + error);
@@ -431,44 +432,63 @@ int FinishRequestFlags(RequestFlags* flags) {
   return 0;
 }
 
-// Attaches the --journal sink, if one was given, to `journal` and points
-// `options` at it: '-' borrows stderr, anything else opens a file. Returns
-// false (after printing the error) on an unwritable path.
-bool AttachJournal(const RequestFlags& flags, Journal* journal,
-                   AnalyzerOptions* options) {
-  if (flags.journal_out.empty()) return true;
-  std::string error;
-  if (flags.journal_out == "-") {
-    journal->AttachStream(&std::cerr);
-  } else if (!journal->AttachFile(flags.journal_out, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
+// A streamed output — batch's and calibrate's --out, the --journal file:
+// the named file, or `dash` for "-" and an empty path. Open() and
+// Finish() print their own errors.
+class StreamOut {
+ public:
+  explicit StreamOut(const std::string& path, std::ostream& dash = std::cout)
+      : path_(path), dash_(dash) {}
+
+  const std::string& path() const { return path_; }
+
+  // False when the file cannot be created.
+  bool Open() {
+    if (path_.empty() || path_ == "-") return true;
+    file_.open(path_);
+    if (file_.is_open()) return true;
+    FileOk({FileStatus::kOpen, errno}, path_);
     return false;
   }
+
+  std::ostream& stream() { return file_.is_open() ? file_ : dash_; }
+
+  // Flushes; false when a write to the file failed. A stream keeps no
+  // errno, so this error names no reason.
+  bool Finish() {
+    stream().flush();
+    return !file_.is_open() || file_.good() ||
+           Error("writing '" + path_ + "' failed");
+  }
+
+ private:
+  std::string path_;
+  std::ostream& dash_;
+  std::ofstream file_;
+};
+
+// Opens the --journal sink, if one was given ('-' = stderr), attaches it
+// to `journal` and points `options` at the journal. Returns false (after
+// printing the error) when the file cannot be created.
+bool AttachJournal(StreamOut* sink, Journal* journal,
+                   AnalyzerOptions* options) {
+  if (sink->path().empty()) return true;
+  if (!sink->Open()) return false;
+  journal->AttachStream(&sink->stream());
   options->journal = journal;
   return true;
 }
 
-// Opens `path` and lets `write` stream into it. Returns false (after
-// printing the error) when the file cannot be written.
-bool WriteOutputFile(const std::string& path,
-                     const std::function<void(std::ostream&)>& write) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "error: cannot open output file '%s'\n",
-                 path.c_str());
+// Writes --metrics-out from `metrics` and checks the --journal file.
+// Returns false (after printing the error) when either failed.
+bool FinishTelemetry(const std::string& metrics_out,
+                     const MetricsRegistry& metrics, StreamOut* journal) {
+  if (!metrics_out.empty() &&
+      !FileOk(WriteStringToFile(metrics_out, metrics.OpenMetricsText()),
+              metrics_out)) {
     return false;
   }
-  write(out);
-  out.flush();
-  if (!out.good()) {
-    std::fprintf(stderr, "error: writing '%s' failed\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool WriteOutputFile(const std::string& path, const std::string& text) {
-  return WriteOutputFile(path, [&text](std::ostream& out) { out << text; });
+  return journal->Finish();
 }
 
 // Arms the SIGPROF sampling profiler when --profile-out was given. An
@@ -490,12 +510,8 @@ bool FinishProfiler(const std::string& profile_out,
                     SamplingProfiler* profiler) {
   if (profile_out.empty()) return true;
   profiler->Stop();
-  if (!profiler->WriteFolded(profile_out)) {
-    std::fprintf(stderr, "error: cannot write profile file '%s'\n",
-                 profile_out.c_str());
-    return false;
-  }
-  return true;
+  std::string error;
+  return profiler->WriteFolded(profile_out, &error) || Error(error);
 }
 
 // Prints a multi-line block with every line prefixed by "# ", preserving
@@ -512,11 +528,13 @@ void PrintCommented(const std::string& block) {
 }
 
 std::optional<BipartiteGraph> GraphFromStdin() {
-  std::string error;
-  std::optional<BipartiteGraph> g = ParseBipartiteGraph(ReadStdin(), &error);
-  if (!g.has_value()) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
+  std::string text;
+  if (!FileOk({FileStatus::kRead, ReadFdToString(STDIN_FILENO, &text)}, "-")) {
+    return std::nullopt;
   }
+  std::string error;
+  std::optional<BipartiteGraph> g = ParseBipartiteGraph(text, &error);
+  if (!g.has_value()) Error(error);
   return g;
 }
 
@@ -594,14 +612,16 @@ struct AnalysisFlags {
 // under --json/--stats/--metrics-out, attaches a TraceSession when
 // --trace-out was given and a Journal when --journal was, runs the
 // analysis, and writes the trace/metrics files. Returns false (after
-// printing the error) when any output file could not be written.
+// printing the error) when any output file, the journal included, could
+// not be written.
 bool RunAnalysis(const AnalysisFlags& flags, const BipartiteGraph& g,
                  JoinAnalysis* analysis) {
   AnalyzerOptions options = flags.request.defaults;
   TraceSession trace;
   if (!flags.trace_out.empty()) options.trace = &trace;
+  StreamOut journal_sink(flags.request.journal_out, std::cerr);
   Journal journal(flags.request.journal);
-  if (!AttachJournal(flags.request, &journal, &options)) return false;
+  if (!AttachJournal(&journal_sink, &journal, &options)) return false;
   const std::string& metrics_out = flags.request.metrics_out;
   if (flags.json || flags.stats || !metrics_out.empty()) {
     // The process-global registry is the CLI's explicit opt-in — library
@@ -615,16 +635,12 @@ bool RunAnalysis(const AnalysisFlags& flags, const BipartiteGraph& g,
   const JoinAnalyzer analyzer(options);
   *analysis = analyzer.AnalyzeJoinGraph(g, flags.predicate);
   if (!FinishProfiler(flags.request.profile_out, &profiler)) return false;
-  if (!flags.trace_out.empty()) {
-    std::string error;
-    if (!trace.WriteFile(flags.trace_out, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return false;
-    }
+  std::string error;
+  if (!flags.trace_out.empty() && !trace.WriteFile(flags.trace_out, &error)) {
+    return Error(error);
   }
-  return metrics_out.empty() ||
-         WriteOutputFile(metrics_out,
-                         MetricsRegistry::Default()->OpenMetricsText());
+  return FinishTelemetry(metrics_out, *MetricsRegistry::Default(),
+                         &journal_sink);
 }
 
 // Prints solve's human output: the provenance header in comments, then
@@ -836,16 +852,8 @@ int CmdCalibrate(int argc, char** argv) {
       Text("--out", &out_path, "--out needs a file path ('-' = stdout)")};
   if (!ParseFlags(argc, argv, table)) return kExitBadFlags;
 
-  std::ofstream out_file;
-  if (!out_path.empty() && out_path != "-") {
-    out_file.open(out_path);
-    if (!out_file.is_open()) {
-      std::fprintf(stderr, "error: cannot open output file '%s'\n",
-                   out_path.c_str());
-      return kExitRuntime;
-    }
-  }
-  std::ostream& out = out_file.is_open() ? out_file : std::cout;
+  StreamOut out(out_path);
+  if (!out.Open()) return kExitRuntime;
 
   const ExactPebbler exact{ExactPebbler::Options()};
   const IlsPebbler ils;
@@ -940,14 +948,9 @@ int CmdCalibrate(int argc, char** argv) {
     }
     json.EndObject();
     json.EndObject();
-    out << json.TakeString() << "\n";
+    out.stream() << json.TakeString() << "\n";
   }
-  out.flush();
-  if (out_file.is_open() && !out_file.good()) {
-    std::fprintf(stderr, "error: writing '%s' failed\n", out_path.c_str());
-    return kExitRuntime;
-  }
-  return 0;
+  return out.Finish() ? 0 : kExitRuntime;
 }
 
 // Non-blank lines in the file open at `fd`, framed and tested as the
@@ -1006,8 +1009,7 @@ int CmdBatch(int argc, char** argv) {
                         ? STDIN_FILENO
                         : ::open(in_path.c_str(), O_RDONLY | O_CLOEXEC);
   if (in_fd < 0) {
-    std::fprintf(stderr, "error: cannot open input file '%s'\n",
-                 in_path.c_str());
+    FileOk({FileStatus::kOpen, errno}, in_path);
     return kExitMissingInput;
   }
   struct CloseInput {
@@ -1024,31 +1026,22 @@ int CmdBatch(int argc, char** argv) {
     if (in_path != "-") options.expected_lines = CountRequestLines(in_fd);
   }
 
-  std::ofstream out_file;
-  if (!out_path.empty() && out_path != "-") {
-    out_file.open(out_path);
-    if (!out_file.is_open()) {
-      std::fprintf(stderr, "error: cannot open output file '%s'\n",
-                   out_path.c_str());
-      return kExitRuntime;
-    }
-  }
-  std::ostream& out = out_file.is_open() ? out_file : std::cout;
+  StreamOut out(out_path);
+  if (!out.Open()) return kExitRuntime;
 
   SolveEngine::Options engine_options{flags.defaults};
+  StreamOut journal_sink(flags.journal_out, std::cerr);
   Journal journal(flags.journal);
-  if (!AttachJournal(flags, &journal, &engine_options.defaults)) {
+  if (!AttachJournal(&journal_sink, &journal, &engine_options.defaults)) {
     return kExitRuntime;
   }
   SolveEngine engine(engine_options);
   BatchRunner runner(&engine, options);
   SamplingProfiler profiler;
   StartProfiler(flags.profile_out, &profiler);
-  const BatchRunner::Summary summary = runner.Run(in_fd, out);
+  const BatchRunner::Summary summary = runner.Run(in_fd, out.stream());
   if (!FinishProfiler(flags.profile_out, &profiler)) return kExitRuntime;
-  if (summary.read_errno != 0) {
-    std::fprintf(stderr, "error: reading '%s' failed: %s\n", in_path.c_str(),
-                 std::strerror(summary.read_errno));
+  if (!FileOk({FileStatus::kRead, summary.read_errno}, in_path)) {
     return kExitRuntime;
   }
   // Stdout is pure JSONL; the tallies go to stderr.
@@ -1063,16 +1056,10 @@ int CmdBatch(int argc, char** argv) {
                static_cast<long long>(summary.latency_p50_ms),
                static_cast<long long>(summary.latency_p95_ms),
                static_cast<long long>(summary.latency_p99_ms));
-  if (!flags.metrics_out.empty() &&
-      !WriteOutputFile(flags.metrics_out,
-                       engine.metrics()->OpenMetricsText())) {
+  if (!FinishTelemetry(flags.metrics_out, *engine.metrics(), &journal_sink)) {
     return kExitRuntime;
   }
-  if (out_file.is_open() && !out_file.good()) {
-    std::fprintf(stderr, "error: writing '%s' failed\n", out_path.c_str());
-    return kExitRuntime;
-  }
-  return 0;
+  return out.Finish() ? 0 : kExitRuntime;
 }
 
 // --- serve signal plumbing -------------------------------------------------
@@ -1129,8 +1116,9 @@ int CmdServe(int argc, char** argv) {
   if (finish_rc != 0) return finish_rc;
 
   SolveEngine::Options engine_options{flags.defaults};
+  StreamOut journal_sink(flags.journal_out, std::cerr);
   Journal journal(flags.journal);
-  if (!AttachJournal(flags, &journal, &engine_options.defaults)) {
+  if (!AttachJournal(&journal_sink, &journal, &engine_options.defaults)) {
     return kExitRuntime;
   }
   SolveEngine engine(engine_options);
@@ -1194,9 +1182,7 @@ int CmdServe(int argc, char** argv) {
                static_cast<long long>(summary.responses),
                static_cast<long long>(summary.rejected_lines),
                summary.aborted ? ", aborted" : "");
-  if (!flags.metrics_out.empty() &&
-      !WriteOutputFile(flags.metrics_out,
-                       engine.metrics()->OpenMetricsText())) {
+  if (!FinishTelemetry(flags.metrics_out, *engine.metrics(), &journal_sink)) {
     return kExitRuntime;
   }
   return summary.aborted ? kExitRuntime : 0;
@@ -1239,50 +1225,50 @@ int CmdLoadgen(int argc, char** argv) {
   if (load.port == 0 || jsonl_path.empty()) {
     return Fail("loadgen needs --port P and --jsonl FILE");
   }
-  std::ifstream in(jsonl_path);
-  if (!in.is_open()) {
-    std::fprintf(stderr, "error: cannot open input file '%s'\n",
-                 jsonl_path.c_str());
-    return kExitMissingInput;
-  }
+  std::string text;
+  const FileStatus read = ReadFileToString(jsonl_path, &text);
+  if (!FileOk(read, jsonl_path)) return InputExit(read);
+  // Framed as batch frames it; the newline makes an unterminated last
+  // line count.
+  LineFramer framer;
+  framer.Feed(text);
+  framer.Feed("\n");
   std::vector<std::string> corpus;
-  for (std::string line; std::getline(in, line);) {
+  for (std::string line; framer.Next(&line) == LineFramer::Frame::kLine;) {
     if (!JsonlLineIsBlank(line)) corpus.push_back(std::move(line));
   }
   if (corpus.empty()) {
-    std::fprintf(stderr, "error: no non-blank lines in '%s'\n",
-                 jsonl_path.c_str());
+    Error("no non-blank lines in '" + jsonl_path + "'");
     return kExitRuntime;
   }
 
   const LoadResult result = RunLoad(corpus, load);
-  for (const std::string& error : result.client_errors) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-  }
+  for (const std::string& error : result.client_errors) Error(error);
   if (result.id_mismatches > 0) {
     std::fprintf(stderr,
                  "error: %lld responses did not echo the id they were "
                  "sent with\n",
                  static_cast<long long>(result.id_mismatches));
   }
-  if (result.ok() && !out_path.empty() &&
-      !WriteOutputFile(out_path, [&result](std::ostream& out) {
-        for (const LoadReply& reply : result.replies) {
-          out << reply.response << '\n';
-        }
-      })) {
-    return kExitRuntime;
-  }
-  if (result.ok() && !latency_out_path.empty() &&
-      !WriteOutputFile(latency_out_path, [&](std::ostream& out) {
-        for (const LoadReply& reply : result.replies) {
-          out << '{';
-          if (load.ids) out << "\"id\":\"" << reply.id << "\",";
-          out << "\"latency_ms\":" << reply.latency_us / 1000
-              << (reply.error ? ",\"error\":true}\n" : ",\"error\":false}\n");
-        }
-      })) {
-    return kExitRuntime;
+  if (result.ok()) {
+    std::string responses;
+    std::string latencies;
+    for (const LoadReply& reply : result.replies) {
+      responses += reply.response + '\n';
+      latencies += load.ids ? "{\"id\":\"" + reply.id + "\"," : "{";
+      latencies += "\"latency_ms\":" +
+                   std::to_string(reply.latency_us / 1000) +
+                   (reply.error ? ",\"error\":true}\n" : ",\"error\":false}\n");
+    }
+    if (!out_path.empty() &&
+        !FileOk(WriteStringToFile(out_path, responses), out_path)) {
+      return kExitRuntime;
+    }
+    if (!latency_out_path.empty() &&
+        !FileOk(WriteStringToFile(latency_out_path, latencies),
+                latency_out_path)) {
+      return kExitRuntime;
+    }
   }
   const auto ms = [](int64_t us) { return us < 0 ? -1LL : us / 1000; };
   std::fprintf(stderr,
