@@ -141,17 +141,28 @@ BatchRunner::Summary BatchRunner::Run(int in_fd, std::ostream& out) {
   // the window: every answer already done, then, blocking, the oldest.
   // `out` is flushed whenever no finished answer is left to write, and a
   // progress report follows a written answer when one is due.
+  // The first failed write keeps its errno, read before anything else can
+  // overwrite it.
+  const auto note_write = [&] {
+    if (!out && summary.write_errno == 0) {
+      summary.write_errno = errno != 0 ? errno : EIO;
+    }
+  };
   const auto write_answers = [&](size_t keep) {
     bool unflushed = false;
     LineResult result;
     for (;;) {
       if (!window->TryTake(&result)) {
         if (window->size() <= keep) break;
-        if (unflushed) out.flush();
+        if (unflushed) {
+          out.flush();
+          note_write();
+        }
         unflushed = false;
         result = window->Take();
       }
       out << result.text << '\n';
+      note_write();
       unflushed = true;
       latencies_ms.push_back(result.latency_ms);
       switch (result.kind) {
@@ -185,7 +196,10 @@ BatchRunner::Summary BatchRunner::Run(int in_fd, std::ostream& out) {
         }
       }
     }
-    if (unflushed) out.flush();
+    if (unflushed) {
+      out.flush();
+      note_write();
+    }
   };
 
   LineFramer framer;

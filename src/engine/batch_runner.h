@@ -118,6 +118,10 @@ class BatchRunner {
     int64_t latency_p99_ms = -1;
     // errno of the read(2) that ended the input; 0 at a clean EOF.
     int read_errno = 0;
+    // errno of the first write to `out` that failed (EIO when the stream
+    // kept none); 0 when every answer was written. The lines after it are
+    // still solved, and their answers dropped.
+    int write_errno = 0;
   };
 
   // The engine is borrowed and must outlive the runner; its pool carries
@@ -131,7 +135,7 @@ class BatchRunner {
   // line per non-blank input line, in input order, flushing `out` whenever
   // no finished answer is left to write. A failed read ends the input
   // after the lines already read are answered; Summary::read_errno says
-  // why.
+  // why, and Summary::write_errno tells of a failed write.
   Summary Run(int in_fd, std::ostream& out);
 
  private:

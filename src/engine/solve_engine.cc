@@ -175,8 +175,10 @@ SolveResult SolveEngine::Solve(const SolveRequest& request) {
   // taxonomy above: extracted once per request, thread-count invariant,
   // and handed to the solve stage through the BudgetContext so the
   // calibrated ladder can plan without re-scanning a single-component
-  // graph.
-  analysis.features = ExtractGraphFeatures(flat, decomp, color);
+  // graph. Its shape bits are the taxonomy's, decided once above.
+  analysis.features =
+      ExtractGraphFeatures(flat, decomp, color.has_value(),
+                           analysis.classification.equijoin_shape);
   stats.stage(PipelineStage::kClassify) = classify.Stop();
 
   // --- solve: per-component fan-out over the shared pool -----------------

@@ -6,6 +6,7 @@
 #ifndef PEBBLEJOIN_GRAPH_COMPONENTS_H_
 #define PEBBLEJOIN_GRAPH_COMPONENTS_H_
 
+#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -45,6 +46,40 @@ bool IsConnectedIgnoringIsolated(const Graph& g);
 // decomp.edges_of[component][i].
 Graph ExtractComponent(const Graph& g, const ComponentDecomposition& decomp,
                        int component);
+
+// One component of a decomposed graph, as a per-component solve sees it:
+// the graph, its decomposition = FindComponents(graph) and the component's
+// index. The component's own subgraph is extracted on first use and kept,
+// so a solver that declines the component and the fallback after it share
+// one copy, and a solver that reads the component in place makes none.
+class ComponentRef {
+ public:
+  ComponentRef(const Graph& g, const ComponentDecomposition& decomp,
+               int index)
+      : graph_(g), decomp_(decomp), index_(index) {}
+
+  const Graph& graph() const { return graph_; }
+  const ComponentDecomposition& decomp() const { return decomp_; }
+  int index() const { return index_; }
+  const std::vector<int>& vertices() const {
+    return decomp_.vertices_of[index_];
+  }
+  const std::vector<int>& edges() const { return decomp_.edges_of[index_]; }
+
+  // ExtractComponent(graph(), decomp(), index()), made on the first call.
+  const Graph& Subgraph() {
+    if (!sub_.has_value()) {
+      sub_.emplace(ExtractComponent(graph_, decomp_, index_));
+    }
+    return *sub_;
+  }
+
+ private:
+  const Graph& graph_;
+  const ComponentDecomposition& decomp_;
+  int index_;
+  std::optional<Graph> sub_;
+};
 
 }  // namespace pebblejoin
 

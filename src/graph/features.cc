@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "graph/components.h"
@@ -12,12 +13,15 @@
 namespace pebblejoin {
 
 GraphFeatures ExtractGraphFeatures(const Graph& g) {
-  return ExtractGraphFeatures(g, FindComponents(g), TwoColor(g));
+  const ComponentDecomposition decomp = FindComponents(g);
+  const std::optional<std::vector<int>> color = TwoColor(g);
+  return ExtractGraphFeatures(g, decomp, color.has_value(),
+                              ComponentsAreCompleteBipartite(decomp, color));
 }
 
-GraphFeatures ExtractGraphFeatures(
-    const Graph& g, const ComponentDecomposition& decomp,
-    const std::optional<std::vector<int>>& color) {
+GraphFeatures ExtractGraphFeatures(const Graph& g,
+                                   const ComponentDecomposition& decomp,
+                                   bool bipartite, bool equijoin_shape) {
   GraphFeatures f;
   const int n = g.num_vertices();
   const int m = g.num_edges();
@@ -54,8 +58,8 @@ GraphFeatures ExtractGraphFeatures(
         GraphFeatures::kHistogramBuckets - 1)];
   }
 
-  f.bipartite = color.has_value();
-  f.equijoin_shape = ComponentsAreCompleteBipartite(decomp, color);
+  f.bipartite = bipartite;
+  f.equijoin_shape = equijoin_shape;
   return f;
 }
 

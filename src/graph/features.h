@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -56,12 +55,15 @@ struct GraphFeatures {
 };
 
 // Extracts the feature vector of `g`: one degree scan over g.csr(), with
-// the component and bipartite fields read off `decomp` = FindComponents(g)
-// and `color` = TwoColor(g).
-GraphFeatures ExtractGraphFeatures(
-    const Graph& g, const ComponentDecomposition& decomp,
-    const std::optional<std::vector<int>>& color);
-// The same, computing the decomposition and 2-coloring itself.
+// the component fields read off `decomp` = FindComponents(g). The two
+// classification bits are the caller's: `bipartite` is whether TwoColor(g)
+// succeeds, and `equijoin_shape` is ComponentsAreCompleteBipartite — the
+// engine's classify stage decides it once for the classification and the
+// features alike.
+GraphFeatures ExtractGraphFeatures(const Graph& g,
+                                   const ComponentDecomposition& decomp,
+                                   bool bipartite, bool equijoin_shape);
+// The same, computing the decomposition, 2-coloring and shape itself.
 GraphFeatures ExtractGraphFeatures(const Graph& g);
 
 // The model-facing projection: the fixed log-feature vector the planner's

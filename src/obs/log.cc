@@ -1,5 +1,6 @@
 #include "obs/log.h"
 
+#include <limits>
 #include <ostream>
 
 #include "obs/json.h"
@@ -105,6 +106,12 @@ EventLog EventLog::WorkerLog() const {
   EventLog worker(journal_, capacity_);
   worker.tee_ = false;
   return worker;
+}
+
+EventLog EventLog::GatherLog() const {
+  EventLog gather(journal_, std::numeric_limits<int>::max());
+  gather.tee_ = false;
+  return gather;
 }
 
 void EventLog::AddBaseField(LogField field) {

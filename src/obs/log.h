@@ -180,6 +180,12 @@ class EventLog {
   // reach the journal when the owner calls MergeFrom after the join.
   EventLog WorkerLog() const;
 
+  // Buffer-only log that gathers several finished worker slices: MergeFrom
+  // each in turn, then merge it into this log. It keeps every event — each
+  // slice's own ring already decided what that slice drops — so the result
+  // is the same as merging the slices into this log one by one.
+  EventLog GatherLog() const;
+
   EventLog(EventLog&&) = default;
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;

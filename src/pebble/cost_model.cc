@@ -25,7 +25,7 @@ int64_t HatCostOfEdgeOrder(const Graph& g,
          JumpsOfEdgeOrder(g, edge_order);
 }
 
-int64_t JumpsOfEdgeOrder(const Graph& g, const std::vector<int>& edge_order) {
+int64_t JumpsOfEdgeOrder(const Graph& g, std::span<const int> edge_order) {
   int64_t jumps = 0;
   for (size_t i = 1; i < edge_order.size(); ++i) {
     const Graph::Edge& prev = g.edge(edge_order[i - 1]);

@@ -4,6 +4,8 @@
 #define PEBBLEJOIN_PEBBLE_COST_MODEL_H_
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "graph/graph.h"
 #include "pebble/pebbling_scheme.h"
@@ -24,7 +26,9 @@ int64_t EffectiveCost(const Graph& g, const PebblingScheme& scheme);
 int64_t HatCostOfEdgeOrder(const Graph& g, const std::vector<int>& edge_order);
 
 // Number of jumps in an edge order: consecutive pairs sharing no endpoint.
-int64_t JumpsOfEdgeOrder(const Graph& g, const std::vector<int>& edge_order);
+// The order may be any run of g's edge ids, e.g. one component's part of a
+// whole-graph order.
+int64_t JumpsOfEdgeOrder(const Graph& g, std::span<const int> edge_order);
 
 }  // namespace pebblejoin
 

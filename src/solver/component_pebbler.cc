@@ -1,6 +1,7 @@
 #include "solver/component_pebbler.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -23,24 +24,38 @@ namespace {
 // that per-task queueing stays small next to the solves.
 constexpr int kFanoutTasksPerWorker = 4;
 
+// Moves `from`'s elements onto the end of `to`; the first task's vector
+// is taken whole, so a sequential solve copies nothing.
+template <typename T>
+void AppendMoved(std::vector<T>* to, std::vector<T>* from) {
+  if (to->empty()) {
+    *to = std::move(*from);
+    return;
+  }
+  to->insert(to->end(), std::make_move_iterator(from->begin()),
+             std::make_move_iterator(from->end()));
+}
+
 }  // namespace
 
-// Everything one component solve produces, buffered per component so the
-// merge can run in component-index order regardless of which worker
-// finished first — the determinism contract of Options::threads.
-struct ComponentPebbler::ComponentResult {
-  std::vector<int> edge_order;  // original edge ids, in solve order
-  SolveOutcome outcome;
-  SolveStats stats;  // per-component sink, merged deterministically
+// Everything one fan-out task produces for its components, buffered per
+// task so the merge can run in task order — which is component order —
+// regardless of which worker finished first: the determinism contract of
+// Options::threads. Each component still solves on a worker slice of its
+// own; only the sinks it records into are the task's.
+struct ComponentPebbler::TaskResult {
+  std::vector<int> edge_order;             // original edge ids, in order
+  std::vector<SolveOutcome> outcomes;      // one per component
+  std::vector<int64_t> component_wall_us;  // one per component
+  SolveStats stats;  // the task's sink, merged deterministically
   // Worker-local trace session on the parent's timeline (null when the
   // request has no trace); its events merge into the parent session
   // tagged with `worker`.
   std::unique_ptr<TraceSession> trace;
-  // Worker-local buffer-only event log on the parent's timeline (null
-  // when the request carries none); merged into the parent log tagged
-  // with `worker`.
+  // Gather log of the components' buffer-only event logs, on the parent's
+  // timeline (null when the request carries none); merged into the parent
+  // log tagged with `worker`.
   std::unique_ptr<EventLog> log;
-  int64_t wall_us = 0;
   int worker = -1;  // ThreadPool::CurrentWorkerId(); -1 = calling thread
 };
 
@@ -111,63 +126,82 @@ ComponentPebbler::ComponentPebbler(const Pebbler* primary,
                "threads > 1 needs a borrowed pool");
 }
 
-void ComponentPebbler::SolveComponent(const Graph& g,
-                                      const ComponentDecomposition& decomp,
-                                      int c, const BudgetContext& parent,
-                                      ComponentResult* result) const {
-  // This component's slice of the request budget, with its own stats sink
-  // (and trace session and log when the request carries them). The same
-  // slices drive the sequential path — determinism across thread counts
-  // holds by construction, not by accident.
-  BudgetContext slice = parent.WorkerSlice();
-  slice.set_stats(&result->stats);
+void ComponentPebbler::SolveTask(const Graph& g,
+                                 const ComponentDecomposition& decomp,
+                                 int first, int last,
+                                 const BudgetContext& parent,
+                                 TaskResult* result) const {
+  result->worker = ThreadPool::CurrentWorkerId();
   if (TraceSession* parent_trace = parent.trace()) {
     result->trace =
         std::make_unique<TraceSession>(parent_trace->WorkerSession());
-    slice.set_trace(result->trace.get());
   }
   if (EventLog* parent_log = parent.log()) {
-    result->log = std::make_unique<EventLog>(parent_log->WorkerLog());
-    slice.set_log(result->log.get());
+    result->log = std::make_unique<EventLog>(parent_log->GatherLog());
+  }
+  size_t edges = 0;
+  for (int c = first; c < last; ++c) edges += decomp.edges_of[c].size();
+  result->edge_order.reserve(edges);
+  result->outcomes.reserve(static_cast<size_t>(last - first));
+  result->component_wall_us.reserve(static_cast<size_t>(last - first));
+  for (int c = first; c < last; ++c) {
+    SolveComponent(g, decomp, c, parent, result);
+  }
+}
+
+void ComponentPebbler::SolveComponent(const Graph& g,
+                                      const ComponentDecomposition& decomp,
+                                      int c, const BudgetContext& parent,
+                                      TaskResult* result) const {
+  // This component's slice of the request budget, recording into the
+  // task's stats sink and trace session, and into an event log of its own
+  // when the request carries one (so its ring bound is the component's).
+  // The same slices drive the sequential path — determinism across thread
+  // counts holds by construction, not by accident.
+  BudgetContext slice = parent.WorkerSlice();
+  slice.set_stats(&result->stats);
+  slice.set_trace(result->trace.get());
+  std::optional<EventLog> log;
+  if (result->log != nullptr) {
+    log.emplace(parent.log()->WorkerLog());
+    slice.set_log(&*log);
   }
 
-  const Graph sub = ExtractComponent(g, decomp, c);
-
-  result->worker = ThreadPool::CurrentWorkerId();
+  ComponentRef component(g, decomp, c);
+  const int edges = static_cast<int>(component.edges().size());
+  SolveOutcome& outcome = result->outcomes.emplace_back();
+  const size_t start = result->edge_order.size();
+  int64_t wall_us = 0;
   {
     Probe probe = Probe::Timed("component", "solver", slice.trace());
     probe.AddNum("index", c);
-    probe.AddNum("edges", sub.num_edges());
+    probe.AddNum("edges", edges);
 
-    std::optional<std::vector<int>> order =
-        primary_->PebbleWithOutcome(sub, slice, &result->outcome);
-    if (!order.has_value()) {
+    bool solved = primary_->PebbleComponent(component, slice, &outcome,
+                                            &result->edge_order);
+    if (!solved) {
       JP_CHECK_MSG(fallback_ != nullptr,
                    "primary pebbler refused and no fallback configured");
       // The fallback is the termination guarantee, so it runs unbudgeted: a
       // request whose deadline already expired still gets a valid scheme.
       BudgetContext fallback_ctx = slice.Child(SolveBudget{});
-      order = fallback_->PebbleWithOutcome(sub, fallback_ctx,
-                                           &result->outcome);
+      solved = fallback_->PebbleComponent(component, fallback_ctx, &outcome,
+                                          &result->edge_order);
     }
-    JP_CHECK_MSG(order.has_value(), "fallback pebbler refused a component");
-    JP_CHECK(static_cast<int>(order->size()) == sub.num_edges());
-    result->edge_order.reserve(order->size());
-    for (int local_edge : *order) {
-      result->edge_order.push_back(decomp.edges_of[c][local_edge]);
-    }
-    result->wall_us = probe.Stop().wall_us;
+    JP_CHECK_MSG(solved, "fallback pebbler refused a component");
+    JP_CHECK(result->edge_order.size() - start == static_cast<size_t>(edges));
+    wall_us = probe.Stop().wall_us;
   }
+  result->component_wall_us.push_back(wall_us);
 
-  if (EventLog* log = slice.log()) {
+  if (log.has_value()) {
     log->Emit(LogLevel::kDebug, "component.done",
-              {LogField::Num("index", c),
-               LogField::Num("edges", sub.num_edges()),
-               LogField::Str("solver", result->outcome.winner),
-               LogField::Str("status",
-                             RungStatusName(result->outcome.status)),
-               LogField::Num("cost", result->outcome.effective_cost),
-               LogField::Num("wall_us", result->wall_us)});
+              {LogField::Num("index", c), LogField::Num("edges", edges),
+               LogField::Str("solver", outcome.winner),
+               LogField::Str("status", RungStatusName(outcome.status)),
+               LogField::Num("cost", outcome.effective_cost),
+               LogField::Num("wall_us", wall_us)});
+    result->log->MergeFrom(*log, result->worker);
   }
 }
 
@@ -192,39 +226,38 @@ PebbleSolution ComponentPebbler::SolveDecomposed(
   BudgetContext* parent = budget != nullptr ? budget : &local_parent;
 
   if (num_components > 0) {
-    std::vector<ComponentResult> results(num_components);
     // Fan-out policy: components fan out over the borrowed pool only. A
     // caller that is itself a pool worker solves sequentially — a worker
     // that waits on a ParallelFor of its own pool deadlocks. One pool task
     // per range of components, not per component: a light component's
-    // solve costs about as much as queueing a task for it.
+    // solve costs about as much as queueing a task for it. The sequential
+    // path is one task over every component.
     const bool fan_out = options_.threads > 1 && num_components > 1 &&
                          options_.pool->num_threads() > 1 &&
                          ThreadPool::CurrentWorkerId() == -1;
+    const std::vector<int> bounds =
+        fan_out ? CutFanoutTasks(decomp, options_.pool->num_threads())
+                : std::vector<int>{0, num_components};
+    const int num_tasks = static_cast<int>(bounds.size()) - 1;
+    std::vector<TaskResult> results(static_cast<size_t>(num_tasks));
+    const auto solve_task = [&](int task) {
+      SolveTask(g, decomp, bounds[task], bounds[task + 1], *parent,
+                &results[task]);
+    };
     if (fan_out) {
-      const std::vector<int> bounds =
-          CutFanoutTasks(decomp, options_.pool->num_threads());
-      options_.pool->ParallelFor(
-          static_cast<int>(bounds.size()) - 1, [&](int task) {
-            for (int c = bounds[task]; c < bounds[task + 1]; ++c) {
-              SolveComponent(g, decomp, c, *parent, &results[c]);
-            }
-          });
+      options_.pool->ParallelFor(num_tasks, solve_task);
     } else {
-      for (int c = 0; c < num_components; ++c) {
-        SolveComponent(g, decomp, c, *parent, &results[c]);
-      }
+      solve_task(0);
     }
 
-    // Deterministic merge, in component-index order on the owning thread:
-    // edge order, provenance, per-component stats and worker-tagged trace
-    // and log events. The budget needs no merge — every slice accounted on
-    // the parent's ledger as it ran.
-    for (int c = 0; c < num_components; ++c) {
-      ComponentResult& result = results[c];
-      for (int e : result.edge_order) solution.edge_order.push_back(e);
-      solution.outcomes.push_back(std::move(result.outcome));
-      solution.component_wall_us.push_back(result.wall_us);
+    // Deterministic merge, in task order on the owning thread: edge order,
+    // provenance, stats and worker-tagged trace and log events. The budget
+    // needs no merge — every slice accounted on the parent's ledger as it
+    // ran.
+    for (TaskResult& result : results) {
+      AppendMoved(&solution.edge_order, &result.edge_order);
+      AppendMoved(&solution.outcomes, &result.outcomes);
+      AppendMoved(&solution.component_wall_us, &result.component_wall_us);
       if (parent->stats() != nullptr) parent->stats()->Add(result.stats);
       if (parent->trace() != nullptr && result.trace != nullptr) {
         parent->trace()->MergeFrom(*result.trace,

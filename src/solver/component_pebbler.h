@@ -6,17 +6,24 @@
 // their solves are embarrassingly parallel. With Options::threads > 1 the
 // driver cuts the components, in index order, into edge-balanced tasks
 // (CutFanoutTasks) and runs the tasks on the borrowed Options::pool (the
-// engine's long-lived one — the driver never builds a pool of its own).
-// A task solves its components one after another; each component still
-// takes its own worker slice of the request's BudgetContext where it runs.
-// The slice shares the request's budget ledger, so one slow component
-// cannot starve the rest, a deadline noticed by any worker cancels all of
-// them, and the request's polls, nodes and stop need no merge. Each
-// component also records into its own SolveStats sink, TraceSession and
-// event log, which are merged in component-index order after the join
-// barrier. The sequential path runs the exact same slice-and-merge
-// machinery inline, which is what makes the output — edge order, scheme,
-// costs, stats, AnalysisJson — byte-identical across thread counts.
+// engine's long-lived one — the driver never builds a pool of its own);
+// the sequential path is one task over every component.
+//
+// A task solves its components one after another. Each component takes its
+// own worker slice of the request's BudgetContext, its own "component"
+// probe and its own provenance, and hands itself to the primary's
+// PebbleComponent: SortMergePebbler sweeps a complete bipartite component
+// in place, and every other solver (or a component sort-merge declines)
+// solves the component's extracted subgraph. The slice shares the
+// request's budget ledger, so one slow component cannot starve the rest, a
+// deadline noticed by any worker cancels all of them, and the request's
+// polls, nodes and stop need no merge. The sinks are per task, not per
+// component: a task's components record into one SolveStats, one
+// TraceSession and one gathered event log, which are merged in task order
+// — that is, component order — after the join barrier. The sequential path
+// runs the exact same slice-and-merge machinery inline, which is what makes
+// the output — edge order, scheme, costs, stats, AnalysisJson —
+// byte-identical across thread counts.
 
 #ifndef PEBBLEJOIN_SOLVER_COMPONENT_PEBBLER_H_
 #define PEBBLEJOIN_SOLVER_COMPONENT_PEBBLER_H_
@@ -124,14 +131,20 @@ class ComponentPebbler {
                                std::string* error);
 
  private:
-  struct ComponentResult;
+  struct TaskResult;
 
-  // Solves component `c` into `result` on a worker slice of `parent`.
-  // Runs on a pool worker (or inline on the sequential path); writes only
-  // `result` and the shared budget ledger, never the parent's own fields.
+  // Solves components [first, last) one after another into `result`, each
+  // on a worker slice of `parent`. Runs on a pool worker (or inline on the
+  // sequential path); writes only `result` and the shared budget ledger,
+  // never the parent's own fields.
+  void SolveTask(const Graph& g, const ComponentDecomposition& decomp,
+                 int first, int last, const BudgetContext& parent,
+                 TaskResult* result) const;
+  // One component of SolveTask: its slice, its "component" probe, the
+  // primary's PebbleComponent and, when that refuses, the fallback's.
   void SolveComponent(const Graph& g, const ComponentDecomposition& decomp,
                       int c, const BudgetContext& parent,
-                      ComponentResult* result) const;
+                      TaskResult* result) const;
 
   const Pebbler* primary_;
   const Pebbler* fallback_;

@@ -2,8 +2,8 @@
 
 #include <utility>
 
+#include "graph/components.h"
 #include "obs/log.h"
-#include "obs/probe.h"
 #include "obs/solve_stats.h"
 #include "pebble/cost_model.h"
 #include "util/check.h"
@@ -26,70 +26,90 @@ std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
 
 std::optional<std::vector<int>> Pebbler::PebbleWithOutcome(
     const Graph& g, BudgetContext& budget, SolveOutcome* outcome) const {
-  JP_CHECK(outcome != nullptr);
-  outcome->lower_bound = g.num_edges();
-
-  // One probe per rung attempt: its wall clock and hardware counters land
-  // on the RungAttempt, so ladder provenance can say not just how long a
-  // rung ran but what it burned, and a traced request gets one "rung" span
-  // carrying the attempt's status and cost.
-  RungAttempt attempt;
-  attempt.solver = name();
-  Probe probe = Probe::Timed(attempt.solver.c_str(), "rung", budget.trace(),
-                             budget.perf_group());
+  RungScope rung(*this, g.num_edges(), budget, outcome);
   std::optional<std::vector<int>> order = PebbleConnected(g, budget);
-  if (order.has_value()) {
-    attempt.cost =
-        static_cast<int64_t>(order->size()) + JumpsOfEdgeOrder(g, *order);
+  rung.Finish(order.has_value()
+                  ? std::optional<int64_t>(
+                        static_cast<int64_t>(order->size()) +
+                        JumpsOfEdgeOrder(g, *order))
+                  : std::nullopt);
+  return order;
+}
+
+bool Pebbler::PebbleComponent(ComponentRef& component, BudgetContext& budget,
+                              SolveOutcome* outcome,
+                              std::vector<int>* order) const {
+  const std::optional<std::vector<int>> local =
+      PebbleWithOutcome(component.Subgraph(), budget, outcome);
+  if (!local.has_value()) return false;
+  const std::vector<int>& edges = component.edges();
+  for (int e : *local) order->push_back(edges[e]);
+  return true;
+}
+
+Pebbler::RungScope::RungScope(const Pebbler& solver, int64_t lower_bound,
+                              BudgetContext& budget, SolveOutcome* outcome)
+    : budget_(budget),
+      outcome_(outcome),
+      attempt_{.solver = solver.name()},
+      probe_(Probe::Timed(attempt_.solver.c_str(), "rung", budget.trace(),
+                          budget.perf_group())),
+      exact_(solver.is_exact()) {
+  JP_CHECK(outcome_ != nullptr);
+  outcome_->lower_bound = lower_bound;
+}
+
+void Pebbler::RungScope::Finish(std::optional<int64_t> cost) {
+  if (cost.has_value()) {
+    attempt_.cost = *cost;
     // A solver stopped mid-search can still return its best incumbent; the
     // stop reason is the honest status for that (degraded) order.
-    attempt.status = budget.stopped()
-                         ? RungStatusFromStop(budget.stop_reason())
-                         : (is_exact() ? RungStatus::kOptimal
-                                       : RungStatus::kCompleted);
-    outcome->winner = attempt.solver;
-    outcome->optimal = attempt.status == RungStatus::kOptimal;
-    outcome->effective_cost = attempt.cost;
-  } else if (budget.stopped()) {
-    attempt.status = RungStatusFromStop(budget.stop_reason());
+    attempt_.status = budget_.stopped()
+                          ? RungStatusFromStop(budget_.stop_reason())
+                          : (exact_ ? RungStatus::kOptimal
+                                    : RungStatus::kCompleted);
+    outcome_->winner = attempt_.solver;
+    outcome_->optimal = attempt_.status == RungStatus::kOptimal;
+    outcome_->effective_cost = attempt_.cost;
+  } else if (budget_.stopped()) {
+    attempt_.status = RungStatusFromStop(budget_.stop_reason());
   } else {
-    switch (budget.TakeDecline()) {
+    switch (budget_.TakeDecline()) {
       case SolveDecline::kMemoryCapped:
-        attempt.status = RungStatus::kMemoryCapped;
+        attempt_.status = RungStatus::kMemoryCapped;
         break;
       case SolveDecline::kLocalBudgetExhausted:
-        attempt.status = RungStatus::kBudgetExhausted;
+        attempt_.status = RungStatus::kBudgetExhausted;
         break;
       case SolveDecline::kNone:
-        attempt.status = RungStatus::kUnsupported;
+        attempt_.status = RungStatus::kUnsupported;
         break;
     }
   }
-  probe.AddStr("status", RungStatusName(attempt.status));
-  probe.AddNum("cost", attempt.cost);
-  const ProbeSample& sample = probe.Stop();
-  attempt.elapsed_us = sample.wall_us;
-  attempt.cycles = sample.perf.cycles;
-  attempt.cache_misses = sample.perf.cache_misses;
-  outcome->status = attempt.status;
-  outcome->degradation = RungProducedOrder(attempt.status)
-                             ? RungStatus::kCompleted
-                             : attempt.status;
+  probe_.AddStr("status", RungStatusName(attempt_.status));
+  probe_.AddNum("cost", attempt_.cost);
+  const ProbeSample& sample = probe_.Stop();
+  attempt_.elapsed_us = sample.wall_us;
+  attempt_.cycles = sample.perf.cycles;
+  attempt_.cache_misses = sample.perf.cache_misses;
+  outcome_->status = attempt_.status;
+  outcome_->degradation = RungProducedOrder(attempt_.status)
+                              ? RungStatus::kCompleted
+                              : attempt_.status;
 
-  if (SolveStats* stats = budget.stats()) {
+  if (SolveStats* stats = budget_.stats()) {
     ++stats->rungs_attempted;
-    if (!RungProducedOrder(attempt.status)) ++stats->rungs_declined;
+    if (!RungProducedOrder(attempt_.status)) ++stats->rungs_declined;
   }
-  if (EventLog* log = budget.log()) {
+  if (EventLog* log = budget_.log()) {
     log->Emit(LogLevel::kDebug, "ladder.rung",
-              {LogField::Str("solver", attempt.solver),
-               LogField::Str("status", RungStatusName(attempt.status)),
-               LogField::Num("cost", attempt.cost),
-               LogField::Num("elapsed_us", attempt.elapsed_us)});
+              {LogField::Str("solver", attempt_.solver),
+               LogField::Str("status", RungStatusName(attempt_.status)),
+               LogField::Num("cost", attempt_.cost),
+               LogField::Num("elapsed_us", attempt_.elapsed_us)});
   }
 
-  outcome->attempts.push_back(std::move(attempt));
-  return order;
+  outcome_->attempts.push_back(std::move(attempt_));
 }
 
 }  // namespace pebblejoin

@@ -4,7 +4,10 @@
 // permutation of the graph's edge ids — whose induced scheme (see
 // pebble/pebbling_scheme.h) pebbles the graph. Effective cost of the order
 // is m + jumps. The ComponentPebbler wraps any Pebbler to handle arbitrary
-// (disconnected) graphs, which by the additivity lemma 2.2 loses nothing.
+// (disconnected) graphs, which by the additivity lemma 2.2 loses nothing;
+// it hands each component to PebbleComponent, which by default extracts
+// the component's subgraph and which a solver that can read a component
+// in place overrides.
 //
 // Every solve runs under a BudgetContext (util/budget.h) carrying the
 // request's wall-clock deadline, node budget, and memory ceiling.
@@ -17,16 +20,20 @@
 #ifndef PEBBLEJOIN_SOLVER_PEBBLER_H_
 #define PEBBLEJOIN_SOLVER_PEBBLER_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "obs/probe.h"
 #include "solver/solve_outcome.h"
 #include "util/budget.h"
 
 namespace pebblejoin {
+
+class ComponentRef;
 
 // Abstract base for connected-graph pebblers.
 class Pebbler {
@@ -57,9 +64,47 @@ class Pebbler {
   virtual std::optional<std::vector<int>> PebbleWithOutcome(
       const Graph& g, BudgetContext& budget, SolveOutcome* outcome) const;
 
+  // Pebbles one component of a decomposed graph and appends its order, in
+  // the whole graph's edge ids, to `order`; returns false, appending
+  // nothing, when no order was produced. Provenance lands in `outcome` as
+  // PebbleWithOutcome records it. The default runs PebbleWithOutcome on
+  // the component's extracted subgraph.
+  virtual bool PebbleComponent(ComponentRef& component, BudgetContext& budget,
+                               SolveOutcome* outcome,
+                               std::vector<int>* order) const;
+
   // Whether a successful unstopped solve is proven optimal (sets the rung
   // status to kOptimal rather than kCompleted).
   virtual bool is_exact() const { return false; }
+
+ protected:
+  // The bookkeeping of one rung attempt, shared by PebbleWithOutcome and
+  // the in-place overrides of PebbleComponent. One probe runs from
+  // construction to Finish: its wall clock and hardware counters land on
+  // the RungAttempt, and a traced request gets one "rung" span carrying
+  // the attempt's status and cost. Finish then sets the status from the
+  // budget, counts the rung in the stats and emits "ladder.rung".
+  class RungScope;
+};
+
+class Pebbler::RungScope {
+ public:
+  // `lower_bound` is the instance's edge count m (Lemma 2.3).
+  RungScope(const Pebbler& solver, int64_t lower_bound, BudgetContext& budget,
+            SolveOutcome* outcome);
+  RungScope(const RungScope&) = delete;
+  RungScope& operator=(const RungScope&) = delete;
+
+  // Ends the attempt: `cost` is m + jumps of the order produced, counted
+  // on it, or nullopt when the rung produced none.
+  void Finish(std::optional<int64_t> cost);
+
+ private:
+  BudgetContext& budget_;
+  SolveOutcome* outcome_;
+  RungAttempt attempt_;  // before probe_: the probe borrows its name
+  Probe probe_;
+  bool exact_;
 };
 
 }  // namespace pebblejoin

@@ -408,6 +408,52 @@ elif [ "$SERVE_RC" -ne 0 ]; then
   note_failure "serve drain: expected exit 0, got $SERVE_RC"
 fi
 
+# Stdout is an output like any other: a full device, or a reader that
+# closed the pipe, fails the write, and the command exits 1 with one
+# "error: writing '-' failed: <reason>" line, never by SIGPIPE. Each output
+# here is larger than a pipe buffer, so a reader that takes one byte and
+# exits always closes the pipe under a blocked write. SIGPIPE is reset to
+# its default, in case this script inherited it ignored.
+"$BIN" gen complete 150 150 > "$WORK_DIR/k150.txt"
+python3 -c 'import json, sys; print(json.dumps({"graph": sys.stdin.read()}))' \
+  < "$WORK_DIR/k150.txt" > "$WORK_DIR/k150.jsonl"
+# expect_stdout_error <desc> <stdin file> <command...>
+expect_stdout_error() {
+  local desc="$1" input="$2"; shift; shift
+  local got
+  if [ -w /dev/full ]; then
+    env --default-signal=PIPE timeout 60 "$BIN" "$@" < "$input" \
+      > /dev/full 2>"$WORK_DIR/stdout_err.txt"
+    got=$?
+    [ "$got" -eq 1 ] \
+      || note_failure "$desc > /dev/full: expected exit 1, got $got"
+    [ "$(grep -c "^error: writing '-' failed: " "$WORK_DIR/stdout_err.txt")" \
+        -eq 1 ] \
+      && grep -q "^error: writing '-' failed: No space left on device" \
+        "$WORK_DIR/stdout_err.txt" \
+      || note_failure "$desc > /dev/full: expected one ENOSPC write error"
+  fi
+  env --default-signal=PIPE timeout 60 "$BIN" "$@" < "$input" \
+    2>"$WORK_DIR/stdout_err.txt" | head -c 1 > /dev/null
+  got=${PIPESTATUS[0]}
+  [ "$got" -eq 1 ] \
+    || note_failure "$desc | closed pipe: expected exit 1, got $got"
+  grep -q "^error: writing '-' failed: Broken pipe" \
+      "$WORK_DIR/stdout_err.txt" \
+    || note_failure "$desc | closed pipe: expected a broken-pipe error"
+}
+expect_stdout_error "analyze --json" "$WORK_DIR/k150.txt" analyze --json
+expect_stdout_error "gen random 300 300 60000 1" /dev/null \
+  gen random 300 300 60000 1
+expect_stdout_error "batch --jsonl" /dev/null \
+  batch --jsonl "$WORK_DIR/k150.jsonl"
+# Several lines on a pool: the write error's reason is the failed write's,
+# not whatever the input loop's later calls left in errno.
+cat "$WORK_DIR/k150.jsonl" "$WORK_DIR/corpus.jsonl" "$WORK_DIR/k150.jsonl" \
+  > "$WORK_DIR/k150_mix.jsonl"
+expect_stdout_error "batch --jsonl --threads 4" /dev/null \
+  batch --jsonl "$WORK_DIR/k150_mix.jsonl" --threads 4
+
 # Admission: an exhausted batch pool rejects every line under --admission
 # reject, and still solves (degraded) under queue.
 "$BIN" batch --jsonl "$WORK_DIR/corpus.jsonl" --batch-deadline-ms 0 \

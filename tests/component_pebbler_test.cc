@@ -1,11 +1,23 @@
 #include "solver/component_pebbler.h"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <map>
+#include <numeric>
+#include <optional>
+#include <random>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/components.h"
 #include "graph/generators.h"
+#include "graph/graph_properties.h"
 #include "gtest/gtest.h"
+#include "obs/log.h"
+#include "obs/trace.h"
 #include "pebble/scheme_verifier.h"
 #include "solver/exact_pebbler.h"
 #include "solver/fallback_pebbler.h"
@@ -295,6 +307,359 @@ TEST(ComponentPebblerTest, StagedSeamsComposeToSolve) {
   EXPECT_EQ(staged.jumps, direct.jumps);
   EXPECT_EQ(staged.num_components, direct.num_components);
   EXPECT_TRUE(VerifyScheme(g, staged.scheme).valid);
+}
+
+// --- Sort-merge's in-place sweep ----------------------------------------
+
+// One component of a test graph: K_{a,b}; K_{a,b} less one edge (a, b >= 2,
+// still connected, not complete); or K_{a,b} plus an edge inside the
+// a-side (a >= 2, an odd cycle, not bipartite).
+enum class BlockKind { kComplete, kMissingEdge, kOddEdge };
+
+struct Block {
+  int a;
+  int b;
+  BlockKind kind = BlockKind::kComplete;
+};
+
+// The disjoint union of `blocks` built as a plain Graph, with shuffled
+// vertex ids, edges inserted in shuffled order and endpoints in random
+// order, so a component's first vertex — its lowest id — falls on either
+// side and its edges interleave with other components' ids.
+Graph ShuffledUnion(const std::vector<Block>& blocks, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  int n = 0;
+  for (const Block& block : blocks) n += block.a + block.b;
+  std::vector<int> id(static_cast<size_t>(n));
+  std::iota(id.begin(), id.end(), 0);
+  std::shuffle(id.begin(), id.end(), rng);
+  std::vector<std::pair<int, int>> edges;
+  int base = 0;
+  for (const Block& block : blocks) {
+    for (int i = 0; i < block.a; ++i) {
+      for (int j = 0; j < block.b; ++j) {
+        if (block.kind == BlockKind::kMissingEdge && i == 0 && j == 0) {
+          continue;
+        }
+        edges.emplace_back(id[base + i], id[base + block.a + j]);
+      }
+    }
+    if (block.kind == BlockKind::kOddEdge) {
+      edges.emplace_back(id[base], id[base + 1]);
+    }
+    base += block.a + block.b;
+  }
+  std::shuffle(edges.begin(), edges.end(), rng);
+  Graph g(n);
+  for (auto [u, v] : edges) {
+    if (rng() % 2 == 0) std::swap(u, v);
+    g.AddEdge(u, v);
+  }
+  return g;
+}
+
+// `count` seeded blocks: K_{1,1}, K_{1,k}, K_{k,1} and K_{a,b}, with about
+// one in six not complete.
+std::vector<Block> RandomBlocks(int count, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto size = [&](int lo, int hi) {
+    return lo + static_cast<int>(rng() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  std::vector<Block> blocks;
+  for (int i = 0; i < count; ++i) {
+    switch (rng() % 6) {
+      case 0:
+        blocks.push_back({1, 1});
+        break;
+      case 1:
+        blocks.push_back({1, size(2, 5)});
+        break;
+      case 2:
+        blocks.push_back({size(2, 5), 1});
+        break;
+      case 3:
+        blocks.push_back({size(2, 4), size(2, 4),
+                          rng() % 2 == 0 ? BlockKind::kMissingEdge
+                                         : BlockKind::kOddEdge});
+        break;
+      default:
+        blocks.push_back({size(2, 4), size(2, 4)});
+        break;
+    }
+  }
+  return blocks;
+}
+
+// The extract-then-PebbleConnected route as an oracle: every component's
+// subgraph is extracted and pebbled by PebbleConnected, which is what
+// Pebbler's default PebbleComponent does.
+class ExtractingSortMerge : public SortMergePebbler {
+ public:
+  bool PebbleComponent(ComponentRef& component, BudgetContext& budget,
+                       SolveOutcome* outcome,
+                       std::vector<int>* order) const override {
+    return Pebbler::PebbleComponent(component, budget, outcome, order);
+  }
+};
+
+// Counts the extracted subgraphs sort-merge is asked to pebble.
+class CountingSortMerge : public SortMergePebbler {
+ public:
+  std::optional<std::vector<int>> PebbleConnected(
+      const Graph& g, BudgetContext& budget) const override {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return SortMergePebbler::PebbleConnected(g, budget);
+  }
+  mutable std::atomic<int> calls{0};
+};
+
+// Lemma 3.2's boustrophedon order of a complete bipartite component in the
+// whole graph's edge ids, written from its definition: the sides are
+// TwoColor of the extracted subgraph, rows are colour 0 in subgraph id
+// order, and row i runs left to right when i is even. Empty when the
+// component is not complete bipartite.
+std::vector<int> ReferenceBoustrophedon(const Graph& g,
+                                        const ComponentDecomposition& decomp,
+                                        int c) {
+  const Graph sub = ExtractComponent(g, decomp, c);
+  const std::optional<std::vector<int>> color = TwoColor(sub);
+  if (!color.has_value()) return {};
+  std::vector<int> rows;
+  std::vector<int> cols;
+  for (int v = 0; v < sub.num_vertices(); ++v) {
+    ((*color)[v] == 0 ? rows : cols).push_back(v);
+  }
+  if (rows.size() * cols.size() != static_cast<size_t>(sub.num_edges())) {
+    return {};
+  }
+  std::map<std::pair<int, int>, int> edge_of;
+  for (int e = 0; e < sub.num_edges(); ++e) {
+    edge_of[{sub.edge(e).u, sub.edge(e).v}] = e;
+    edge_of[{sub.edge(e).v, sub.edge(e).u}] = e;
+  }
+  std::vector<int> order;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t step = 0; step < cols.size(); ++step) {
+      const size_t j = i % 2 == 0 ? step : cols.size() - 1 - step;
+      order.push_back(decomp.edges_of[c][edge_of.at({rows[i], cols[j]})]);
+    }
+  }
+  return order;
+}
+
+// One SolveDecomposed call: its solution and the request's poll count.
+struct Solved {
+  PebbleSolution solution;
+  int64_t polls = 0;
+};
+
+Solved SolveWith(const Pebbler& primary, const Graph& g,
+                 const ComponentDecomposition& decomp, ThreadPool* pool,
+                 int64_t expire_after_polls = 0) {
+  const GreedyWalkPebbler greedy;
+  ComponentPebbler::Options options;
+  if (pool != nullptr) {
+    options.threads = pool->num_threads();
+    options.pool = pool;
+  }
+  const ComponentPebbler driver(&primary, &greedy, options);
+  BudgetContext ctx{SolveBudget{}};
+  if (expire_after_polls > 0) ctx.ForceExpireAfterPolls(expire_after_polls);
+  Solved solved;
+  solved.solution = driver.SolveDecomposed(g, decomp, &ctx);
+  solved.polls = ctx.polls();
+  return solved;
+}
+
+void ExpectSameOutcomes(const PebbleSolution& got, const PebbleSolution& want) {
+  ASSERT_EQ(got.outcomes.size(), want.outcomes.size());
+  for (size_t c = 0; c < got.outcomes.size(); ++c) {
+    const SolveOutcome& a = got.outcomes[c];
+    const SolveOutcome& b = want.outcomes[c];
+    EXPECT_EQ(a.Summary(), b.Summary()) << "component " << c;
+    EXPECT_EQ(a.winner, b.winner) << "component " << c;
+    EXPECT_EQ(a.status, b.status) << "component " << c;
+    EXPECT_EQ(a.optimal, b.optimal) << "component " << c;
+    EXPECT_EQ(a.effective_cost, b.effective_cost) << "component " << c;
+    EXPECT_EQ(a.lower_bound, b.lower_bound) << "component " << c;
+    EXPECT_EQ(a.degradation, b.degradation) << "component " << c;
+    ASSERT_EQ(a.attempts.size(), b.attempts.size()) << "component " << c;
+    for (size_t r = 0; r < a.attempts.size(); ++r) {
+      EXPECT_EQ(a.attempts[r].solver, b.attempts[r].solver);
+      EXPECT_EQ(a.attempts[r].status, b.attempts[r].status);
+      EXPECT_EQ(a.attempts[r].cost, b.attempts[r].cost);
+    }
+  }
+}
+
+TEST(SortMergeSweepTest, MatchesTheExtractingOracleOnShuffledUnions) {
+  const SortMergePebbler in_place;
+  const ExtractingSortMerge oracle;
+  ThreadPool pool(4);
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const Graph g = ShuffledUnion(RandomBlocks(40, seed), seed + 1000);
+    const ComponentDecomposition decomp = FindComponents(g);
+    ASSERT_EQ(decomp.num_components, 40);
+    const Solved want = SolveWith(oracle, g, decomp, nullptr);
+
+    for (ThreadPool* lent : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(lent == nullptr ? "threads 1" : "threads 4");
+      const Solved got = SolveWith(in_place, g, decomp, lent);
+      EXPECT_EQ(got.solution.edge_order, want.solution.edge_order);
+      EXPECT_EQ(got.polls, want.polls);
+      ExpectSameOutcomes(got.solution, want.solution);
+    }
+
+    // Independently of both routes: each complete component is written in
+    // Lemma 3.2's order, and each other one goes to the fallback.
+    size_t at = 0;
+    for (int c = 0; c < decomp.num_components; ++c) {
+      const size_t m_c = decomp.edges_of[c].size();
+      const std::vector<int> reference = ReferenceBoustrophedon(g, decomp, c);
+      if (reference.empty()) {
+        EXPECT_EQ(want.solution.outcomes[c].Summary(),
+                  "sort-merge:unsupported -> greedy-walk:completed (winner "
+                  "greedy-walk, cost " +
+                      std::to_string(want.solution.outcomes[c].effective_cost) +
+                      ", lb " + std::to_string(m_c) + ")");
+      } else {
+        EXPECT_EQ(std::vector<int>(want.solution.edge_order.begin() + at,
+                                   want.solution.edge_order.begin() + at + m_c),
+                  reference)
+            << "component " << c;
+        EXPECT_EQ(want.solution.outcomes[c].effective_cost,
+                  static_cast<int64_t>(m_c));
+      }
+      at += m_c;
+    }
+  }
+}
+
+TEST(SortMergeSweepTest, DeadlineOnTheKthComponentFallsBackFromThere) {
+  // Each sort-merge attempt polls once, so the k-th poll is the k-th
+  // component's: the components before it sweep, and from it on the latched
+  // deadline declines sort-merge and the unbudgeted greedy walk answers.
+  const SortMergePebbler in_place;
+  const ExtractingSortMerge oracle;
+  const Graph g = ShuffledUnion(
+      std::vector<Block>(8, Block{2, 3}), /*seed=*/7);
+  const ComponentDecomposition decomp = FindComponents(g);
+  for (int64_t k : {1, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    const Solved got = SolveWith(in_place, g, decomp, nullptr, k);
+    const Solved want = SolveWith(oracle, g, decomp, nullptr, k);
+    EXPECT_EQ(got.solution.edge_order, want.solution.edge_order);
+    EXPECT_EQ(got.polls, want.polls);
+    ExpectSameOutcomes(got.solution, want.solution);
+    ASSERT_EQ(got.solution.outcomes.size(), 8u);
+    for (int c = 0; c < 8; ++c) {
+      const SolveOutcome& outcome = got.solution.outcomes[c];
+      if (c < k - 1) {
+        EXPECT_EQ(outcome.Summary(),
+                  "sort-merge:completed (winner sort-merge, cost 6, lb 6)");
+      } else {
+        ASSERT_EQ(outcome.attempts.size(), 2u) << c;
+        EXPECT_EQ(outcome.attempts[0].solver, "sort-merge");
+        EXPECT_EQ(outcome.attempts[0].status, RungStatus::kDeadlineExpired);
+        EXPECT_EQ(outcome.attempts[1].solver, "greedy-walk");
+        EXPECT_EQ(outcome.winner, "greedy-walk");
+      }
+    }
+    EXPECT_TRUE(VerifyEdgeOrder(g, got.solution.edge_order).valid);
+  }
+}
+
+// The names of the JSONL events in `journal`, in order.
+std::vector<std::string> EventNames(const std::string& journal) {
+  std::vector<std::string> names;
+  std::istringstream in(journal);
+  std::string line;
+  const std::string key = "\"event\":\"";
+  while (std::getline(in, line)) {
+    const size_t at = line.find(key);
+    if (at == std::string::npos) continue;
+    const size_t begin = at + key.size();
+    names.push_back(line.substr(begin, line.find('"', begin) - begin));
+  }
+  return names;
+}
+
+size_t Count(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SortMergeSweepTest, TracedAndJournaledComponentsKeepTheirSpansAndEvents) {
+  const SortMergePebbler in_place;
+  const GreedyWalkPebbler greedy;
+  const Graph g = ShuffledUnion({{2, 3}, {1, 4}, {3, 1}}, /*seed=*/5);
+  const ComponentDecomposition decomp = FindComponents(g);
+  ASSERT_EQ(decomp.num_components, 3);
+  ThreadPool pool(4);
+  for (ThreadPool* lent : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(lent == nullptr ? "threads 1" : "threads 4");
+    ComponentPebbler::Options options;
+    if (lent != nullptr) {
+      options.threads = lent->num_threads();
+      options.pool = lent;
+    }
+    const ComponentPebbler driver(&in_place, &greedy, options);
+    Journal::Options journal_options;
+    journal_options.min_level = LogLevel::kDebug;
+    Journal journal(journal_options);
+    std::ostringstream sink;
+    journal.AttachStream(&sink);
+    EventLog log(&journal, EventLog::kDefaultCapacity);
+    TraceSession trace;
+    BudgetContext ctx{SolveBudget{}};
+    ctx.set_trace(&trace);
+    ctx.set_log(&log);
+    const PebbleSolution solution = driver.SolveDecomposed(g, decomp, &ctx);
+    ASSERT_EQ(solution.outcomes.size(), 3u);
+
+    // One "component" span and one sort-merge "rung" span per component.
+    const std::string json = trace.ToJson();
+    EXPECT_EQ(Count(json, "\"name\":\"component\""), 3u) << json;
+    EXPECT_EQ(Count(json, "\"name\":\"sort-merge\",\"cat\":\"rung\""), 3u);
+    EXPECT_EQ(Count(json, "\"status\":\"completed\""), 3u);
+
+    // Each component's rung event, then its done event, in component order.
+    EXPECT_EQ(EventNames(sink.str()),
+              (std::vector<std::string>{"ladder.rung", "component.done",
+                                        "ladder.rung", "component.done",
+                                        "ladder.rung", "component.done"}));
+    for (int c = 0; c < 3; ++c) {
+      EXPECT_NE(sink.str().find("\"event\":\"component.done\",\"index\":" +
+                                std::to_string(c)),
+                std::string::npos)
+          << sink.str();
+    }
+  }
+}
+
+TEST(SortMergeSweepTest, ThousandComponentEquijoinIsSweptInPlace) {
+  // SolveDecomposed hands sort-merge each component in place: no subgraph
+  // reaches PebbleConnected, on either path.
+  const CountingSortMerge counting;
+  std::vector<Block> blocks;
+  for (int i = 0; i < 1000; ++i) blocks.push_back({1 + i % 3, 1 + i % 4});
+  const Graph g = ShuffledUnion(blocks, /*seed=*/11);
+  const ComponentDecomposition decomp = FindComponents(g);
+  ThreadPool pool(4);
+  for (ThreadPool* lent : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const Solved got = SolveWith(counting, g, decomp, lent);
+    EXPECT_EQ(counting.calls.load(), 0);
+    ASSERT_EQ(got.solution.outcomes.size(), 1000u);
+    for (const SolveOutcome& outcome : got.solution.outcomes) {
+      EXPECT_EQ(outcome.winner, "sort-merge");
+    }
+    EXPECT_TRUE(VerifyEdgeOrder(g, got.solution.edge_order).valid);
+  }
 }
 
 TEST(ComponentPebblerTest, EdgeOrderCoversOriginalIds) {

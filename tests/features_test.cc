@@ -75,15 +75,17 @@ TEST(FeaturesPropertyTest, InvariantAcrossThreads) {
 }
 
 TEST(FeaturesPropertyTest, DecompositionOverloadsMatchGraphOnly) {
-  // The engine hands one decomposition and 2-coloring to classify and to
-  // feature extraction; both must agree with the self-contained overloads.
+  // The engine hands one decomposition and 2-coloring to classify, and
+  // classify's shape bit to feature extraction; both must agree with the
+  // self-contained overloads.
   for (const Graph& g : PropertyCorpus()) {
     const ComponentDecomposition decomp = FindComponents(g);
     const std::optional<std::vector<int>> color = TwoColor(g);
-    ExpectSameFeatures(ExtractGraphFeatures(g, decomp, color),
+    const JoinGraphClassification got = ClassifyJoinGraph(decomp, color);
+    ExpectSameFeatures(ExtractGraphFeatures(g, decomp, color.has_value(),
+                                            got.equijoin_shape),
                        ExtractGraphFeatures(g));
 
-    const JoinGraphClassification got = ClassifyJoinGraph(decomp, color);
     const JoinGraphClassification want = ClassifyJoinGraph(g);
     EXPECT_EQ(got.equijoin_shape, want.equijoin_shape);
     EXPECT_EQ(got.realizable_as, want.realizable_as);

@@ -1041,7 +1041,9 @@ int CmdBatch(int argc, char** argv) {
   StartProfiler(flags.profile_out, &profiler);
   const BatchRunner::Summary summary = runner.Run(in_fd, out.stream());
   if (!FinishProfiler(flags.profile_out, &profiler)) return kExitRuntime;
-  if (!FileOk({FileStatus::kRead, summary.read_errno}, in_path)) {
+  if (!FileOk({FileStatus::kRead, summary.read_errno}, in_path) ||
+      !FileOk({FileStatus::kWrite, summary.write_errno},
+              out_path.empty() ? "-" : out_path)) {
     return kExitRuntime;
   }
   // Stdout is pure JSONL; the tallies go to stderr.
@@ -1136,8 +1138,6 @@ int CmdServe(int argc, char** argv) {
                server.port());
   std::fflush(stderr);
 
-  // A dead client's socket must cost an EPIPE errno, never the process.
-  std::signal(SIGPIPE, SIG_IGN);
   if (::pipe(g_serve_signal_pipe) != 0) {
     std::fprintf(stderr, "error: pipe() failed\n");
     return kExitRuntime;
@@ -1283,7 +1283,19 @@ int CmdLoadgen(int argc, char** argv) {
   return result.ok() ? 0 : kExitRuntime;
 }
 
-int Main(int argc, char** argv) {
+// Flushes stdout, which std::cout writes through, and reports a write to
+// it that failed, now or earlier. False after printing the error. A failed
+// flush sets its own errno. When an earlier write failed and the flush had
+// nothing left to write, the reason is the errno that write left, which
+// holds for commands that write stdout last; batch, whose input loop runs
+// on after a write, checks its own writes.
+bool FinishStdout() {
+  std::cout.flush();
+  if (std::fflush(stdout) == 0 && !std::ferror(stdout)) return true;
+  return FileOk({FileStatus::kWrite, errno != 0 ? errno : EIO}, "-");
+}
+
+int RunCommand(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   if (command == "--version" || command == "version") {
@@ -1303,6 +1315,17 @@ int Main(int argc, char** argv) {
   if (command == "serve") return CmdServe(argc, argv);
   if (command == "loadgen") return CmdLoadgen(argc, argv);
   return Usage();
+}
+
+int Main(int argc, char** argv) {
+  // A reader that closes the pipe costs a write its EPIPE errno, reported
+  // like any failed write; it never kills the process. Serve's dead
+  // client sockets rely on this too.
+  std::signal(SIGPIPE, SIG_IGN);
+  // A command that failed has said why; a stdout error is reported only
+  // when it is the one failure.
+  const int code = RunCommand(argc, argv);
+  return code != 0 || FinishStdout() ? code : kExitRuntime;
 }
 
 }  // namespace
