@@ -4,8 +4,8 @@
 // workloads of growing output size m, the sort-merge pebbler always achieves
 // π = m (ratio exactly 1), and its running time grows linearly in m. The
 // "us_per_edge" column staying flat is the linear-time claim of Theorem 4.1;
-// the classify/partition/solve columns (SolveStats stage wall clocks) show
-// which layer would break it.
+// the classify/partition/solve/verify columns (SolveStats stage wall
+// clocks) show which layer would break it.
 //
 // Each row reports the median and p10/p90 of kRepeats timed samples. A
 // sample runs back-to-back analyses until it spans at least kMinSampleUs,
@@ -37,7 +37,7 @@ void RunSweep(BenchReport* report) {
   TablePrinter table({"keys", "|R|", "|S|", "m", "pi_hat", "pi", "pi/m",
                       "perfect", "time_us", "p10_us", "p90_us",
                       "us_per_edge", "classify_us", "partition_us",
-                      "solve_us"});
+                      "solve_us", "verify_us"});
 
   const JoinAnalyzer analyzer;
   for (int keys : {1600, 6400, 25600, 102400}) {
@@ -58,9 +58,10 @@ void RunSweep(BenchReport* report) {
     const int64_t per_sample =
         once_us >= kMinSampleUs ? 1 : kMinSampleUs / (once_us + 1) + 1;
 
-    std::vector<int64_t> time_us, classify_us, partition_us, solve_us;
+    std::vector<int64_t> time_us, classify_us, partition_us, solve_us,
+        verify_us;
     for (int r = 0; r < kRepeats; ++r) {
-      int64_t classify = 0, partition = 0, solve = 0;
+      int64_t classify = 0, partition = 0, solve = 0, verify = 0;
       Stopwatch timer;
       for (int64_t i = 0; i < per_sample; ++i) {
         const SolveStats stats =
@@ -68,11 +69,13 @@ void RunSweep(BenchReport* report) {
         classify += stats.stage(PipelineStage::kClassify).wall_us;
         partition += stats.stage(PipelineStage::kPartition).wall_us;
         solve += stats.stage(PipelineStage::kSolve).wall_us;
+        verify += stats.stage(PipelineStage::kVerify).wall_us;
       }
       time_us.push_back(timer.ElapsedMicros() / per_sample);
       classify_us.push_back(classify / per_sample);
       partition_us.push_back(partition / per_sample);
       solve_us.push_back(solve / per_sample);
+      verify_us.push_back(verify / per_sample);
     }
     const int64_t median_us = PercentileOfSamples(time_us, 0.50);
     const auto median = [](const std::vector<int64_t>& samples) {
@@ -91,7 +94,7 @@ void RunSweep(BenchReport* report) {
                                    static_cast<double>(a.output_size),
                                4),
                   median(classify_us), median(partition_us),
-                  median(solve_us)});
+                  median(solve_us), median(verify_us)});
   }
   std::fputs(table.Render().c_str(), stdout);
   report->AddTable("scaling_sweep", table);

@@ -50,8 +50,8 @@ GraphFeatures ExtractGraphFeatures(const Graph& g,
   }
 
   f.betti_zero = decomp.num_components;
-  for (const std::vector<int>& edges_of : decomp.edges_of) {
-    const int64_t edges = static_cast<int64_t>(edges_of.size());
+  for (int c = 0; c < decomp.num_components; ++c) {
+    const int64_t edges = static_cast<int64_t>(decomp.edges_of(c).size());
     f.largest_component_edges = std::max(f.largest_component_edges, edges);
     ++f.component_size_histogram[std::min<int>(
         std::bit_width(static_cast<uint64_t>(edges)) - 1,

@@ -44,13 +44,13 @@ bool ComponentsAreCompleteBipartite(
   for (int c = 0; c < decomp.num_components; ++c) {
     int64_t side0 = 0;
     int64_t side1 = 0;
-    for (int v : decomp.vertices_of[c]) {
+    for (int v : decomp.vertices_of(c)) {
       ((*color)[v] == 0 ? side0 : side1) += 1;
     }
     // A component 2-colored with sides of sizes a and b is complete
     // bipartite iff it has exactly a*b edges (it can never have more in a
     // simple bipartite graph).
-    if (static_cast<int64_t>(decomp.edges_of[c].size()) != side0 * side1) {
+    if (static_cast<int64_t>(decomp.edges_of(c).size()) != side0 * side1) {
       return false;
     }
   }

@@ -139,12 +139,12 @@ JoinPartition GreedyComponentPartition(const BipartiteGraph& join_graph,
   std::vector<int> order(decomp.num_components);
   for (int c = 0; c < decomp.num_components; ++c) order[c] = c;
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return decomp.vertices_of[a].size() > decomp.vertices_of[b].size();
+    return decomp.vertices_of(a).size() > decomp.vertices_of(b).size();
   });
   for (int c : order) {
     int left_count = 0;
     int right_count = 0;
-    for (int v : decomp.vertices_of[c]) {
+    for (int v : decomp.vertices_of(c)) {
       (v < join_graph.left_size() ? left_count : right_count) += 1;
     }
     int target = -1;
@@ -156,10 +156,10 @@ JoinPartition GreedyComponentPartition(const BipartiteGraph& join_graph,
       }
     }
     if (target != -1) {
-      for (int v : decomp.vertices_of[c]) place_vertex(v, target);
+      for (int v : decomp.vertices_of(c)) place_vertex(v, target);
     } else {
       // Oversized component: spill vertex by vertex.
-      for (int v : decomp.vertices_of[c]) {
+      for (int v : decomp.vertices_of(c)) {
         place_vertex(v, fragment_with_room(v < join_graph.left_size()));
       }
     }

@@ -10,7 +10,7 @@ PebblingBounds ComputeBounds(const ComponentDecomposition& decomp) {
   PebblingBounds bounds;
   bounds.betti_zero = decomp.num_components;
   for (int c = 0; c < decomp.num_components; ++c) {
-    const int64_t mc = static_cast<int64_t>(decomp.edges_of[c].size());
+    const int64_t mc = static_cast<int64_t>(decomp.edges_of(c).size());
     bounds.num_edges += mc;
     bounds.upper_general += 2 * mc - 1;
     bounds.upper_dfs_bound += DfsUpperBoundForConnected(mc);

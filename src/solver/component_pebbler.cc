@@ -85,10 +85,7 @@ const SolveOutcome* PebbleSolution::FirstDegraded() const {
 std::vector<int> CutFanoutTasks(const ComponentDecomposition& decomp,
                                 int workers) {
   JP_CHECK(workers >= 1);
-  int64_t total_edges = 0;
-  for (const std::vector<int>& edges : decomp.edges_of) {
-    total_edges += static_cast<int64_t>(edges.size());
-  }
+  const int64_t total_edges = decomp.edge_offsets[decomp.num_components];
   const int64_t tasks = int64_t{kFanoutTasksPerWorker} * workers;
   const int64_t task_edges =
       std::max<int64_t>(1, (total_edges + tasks - 1) / tasks);
@@ -96,7 +93,8 @@ std::vector<int> CutFanoutTasks(const ComponentDecomposition& decomp,
   std::vector<int> bounds = {0};
   int64_t open_edges = 0;  // edges in the task not yet closed
   for (int c = 0; c < decomp.num_components; ++c) {
-    const int64_t edges = static_cast<int64_t>(decomp.edges_of[c].size());
+    const int64_t edges =
+        decomp.edge_offsets[c + 1] - decomp.edge_offsets[c];
     if (edges >= task_edges && open_edges > 0) {
       bounds.push_back(c);  // a heavy component does not join a task
       open_edges = 0;
@@ -139,9 +137,8 @@ void ComponentPebbler::SolveTask(const Graph& g,
   if (EventLog* parent_log = parent.log()) {
     result->log = std::make_unique<EventLog>(parent_log->GatherLog());
   }
-  size_t edges = 0;
-  for (int c = first; c < last; ++c) edges += decomp.edges_of[c].size();
-  result->edge_order.reserve(edges);
+  result->edge_order.reserve(static_cast<size_t>(
+      decomp.edge_offsets[last] - decomp.edge_offsets[first]));
   result->outcomes.reserve(static_cast<size_t>(last - first));
   result->component_wall_us.reserve(static_cast<size_t>(last - first));
   for (int c = first; c < last; ++c) {
@@ -187,6 +184,7 @@ void ComponentPebbler::SolveComponent(const Graph& g,
       BudgetContext fallback_ctx = slice.Child(SolveBudget{});
       solved = fallback_->PebbleComponent(component, fallback_ctx, &outcome,
                                           &result->edge_order);
+      outcome.SettleDegradation();
     }
     JP_CHECK_MSG(solved, "fallback pebbler refused a component");
     JP_CHECK(result->edge_order.size() - start == static_cast<size_t>(edges));

@@ -18,15 +18,6 @@ namespace pebblejoin {
 
 namespace {
 
-// The degradation reasons worth surfacing: a rung cut short by a ceiling.
-// kUnsupported declines (instance simply outside a solver's shape/size) are
-// the normal operating mode on large inputs, not degradation.
-bool IsBudgetCut(RungStatus status) {
-  return status == RungStatus::kDeadlineExpired ||
-         status == RungStatus::kBudgetExhausted ||
-         status == RungStatus::kMemoryCapped;
-}
-
 // Plans one descent for the calibrated ladder: derive the component's
 // features (reusing the classify-stage vector when the request *is* this
 // one component), ask the planner, and surface the decision everywhere
@@ -181,19 +172,7 @@ std::optional<std::vector<int>> FallbackPebbler::PebbleWithOutcome(
                  "greedy-walk safety net refused a connected graph");
   }
 
-  // The per-rung calls each overwrote `degradation` with their own status;
-  // ladder-wide, it is the *first* budget-induced cut on the way down to the
-  // winner (or kCompleted when the winner was reached without one).
-  outcome->degradation = RungStatus::kCompleted;
-  for (const RungAttempt& attempt : outcome->attempts) {
-    // A winner can itself carry a cut status (an anytime rung returning its
-    // deadline-cut incumbent) — that is degradation too.
-    if (IsBudgetCut(attempt.status)) {
-      outcome->degradation = attempt.status;
-      break;
-    }
-    if (RungProducedOrder(attempt.status)) break;
-  }
+  outcome->SettleDegradation();
 
   if (outcome->plan.active) {
     outcome->plan.actual_rung = ActualRungIndex(outcome->winner);

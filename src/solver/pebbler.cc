@@ -1,5 +1,6 @@
 #include "solver/pebbler.h"
 
+#include <span>
 #include <utility>
 
 #include "graph/components.h"
@@ -42,7 +43,7 @@ bool Pebbler::PebbleComponent(ComponentRef& component, BudgetContext& budget,
   const std::optional<std::vector<int>> local =
       PebbleWithOutcome(component.Subgraph(), budget, outcome);
   if (!local.has_value()) return false;
-  const std::vector<int>& edges = component.edges();
+  const std::span<const int> edges = component.edges();
   for (int e : *local) order->push_back(edges[e]);
   return true;
 }

@@ -32,6 +32,19 @@ RungStatus RungStatusFromStop(BudgetStop stop) {
   return RungStatus::kCompleted;
 }
 
+void SolveOutcome::SettleDegradation() {
+  degradation = RungStatus::kCompleted;
+  for (const RungAttempt& attempt : attempts) {
+    if (attempt.status == RungStatus::kDeadlineExpired ||
+        attempt.status == RungStatus::kBudgetExhausted ||
+        attempt.status == RungStatus::kMemoryCapped) {
+      degradation = attempt.status;
+      return;
+    }
+    if (RungProducedOrder(attempt.status)) return;
+  }
+}
+
 std::string SolveOutcome::Summary(bool with_timing) const {
   std::string out;
   for (size_t i = 0; i < attempts.size(); ++i) {

@@ -98,6 +98,16 @@ struct SolveOutcome {
 
   bool degraded() const { return !RungProducedOrder(degradation); }
 
+  // Sets `degradation` once a later rung has answered for an earlier one:
+  // the first budget cut (deadline, node budget or memory ceiling) among
+  // the attempts on the way to the winner, or kCompleted when there was
+  // none. The winner's own status counts, since an anytime rung can
+  // return its deadline-cut incumbent; an `unsupported` decline is the
+  // normal operating mode on large inputs, not a cut. Each rung sets
+  // `degradation` from its own attempt only, so every caller that runs
+  // more than one rung calls this after the last.
+  void SettleDegradation();
+
   // One-line rendering: "exact:deadline-expired -> ils:completed
   // (winner ils, cost 12, lb 10)". With `with_timing`, each rung carries
   // its wall clock: "exact:deadline-expired[503us] -> ...".

@@ -97,7 +97,7 @@ bool SortMergePebbler::PebbleComponent(ComponentRef& component,
                                        SolveOutcome* outcome,
                                        std::vector<int>* order) const {
   const Graph& g = component.graph();
-  const std::vector<int>& edges = component.edges();
+  const std::span<const int> edges = component.edges();
   JP_CHECK(!edges.empty());
   RungScope rung(*this, static_cast<int64_t>(edges.size()), budget, outcome);
   const size_t start = order->size();

@@ -177,6 +177,32 @@ TEST(BatchRunnerTest, ALineBudgetOnADefaultEngineSelectsTheLadder) {
   EXPECT_NE(lines[0].find("\"winner\":"), std::string::npos);
 }
 
+TEST(BatchRunnerTest, AFallbackAnswerAfterABudgetCutIsTalliedDegraded) {
+  // An expired deadline cuts sort-merge short on every component, and the
+  // unbudgeted greedy walk answers: the line is degraded by that cut. A
+  // shape sort-merge declines is no cut.
+  const BipartiteGraph equijoin =
+      DisjointUnion(CompleteBipartite(2, 2), CompleteBipartite(1, 3));
+  const std::string input =
+      Line(equijoin, ", \"solver\": \"sort-merge\", \"deadline_ms\": 0") +
+      "\n" + Line(equijoin, ", \"solver\": \"sort-merge\"") + "\n" +
+      Line(PathGraph(3), ", \"solver\": \"sort-merge\"") + "\n";
+  BatchRunner::Summary summary;
+  const std::vector<std::string> lines =
+      RunBatch(input, BatchRunner::Options(), &summary);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(summary.solved, 3);
+  EXPECT_EQ(summary.degraded, 1);
+  EXPECT_NE(lines[0].find("\"status\":\"deadline-expired\""),
+            std::string::npos);
+  EXPECT_NE(lines[0].find("\"degradation\":\"deadline-expired\","
+                          "\"degraded\":true"),
+            std::string::npos);
+  EXPECT_EQ(lines[1].find("\"degraded\":true"), std::string::npos);
+  EXPECT_NE(lines[2].find("\"unsupported\""), std::string::npos);
+  EXPECT_EQ(lines[2].find("\"degraded\":true"), std::string::npos);
+}
+
 TEST(BatchRunnerTest, MalformedLinesYieldErrorRecordsAndTheRunContinues) {
   const BipartiteGraph g = WorstCaseFamily(4);
   const std::string input = Line(g) + "\n" +

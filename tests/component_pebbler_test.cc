@@ -148,6 +148,43 @@ TEST(ComponentPebblerTest, ExpiredDeadlineStillSolvesEveryComponent) {
   }
 }
 
+TEST(ComponentPebblerTest, AFallbackAnswerKeepsThePrimarysBudgetCut) {
+  // A primary cut short by the deadline hands its component to the
+  // fallback, and the answer is degraded by that cut. A primary that only
+  // declines the shape is no cut.
+  const SortMergePebbler sort_merge;
+  const GreedyWalkPebbler greedy;
+  const ComponentPebbler driver(&sort_merge, &greedy);
+  const Graph g =
+      DisjointUnion(CompleteBipartite(2, 3), PathGraph(3)).ToGraph();
+
+  const PebbleSolution declined = driver.Solve(g);
+  ASSERT_EQ(declined.outcomes.size(), 2u);
+  EXPECT_EQ(declined.outcomes[1].attempts.front().status,
+            RungStatus::kUnsupported);
+  EXPECT_EQ(declined.outcomes[1].winner, "greedy-walk");
+  EXPECT_EQ(declined.outcomes[1].degradation, RungStatus::kCompleted);
+  EXPECT_EQ(declined.FirstDegraded(), nullptr);
+
+  FakeClock clock;
+  SolveBudget budget;
+  budget.deadline_ms = 0;
+  BudgetContext ctx(budget, &clock);
+  const PebbleSolution cut = driver.Solve(g, &ctx);
+  ASSERT_EQ(cut.outcomes.size(), 2u);
+  for (const SolveOutcome& outcome : cut.outcomes) {
+    EXPECT_EQ(outcome.attempts.front().status, RungStatus::kDeadlineExpired);
+    EXPECT_EQ(outcome.winner, "greedy-walk");
+    EXPECT_EQ(outcome.status, RungStatus::kCompleted);
+    EXPECT_EQ(outcome.degradation, RungStatus::kDeadlineExpired);
+    EXPECT_TRUE(outcome.degraded());
+  }
+  EXPECT_EQ(cut.outcomes[0].Summary(),
+            "sort-merge:deadline-expired -> greedy-walk:completed (winner "
+            "greedy-walk, cost 6, lb 6, degraded: deadline-expired)");
+  EXPECT_EQ(cut.FirstDegraded(), &cut.outcomes[0]);
+}
+
 TEST(ComponentPebblerTest, FallbackLadderAsPrimaryReportsWinningRung) {
   const FallbackPebbler ladder;
   const GreedyWalkPebbler greedy;
@@ -233,16 +270,13 @@ TEST(ComponentPebblerTest, BorrowedPoolIsDroppedOnPoolWorkers) {
 
 // --- The fan-out's task cut ---------------------------------------------
 
-// A decomposition with the given component sizes, in edges; the cut reads
-// nothing else.
+// A decomposition with the given component sizes, in edges: its edge
+// offsets, which are all the cut reads.
 ComponentDecomposition SizedComponents(const std::vector<int>& sizes) {
   ComponentDecomposition decomp;
   decomp.num_components = static_cast<int>(sizes.size());
-  int next_edge = 0;
   for (int size : sizes) {
-    std::vector<int> edges(static_cast<size_t>(size));
-    for (int& e : edges) e = next_edge++;
-    decomp.edges_of.push_back(std::move(edges));
+    decomp.edge_offsets.push_back(decomp.edge_offsets.back() + size);
   }
   return decomp;
 }
@@ -441,7 +475,7 @@ std::vector<int> ReferenceBoustrophedon(const Graph& g,
   for (size_t i = 0; i < rows.size(); ++i) {
     for (size_t step = 0; step < cols.size(); ++step) {
       const size_t j = i % 2 == 0 ? step : cols.size() - 1 - step;
-      order.push_back(decomp.edges_of[c][edge_of.at({rows[i], cols[j]})]);
+      order.push_back(decomp.edges_of(c)[edge_of.at({rows[i], cols[j]})]);
     }
   }
   return order;
@@ -515,7 +549,7 @@ TEST(SortMergeSweepTest, MatchesTheExtractingOracleOnShuffledUnions) {
     // Lemma 3.2's order, and each other one goes to the fallback.
     size_t at = 0;
     for (int c = 0; c < decomp.num_components; ++c) {
-      const size_t m_c = decomp.edges_of[c].size();
+      const size_t m_c = decomp.edges_of(c).size();
       const std::vector<int> reference = ReferenceBoustrophedon(g, decomp, c);
       if (reference.empty()) {
         EXPECT_EQ(want.solution.outcomes[c].Summary(),
@@ -564,6 +598,7 @@ TEST(SortMergeSweepTest, DeadlineOnTheKthComponentFallsBackFromThere) {
         EXPECT_EQ(outcome.attempts[0].status, RungStatus::kDeadlineExpired);
         EXPECT_EQ(outcome.attempts[1].solver, "greedy-walk");
         EXPECT_EQ(outcome.winner, "greedy-walk");
+        EXPECT_EQ(outcome.degradation, RungStatus::kDeadlineExpired) << c;
       }
     }
     EXPECT_TRUE(VerifyEdgeOrder(g, got.solution.edge_order).valid);

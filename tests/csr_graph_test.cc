@@ -14,6 +14,7 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <thread>
@@ -79,12 +80,22 @@ int ReferenceFindEdge(const Graph& g, const Incidence& inc, int u, int v) {
   return -1;
 }
 
+// The decomposition with one list per component, the plain layout the
+// flat one must reproduce.
+struct ReferenceDecomposition {
+  std::vector<int> component_of;
+  int num_components = 0;
+  std::vector<std::vector<int>> edges_of;
+  std::vector<std::vector<int>> vertices_of;
+  std::vector<int> local_index;
+};
+
 // Stack DFS from each unvisited non-isolated vertex, neighbors in
 // incidence order; edges bucketed by component in edge-id order; each
 // vertex's local index is its pop position within its component.
-ComponentDecomposition ReferenceComponents(const Graph& g) {
+ReferenceDecomposition ReferenceComponents(const Graph& g) {
   const Incidence inc = ReferenceIncidence(g);
-  ComponentDecomposition out;
+  ReferenceDecomposition out;
   out.component_of.assign(g.num_vertices(), -1);
   out.local_index.assign(g.num_vertices(), -1);
   std::vector<int> stack;
@@ -364,17 +375,19 @@ TEST(CsrGraphTest, ExtractComponentPropagatesLayoutAndOrder) {
             .ToGraph();
 
     const ComponentDecomposition decomp = FindComponents(g);
-    const ComponentDecomposition reference = ReferenceComponents(g);
+    const ReferenceDecomposition reference = ReferenceComponents(g);
     ASSERT_GE(decomp.num_components, 2);
     ASSERT_EQ(decomp.num_components, reference.num_components);
     ASSERT_EQ(decomp.component_of, reference.component_of);
-    ASSERT_EQ(decomp.vertices_of, reference.vertices_of);
-    ASSERT_EQ(decomp.edges_of, reference.edges_of);
     ASSERT_EQ(decomp.local_index, reference.local_index);
 
     for (int c = 0; c < decomp.num_components; ++c) {
-      const std::vector<int>& vmap = decomp.vertices_of[c];
-      const std::vector<int>& emap = decomp.edges_of[c];
+      const std::span<const int> vmap = decomp.vertices_of(c);
+      const std::span<const int> emap = decomp.edges_of(c);
+      ASSERT_EQ(std::vector<int>(vmap.begin(), vmap.end()),
+                reference.vertices_of[c]);
+      ASSERT_EQ(std::vector<int>(emap.begin(), emap.end()),
+                reference.edges_of[c]);
       const Graph sub = ExtractComponent(g, decomp, c);
       // Local edge i is parent edge emap[i], endpoints relabeled through
       // vmap, in the parent's edge-id order.
